@@ -13,6 +13,7 @@ from .codecs import (
     INT4_CODEC,
     INT8_CODEC,
     JSON_CODEC,
+    ORDERED_KEY_CODEC,
     PICKLE_CODEC,
     STR_CODEC,
     BytesCodec,
@@ -20,6 +21,7 @@ from .codecs import (
     FloatCodec,
     IntCodec,
     JsonCodec,
+    OrderedKeyCodec,
     PickleCodec,
     StrCodec,
 )
@@ -96,6 +98,8 @@ __all__ = [
     "LockMode",
     "MVCCObject",
     "MVCCProtocol",
+    "ORDERED_KEY_CODEC",
+    "OrderedKeyCodec",
     "PICKLE_CODEC",
     "PickleCodec",
     "PrepareLogRecord",

@@ -75,7 +75,7 @@ class GarbageCollector:
         report = GCReport(oldest_active=self.context.oldest_active_version())
         for table in tables:
             report.tables += 1
-            report.objects_scanned += len(table.keys())
+            report.objects_scanned += table.resident_keys()
             report.versions_reclaimed += table.collect_garbage(report.oldest_active)
         self.total_reclaimed += report.versions_reclaimed
         self._commits_since_sweep = 0

@@ -30,7 +30,7 @@ from typing import Any
 from ..errors import ABORT_USER, TransactionAborted
 from ..storage.kvstore import KVStore
 from ..storage.wal import WriteAheadLog
-from .codecs import PICKLE_CODEC, Codec
+from .codecs import ORDERED_KEY_CODEC, PICKLE_CODEC, Codec
 from .context import StateContext
 from .durability import DURABILITY_SYNC, GroupFsyncDaemon
 from .gc import GarbageCollector, GCPolicy
@@ -100,7 +100,7 @@ class TransactionManager:
         self,
         state_id: str,
         backend: KVStore | None = None,
-        key_codec: Codec = PICKLE_CODEC,
+        key_codec: Codec = ORDERED_KEY_CODEC,
         value_codec: Codec = PICKLE_CODEC,
         version_slots: int = DEFAULT_SLOTS,
         location: str = "",

@@ -142,7 +142,7 @@ from ..storage.kvstore import KVStore
 from ..storage.lsm import MAINTENANCE_BACKGROUND, MAINTENANCE_INLINE, LSMOptions, LSMStore
 from ..storage.maintenance import StorageMaintenanceDaemon
 from ..storage.wal import KIND_TXN_COMMIT, WriteAheadLog
-from .codecs import PICKLE_CODEC, Codec
+from .codecs import ORDERED_KEY_CODEC, PICKLE_CODEC, Codec
 from .durability import (
     DURABILITY_SYNC,
     CommitLogRecord,
@@ -807,6 +807,7 @@ class ShardedTransactionManager:
                 self._schema = ShardedSchema(num_shards, protocol or "mvcc")
             else:
                 self._adopted_existing_schema = True
+                adopted.check_key_encoding(self.data_dir)
                 if adopted.num_shards != num_shards:
                     raise StorageError(
                         f"data_dir {self.data_dir} was created with "
@@ -999,8 +1000,9 @@ class ShardedTransactionManager:
         #: outermost rank: a migration quiesces shards by taking their
         #: checkpoint locks (one at a time) while holding this.
         self._migration_lock = make_lock(lockranks.MIGRATION, name="migration")
-        #: Worker pool for scatter-gather scans (threads spawn on first
-        #: use, so constructing it is cheap for managers that never scan).
+        #: Worker pool for scatter-gather scans of lazy partitions (threads
+        #: spawn on first use, so constructing it is cheap for managers
+        #: that never scan one).
         self._scan_pool = ThreadPoolExecutor(
             max_workers=_SHARD_POOL_LIMIT, thread_name_prefix="scatter-scan"
         )
@@ -1243,7 +1245,7 @@ class ShardedTransactionManager:
         self,
         state_id: str,
         backend_factory: Callable[[int], KVStore] | Callable[[], KVStore] | None = None,
-        key_codec: Codec = PICKLE_CODEC,
+        key_codec: Codec = ORDERED_KEY_CODEC,
         value_codec: Codec = PICKLE_CODEC,
         version_slots: int = DEFAULT_SLOTS,
     ) -> list[StateTable]:
@@ -1578,8 +1580,13 @@ class ShardedTransactionManager:
 
         Scatter-gather: touching every shard acquires the global snapshot
         vector (see :meth:`_child`), then each shard's partition is
-        materialised at that vector on the scan worker pool and the sorted
-        runs are heap-merged — a consistent cross-shard analytics read.
+        materialised at that vector and the sorted runs are heap-merged —
+        a consistent cross-shard analytics read.  Lazy partitions, which
+        may read their base tables, are materialised on the scan worker
+        pool; fully resident ones on the caller's thread, because their
+        scan is interpreter-bound and every hand-off to a pool thread lets
+        a busy background daemon hold the interpreter lock for a whole
+        switch interval, which made scan latency swing between runs.
         """
         txn.ensure_active()
         smap = self.slot_map
@@ -1594,8 +1601,8 @@ class ShardedTransactionManager:
             part = self.shards[idx].scan(children[idx], state_id, low, high)
             return [kv for kv in part if smap.shard_of(kv[0]) == idx]
 
-        if self.num_shards == 1:
-            filtered = [materialise(0)]
+        if self.num_shards == 1 or self.state_residency != RESIDENCY_LAZY:
+            filtered = [materialise(idx) for idx in range(self.num_shards)]
         else:
             filtered = list(
                 self._scan_pool.map(materialise, range(self.num_shards))
@@ -3236,7 +3243,11 @@ class ShardedTransactionManager:
         ``recovery_workers=1`` forces the sequential reference procedure.
         The report lands on ``manager.last_recovery``.  ``kwargs``
         override constructor parameters (``protocol=``,
-        ``checkpoint_interval=``, ...).
+        ``checkpoint_interval=``, ...).  A data dir whose schema records
+        another key encoding than the engine's (or none: pickled keys)
+        raises :class:`~repro.errors.StorageError` before anything is
+        read (see
+        :meth:`~repro.recovery.sharded.ShardedSchema.check_key_encoding`).
         """
         from ..recovery.sharded import ShardedSchema, recover_sharded
 

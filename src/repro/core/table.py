@@ -51,19 +51,30 @@ starts (nearly) empty and each key moves through a small state machine:
 Range scans in lazy mode merge the resident index with a base-table scan
 (cold rows are visible iff the snapshot is at or above
 ``bootstrap_cts``), so consistent scatter-gather scans still see one
-capped, sorted vector per shard.
+capped, sorted vector per shard.  When the key codec preserves order (the
+default :class:`~repro.core.codecs.OrderedKeyCodec` does, as do
+``IntCodec``, ``StrCodec`` and ``BytesCodec``) the base-table scan reads
+only the encoded ``[low, high)`` range plus the codec's unordered region;
+a codec that cannot encode the bounds (pickle, JSON) sweeps the whole
+partition.  Either way every row is re-checked against the bounds in
+Python, so the result does not depend on the codec.
+
+Full residency scans bisect ``low`` and ``high`` in a sorted key list that
+the table caches and rebuilds only when the index's key set changes.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from collections.abc import Iterator
+from itertools import chain
 from typing import Any
 
 from collections.abc import Callable, Hashable
 
 from ..storage.kvstore import KVStore, MemoryKVStore
-from .codecs import PICKLE_CODEC, Codec
+from .codecs import ORDERED_KEY_CODEC, PICKLE_CODEC, Codec
 from .indexes import IndexSet, SecondaryIndex
 from .timestamps import ZERO_TS
 from .version_store import DEFAULT_SLOTS, MVCCObject, VersionEntry
@@ -84,7 +95,7 @@ class StateTable:
         self,
         state_id: str,
         backend: KVStore | None = None,
-        key_codec: Codec = PICKLE_CODEC,
+        key_codec: Codec = ORDERED_KEY_CODEC,
         value_codec: Codec = PICKLE_CODEC,
         version_slots: int = DEFAULT_SLOTS,
         residency: str = RESIDENCY_FULL,
@@ -131,6 +142,11 @@ class StateTable:
         #: clock/second-chance sweep state over a cached key snapshot.
         self._clock_keys: list[Any] = []
         self._clock_hand = 0
+        #: bumped under the index latch whenever a key enters or leaves
+        #: the index; ``_key_cache`` is ``(epoch, keys, sorted)`` and only
+        #: valid while its epoch is current (see :meth:`_sorted_keys`).
+        self._key_epoch = 0
+        self._key_cache: tuple[int, list[Any], bool] | None = None
 
     # -------------------------------------------------------------- lookups
 
@@ -149,6 +165,7 @@ class StateTable:
                 obj = self._index.get(key)
                 if obj is None:
                     obj = self._index[key] = MVCCObject(self.version_slots)
+                    self._key_epoch += 1
         return obj
 
     def read_version_at(self, key: Any, ts: int) -> VersionEntry | None:
@@ -307,21 +324,50 @@ class StateTable:
                     continue
                 with self._index_latch:
                     self._index.pop(key, None)
+                    self._key_epoch += 1
                 evicted += 1
             if evicted:
                 self.residency_evictions += evicted
             return evicted
 
-    def keys(self) -> list[Any]:
-        """All keys with at least one version, in sorted order."""
+    def _sorted_keys(self) -> tuple[list[Any], bool]:
+        """The cached key list and whether it is sorted.
+
+        Rebuilt only when the key set changed since the last build; keys
+        Python cannot sort (e.g. ints mixed with strs) stay in insertion
+        order with ``False``.  The list is never mutated, so callers may
+        iterate it while the index changes.
+        """
+        cached = self._key_cache
+        if cached is not None and cached[0] == self._key_epoch:
+            return cached[1], cached[2]
         with self._index_latch:
+            epoch = self._key_epoch
             keys = list(self._index)
         try:
             keys.sort()
+            ordered = True
         except TypeError:
-            # heterogeneous keys: fall back to insertion order
-            pass
-        return keys
+            ordered = False
+        self._key_cache = (epoch, keys, ordered)
+        return keys, ordered
+
+    def _keys_in_range(self, low: Any, high: Any) -> list[Any]:
+        """Index keys with ``low <= key < high``, in sorted order."""
+        keys, ordered = self._sorted_keys()
+        if not ordered:
+            return [
+                key for key in keys
+                if (low is None or key >= low) and (high is None or key < high)
+            ]
+        start = 0 if low is None else bisect_left(keys, low)
+        stop = len(keys) if high is None else bisect_left(keys, high)
+        return keys[start:stop]
+
+    def keys(self) -> list[Any]:
+        """All keys with at least one version, in sorted order (insertion
+        order for keys Python cannot sort)."""
+        return list(self._sorted_keys()[0])
 
     def scan_at(self, ts: int, low: Any = None, high: Any = None) -> Iterator[tuple[Any, Any]]:
         """Snapshot range scan with ``low <= key < high`` bounds.
@@ -336,11 +382,7 @@ class StateTable:
                 low, high, lambda obj: obj.read_at(ts), ts >= self.bootstrap_cts
             )
             return
-        for key in self.keys():
-            if low is not None and key < low:
-                continue
-            if high is not None and key >= high:
-                break
+        for key in self._keys_in_range(low, high):
             version = self.read_version_at(key, ts)
             if version is not None:
                 yield key, version.value
@@ -351,11 +393,7 @@ class StateTable:
                 low, high, lambda obj: obj.live_version(), True
             )
             return
-        for key in self.keys():
-            if low is not None and key < low:
-                continue
-            if high is not None and key >= high:
-                break
+        for key in self._keys_in_range(low, high):
             version = self.read_live(key)
             if version is not None:
                 yield key, version.value
@@ -369,33 +407,39 @@ class StateTable:
     ) -> list[tuple[Any, Any]]:
         """One merged, sorted vector over resident + cold rows.
 
-        The resident partition is captured once (object references, so a
-        concurrent eviction cannot hide a row mid-scan); the backend scan
-        then supplies only keys outside that capture, re-checking the
-        live index per key so rows committed or faulted in after the
-        capture are read through their version array with proper
-        visibility instead of being misread as cold.  Scans do **not**
-        install bootstrap versions — one analytics pass must not blow the
-        residency budget.
+        The resident keys in range (bisected from the sorted key list) are
+        captured first, each as its object reference, so a concurrent
+        eviction cannot hide a row mid-scan; a key evicted before its
+        capture is simply read cold.  The backend scan then supplies only
+        keys outside that capture, re-checking the live index per key so
+        rows committed or faulted in after the capture are read through
+        their version array with proper visibility instead of being
+        misread as cold.  Scans do **not** install bootstrap versions —
+        one analytics pass must not blow the residency budget.
+
+        With an order-preserving key codec the backend scan reads only the
+        encoded bounds plus the codec's unordered region; otherwise it
+        sweeps the partition.  The Python bound check below runs either
+        way.
         """
-        with self._index_latch:
-            items = list(self._index.items())
-        resident = {key for key, _ in items}
 
         def in_bounds(key: Any) -> bool:
             if low is not None and key < low:
                 return False
             return high is None or key < high
 
+        resident: set[Any] = set()
         out: list[tuple[Any, Any]] = []
-        for key, obj in items:
-            if not in_bounds(key):
+        for key in self._keys_in_range(low, high):
+            obj = self._index.get(key)
+            if obj is None:
                 continue
+            resident.add(key)
             version = read(obj)
             if version is not None:
                 out.append((key, version.value))
         if cold_visible:
-            for kbytes, vbytes in self.backend.scan():
+            for kbytes, vbytes in self._backend_range(low, high):
                 key = self.key_codec.decode(kbytes)
                 if key in resident or not in_bounds(key):
                     continue
@@ -412,6 +456,18 @@ class StateTable:
             # heterogeneous keys: keep resident-then-cold order
             pass
         return out
+
+    def _backend_range(
+        self, low: Any, high: Any
+    ) -> Iterator[tuple[bytes, bytes]]:
+        """Base-table rows that may hold keys in ``[low, high)``."""
+        codec = self.key_codec
+        low_bytes = None if low is None else codec.encode_bound(low)
+        high_bytes = None if high is None else codec.encode_bound(high)
+        rows = self.backend.scan(low_bytes, high_bytes)
+        if high_bytes is None or codec.unordered_region is None:
+            return rows
+        return chain(rows, self.backend.scan(codec.unordered_region, None))
 
     def __len__(self) -> int:
         """Number of keys with a live (committed, undeleted) version."""
@@ -517,7 +573,9 @@ class StateTable:
         count = 0
         with self.commit_latch:
             self.bootstrap_cts = bootstrap_cts
-            self._index.clear()
+            with self._index_latch:
+                self._index.clear()
+                self._key_epoch += 1
             for kbytes, vbytes in self.backend.scan():
                 key = self.key_codec.decode(kbytes)
                 value = self.value_codec.decode(vbytes)
@@ -541,6 +599,7 @@ class StateTable:
         """
         deletes: list[bytes] = []
         with self._index_latch:
+            self._key_epoch += 1
             for key in keys:
                 resident = self._index.pop(key, None) is not None
                 # A lazy partition holds rows its index never faulted in;

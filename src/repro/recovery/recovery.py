@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from ..core.codecs import Codec, PICKLE_CODEC
+from ..core.codecs import ORDERED_KEY_CODEC, PICKLE_CODEC, Codec
 from ..core.manager import TransactionManager
 from ..storage.lsm import LSMOptions, LSMStore
 from .redo import ContextStore
@@ -55,7 +55,7 @@ class DurableSystem:
         directory: str | os.PathLike[str],
         protocol: str = "mvcc",
         sync: bool = True,
-        key_codec: Codec = PICKLE_CODEC,
+        key_codec: Codec = ORDERED_KEY_CODEC,
         value_codec: Codec = PICKLE_CODEC,
     ) -> None:
         self.directory = Path(directory)

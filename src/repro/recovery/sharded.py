@@ -60,6 +60,7 @@ from ..storage.wal import (
     WriteAheadLog,
     fsync_dir,
 )
+from ..core.codecs import ORDERED_KEY_CODEC
 from ..core.slots import SlotFlip
 from ..core.durability import (
     CommitLogRecord,
@@ -156,6 +157,30 @@ class ShardedSchema:
     #: explicit constructor arguments update the catalog.
     replication_factor: int = 0
     ack: str = "local"
+    #: Encoding of every partition's base-table keys.  ``None`` marks a
+    #: catalog written before keys were order-preserving (pickled keys),
+    #: which :meth:`check_key_encoding` refuses to open.
+    key_encoding: str | None = ORDERED_KEY_CODEC.format_name
+
+    def check_key_encoding(self, data_dir: str | os.PathLike[str]) -> None:
+        """Refuse a data dir whose rows this engine cannot decode or scan.
+
+        Keys are stored with :class:`~repro.core.codecs.OrderedKeyCodec`;
+        pickle-keyed rows would fail to decode on a full-residency open
+        and be silently invisible to a lazy one.
+        """
+        if self.key_encoding == ORDERED_KEY_CODEC.format_name:
+            return
+        found = (
+            "pickled keys (schema.json records no key_encoding)"
+            if self.key_encoding is None
+            else f"key_encoding {self.key_encoding!r}"
+        )
+        raise StorageError(
+            f"data_dir {data_dir} stores {found}; this engine reads base "
+            f"tables keyed with {ORDERED_KEY_CODEC.format_name!r}. Rebuild "
+            "the store by re-loading its rows into a new data_dir."
+        )
 
     def save(self, data_dir: str | os.PathLike[str]) -> None:
         """Atomically persist (tmp + fsync + rename + directory fsync)."""
@@ -171,6 +196,7 @@ class ShardedSchema:
             "state_residency": self.state_residency,
             "replication_factor": self.replication_factor,
             "ack": self.ack,
+            "key_encoding": self.key_encoding,
         }
         tmp = path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -201,6 +227,7 @@ class ShardedSchema:
             state_residency=str(payload.get("state_residency", "full")),
             replication_factor=int(payload.get("replication_factor", 0)),
             ack=str(payload.get("ack", "local")),
+            key_encoding=payload.get("key_encoding"),
         )
 
 

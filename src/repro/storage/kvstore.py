@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import abc
 import threading
+from bisect import bisect_left
 from collections.abc import Iterator
 
 
@@ -82,6 +83,9 @@ class MemoryKVStore(KVStore):
         self._data: dict[bytes, bytes] = {}
         self._lock = threading.RLock()
         self._closed = False
+        #: sorted key list for scans; ``None`` once a key is added or
+        #: removed (overwrites keep it), rebuilt by the next scan.
+        self._sorted: list[bytes] | None = None
 
     def get(self, key: bytes) -> bytes | None:
         with self._lock:
@@ -89,22 +93,25 @@ class MemoryKVStore(KVStore):
 
     def put(self, key: bytes, value: bytes) -> None:
         with self._lock:
+            if key not in self._data:
+                self._sorted = None
             self._data[key] = value
 
     def delete(self, key: bytes) -> None:
         with self._lock:
-            self._data.pop(key, None)
+            if self._data.pop(key, None) is not None:
+                self._sorted = None
 
     def scan(
         self, low: bytes | None = None, high: bytes | None = None
     ) -> Iterator[tuple[bytes, bytes]]:
         with self._lock:
-            keys = sorted(self._data)
-        for key in keys:
-            if low is not None and key < low:
-                continue
-            if high is not None and key >= high:
-                break
+            if self._sorted is None:
+                self._sorted = sorted(self._data)
+            keys = self._sorted
+        start = 0 if low is None else bisect_left(keys, low)
+        stop = len(keys) if high is None else bisect_left(keys, high)
+        for key in keys[start:stop]:
             with self._lock:
                 value = self._data.get(key)
             if value is not None:
@@ -113,9 +120,12 @@ class MemoryKVStore(KVStore):
     def write_batch(self, puts: list[tuple[bytes, bytes]], deletes: list[bytes]) -> None:
         with self._lock:
             for key, value in puts:
+                if key not in self._data:
+                    self._sorted = None
                 self._data[key] = value
             for key in deletes:
-                self._data.pop(key, None)
+                if self._data.pop(key, None) is not None:
+                    self._sorted = None
 
     def close(self) -> None:
         self._closed = True

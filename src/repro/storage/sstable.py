@@ -205,6 +205,11 @@ class SSTable:
         """Records with ``low <= key < high`` (open bounds when ``None``)."""
         if not self._index_keys:
             return
+        # a range outside [min_key, max_key] never opens the file
+        if (low is not None and low > self.max_key) or (
+            high is not None and high <= self.min_key
+        ):
+            return
         if low is None:
             start = self._index_offsets[0]
         else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.storage import LSMOptions, LSMStore
+from repro.storage import LSMOptions, LSMStore, MemoryKVStore
 from repro.storage.bloom import BloomFilter
 from repro.storage.skiplist import SkipList
 
@@ -61,6 +61,32 @@ class TestSkipListProperties:
         above = [k for k in key_list if k >= probe]
         assert (floor[0] if floor else None) == (max(below) if below else None)
         assert (ceiling[0] if ceiling else None) == (min(above) if above else None)
+
+
+class TestMemoryKVStoreProperties:
+    @given(ops, st.lists(st.tuples(st.none() | keys, st.none() | keys), max_size=8))
+    @settings(max_examples=120, deadline=None)
+    def test_bounded_scans_match_dict_model(self, operations, bounds):
+        # scans interleave with the writes, so the cached sorted key list
+        # must follow every insert and delete
+        store = MemoryKVStore()
+        model: dict[bytes, bytes] = {}
+        for i, (op, key, value) in enumerate(operations):
+            if op == 0:
+                store.put(key, value)
+                model[key] = value
+            elif op == 1:
+                store.delete(key)
+                model.pop(key, None)
+            else:
+                store.write_batch([(key, value)], [value])
+                model[key] = value
+                model.pop(value, None)
+            low, high = bounds[i % len(bounds)] if bounds else (None, None)
+            assert list(store.scan(low, high)) == [
+                (k, v) for k, v in sorted(model.items())
+                if (low is None or k >= low) and (high is None or k < high)
+            ]
 
 
 class TestBloomProperties:

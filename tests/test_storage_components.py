@@ -144,6 +144,15 @@ class TestSSTable:
         got = [k for k, _ in table.range(b"k010", b"k015")]
         assert got == [b"k010", b"k011", b"k012", b"k013", b"k014"]
 
+    def test_range_outside_the_table_reads_nothing(self, tmp_path, monkeypatch):
+        records = [(f"k{i:03d}".encode(), str(i).encode()) for i in range(50)]
+        table = self._write(tmp_path, records)
+        monkeypatch.setattr(table, "_scan_from", None)  # any file read fails
+        assert list(table.range(b"k050", None)) == []
+        assert list(table.range(b"\xff", None)) == []
+        assert list(table.range(None, b"k000")) == []
+        assert list(table.range(b"a", b"k000")) == []
+
     def test_out_of_order_keys_rejected(self, tmp_path):
         writer = SSTableWriter(tmp_path / "bad.sst")
         with pytest.raises(CorruptionError):
