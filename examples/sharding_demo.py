@@ -59,7 +59,7 @@ def main() -> None:
                 "injected participant failure", reason="demo-fault"
             )
 
-    smgr.prepare_fault = fail_second_participant
+    smgr.faults.register("prepare", fail_second_participant)
     txn = smgr.begin()
     smgr.write(txn, "accounts", 1, 0)
     smgr.write(txn, "accounts", 3, 0)
@@ -68,7 +68,7 @@ def main() -> None:
     except TransactionAborted as exc:
         print(f"injected prepare failure -> global abort ({exc.reason})")
     finally:
-        smgr.prepare_fault = None
+        smgr.faults.register("prepare", None)
     assert total_balance(smgr) == opening_total + 30
     print("all-or-nothing: balances unchanged after the failed 2PC")
 

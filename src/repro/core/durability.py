@@ -308,8 +308,6 @@ class GroupFsyncDaemon:
         flush_interval: float = 0.002,
         flusher: bool | None = None,
         wait_in_latch: bool = False,
-        auto_tune_window: bool = False,
-        batch_window_max: float = 0.002,
         lock_index: int | None = None,
     ) -> None:
         if mode not in DURABILITY_MODES:
@@ -323,18 +321,6 @@ class GroupFsyncDaemon:
         self.max_batch = max_batch
         self.batch_window = batch_window
         self.flush_interval = flush_interval
-        #: ``commit_delay`` auto-tune: when enabled, :meth:`_observe_arrival`
-        #: adapts ``batch_window`` to the observed commit arrival rate — a
-        #: dwell only pays off when enough committers arrive *during* it to
-        #: grow the batch, so the target is the time half a ``max_batch``
-        #: takes to accumulate.  Bursty arrivals shrink the estimated gap
-        #: and open a short window; sparse steady arrivals (target beyond
-        #: ``batch_window_max``) close it entirely rather than taxing every
-        #: commit with a hopeless wait.
-        self.auto_tune_window = auto_tune_window
-        self.batch_window_max = batch_window_max
-        self._last_arrival: float | None = None
-        self._avg_gap: float | None = None
         #: Reference/ablation knob: ``True`` keeps the durability wait
         #: *inside* the table commit latches — the paper's ``sync = true``
         #: design point, where every commit's fsync serialises the whole
@@ -449,32 +435,8 @@ class GroupFsyncDaemon:
                 f"commit WAL {self.wal.path} has failed; daemon is poisoned"
             ) from self._failure
 
-    def _observe_arrival(self, now: float) -> None:
-        """Fold one record arrival into the dwell auto-tune (caller holds
-        the daemon mutex).
-
-        EWMA of the inter-arrival gap (weight 0.2 — a handful of commits
-        retargets the window, one outlier does not); the dwell target is
-        the time ``max_batch / 2`` arrivals take, clamped to zero whenever
-        it would exceed ``batch_window_max`` (traffic too sparse for a
-        dwell to ever fill a batch).
-        """
-        last = self._last_arrival
-        self._last_arrival = now
-        if last is None:
-            return
-        gap = now - last
-        if gap < 0.0:  # pragma: no cover - non-monotonic clock guard
-            return
-        avg = self._avg_gap
-        self._avg_gap = gap if avg is None else 0.2 * gap + 0.8 * avg
-        target = (self.max_batch / 2.0) * self._avg_gap
-        self.batch_window = 0.0 if target > self.batch_window_max else target
-
     def _submit_locked(self, kind: int, payload: bytes) -> DurabilityTicket:
         self._check_submittable_locked()
-        if self.auto_tune_window:
-            self._observe_arrival(time.monotonic())
         seq = self._next_seq
         self._next_seq += 1
         self._pending.append((seq, kind, payload))

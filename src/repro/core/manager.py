@@ -62,8 +62,6 @@ class TransactionManager:
         wal_path: str | None = None,
         durability: str = DURABILITY_SYNC,
         durability_daemon: GroupFsyncDaemon | None = None,
-        fsync_max_batch: int = 128,
-        fsync_batch_window: float = 0.0,
         **protocol_kwargs: Any,
     ) -> None:
         if context is not None and oracle is not None:
@@ -83,10 +81,7 @@ class TransactionManager:
             self.durability = durability_daemon
         elif wal_path is not None:
             self.durability = GroupFsyncDaemon(
-                WriteAheadLog(wal_path, sync=False),
-                mode=durability,
-                max_batch=fsync_max_batch,
-                batch_window=fsync_batch_window,
+                WriteAheadLog(wal_path, sync=False), mode=durability
             )
         else:
             self.durability = None

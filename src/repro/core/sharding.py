@@ -113,7 +113,7 @@ argument, the runtime sanitizer (``REPRO_LOCKCHECK=1``) and the
 from __future__ import annotations
 
 import dataclasses
-import inspect
+import functools
 import os
 import random
 import threading
@@ -192,41 +192,6 @@ def shard_of_key(key: Any, num_shards: int) -> int:
     if num_shards <= 1:
         return 0
     return slot_of_key(key) % num_shards
-
-
-def _adapt_backend_factory(
-    factory: Callable[[int], KVStore] | Callable[[], KVStore],
-) -> Callable[[int], KVStore]:
-    """Accept both ``backend_factory`` arities.
-
-    The durable-storage refactor changed the factory signature from
-    zero-arg to shard-index; legacy zero-arg factories keep working (the
-    index is simply not passed).  Falls back to the one-arg call for
-    callables whose signature cannot be introspected.
-    """
-    try:
-        params = inspect.signature(factory).parameters.values()
-    except (TypeError, ValueError):  # pragma: no cover - C callables
-        return factory
-    # Shard-index style needs a *required* positional slot (or *args); a
-    # factory whose positionals all carry defaults was callable with zero
-    # args before the refactor — passing the index would silently land it
-    # in an unrelated parameter (e.g. ``def f(options=None)``).
-    takes_index = any(
-        p.kind is inspect.Parameter.VAR_POSITIONAL
-        or (
-            p.kind
-            in (
-                inspect.Parameter.POSITIONAL_ONLY,
-                inspect.Parameter.POSITIONAL_OR_KEYWORD,
-            )
-            and p.default is inspect.Parameter.empty
-        )
-        for p in params
-    )
-    if takes_index:
-        return factory
-    return lambda _idx: factory()  # type: ignore[call-arg]
 
 
 class ShardedTransaction:
@@ -366,6 +331,11 @@ class ShardedSnapshotView:
 #: (manual/final checkpoints): enough to overlap the per-shard fsyncs,
 #: small enough not to swamp the interpreter with GIL-bound threads.
 _SHARD_POOL_LIMIT = 8
+
+#: Deadline for the WAL drain inside a checkpoint cut: a wedged device
+#: fails the cut (``WALError``/``TimeoutError``) instead of parking the
+#: checkpointing thread in it forever.
+CHECKPOINT_FLUSH_TIMEOUT = 30.0
 
 
 class CheckpointDaemon:
@@ -658,15 +628,11 @@ class ShardedTransactionManager:
         protocol: str | None = None,
         gc_policy: GCPolicy = GCPolicy.ON_DEMAND,
         gc_interval: int = 1000,
-        wal_dir: str | os.PathLike[str] | None = None,
         data_dir: str | os.PathLike[str] | None = None,
         durability: str = DURABILITY_SYNC,
-        fsync_max_batch: int = 128,
         fsync_batch_window: float = 0.0,
-        fsync_window_auto: bool = False,
         checkpoint_interval: int = 4096,
         checkpoint_mode: str = "background",
-        checkpoint_flush_timeout: float | None = 30.0,
         coordinator_batching: bool = True,
         lsm_options: LSMOptions | None = None,
         global_snapshots: bool = True,
@@ -681,9 +647,6 @@ class ShardedTransactionManager:
     ) -> None:
         if num_shards <= 0:
             raise ValueError(f"num_shards must be positive: {num_shards}")
-        if wal_dir is not None and data_dir is not None:
-            raise ValueError("pass either wal_dir (commit WALs only) or "
-                             "data_dir (fully durable shards), not both")
         if checkpoint_mode not in ("background", "inline"):
             raise ValueError(
                 f"checkpoint_mode must be 'background' or 'inline': "
@@ -711,21 +674,10 @@ class ShardedTransactionManager:
                 "under the shard directories)"
             )
         self.num_shards = num_shards
-        self.durability_mode = durability
-        #: Root of the durable shard layout (``None`` = volatile tables).
+        #: Root of the durable shard layout (``None`` = volatile shards:
+        #: no commit WALs, no fencing, nothing to recover).
         self.data_dir = Path(data_dir) if data_dir is not None else None
-        # Shard-construction parameters, kept so an online split can stamp
-        # out a new shard identical to the originals (see :meth:`_add_shard`).
-        self._gc_policy = gc_policy
-        self._gc_interval = gc_interval
-        self._fsync_max_batch = fsync_max_batch
-        self._fsync_batch_window = fsync_batch_window
-        #: ``commit_delay`` auto-tune: each shard daemon adapts its dwell to
-        #: the observed commit arrival rate (see
-        #: :meth:`GroupFsyncDaemon._observe_arrival`).
-        self._fsync_window_auto = fsync_window_auto
-        self._protocol_kwargs = dict(protocol_kwargs)
-        #: state id -> adapted backend factory (``None`` = default), so a
+        #: state id -> backend factory (``None`` = default), so a
         #: split can create the new shard's partitions the same way
         #: :meth:`create_table` created the originals.
         self._backend_factories: dict[str, Callable[[int], KVStore] | None] = {}
@@ -738,10 +690,6 @@ class ShardedTransactionManager:
         #: keeps the pre-daemon behaviour (the committer that trips the
         #: interval pays the whole flush), the benchmark reference point.
         self.checkpoint_mode = checkpoint_mode
-        #: Deadline for the WAL drain inside a checkpoint cut: a wedged
-        #: device fails the cut (``WALError``/``TimeoutError``) instead of
-        #: parking the checkpointing thread in it forever.
-        self.checkpoint_flush_timeout = checkpoint_flush_timeout
         #: Background-mode soft trigger: a cut is *requested* once a tail
         #: is within 1/8 interval (≥2 records) of the bound, so it
         #: normally completes before the hard bound engages commit
@@ -799,15 +747,19 @@ class ShardedTransactionManager:
         #: so bootstrap images are cut from *recovered* state.
         self._adopted_existing_schema = False
         if self.data_dir is not None:
-            from ..recovery.sharded import ShardedSchema
+            from ..recovery.sharded import ShardedSchema, schema_path
 
-            try:
-                adopted = ShardedSchema.load(self.data_dir)
-            except StorageError:
-                self._schema = ShardedSchema(num_shards, protocol or "mvcc")
+            # Only an *absent* catalog means a fresh store: a corrupt or
+            # refused one raises from ``load`` and is never overwritten.
+            if not schema_path(self.data_dir).exists():
+                self._schema = ShardedSchema(
+                    num_shards,
+                    protocol or "mvcc",
+                    list(SlotMap.uniform(num_shards).slots),
+                )
             else:
+                adopted = ShardedSchema.load(self.data_dir)
                 self._adopted_existing_schema = True
-                adopted.check_key_encoding(self.data_dir)
                 if adopted.num_shards != num_shards:
                     raise StorageError(
                         f"data_dir {self.data_dir} was created with "
@@ -863,12 +815,12 @@ class ShardedTransactionManager:
                 "replica quorum to wait for"
             )
         #: Live slot -> shard routing table.  Adopted from the persisted
-        #: schema when one exists (validated against the shard count and
+        #: schema in durable mode (validated against the shard count and
         #: the on-disk layout *before* any side effect, like the
-        #: ``num_shards`` check above); the uniform default otherwise.
-        if self._schema is not None and self._schema.slot_map is not None:
+        #: ``num_shards`` check above); the uniform map otherwise.
+        if self._schema is not None:
             slots = self._schema.slot_map
-            bad = [s for s in slots if not 0 <= int(s) < num_shards]
+            bad = [s for s in slots if not 0 <= s < num_shards]
             if bad:
                 raise StorageError(
                     f"slot map in {self.data_dir} routes to shard(s) "
@@ -876,15 +828,13 @@ class ShardedTransactionManager:
                     "layout; the catalog is inconsistent with the shard "
                     "directories — refusing to re-route keys over them"
                 )
-            self.slot_map = SlotMap(
-                [int(s) for s in slots], self._schema.slot_epoch
-            )
+            self.slot_map = SlotMap(slots, self._schema.slot_epoch)
         else:
             self.slot_map = SlotMap.uniform(num_shards)
         #: Durably ``True`` before the first migration's copy phase can
         #: touch disk: recovery's slot-ownership sweep evicts misrouted
-        #: keys only on managers that have migrated — on a pre-slot-map
-        #: legacy dir they are historical placement and get re-homed.
+        #: keys only on managers that have migrated — on any other store
+        #: a misrouted key means a damaged layout, and recovery refuses it.
         self.migrations_started = bool(
             self._schema is not None and self._schema.migrations_started
         )
@@ -914,65 +864,33 @@ class ShardedTransactionManager:
         #: when neither an argument nor a catalog supplies one).
         protocol = protocol or "mvcc"
         self.protocol_name = protocol
-        effective_wal_dir = self.data_dir if self.data_dir is not None else wal_dir
-        #: Per-shard commit durability pipeline (``wal_dir``/``data_dir``
-        #: enables it): each shard gets its own commit WAL + batched-fsync
-        #: daemon, so shards never contend on each other's durability I/O.
-        self.daemons: list[GroupFsyncDaemon | None] = [
-            GroupFsyncDaemon(
-                WriteAheadLog(self.commit_wal_path(effective_wal_dir, idx), sync=False),
-                mode=durability,
-                max_batch=fsync_max_batch,
-                batch_window=fsync_batch_window,
-                auto_tune_window=fsync_window_auto,
-                lock_index=idx,
-            )
-            if effective_wal_dir is not None
-            else None
-            for idx in range(num_shards)
-        ]
-        #: Fencing only makes sense with a commit WAL: only then can the
-        #: in-memory state disagree with a durable truth that restart
-        #: recovery could restore.  A fully volatile manager keeps the old
-        #: abort-reporting behavior instead of bricking itself.
-        self._fencing_enabled = effective_wal_dir is not None
-        self.shards: list[TransactionManager] = [
-            TransactionManager(
-                protocol=protocol,
-                oracle=self.oracle,
-                gc_policy=gc_policy,
-                gc_interval=gc_interval,
-                durability_daemon=self.daemons[idx],
-                **protocol_kwargs,
-            )
-            for idx in range(num_shards)
-        ]
-        # Close two TOCTOUs on the single-shard commit path with one
-        # under-latch gate: (a) fence — a committer blocked on a commit
-        # latch held by a transaction whose phase two then fails must
-        # re-check the fence once it acquires the latches (the same
-        # under-latch re-check checkpoint_shard does), or it would commit
-        # on in-memory state missing that transaction's durably-decided
-        # writes; (b) routing — a slot-map flip holds every source-shard
-        # latch while it bumps the epoch, so a committer whose buffered
-        # keys just moved re-checks its routing under the latches and
-        # aborts instead of applying writes to a shard that no longer
-        # owns them.
-        for idx, shard in enumerate(self.shards):
-            shard.protocol.commit_gate = self._make_commit_gate(idx)
-        # With global snapshots on, a shard's GC must respect the *global*
-        # horizon: a cross-shard reader's capped pin can be older than any
-        # pin or begin timestamp the local context knows (the cap derives
-        # from a sibling shard's pin or from the coordinator barrier), so
-        # purging by the local horizon alone would destroy versions a
-        # capped read still resolves (see :meth:`_global_horizon`).
-        if self.snapshot_coordinator is not None:
-            for shard in self.shards:
-                shard.context.horizon_hook = self._global_horizon
-        # Durable-mode plumbing: per-shard LastCTS write-through stores, the
-        # global 2PC outcome log, and the persisted schema catalog.
-        # (Imported lazily: repro.recovery depends on repro.core.)
+        #: Constructors for one shard's batched-fsync daemon and its
+        #: single-site stack, bound to this constructor's arguments so
+        #: :meth:`_build_shard` stamps out split-created shards exactly
+        #: like the originals.
+        self._new_fsync_daemon = functools.partial(
+            GroupFsyncDaemon, mode=durability, batch_window=fsync_batch_window
+        )
+        self._new_shard_manager = functools.partial(
+            TransactionManager,
+            protocol=protocol,
+            oracle=self.oracle,
+            gc_policy=gc_policy,
+            gc_interval=gc_interval,
+            **protocol_kwargs,
+        )
+        #: Per-shard ``LastCTS`` write-through stores (durable mode only).
         self.context_stores: list[Any] = []
+        self.shards: list[TransactionManager] = [
+            self._build_shard(idx) for idx in range(num_shards)
+        ]
+        #: Per-shard commit durability pipeline (durable mode only): each
+        #: shard owns its commit WAL + batched-fsync daemon, so shards
+        #: never contend on each other's durability I/O.
+        self.daemons: list[GroupFsyncDaemon | None] = [
+            shard.durability for shard in self.shards
+        ]
+        #: The global 2PC outcome log (durable mode only).
         self.coordinator_log: Any | None = None
         self._ckpt_locks = [
             make_lock(lockranks.CKPT, index=i, name=f"ckpt[{i}]")
@@ -1007,12 +925,7 @@ class ShardedTransactionManager:
             max_workers=_SHARD_POOL_LIMIT, thread_name_prefix="scatter-scan"
         )
         if self.data_dir is not None:
-            from ..recovery.redo import ContextStore
-            from ..recovery.sharded import (
-                CoordinatorLog,
-                context_store_path,
-                coordinator_log_path,
-            )
+            from ..recovery.sharded import CoordinatorLog, coordinator_log_path
 
             self.data_dir.mkdir(parents=True, exist_ok=True)
             # Cross-shard 2PC decisions batch their fsync exactly like the
@@ -1023,15 +936,8 @@ class ShardedTransactionManager:
             self.coordinator_log = CoordinatorLog(
                 coordinator_log_path(self.data_dir),
                 batched=coordinator_batching,
-                max_batch=fsync_max_batch,
                 batch_window=fsync_batch_window,
             )
-            for idx, shard in enumerate(self.shards):
-                store = ContextStore(
-                    context_store_path(self.data_dir, idx), sync=False
-                )
-                self.context_stores.append(store)
-                shard.context.attach_persistence(store.record)
             # Roll the slot map forward over flip records newer than the
             # persisted schema: a crash between the durable flip and the
             # schema rewrite must still resolve post-flip (until the flip
@@ -1094,22 +1000,8 @@ class ShardedTransactionManager:
         self.ack_degraded_commits = 0
         #: Reads served from a shard replica by :meth:`read_follower`.
         self.follower_reads = 0
-        #: Unified fault-injection registry (see :mod:`repro.faults`).
-        #: Replication points: ``ship``, ``replica_apply``,
-        #: ``promote_pre_flip``, ``promote_post_flip``.  The legacy
-        #: per-attribute hooks (``migration_fault``, ``prepare_fault``,
-        #: ``vote_fault``, ``decision_fault``) are property shims over the
-        #: registry points ``migration``/``prepare``/``vote``/``decision``
-        #: with their historical call signatures:
-        #:
-        #: * ``migration`` — ``hook(phase)`` at the migration's durable
-        #:   phase boundaries ``"copy"``/``"catchup"``/``"flip"``;
-        #: * ``prepare`` — ``hook(shard_index)`` per participant once every
-        #:   participant prepared and all votes are durable;
-        #: * ``vote`` — ``hook(shard_index)`` right after that
-        #:   participant's prepare *enqueued* (partial-prepare images);
-        #: * ``decision`` — ``hook(txn_id)`` after the coordinator decision
-        #:   became durable, before any participant applied phase two.
+        #: Fault-injection registry; :mod:`repro.faults` lists the points
+        #: this manager fires and their hook signatures.
         self.faults = FaultInjector()
         #: Per-shard replication daemons (``None`` when the shard ships to
         #: no replicas); sized to ``num_shards`` by ``_attach_replication``
@@ -1132,10 +1024,54 @@ class ShardedTransactionManager:
     # ------------------------------------------------------------- schema
 
     @staticmethod
-    def commit_wal_path(wal_dir: str | os.PathLike[str], shard: int) -> Path:
-        """Canonical location of one shard's commit WAL under ``wal_dir``
+    def commit_wal_path(data_dir: str | os.PathLike[str], shard: int) -> Path:
+        """Canonical location of one shard's commit WAL under ``data_dir``
         (recovery tooling replays these per shard)."""
-        return Path(wal_dir) / f"shard-{shard:02d}" / "commit.wal"
+        return Path(data_dir) / f"shard-{shard:02d}" / "commit.wal"
+
+    def _build_shard(self, idx: int) -> TransactionManager:
+        """Build shard ``idx``'s single-site stack, without tables.
+
+        The one construction path for the constructor and
+        :meth:`_add_shard`.  Durable mode gives the shard its commit WAL +
+        batched-fsync daemon and its ``LastCTS`` write-through store
+        (appended to :attr:`context_stores`).
+        """
+        daemon: GroupFsyncDaemon | None = None
+        if self.data_dir is not None:
+            daemon = self._new_fsync_daemon(
+                WriteAheadLog(self.commit_wal_path(self.data_dir, idx), sync=False),
+                lock_index=idx,
+            )
+        shard = self._new_shard_manager(durability_daemon=daemon)
+        # Close two TOCTOUs on the single-shard commit path with one
+        # under-latch gate: (a) fence — a committer blocked on a commit
+        # latch held by a transaction whose phase two then fails must
+        # re-check the fence once it acquires the latches (the same
+        # under-latch re-check checkpoint_shard does), or it would commit
+        # on in-memory state missing that transaction's durably-decided
+        # writes; (b) routing — a slot-map flip holds every source-shard
+        # latch while it bumps the epoch, so a committer whose buffered
+        # keys just moved re-checks its routing under the latches and
+        # aborts instead of applying writes to a shard that no longer
+        # owns them.
+        shard.protocol.commit_gate = self._make_commit_gate(idx)
+        # With global snapshots on, a shard's GC must respect the *global*
+        # horizon: a cross-shard reader's capped pin can be older than any
+        # pin or begin timestamp the local context knows (the cap derives
+        # from a sibling shard's pin or from the coordinator barrier), so
+        # purging by the local horizon alone would destroy versions a
+        # capped read still resolves (see :meth:`_global_horizon`).
+        if self.snapshot_coordinator is not None:
+            shard.context.horizon_hook = self._global_horizon
+        if self.data_dir is not None:
+            from ..recovery.redo import ContextStore
+            from ..recovery.sharded import context_store_path
+
+            store = ContextStore(context_store_path(self.data_dir, idx), sync=False)
+            self.context_stores.append(store)
+            shard.context.attach_persistence(store.record)
+        return shard
 
     def shard_of(self, key: Any) -> int:
         """Current home shard of ``key`` (one slot lookup; the map
@@ -1156,25 +1092,20 @@ class ShardedTransactionManager:
         return self._fence_reason is not None
 
     def _fence(self, reason: str) -> None:
-        if self._fencing_enabled and self._fence_reason is None:
+        # Only a durable manager can fence: only there can the in-memory
+        # state disagree with a durable truth that restart recovery could
+        # restore.  A volatile manager keeps reporting aborts instead of
+        # bricking itself.
+        if self.data_dir is not None and self._fence_reason is None:
             self._fence_reason = reason
 
     def _ensure_not_fenced(self) -> None:
         if self._fence_reason is not None:
-            recover = (
-                "recover via ShardedTransactionManager.open()"
-                if self.data_dir is not None
-                # wal_dir-only mode has no persisted schema for open():
-                # the commit WALs themselves are the recovery source.
-                else "replay the commit WALs into a fresh manager "
-                "(repro.core.durability.recovered_commits / "
-                "apply_recovered_commit)"
-            )
             raise StorageError(
                 "sharded manager is fenced after a failed cross-shard "
                 f"phase two ({self._fence_reason}); the in-memory state "
-                f"may miss a durably committed transaction — close() and "
-                f"{recover}"
+                "may miss a durably committed transaction — close() and "
+                "recover via ShardedTransactionManager.open()"
             )
 
     def _make_commit_gate(self, idx: int) -> Callable[[Transaction], None]:
@@ -1244,7 +1175,7 @@ class ShardedTransactionManager:
     def create_table(
         self,
         state_id: str,
-        backend_factory: Callable[[int], KVStore] | Callable[[], KVStore] | None = None,
+        backend_factory: Callable[[int], KVStore] | None = None,
         key_codec: Codec = ORDERED_KEY_CODEC,
         value_codec: Codec = PICKLE_CODEC,
         version_slots: int = DEFAULT_SLOTS,
@@ -1253,8 +1184,7 @@ class ShardedTransactionManager:
 
         ``backend_factory`` (not a backend instance, called with the shard
         index) because each shard needs its *own* base-table backend.
-        Legacy zero-arg factories are still accepted (called without the
-        index).  In durable mode (``data_dir=``) the default factory
+        In durable mode (``data_dir=``) the default factory
         routes each partition to its own LSM directory under
         ``data_dir/shard-NN/tables/<state_id>``; commits write through to
         it via :meth:`~repro.core.table.StateTable.apply_write_set`.
@@ -1266,9 +1196,6 @@ class ShardedTransactionManager:
 
             def backend_factory(idx: int) -> KVStore:
                 return LSMStore(table_dir(data_dir, idx, state_id), options)
-
-        elif backend_factory is not None:
-            backend_factory = _adapt_backend_factory(backend_factory)
 
         # Remembered so an online split can stamp out the new shard's
         # partition the same way (the factories above accept any index).
@@ -1400,7 +1327,7 @@ class ShardedTransactionManager:
         for idx, part in parts.items():
             self.shards[idx].table(state_id).bulk_load(part)
             daemon = self.daemons[idx]
-            if daemon is not None and self.data_dir is not None:
+            if daemon is not None:
                 write_set = WriteSet()
                 for key, value in part:
                     write_set.upsert(key, value)
@@ -1410,8 +1337,7 @@ class ShardedTransactionManager:
                         0, encode_commit_body(0, {state_id: write_set})
                     ),
                 )
-        if self.data_dir is not None:
-            self.flush_durability()
+        self.flush_durability()
 
     def table(self, shard: int, state_id: str) -> StateTable:
         """The partition of ``state_id`` living on shard ``shard``."""
@@ -2134,7 +2060,7 @@ class ShardedTransactionManager:
            ``LastCTS`` snapshot) and truncate the covered prefix.
         """
         daemon = self.daemons[idx]
-        if daemon is None or self.data_dir is None:
+        if daemon is None:
             return 0
         if idx in self._migrating and not during_migration:
             # A slot migration owns this shard's marker: a foreign cut
@@ -2187,7 +2113,7 @@ class ShardedTransactionManager:
             # usually finds nothing pending, so the quiesced window skips
             # the batch fsync a checkpointing thread would otherwise lead
             # while holding every latch.
-            daemon.flush(timeout=self.checkpoint_flush_timeout)
+            daemon.flush(timeout=CHECKPOINT_FLUSH_TIMEOUT)
             with ExitStack() as stack:
                 for table in tables:
                     stack.enter_context(table.commit_latch)
@@ -2205,7 +2131,7 @@ class ShardedTransactionManager:
                     # durability barrier — the cut itself wakes them.
                     daemon.wait_publishes_drained(up_to=covered_seq)
                 else:
-                    daemon.flush(timeout=self.checkpoint_flush_timeout)
+                    daemon.flush(timeout=CHECKPOINT_FLUSH_TIMEOUT)
                     daemon.wait_publishes_drained()
                     # Classic cut: the delta enqueued since the pre-flush
                     # must reach the SSTables before the marker covers it.
@@ -2337,7 +2263,7 @@ class ShardedTransactionManager:
         with ExitStack() as stack:
             for table in tables:
                 stack.enter_context(table.commit_latch)
-            daemon.flush(timeout=self.checkpoint_flush_timeout)
+            daemon.flush(timeout=CHECKPOINT_FLUSH_TIMEOUT)
             daemon.wait_publishes_drained()
             last_cts = {
                 gid: shard.context.last_cts(gid)
@@ -2542,7 +2468,7 @@ class ShardedTransactionManager:
                         # Live catch-up drain: everything enqueued becomes
                         # durable, published and shipped before promotion,
                         # so the promoted image misses nothing.
-                        daemon.flush(timeout=self.checkpoint_flush_timeout)
+                        daemon.flush(timeout=CHECKPOINT_FLUSH_TIMEOUT)
                         daemon.wait_publishes_drained()
                         tail_seq = daemon.last_enqueued()
                         if not repl.wait_shipped(tail_seq, timeout=timeout):
@@ -2691,44 +2617,6 @@ class ShardedTransactionManager:
 
     # online rebalancing ---------------------------------------------------
 
-    # Legacy fault-hook attributes, now property shims over the unified
-    # ``self.faults`` registry (one migration path for every crash test):
-    # assigning ``manager.migration_fault = hook`` registers the hook at
-    # the ``"migration"`` point, ``None`` clears it, and reading it back
-    # returns whatever is registered — byte-for-byte the old contract.
-
-    @property
-    def migration_fault(self) -> Callable[[str], None] | None:
-        return self.faults.hook("migration")
-
-    @migration_fault.setter
-    def migration_fault(self, hook: Callable[[str], None] | None) -> None:
-        self.faults.register("migration", hook)
-
-    @property
-    def prepare_fault(self) -> Callable[[int], None] | None:
-        return self.faults.hook("prepare")
-
-    @prepare_fault.setter
-    def prepare_fault(self, hook: Callable[[int], None] | None) -> None:
-        self.faults.register("prepare", hook)
-
-    @property
-    def vote_fault(self) -> Callable[[int], None] | None:
-        return self.faults.hook("vote")
-
-    @vote_fault.setter
-    def vote_fault(self, hook: Callable[[int], None] | None) -> None:
-        self.faults.register("vote", hook)
-
-    @property
-    def decision_fault(self) -> Callable[[int], None] | None:
-        return self.faults.hook("decision")
-
-    @decision_fault.setter
-    def decision_fault(self, hook: Callable[[int], None] | None) -> None:
-        self.faults.register("decision", hook)
-
     def _fault_point(self, phase: str) -> None:
         self.faults.fire("migration", phase)
 
@@ -2817,13 +2705,6 @@ class ShardedTransactionManager:
         self._ensure_not_fenced()
         if self._closed:
             raise StorageError("cannot migrate slots on a closed manager")
-        if self.data_dir is None and any(d is not None for d in self.daemons):
-            raise StorageError(
-                "slot migration needs data_dir= (durable flip via the "
-                "coordinator log) or a fully volatile manager; a "
-                "wal_dir-only manager has no catalog to persist the new "
-                "routing, so its WALs would replay under the wrong map"
-            )
 
     def _add_shard(self) -> int:
         """Stamp out one more shard identical to the existing ones.
@@ -2835,33 +2716,10 @@ class ShardedTransactionManager:
         rejected as inconsistent.
         """
         idx = self.num_shards
-        daemon: GroupFsyncDaemon | None = None
         if self.data_dir is not None:
-            from ..recovery.redo import ContextStore
-            from ..recovery.sharded import context_store_path, shard_dir
-
             self._schema.num_shards = idx + 1
             self._schema.save(self.data_dir)
-            shard_dir(self.data_dir, idx).mkdir(parents=True, exist_ok=True)
-            daemon = GroupFsyncDaemon(
-                WriteAheadLog(self.commit_wal_path(self.data_dir, idx), sync=False),
-                mode=self.durability_mode,
-                max_batch=self._fsync_max_batch,
-                batch_window=self._fsync_batch_window,
-                auto_tune_window=self._fsync_window_auto,
-                lock_index=idx,
-            )
-        shard = TransactionManager(
-            protocol=self.protocol_name,
-            oracle=self.oracle,
-            gc_policy=self._gc_policy,
-            gc_interval=self._gc_interval,
-            durability_daemon=daemon,
-            **self._protocol_kwargs,
-        )
-        shard.protocol.commit_gate = self._make_commit_gate(idx)
-        if self.snapshot_coordinator is not None:
-            shard.context.horizon_hook = self._global_horizon
+        shard = self._build_shard(idx)
         template = self.shards[0]
         for state_id in template.context.state_ids():
             src_table = template.table(state_id)
@@ -2882,14 +2740,8 @@ class ShardedTransactionManager:
             shard.register_group(
                 group_id, list(template.context.group(group_id).state_ids)
             )
-        if self.data_dir is not None:
-            store = ContextStore(
-                context_store_path(self.data_dir, idx), sync=False
-            )
-            self.context_stores.append(store)
-            shard.context.attach_persistence(store.record)
         self.shards.append(shard)
-        self.daemons.append(daemon)
+        self.daemons.append(shard.durability)
         self._ckpt_locks.append(
             make_lock(
                 lockranks.CKPT,
@@ -2963,10 +2815,8 @@ class ShardedTransactionManager:
         src_mgr = self.shards[source]
         tgt_mgr = self.shards[target]
         # Durably mark the dir as migration-touched BEFORE the copy phase
-        # can write a byte: from here on, recovery treats misrouted keys
-        # as migration leftovers (evict), never as legacy placement
-        # (re-home) — a half-copied row must not be "re-homed" over a
-        # delete that committed after the copy scanned it.
+        # can write a byte: from here on, recovery evicts misrouted keys
+        # as migration leftovers instead of refusing to open the store.
         if not self.migrations_started and self._schema is not None:
             self._schema.migrations_started = True
             self._schema.save(self.data_dir)
@@ -3045,14 +2895,14 @@ class ShardedTransactionManager:
                         stack.enter_context(table.commit_latch)
                 self._ensure_not_fenced()
                 src_daemon = self.daemons[source]
-                if durable and src_daemon is not None:
+                if durable:
                     # Catch-up: drain the pipeline, then replay the
                     # commit-WAL suffix since the copy-phase marker onto
                     # the target (idempotent backend-level redo).  Only
                     # commit records apply: a prepare whose transaction
                     # committed has its own commit record here, and an
                     # aborted prepare must not apply at all.
-                    src_daemon.flush(timeout=self.checkpoint_flush_timeout)
+                    src_daemon.flush(timeout=CHECKPOINT_FLUSH_TIMEOUT)
                     src_daemon.wait_publishes_drained()
                     _marker, records = src_daemon.export_tail()
                     for record in records:
@@ -3244,10 +3094,10 @@ class ShardedTransactionManager:
         The report lands on ``manager.last_recovery``.  ``kwargs``
         override constructor parameters (``protocol=``,
         ``checkpoint_interval=``, ...).  A data dir whose schema records
-        another key encoding than the engine's (or none: pickled keys)
-        raises :class:`~repro.errors.StorageError` before anything is
-        read (see
-        :meth:`~repro.recovery.sharded.ShardedSchema.check_key_encoding`).
+        another key encoding than the engine's (or none: pickled keys),
+        or that is unreadable or lacks a field, raises
+        :class:`~repro.errors.StorageError` before anything is read or
+        written (see :meth:`~repro.recovery.sharded.ShardedSchema.load`).
         """
         from ..recovery.sharded import ShardedSchema, recover_sharded
 

@@ -1,9 +1,7 @@
 """Unified fault-injection registry and bounded-retry helper.
 
-Crash-matrix tests used to poke ad-hoc hook attributes (``migration_fault``,
-``prepare_fault``, ...) directly onto the sharded manager; every new
-subsystem grew its own attribute and its own crash-child ``os._exit``
-idiom.  This module centralises both:
+Crash-matrix tests inject failures through one registry and one
+crash-child ``os._exit`` idiom:
 
 * :class:`FaultInjector` — a named registry of fault points.  Production
   code calls :meth:`FaultInjector.fire` at well-known points; tests
@@ -16,23 +14,30 @@ idiom.  This module centralises both:
   never-hang-the-committer discipline as the ``IN_DOUBT`` evidence
   probes).
 
-Registered fault points of the replication pipeline (see
+Fault points the sharded manager fires (hooks receive the arguments in
+parentheses; see :mod:`repro.core.sharding` and
 :mod:`repro.core.replication`):
 
 =================== =======================================================
-``ship``            before a shipped batch is appended to a replica WAL
-``replica_apply``   after the replica WAL append, before the in-memory
-                    apply + durable-confirmation step
-``promote_pre_flip``  during ``failover()``, after the replica state is
-                    rebuilt on the new primary but before the durable
-                    ``SlotFlip`` is logged
-``promote_post_flip`` after the flip record is durable, before the new
-                    slot map is published/saved
+``migration``       ``(phase)`` at a slot migration's durable phase
+                    boundaries ``"copy"``/``"catchup"``/``"flip"``
+``prepare``         ``(shard_index)`` per 2PC participant once every
+                    participant prepared and all votes are durable
+``vote``            ``(shard_index)`` right after that participant's
+                    prepare was enqueued (partial-prepare images)
+``decision``        ``(txn_id)`` after the coordinator decision became
+                    durable, before any participant applied phase two
+``ship``            ``(shard_index, replica_id)`` before a shipped batch
+                    is appended to a replica WAL
+``replica_apply``   ``(shard_index, replica_id)`` after the replica WAL
+                    append, before the in-memory apply +
+                    durable-confirmation step
+``promote_pre_flip``  ``(shard_index)`` during ``failover()``, after the
+                    replica state is rebuilt on the new primary but before
+                    the durable ``SlotFlip`` is logged
+``promote_post_flip`` ``(shard_index)`` after the flip record is durable,
+                    before the new slot map is published/saved
 =================== =======================================================
-
-Legacy hooks (``migration``/``prepare``/``vote``/``decision``) are routed
-through the same registry via property shims on the sharded manager, so
-existing tests keep working unchanged.
 """
 
 from __future__ import annotations

@@ -125,14 +125,12 @@ class ShardedSchema:
 
     num_shards: int
     protocol: str
+    #: slot -> shard routing table.
+    slot_map: list[int]
     #: state id -> version_slots of its tables.
     states: dict[str, int] = field(default_factory=dict)
     #: group id -> member state ids (insertion order preserved).
     groups: dict[str, list[str]] = field(default_factory=dict)
-    #: slot -> shard routing table (``None`` = pre-slot-map catalog; the
-    #: manager synthesises the uniform default, which reproduces the
-    #: historical modulo routing).
-    slot_map: list[int] | None = None
     #: Epoch of the persisted slot map.  Flip records in the coordinator
     #: log with a *newer* epoch are applied on top during open — the
     #: schema rewrite runs after the flip record is durable, so it may lag
@@ -141,10 +139,10 @@ class ShardedSchema:
     #: Durably ``True`` from the moment the first migration's copy phase
     #: may have written anything (set and fsynced *before* it).  Recovery
     #: uses it to tell migration leftovers (evict: the authoritative copy
-    #: is with the slot owner) from legacy pre-slot-map placement (re-home:
-    #: deleting would destroy committed data).  A legacy data dir can never
-    #: carry this flag, and a dir that ever started a migration always
-    #: does — even when a crash left ``slot_epoch`` at 0.
+    #: is with the slot owner) from a damaged layout (refuse: nothing but
+    #: a migration moves a key off its home shard).  A dir that ever
+    #: started a migration carries it — even when a crash left
+    #: ``slot_epoch`` at 0.
     migrations_started: bool = False
     #: Residency mode every partition is created with (``"full"`` =
     #: bootstrap the whole version index at open; ``"lazy"`` = fault rows
@@ -157,30 +155,6 @@ class ShardedSchema:
     #: explicit constructor arguments update the catalog.
     replication_factor: int = 0
     ack: str = "local"
-    #: Encoding of every partition's base-table keys.  ``None`` marks a
-    #: catalog written before keys were order-preserving (pickled keys),
-    #: which :meth:`check_key_encoding` refuses to open.
-    key_encoding: str | None = ORDERED_KEY_CODEC.format_name
-
-    def check_key_encoding(self, data_dir: str | os.PathLike[str]) -> None:
-        """Refuse a data dir whose rows this engine cannot decode or scan.
-
-        Keys are stored with :class:`~repro.core.codecs.OrderedKeyCodec`;
-        pickle-keyed rows would fail to decode on a full-residency open
-        and be silently invisible to a lazy one.
-        """
-        if self.key_encoding == ORDERED_KEY_CODEC.format_name:
-            return
-        found = (
-            "pickled keys (schema.json records no key_encoding)"
-            if self.key_encoding is None
-            else f"key_encoding {self.key_encoding!r}"
-        )
-        raise StorageError(
-            f"data_dir {data_dir} stores {found}; this engine reads base "
-            f"tables keyed with {ORDERED_KEY_CODEC.format_name!r}. Rebuild "
-            "the store by re-loading its rows into a new data_dir."
-        )
 
     def save(self, data_dir: str | os.PathLike[str]) -> None:
         """Atomically persist (tmp + fsync + rename + directory fsync)."""
@@ -196,7 +170,7 @@ class ShardedSchema:
             "state_residency": self.state_residency,
             "replication_factor": self.replication_factor,
             "ack": self.ack,
-            "key_encoding": self.key_encoding,
+            "key_encoding": ORDERED_KEY_CODEC.format_name,
         }
         tmp = path.with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -208,27 +182,62 @@ class ShardedSchema:
 
     @staticmethod
     def load(data_dir: str | os.PathLike[str]) -> "ShardedSchema":
+        """Read the catalog of ``data_dir``; never writes.
+
+        Raises :class:`~repro.errors.StorageError` naming the file when it
+        is missing, is not valid JSON, records another key encoding than
+        the engine's, or lacks or mistypes a field.  The key encoding is
+        checked first: base tables are keyed with
+        :class:`~repro.core.codecs.OrderedKeyCodec`, and pickle-keyed rows
+        (a catalog with no ``key_encoding``) would fail to decode on a
+        full-residency open and be silently invisible to a lazy one.
+        """
         path = schema_path(data_dir)
         if not path.exists():
             raise StorageError(
                 f"no sharded schema at {path}; was this directory created by "
                 "ShardedTransactionManager(data_dir=...)?"
             )
-        payload = json.loads(path.read_text())
-        slot_map = payload.get("slot_map")
-        return ShardedSchema(
-            num_shards=int(payload["num_shards"]),
-            protocol=str(payload["protocol"]),
-            states={str(s): int(v) for s, v in payload["states"].items()},
-            groups={str(g): [str(s) for s in ids] for g, ids in payload["groups"].items()},
-            slot_map=None if slot_map is None else [int(s) for s in slot_map],
-            slot_epoch=int(payload.get("slot_epoch", 0)),
-            migrations_started=bool(payload.get("migrations_started", False)),
-            state_residency=str(payload.get("state_residency", "full")),
-            replication_factor=int(payload.get("replication_factor", 0)),
-            ack=str(payload.get("ack", "local")),
-            key_encoding=payload.get("key_encoding"),
-        )
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise StorageError(f"catalog {path} is not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise StorageError(f"catalog {path} is not a JSON object")
+        encoding = payload.get("key_encoding")
+        if encoding != ORDERED_KEY_CODEC.format_name:
+            found = (
+                "pickled keys (schema.json records no key_encoding)"
+                if encoding is None
+                else f"key_encoding {encoding!r}"
+            )
+            raise StorageError(
+                f"data_dir {data_dir} stores {found}; this engine reads base "
+                f"tables keyed with {ORDERED_KEY_CODEC.format_name!r}. Rebuild "
+                "the store by re-loading its rows into a new data_dir."
+            )
+        try:
+            return ShardedSchema(
+                num_shards=int(payload["num_shards"]),
+                protocol=str(payload["protocol"]),
+                slot_map=[int(s) for s in payload["slot_map"]],
+                states={str(s): int(v) for s, v in payload["states"].items()},
+                groups={
+                    str(g): [str(s) for s in ids]
+                    for g, ids in payload["groups"].items()
+                },
+                slot_epoch=int(payload["slot_epoch"]),
+                migrations_started=bool(payload["migrations_started"]),
+                state_residency=str(payload["state_residency"]),
+                replication_factor=int(payload["replication_factor"]),
+                ack=str(payload["ack"]),
+            )
+        except KeyError as exc:
+            raise StorageError(
+                f"catalog {path} has no {exc.args[0]!r} field"
+            ) from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise StorageError(f"catalog {path} has a malformed field: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +286,6 @@ class CoordinatorLog:
         path: str | os.PathLike[str],
         sync: bool = True,
         batched: bool = True,
-        max_batch: int = 128,
         batch_window: float = 0.0,
     ) -> None:
         self.path = Path(path)
@@ -295,9 +303,7 @@ class CoordinatorLog:
         #: Leader/follower batcher over the log (no dedicated thread): the
         #: first waiting coordinator drains the queue and fsyncs for all.
         self._daemon = (
-            GroupFsyncDaemon(
-                self._wal, max_batch=max_batch, batch_window=batch_window
-            )
+            GroupFsyncDaemon(self._wal, batch_window=batch_window)
             if batched
             else None
         )
@@ -526,9 +532,6 @@ class ShardedRecoveryReport:
     recovery_s: float = 0.0
     #: WAL records dropped by the post-recovery checkpoint (0 if disabled).
     truncated_records: int = 0
-    #: Legacy-routed rows moved to their slot-map home (epoch-0 reopens of
-    #: pre-slot-map data dirs only; never overwrites an existing row).
-    keys_rehomed: int = 0
 
     @property
     def commits_replayed(self) -> int:
@@ -586,16 +589,15 @@ def _recover_shard(
     marker,
     records: list[CommitLogRecord | PrepareLogRecord],
     decisions: dict[int, int],
-) -> tuple[ShardRecovery, int, list[tuple[str, object, object]]]:
+) -> tuple[ShardRecovery, int]:
     """Pass 2 for one shard: redo the tail, resolve in-doubt prepares,
     restore ``LastCTS``, bootstrap the version indexes.
 
     Touches only shard-local state (the shard manager, its tables and
     context, its context store and commit-WAL daemon) plus the read-only
     ``decisions`` map, so shards can run concurrently.  Returns the
-    per-shard report, the highest timestamp seen (merged
-    deterministically by the caller — max is order-free) and any
-    legacy-routed rows for the sequential re-homing pass.
+    per-shard report and the highest timestamp seen (merged
+    deterministically by the caller — max is order-free).
     """
     shard = manager.shards[idx]
     info = ShardRecovery(shard=idx, tail_records=len(records))
@@ -673,7 +675,6 @@ def _recover_shard(
     shard.context.restore_last_cts(merged)
     info.last_cts = merged
 
-    misplaced: list[tuple[str, object, object]] = []
     for table in shard.tables():
         group = shard.context.group_of(table.state_id)
         lazy = table.residency == RESIDENCY_LAZY
@@ -708,20 +709,15 @@ def _recover_shard(
         # durable only *after* the owner's checkpoint, so the
         # authoritative copy provably exists there), or a crash before
         # the flip (half-copied target rows) — and is evicted.  Without
-        # the flag, no migration ever ran, so a misrouted key is a row
-        # placed by a *historical* routing scheme (pre-slot-map modulo
-        # over a non-power-of-two shard count, or crc-routed integral
-        # floats): deleting it would destroy committed data — instead it
-        # is handed to the sequential re-homing pass after the joins.
+        # the flag, no migration ever ran and nothing can have moved a
+        # key off its home shard: a misrouted key means a hand-edited or
+        # damaged layout, and recovery refuses it instead of deleting
+        # what may be the only copy of a committed row.
         if lazy:
             # The version index only holds the tail here, so the sweep
             # must read the *backend*.  Only a dir that durably started a
-            # migration can hold leftovers (the flag is fsynced before
-            # the first copy phase writes a byte); a never-migrated lazy
-            # dir skips the scan entirely, keeping startup O(tail) — a
-            # lazy dir is never a legacy pre-slot-map layout (the
-            # residency field postdates slot routing), so the re-homing
-            # case cannot arise.
+            # migration can hold leftovers; a never-migrated lazy dir
+            # skips the scan entirely, keeping startup O(tail).
             stale = []
             if manager.migrations_started:
                 for kbytes, _vbytes in table.backend.scan():
@@ -736,25 +732,24 @@ def _recover_shard(
             ]
         if stale:
             if not manager.migrations_started:
-                # Legacy rows are NOT evicted here: pass 3 must install
-                # them durably at their owner first — deleting the only
-                # copy before the re-home lands would destroy committed
-                # data if the process dies in between.
-                for key in stale:
-                    live = table.read_live(key)
-                    if live is not None:
-                        misplaced.append((table.state_id, key, live.value))
-            else:
-                info.stale_keys_purged += table.evict_keys(stale)
-                if not lazy:
-                    info.rows_loaded[table.state_id] -= len(stale)
+                raise StorageError(
+                    f"shard {idx} of {manager.data_dir} holds key "
+                    f"{stale[0]!r} of state {table.state_id!r}, which its "
+                    "slot map routes to shard "
+                    f"{manager.slot_map.shard_of(stale[0])}, but no slot "
+                    "migration ever started there; the layout is damaged "
+                    "or hand-edited — refusing to recover over it"
+                )
+            info.stale_keys_purged += table.evict_keys(stale)
+            if not lazy:
+                info.rows_loaded[table.state_id] -= len(stale)
     daemon = manager.daemons[idx]
     if daemon is not None:
         # Seed the tail accounting so the auto-checkpoint bound and the
         # truncation report cover the pre-crash records, not just the
         # ones this process will enqueue.
         daemon.preload_tail(len(records))
-    return info, max_seen, misplaced
+    return info, max_seen
 
 
 def recover_sharded(
@@ -814,7 +809,7 @@ def recover_sharded(
 
     # Pass 2 — per shard, in parallel: redo tails, resolve in-doubt
     # prepares, restore LastCTS, bootstrap version indexes.
-    def run_shard(idx: int) -> tuple[ShardRecovery, int, list]:
+    def run_shard(idx: int) -> tuple[ShardRecovery, int]:
         marker, records = tails[idx]
         return _recover_shard(manager, idx, marker, records, decisions)
 
@@ -825,8 +820,8 @@ def recover_sharded(
             outcomes = list(pool.map(run_shard, shard_ids))
     else:
         outcomes = [run_shard(idx) for idx in shard_ids]
-    report.shards = [info for info, _, _ in outcomes]
-    max_seen = max((seen for _, seen, _ in outcomes), default=0)
+    report.shards = [info for info, _ in outcomes]
+    max_seen = max((seen for _, seen in outcomes), default=0)
 
     # Pass 2.5 — equalise each group's LastCTS to the global maximum
     # across shards.  Recovery restores only the *newest* version per key
@@ -853,57 +848,6 @@ def recover_sharded(
         }
         shard.context.restore_last_cts(merged)
         report.shards[idx].last_cts = merged
-
-    # Pass 3 — sequential re-homing of legacy-routed rows (pre-migration
-    # data dirs only; pass 2 never produces these once a migration has
-    # durably started).  Each row moves to the shard its slot owns —
-    # *only* when the key is absent there, so a fork left by the
-    # historical int/float aliasing bug (two equal keys with divergent
-    # histories on two shards) keeps the copy routing already reaches and
-    # never gets overwritten.  Crash-safe order: install at the owner,
-    # *flush the owner's backend durable*, and only then evict the legacy
-    # holder's copy — at no point does the row exist nowhere, and a rerun
-    # after any crash converges (owner-has-key rows just skip the
-    # install).  Sequential on purpose: it writes across shards, which
-    # the per-shard pool must not.
-    rehome_groups: dict[tuple[int, str], list] = {}
-    for info, _seen, misplaced in outcomes:
-        for state_id, key, value in misplaced:
-            rehome_groups.setdefault((info.shard, state_id), []).append(
-                (key, value)
-            )
-    if rehome_groups:
-        touched: set[tuple[int, str]] = set()
-        for (_holder, state_id), rows in rehome_groups.items():
-            for key, value in rows:
-                owner = manager.slot_map.shard_of(key)
-                table = manager.shards[owner].table(state_id)
-                if table.read_live(key) is not None:
-                    continue
-                ts = manager.shards[owner].context.group_of(state_id).last_cts
-                table.mvcc_object(key, create=True).install(value, ts, ts)
-                table.backend.write_batch(
-                    [
-                        (
-                            table.key_codec.encode(key),
-                            table.value_codec.encode(value),
-                        )
-                    ],
-                    [],
-                )
-                touched.add((owner, state_id))
-                report.keys_rehomed += 1
-        for owner, state_id in touched:
-            flush = getattr(
-                manager.shards[owner].table(state_id).backend, "flush", None
-            )
-            if callable(flush):
-                flush()
-        for (holder, state_id), rows in rehome_groups.items():
-            table = manager.shards[holder].table(state_id)
-            purged = table.evict_keys([key for key, _ in rows])
-            report.shards[holder].stale_keys_purged += purged
-            report.shards[holder].rows_loaded[state_id] -= purged
 
     manager.oracle.advance_to(max_seen)
     report.oracle_restarted_at = manager.oracle.current()

@@ -3,7 +3,9 @@
 Topologies of push-based operators with punctuation-marked transaction
 boundaries, the linking operators TO_TABLE / TO_STREAM / FROM, windows and
 grouped aggregates — everything the paper's transaction model (Section 3)
-needs from its host stream processor.
+needs from its host stream processor.  The stream layer runs on the
+single-site :class:`~repro.core.manager.TransactionManager` only; the
+sharded manager serves transactions and ad-hoc queries, not topologies.
 """
 
 from .aggregates import AggregateSpec, GroupedAggregate

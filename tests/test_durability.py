@@ -283,87 +283,6 @@ class TestGroupFsyncDaemon:
             daemon.submit(KIND_TXN_COMMIT, b"")
 
 
-class TestAutoTuneWindow:
-    """``commit_delay`` auto-tune: the dwell adapts to the arrival rate.
-
-    The estimator is driven directly with synthetic monotonic timestamps
-    so the convergence assertions are deterministic (no sleeps, no real
-    clock).
-    """
-
-    def _daemon(self, tmp_path, **kwargs) -> GroupFsyncDaemon:
-        return GroupFsyncDaemon(
-            WriteAheadLog(tmp_path / "c.wal", sync=False),
-            auto_tune_window=True,
-            **kwargs,
-        )
-
-    def test_bursty_arrivals_converge_to_positive_window(self, tmp_path):
-        daemon = self._daemon(tmp_path, max_batch=128, batch_window_max=0.002)
-        gap = 10e-6  # 10 µs apart: a dense burst worth dwelling for
-        now = 0.0
-        for _ in range(200):
-            daemon._observe_arrival(now)
-            now += gap
-        # EWMA converges to the true gap; target = (max_batch / 2) * gap.
-        expected = (daemon.max_batch / 2) * gap
-        assert daemon.batch_window == pytest.approx(expected, rel=1e-6)
-        assert 0.0 < daemon.batch_window <= daemon.batch_window_max
-        daemon.close()
-
-    def test_steady_sparse_arrivals_converge_to_zero_window(self, tmp_path):
-        daemon = self._daemon(tmp_path, max_batch=128, batch_window_max=0.002)
-        now = 0.0
-        for _ in range(50):
-            daemon._observe_arrival(now)
-            now += 0.01  # 10 ms apart: a dwell could never fill a batch
-        assert daemon.batch_window == 0.0
-        daemon.close()
-
-    def test_regime_shift_retargets_the_window(self, tmp_path):
-        daemon = self._daemon(tmp_path, max_batch=128, batch_window_max=0.002)
-        now = 0.0
-        # Sparse regime first: window closes.
-        for _ in range(50):
-            daemon._observe_arrival(now)
-            now += 0.01
-        assert daemon.batch_window == 0.0
-        # Burst arrives: the EWMA forgets the sparse history and the
-        # window reopens within a bounded number of arrivals.
-        for _ in range(200):
-            daemon._observe_arrival(now)
-            now += 10e-6
-        expected = (daemon.max_batch / 2) * 10e-6
-        assert daemon.batch_window == pytest.approx(expected, rel=1e-3)
-        daemon.close()
-
-    def test_disabled_by_default_leaves_window_untouched(self, tmp_path):
-        daemon = GroupFsyncDaemon(
-            WriteAheadLog(tmp_path / "c.wal", sync=False), batch_window=0.0005
-        )
-        assert not daemon.auto_tune_window
-        for _ in range(5):
-            daemon.submit(KIND_TXN_COMMIT, encode_commit_record(1, 1, {}))
-        assert daemon.batch_window == 0.0005
-        daemon.close()
-
-    def test_sharded_manager_wires_auto_tune_to_every_shard(self, tmp_path):
-        smgr = ShardedTransactionManager(
-            num_shards=2, wal_dir=tmp_path, fsync_window_auto=True
-        )
-        try:
-            assert all(d is not None and d.auto_tune_window for d in smgr.daemons)
-            smgr.create_table("A")
-            for i in range(8):
-                txn = smgr.begin()
-                smgr.write(txn, "A", i, i)
-                smgr.commit(txn)
-            with smgr.snapshot() as view:
-                assert view.get("A", 3) == 3
-        finally:
-            smgr.close()
-
-
 class TestAsyncDurability:
     def test_async_acknowledges_before_durable(self, tmp_path):
         mgr = TransactionManager(
@@ -458,8 +377,7 @@ _CRASH_SCRIPT = """
 import os, sys
 from repro.core import ShardedTransactionManager
 
-wal_dir = sys.argv[1]
-smgr = ShardedTransactionManager(num_shards=2, protocol="mvcc", wal_dir=wal_dir)
+smgr = ShardedTransactionManager(num_shards=2, protocol="mvcc", data_dir=sys.argv[1])
 smgr.create_table("A")
 
 acked = []
@@ -514,27 +432,29 @@ def test_crash_after_ack_loses_no_sync_commit(tmp_path):
 
 
 def test_cross_shard_commit_record_per_writing_shard(tmp_path):
-    smgr = ShardedTransactionManager(num_shards=2, protocol="mvcc", wal_dir=tmp_path)
+    smgr = ShardedTransactionManager(num_shards=2, protocol="mvcc", data_dir=tmp_path)
     smgr.create_table("A")
     with smgr.transaction() as txn:
         smgr.write(txn, "A", 0, "a")  # shard 0
         smgr.write(txn, "A", 1, "b")  # shard 1
     txn_id = txn.txn_id
     commit_ts = txn.commit_ts
-    smgr.close()
+    # read the WALs before close(): its final checkpoint truncates them
+    smgr.flush_durability()
     for shard in range(2):
         path = ShardedTransactionManager.commit_wal_path(tmp_path, shard)
         commits = recovered_commits(path)
         assert [r.txn_id for r in commits].count(txn_id) == 1
         [record] = [r for r in commits if r.txn_id == txn_id]
         assert record.commit_ts == commit_ts
+    smgr.close()
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_sharded_durability_all_protocols(tmp_path, protocol):
     """Smoke per protocol: sync durability through the sharded manager."""
     smgr = ShardedTransactionManager(
-        num_shards=2, protocol=protocol, wal_dir=tmp_path
+        num_shards=2, protocol=protocol, data_dir=tmp_path
     )
     smgr.create_table("A")
     for key in range(6):
@@ -544,12 +464,14 @@ def test_sharded_durability_all_protocols(tmp_path, protocol):
         smgr.write(txn, "A", 10, "x")
         smgr.write(txn, "A", 11, "y")
     watermarks = smgr.durable_watermarks()
-    smgr.close()
-    assert set(watermarks) == {0, 1}
+    # count the WAL records before close(): its final checkpoint truncates
+    smgr.flush_durability()
     total = sum(
         len(recovered_commits(ShardedTransactionManager.commit_wal_path(tmp_path, s)))
         for s in range(2)
     )
+    smgr.close()
+    assert set(watermarks) == {0, 1}
     # 6 single-shard commits + one commit record per writing shard of the 2PC
     assert total == 8
 
@@ -724,7 +646,7 @@ class TestDurabilityFailureCleanup:
 
     def test_cross_shard_reserve_failure_aborts_all_participants(self, tmp_path):
         smgr = ShardedTransactionManager(
-            num_shards=2, protocol="mvcc", wal_dir=tmp_path
+            num_shards=2, protocol="mvcc", data_dir=tmp_path
         )
         smgr.create_table("A")
         txn = smgr.begin()
@@ -750,6 +672,7 @@ class TestDurabilityFailureCleanup:
             smgr2_daemons_dead.write(txn2, "A", 2, "x")
             smgr2_daemons_dead.write(txn2, "A", 3, "y")
         assert txn2.status is TxnStatus.COMMITTED
+        smgr.close()
 
 
 class TestCoveredWatermark:

@@ -36,6 +36,7 @@ import json
 import pytest
 
 from repro.core import NUM_SLOTS, ShardedTransactionManager
+from repro.core.durability import recovered_commits
 from repro.errors import StorageError
 from repro.recovery.sharded import (
     ShardedSchema,
@@ -149,7 +150,7 @@ def fault(phase):
     if phase == crash_phase:
         os._exit(41)
 
-smgr.migration_fault = fault
+smgr.faults.register("migration", fault)
 smgr.split_shard(0)
 os._exit(7)  # only when the requested phase never fired
 """
@@ -273,67 +274,83 @@ class TestSlotMapValidation:
         with pytest.raises(StorageError, match="shard-07"):
             ShardedTransactionManager.open(tmp_path)
 
-    def test_legacy_schema_without_slot_map_gets_uniform_default(
-        self, tmp_path
-    ):
+    def test_schema_without_slot_map_is_refused(self, tmp_path):
         smgr = make_durable(tmp_path)
         smgr.close()
         path = schema_path(tmp_path)
         payload = json.loads(path.read_text())
         del payload["slot_map"]
-        del payload["slot_epoch"]
         path.write_text(json.dumps(payload))
-        reopened = ShardedTransactionManager.open(tmp_path)
-        assert reopened.slot_map.epoch == 0
-        assert list(reopened.slot_map.slots) == [s % 4 for s in range(NUM_SLOTS)]
-        assert scan_all(reopened, "A") == EXPECTED
-        reopened.close()
+        before = _tree_bytes(tmp_path)
+        with pytest.raises(StorageError, match="slot_map"):
+            ShardedTransactionManager(num_shards=4, data_dir=tmp_path)
+        with pytest.raises(StorageError, match="slot_map"):
+            ShardedTransactionManager.open(tmp_path)
+        assert _tree_bytes(tmp_path) == before
+
+
+def _tree_bytes(root) -> dict[str, bytes]:
+    """Every file under ``root`` -> its contents."""
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def _append_commit(data_dir, shard: int, txn_id: int, commit_ts: int, key, value):
+    """Append one committed write of ``key`` to ``shard``'s commit WAL."""
+    from repro.core.durability import encode_commit_record
+    from repro.core.write_set import WriteSet
+    from repro.storage.wal import KIND_TXN_COMMIT, WriteAheadLog
+
+    ws = WriteSet()
+    ws.upsert(key, value)
+    wal = WriteAheadLog(
+        ShardedTransactionManager.commit_wal_path(data_dir, shard), sync=True
+    )
+    wal.append(KIND_TXN_COMMIT, encode_commit_record(txn_id, commit_ts, {"A": ws}))
+    wal.close()
 
 
 # ------------------------------------------- review-hardening regressions
 
 
-class TestLegacyRoutingRehome:
-    def test_legacy_misrouted_rows_are_rehomed_not_deleted(self, tmp_path):
-        """An epoch-0 reopen must treat a key sitting on the 'wrong' shard
-        as legacy-routing damage (pre-slot-map modulo / crc placement) and
-        move it to its slot-map home — never silently delete it.  A fork
-        twin (the key also exists at its home, the historical int/float
-        aliasing bug) keeps the reachable copy untouched."""
-        from repro.core.durability import encode_commit_record
-        from repro.core.write_set import WriteSet
-        from repro.storage.wal import KIND_TXN_COMMIT, WriteAheadLog
-
+class TestMisroutedRows:
+    def test_misrouted_row_on_unmigrated_store_is_refused(self, tmp_path):
+        """Without a migration nothing moves a key off its home shard, so
+        a key on the wrong shard means a damaged or hand-edited layout:
+        recovery refuses it, naming the shard and key, and deletes
+        nothing."""
         smgr = make_durable(tmp_path)
         last_ts = max(s.context.last_cts("g") for s in smgr.shards)
         smgr.close()
-        # Simulate historical placement: key 1000 (slot-map home: shard 0)
-        # committed on shard 2, and a fork of key 5 (home: shard 1, where
-        # value 55 already lives) committed on shard 3.
-        for shard, key, value in ((2, 1000, "legacy"), (3, 5, "forked-twin")):
-            ws = WriteSet()
-            ws.upsert(key, value)
-            wal = WriteAheadLog(
-                ShardedTransactionManager.commit_wal_path(tmp_path, shard),
-                sync=True,
-            )
-            wal.append(
-                KIND_TXN_COMMIT,
-                encode_commit_record(900_000 + shard, last_ts, {"A": ws}),
-            )
-            wal.close()
+        # key 1000's slot-map home is shard 0; commit it on shard 2
+        _append_commit(tmp_path, 2, 900_000, last_ts, 1000, "misrouted")
+        before = sorted(p.name for p in tmp_path.rglob("*"))
+        with pytest.raises(StorageError, match=r"shard 2 .*key 1000"):
+            ShardedTransactionManager.open(tmp_path)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+        # the refused row is still in shard 2's commit WAL
+        wal = ShardedTransactionManager.commit_wal_path(tmp_path, 2)
+        assert [r.txn_id for r in recovered_commits(wal)] == [900_000]
 
+    def test_stale_copy_on_migrated_store_is_evicted(self, tmp_path):
+        """Once a migration has started, a key on the wrong shard is a
+        migration leftover whose authoritative copy is with the slot
+        owner: recovery evicts it."""
+        smgr = make_durable(tmp_path)
+        smgr.merge_shard(3, 1)
+        assert smgr.migrations_started
+        assert smgr.shard_of(8) == 0
+        last_ts = max(s.context.last_cts("g") for s in smgr.shards)
+        smgr.close()
+        # a stale copy of key 8 (home: shard 0) on shard 2
+        _append_commit(tmp_path, 2, 900_000, last_ts, 8, "stale")
         reopened = ShardedTransactionManager.open(tmp_path)
-        report = reopened.last_recovery
-        assert reopened.shard_of(1000) == 0
-        assert report.keys_rehomed == 1  # key 1000 moved, fork NOT rehomed
-        assert report.stale_keys_purged == 2  # both wrong-shard copies gone
-        with reopened.snapshot() as view:
-            assert view.get("A", 1000) == "legacy"  # moved, not lost
-            assert view.get("A", 5) == 55  # reachable fork copy untouched
-        assert {k for k, _ in reopened.table(2, "A").scan_live()}.isdisjoint(
-            {1000}
-        )
+        assert reopened.last_recovery.stale_keys_purged == 1
+        assert scan_all(reopened, "A") == EXPECTED
+        assert 8 not in {k for k, _ in reopened.table(2, "A").scan_live()}
         reopened.close()
 
 

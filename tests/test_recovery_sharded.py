@@ -21,6 +21,7 @@ The durable sharded storage contract (``data_dir=`` mode +
 
 from __future__ import annotations
 
+import json
 import threading
 
 import pytest
@@ -29,7 +30,7 @@ from repro.core import ShardedTransactionManager, commit_wal_tail
 from repro.core.durability import CommitLogRecord, encode_checkpoint_record
 from repro.core.transactions import TxnStatus
 from repro.errors import StorageError, WALError
-from repro.recovery.sharded import CoordinatorLog, ShardedSchema
+from repro.recovery.sharded import CoordinatorLog, ShardedSchema, schema_path
 from repro.storage.lsm import LSMOptions, LSMStore
 from repro.storage.wal import KIND_CHECKPOINT, WriteAheadLog
 
@@ -265,10 +266,10 @@ smgr.write(txn, "A", 11, "cross")  # shard 1
 if mode == "no-decision":
     # crash after the second participant's durable prepare vote, before
     # any commit decision exists anywhere
-    smgr.prepare_fault = lambda idx: os._exit(42) if idx == 1 else None
+    smgr.faults.register("prepare", lambda idx: os._exit(42) if idx == 1 else None)
 else:
     # crash right after the coordinator decision fsync, before phase two
-    smgr.decision_fault = lambda txn_id: os._exit(42)
+    smgr.faults.register("decision", lambda txn_id: os._exit(42))
 smgr.commit(txn)
 os._exit(9)  # must not get here
 """
@@ -458,8 +459,9 @@ class TestPhaseTwoFailure:
             smgr.write(txn, "A", 0, "base0")
             smgr.write(txn, "A", 1, "base1")
         txn = _cross_shard_txn(smgr)
-        smgr.decision_fault = lambda txn_id: (_ for _ in ()).throw(
-            RuntimeError("phase-two died")
+        smgr.faults.register(
+            "decision",
+            lambda txn_id: (_ for _ in ()).throw(RuntimeError("phase-two died")),
         )
         with pytest.raises(RuntimeError):
             smgr.commit(txn)
@@ -555,8 +557,9 @@ class TestPhaseTwoFailure:
             smgr.write(txn, "A", 0, "base0")
             smgr.write(txn, "A", 1, "base1")
         txn = _cross_shard_txn(smgr)
-        smgr.decision_fault = lambda txn_id: (_ for _ in ()).throw(
-            RuntimeError("phase-two died")
+        smgr.faults.register(
+            "decision",
+            lambda txn_id: (_ for _ in ()).throw(RuntimeError("phase-two died")),
         )
         with pytest.raises(RuntimeError):
             smgr.commit(txn)
@@ -593,7 +596,9 @@ class TestPhaseTwoFailure:
         smgr.create_table("A")
         txn = _cross_shard_txn(smgr)
         # simulate a concurrent phase-two failure landing mid-prepare
-        smgr.prepare_fault = lambda idx: smgr._fence("concurrent phase-two failure")
+        smgr.faults.register(
+            "prepare", lambda idx: smgr._fence("concurrent phase-two failure")
+        )
         with pytest.raises(StorageError, match="fenced"):
             smgr.commit(txn)
         assert txn.status is TxnStatus.ABORTED
@@ -747,6 +752,45 @@ class TestSchemaMismatchRejected:
         assert ShardedSchema.load(tmp_path).protocol == "s2pl"
         reopened.close()
         assert ShardedTransactionManager().protocol_name == "mvcc"
+
+
+class TestCorruptCatalog:
+    """A damaged ``schema.json`` is refused with a ``StorageError`` naming
+    the file; only an *absent* catalog makes the constructor start a
+    fresh one, so a corrupt catalog is never overwritten."""
+
+    @staticmethod
+    def _truncate(text: str) -> str:
+        return text[: len(text) // 2]
+
+    @staticmethod
+    def _drop_states(text: str) -> str:
+        payload = json.loads(text)
+        del payload["states"]
+        return json.dumps(payload)
+
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [(_truncate, "not valid JSON"), (_drop_states, "no 'states' field")],
+        ids=["truncated", "missing-field"],
+    )
+    def test_both_entry_points_refuse_and_keep_the_bytes(
+        self, tmp_path, damage, problem
+    ):
+        smgr = ShardedTransactionManager(num_shards=2, data_dir=tmp_path)
+        smgr.create_table("A")
+        smgr.close()
+        path = schema_path(tmp_path)
+        path.write_text(damage(path.read_text()))
+        damaged = path.read_bytes()
+        for open_store in (
+            lambda: ShardedTransactionManager(num_shards=2, data_dir=tmp_path),
+            lambda: ShardedTransactionManager.open(tmp_path),
+        ):
+            with pytest.raises(StorageError, match=problem) as info:
+                open_store()
+            assert str(path) in str(info.value)
+            assert path.read_bytes() == damaged
 
 
 # ------------------------------------------------- coordinator log lifecycle
@@ -950,14 +994,14 @@ txn = smgr.begin()
 smgr.write(txn, "A", 10, "cross")  # shard 0
 smgr.write(txn, "A", 11, "cross")  # shard 1
 
-def vote_fault(idx):
+def crash_after_first_vote(idx):
     if idx == 0:
         # crash with a durable vote on shard 0 ONLY: shard 1 never
         # prepared — the partial-prepare crash image
         smgr.daemons[0].flush()
         os._exit(42)
 
-smgr.vote_fault = vote_fault
+smgr.faults.register("vote", crash_after_first_vote)
 smgr.commit(txn)
 os._exit(9)  # must not get here
 """

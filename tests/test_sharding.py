@@ -28,7 +28,6 @@ from repro.core import (
 from repro.errors import (
     ABORT_REBALANCE,
     InvalidTransactionState,
-    StorageError,
     TransactionAborted,
     ValidationFailure,
     WriteConflict,
@@ -80,25 +79,18 @@ class TestRouting:
         with smgr.snapshot() as view:
             assert view.get("acct", -5) == "negative"
 
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: MemoryKVStore(),
-            lambda idx: MemoryKVStore(),
-            # optional positional == legacy zero-arg intent: the shard
-            # index must NOT land in an unrelated default parameter
-            lambda options=None: (
-                MemoryKVStore() if options is None else pytest.fail(str(options))
-            ),
-        ],
-        ids=["zero-arg-legacy", "shard-index", "optional-arg-legacy"],
-    )
-    def test_create_table_accepts_both_backend_factory_arities(self, factory):
-        """The durable-storage refactor changed backend_factory from
-        zero-arg to shard-index; legacy zero-arg factories must keep
-        working instead of dying with TypeError at table creation."""
+    def test_create_table_calls_backend_factory_with_shard_index(self):
+        """Each partition gets its own backend, built by one factory call
+        per shard with that shard's index."""
+        calls: list[int] = []
+
+        def factory(idx: int) -> MemoryKVStore:
+            calls.append(idx)
+            return MemoryKVStore()
+
         smgr = ShardedTransactionManager(num_shards=2)
         tables = smgr.create_table("A", backend_factory=factory)
+        assert calls == [0, 1]
         assert len(tables) == 2
         assert tables[0].backend is not tables[1].backend
         with smgr.transaction() as txn:
@@ -331,7 +323,7 @@ class TestOnlineSplitVolatile:
         with smgr.snapshot() as view:
             assert dict(view.scan("acct")) == expected
 
-    def test_split_validates_arguments(self, tmp_path):
+    def test_split_validates_arguments(self):
         smgr = make_sharded("mvcc")
         with pytest.raises(ValueError):
             smgr.split_shard(9)
@@ -339,13 +331,6 @@ class TestOnlineSplitVolatile:
             smgr.split_shard(0, moving=[1])  # slot 1 belongs to shard 1
         with pytest.raises(ValueError):
             smgr.merge_shard(2, 2)
-        # wal_dir-only managers cannot persist the flip
-        smgr_wal = ShardedTransactionManager(num_shards=2, wal_dir=tmp_path)
-        try:
-            with pytest.raises(StorageError):
-                smgr_wal.split_shard(0)
-        finally:
-            smgr_wal.close()
 
 
 class TestFastPath:
@@ -428,13 +413,13 @@ class TestCrossShardAtomicity:
             if shard_index == fail_shard:
                 raise TransactionAborted("injected fault", reason="test-fault")
 
-        smgr.prepare_fault = fault
+        smgr.faults.register("prepare", fault)
         txn = smgr.begin()
         for k in participants:
             smgr.write(txn, "acct", k, 0)
         with pytest.raises(TransactionAborted):
             smgr.commit(txn)
-        smgr.prepare_fault = None
+        smgr.faults.register("prepare", None)
 
         assert txn.status is TxnStatus.ABORTED
         assert committed_values(smgr, participants) == {k: 100 for k in participants}
@@ -445,15 +430,18 @@ class TestCrossShardAtomicity:
         """The failed 2PC released every latch/lock/validation section:
         the very same keys commit normally right afterwards."""
         smgr = make_sharded(protocol)
-        smgr.prepare_fault = lambda shard: (_ for _ in ()).throw(
-            TransactionAborted("injected", reason="test-fault")
+        smgr.faults.register(
+            "prepare",
+            lambda shard: (_ for _ in ()).throw(
+                TransactionAborted("injected", reason="test-fault")
+            ),
         )
         txn = smgr.begin()
         smgr.write(txn, "acct", 1, 0)
         smgr.write(txn, "acct", 2, 0)
         with pytest.raises(TransactionAborted):
             smgr.commit(txn)
-        smgr.prepare_fault = None
+        smgr.faults.register("prepare", None)
 
         with smgr.transaction() as retry:
             smgr.write(retry, "acct", 1, 55)
