@@ -1,10 +1,10 @@
 """Async group commit on real files: batched fsync vs. fsync-per-commit.
 
 The paper's ``sync = true`` configuration charges every commit a full
-fsync; PR 1's sharding study showed that I/O is the per-shard throughput
-ceiling.  This benchmark drives the *real* commit pipeline — MVCC commits
-through :class:`~repro.core.durability.GroupFsyncDaemon` onto a real WAL
-file — and measures what leader/follower fsync batching buys:
+fsync, which caps how fast one shard can commit.  This benchmark drives
+the *real* commit pipeline — MVCC commits through
+:class:`~repro.core.durability.GroupFsyncDaemon` onto a real WAL file —
+and measures what leader/follower fsync batching buys:
 
 * **baseline** — ``max_batch=1`` with ``wait_in_latch``: every commit
   fsyncs its own record *inside* the commit latch — the paper's
@@ -17,9 +17,9 @@ file — and measures what leader/follower fsync batching buys:
   log-writer style) and a sweep of dwell windows: fsyncs chain
   back-to-back on one thread while committers keep the interpreter busy.
 
-Unlike the virtual-time studies this one runs wall-clock threads on real
-``os.fsync``: the GIL serialises the Python work but fsync releases it,
-which is exactly why group commit helps even in CPython.
+It runs wall-clock threads on real ``os.fsync``: the GIL serialises the
+Python work but fsync releases it, which is exactly why group commit
+helps even in CPython.
 
 Device-latency dimension: CI containers sit on overlay filesystems whose
 ``fsync`` returns in ~0.15 ms — an order of magnitude faster than a real
@@ -48,7 +48,6 @@ import time
 import pytest
 
 from repro.core import GroupFsyncDaemon, TransactionManager, recovered_commits
-from repro.sim import run_sharded_benchmark
 from repro.storage.wal import WriteAheadLog
 
 from conftest import _percentile, record_bench, report_lines
@@ -313,48 +312,3 @@ def test_group_fsync_scaling(benchmark, tmp_path, smoke):
         assert speedup >= 3.0, (
             f"group commit speedup only x{speedup:.2f} at {top} writers"
         )
-
-
-@pytest.mark.benchmark(group="group-fsync")
-def test_group_fsync_virtual_time(benchmark, smoke):
-    """Cross-check on the discrete-event sim (GIL-free): the sharded
-    scenario with durability="group" must beat per-commit fsync and burn
-    fewer fsyncs than commits."""
-    duration_us, warmup_us = (12_000.0, 3_000.0) if smoke else (30_000.0, 8_000.0)
-
-    def measure():
-        sync = run_sharded_benchmark(
-            1, 0.05, clients=8, duration_us=duration_us, warmup_us=warmup_us
-        )
-        group = run_sharded_benchmark(
-            1,
-            0.05,
-            clients=8,
-            duration_us=duration_us,
-            warmup_us=warmup_us,
-            durability="group",
-        )
-        return sync, group
-
-    sync, group = benchmark.pedantic(measure, rounds=1, iterations=1)
-    speedup = group.throughput_tps / sync.throughput_tps
-    report_lines(
-        "Virtual-time cross-check (1 shard, 8 writers)",
-        [
-            f"sync : {sync.throughput_ktps:7.1f} K tps ({sync.fsyncs} fsyncs)",
-            f"group: {group.throughput_ktps:7.1f} K tps ({group.fsyncs} fsyncs, "
-            f"{group.commits_per_fsync:.1f} commits/fsync)  x{speedup:.2f}",
-        ],
-    )
-    record_bench(
-        __file__,
-        "virtual_time",
-        {
-            "sync_ktps": round(sync.throughput_ktps, 1),
-            "group_ktps": round(group.throughput_ktps, 1),
-            "speedup": round(speedup, 2),
-            "commits_per_fsync": round(group.commits_per_fsync, 2),
-        },
-    )
-    assert speedup > 1.5, speedup
-    assert group.commits_per_fsync > 1.5, group.commits_per_fsync

@@ -2,8 +2,9 @@
 
 These complement the simulated Figure-4 study with wall-clock costs of the
 actual implementation: per-read, per-write and per-commit latency of each
-protocol, single-threaded (the GIL makes multi-threaded wall-clock numbers
-meaningless — see DESIGN.md §3).
+protocol, single-threaded (CPython threads serialise on the GIL, so
+multi-threaded wall-clock numbers would measure the interpreter lock, not
+the protocols — the reason Figure 4 is simulated in :mod:`repro.sim`).
 
 Run:  pytest benchmarks/bench_protocol_micro.py --benchmark-only -s
 """

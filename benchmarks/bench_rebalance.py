@@ -1,23 +1,14 @@
-"""Online rebalancing study: what a live shard split buys and costs.
+"""Online rebalancing study: a live shard split loses nothing.
 
-Two benchmarks around the slot-map migration
-(:meth:`repro.core.sharding.ShardedTransactionManager.split_shard`):
-
-* **live split, virtual time** — the discrete-event scenario
-  (:func:`repro.sim.run_live_split_scenario`): 8 writers commit
-  continuously while every shard of a 4-shard fleet splits into a
-  reserved twin (staggered freeze windows).  Steady-state throughput
-  after the doubling must be ≥ 1.5× the 4-shard baseline on the sharding
-  bench config, and must land in the same ballpark as a fleet *started*
-  at 8 shards — the migration converges to the uniform map, so the only
-  permanent cost is the freeze pauses, which are reported separately;
-* **live split, real engine** — threaded committers drive the real
-  ``ShardedTransactionManager`` through a 4 → 8 split and the run asserts
-  the migration loses and duplicates **zero** commits: the full post-split
-  state (snapshot scan across all shards) must equal the state computed
-  from every acknowledged commit, including the transactions the flip
-  aborted retryably mid-flight (wall-clock throughput is reported, not
-  asserted: CPython threads cannot exhibit shard parallelism).
+Threaded committers drive the real ``ShardedTransactionManager``
+through a 4 → 8 split (:meth:`repro.core.sharding.ShardedTransactionManager.split_shard`)
+and the run asserts the migration loses and duplicates **zero** commits:
+the full post-split state (snapshot scan across all shards) must equal
+the state computed from every acknowledged commit, including the
+transactions the flip aborted retryably mid-flight.  Wall-clock
+throughput and the split's wall time are reported, not asserted: CPython
+threads cannot exhibit shard parallelism, and no real measurement backs
+a post-split throughput gain.
 
 Run:  pytest benchmarks/bench_rebalance.py --benchmark-only -s
 """
@@ -30,85 +21,11 @@ import time
 import pytest
 
 from repro.core import ShardedTransactionManager
-from repro.sim import run_live_split_scenario, run_sharded_benchmark
 
-from conftest import (
-    BENCH_DURATION_US,
-    BENCH_WARMUP_US,
-    latency_stats,
-    record_bench,
-    report_lines,
-)
+from conftest import latency_stats, record_bench, report_lines
 
 INITIAL_SHARDS = 4
 FINAL_SHARDS = 8
-LOW_CROSS_RATIO = 0.05  # the sharding bench config
-CLIENTS = 8
-
-
-@pytest.mark.benchmark(group="rebalance")
-def test_live_split_sim(benchmark, smoke):
-    """Throughput before/after an online 4 -> 8 doubling (virtual time)."""
-    duration = BENCH_DURATION_US / 3 if smoke else BENCH_DURATION_US
-    warmup = BENCH_WARMUP_US / 3 if smoke else BENCH_WARMUP_US
-
-    def measure():
-        live = run_live_split_scenario(
-            INITIAL_SHARDS,
-            FINAL_SHARDS,
-            cross_ratio=LOW_CROSS_RATIO,
-            clients=CLIENTS,
-            duration_us=duration,
-            warmup_us=warmup,
-        )
-        static = run_sharded_benchmark(
-            FINAL_SHARDS,
-            LOW_CROSS_RATIO,
-            clients=CLIENTS,
-            duration_us=duration,
-            warmup_us=warmup,
-        )
-        return live, static
-
-    live, static = benchmark.pedantic(measure, rounds=1, iterations=1)
-    vs_static = live.post_tps / static.throughput_tps
-    report_lines(
-        f"Live split {INITIAL_SHARDS} -> {FINAL_SHARDS} "
-        f"(cross ratio {LOW_CROSS_RATIO}, {CLIENTS} writers)",
-        [
-            f"pre-split : {live.pre_tps / 1000.0:7.1f} K tps",
-            f"post-split: {live.post_tps / 1000.0:7.1f} K tps  "
-            f"(x{live.speedup:4.2f})",
-            f"static 8-shard reference: {static.throughput_ktps:7.1f} K tps  "
-            f"(post-split reaches {vs_static:.0%})",
-            f"migrations: {live.migrations}, rows moved {live.rows_migrated}, "
-            f"longest freeze {live.max_migration_pause_us:.0f} us",
-        ],
-    )
-    record_bench(
-        __file__,
-        "live_split_sim",
-        {
-            "initial_shards": INITIAL_SHARDS,
-            "final_shards": FINAL_SHARDS,
-            "cross_ratio": LOW_CROSS_RATIO,
-            "clients": CLIENTS,
-            "pre_ktps": round(live.pre_tps / 1000.0, 1),
-            "post_ktps": round(live.post_tps / 1000.0, 1),
-            "speedup": round(live.speedup, 2),
-            "static_8_shard_ktps": round(static.throughput_ktps, 1),
-            "post_vs_static": round(vs_static, 3),
-            "migrations": live.migrations,
-            "rows_migrated": live.rows_migrated,
-            "max_freeze_pause_us": round(live.max_migration_pause_us, 1),
-        },
-    )
-    assert live.speedup >= 1.5, (
-        f"post-split throughput only x{live.speedup:.2f} over the "
-        f"{INITIAL_SHARDS}-shard baseline"
-    )
-    # the migrated fleet must not lag far behind a natively-8-shard one
-    assert vs_static >= 0.8, f"post-split reaches only {vs_static:.0%} of static"
 
 
 @pytest.mark.benchmark(group="rebalance")

@@ -1,7 +1,6 @@
 """Restart recovery cost: WAL tail length × checkpoint interval.
 
-The commit-WAL lifecycle tradeoff, measured on the real engine and
-cross-checked on the simulator:
+The commit-WAL lifecycle tradeoff, measured on the real engine:
 
 * **real files** — build a durable 4-shard data directory
   (``data_dir=`` mode), "crash" it (the manager is abandoned without
@@ -19,12 +18,6 @@ cross-checked on the simulator:
   CPython.  Measured at 8 shards: ``recovery_workers=1`` (the sequential
   reference) vs the parallel default on identical crashed directories;
   asserted ≥2× faster and byte-identical recovered state.
-
-* **virtual time** — :func:`repro.sim.run_crash_recovery_scenario` runs
-  the same interval sweep GIL-free and prices both sides of the tradeoff:
-  the recovery estimate (tail replay + version-index bootstrap) *and* the
-  steady-state throughput cost of paying the checkpoint flush inside the
-  commit latch.
 
 Results land in ``BENCH_recovery.json``.
 
@@ -44,7 +37,6 @@ import pytest
 
 from repro.core import ShardedTransactionManager
 from repro.core.durability import commit_wal_tail
-from repro.sim import run_crash_recovery_scenario
 
 from conftest import record_bench, report_lines
 
@@ -54,9 +46,6 @@ CHECKPOINT_INTERVALS = [0, 32, 128, 512]
 COMMITS = 1200
 SMOKE_CHECKPOINT_INTERVALS = [0, 32]
 SMOKE_COMMITS = 240
-
-SIM_INTERVALS = [0, 50, 200, 800]
-SMOKE_SIM_INTERVALS = [0, 50]
 
 #: Parallel-replay study: more shards than the interval sweep — the
 #: fan-out is what's under test, and 8 self-contained shard directories
@@ -356,54 +345,3 @@ def test_parallel_recovery_vs_sequential(benchmark, tmp_path, smoke):
         # The acceptance criterion: ≥2× faster recovery at 8 shards with
         # parallel replay, on the device-dominated configuration.
         assert speedup >= 2.0, results
-
-
-@pytest.mark.benchmark(group="recovery")
-def test_recovery_cost_model_virtual_time(benchmark, smoke):
-    """Simulator cross-check: interval sweep prices recovery vs. runtime."""
-    intervals = SMOKE_SIM_INTERVALS if smoke else SIM_INTERVALS
-    duration_us, warmup_us = (12_000.0, 3_000.0) if smoke else (30_000.0, 8_000.0)
-
-    def measure():
-        return run_crash_recovery_scenario(
-            NUM_SHARDS,
-            intervals,
-            cross_ratio=0.1,
-            clients=8,
-            duration_us=duration_us,
-            warmup_us=warmup_us,
-        )
-
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
-    report_lines(
-        f"Crash/recover scenario ({NUM_SHARDS} shards, virtual time)",
-        [
-            f"interval={interval:4d}: ckpts={r.checkpoints:3d}  "
-            f"max tail={r.max_wal_tail:5d}  "
-            f"est. recovery {r.estimated_recovery_us / 1e3:7.2f} ms  "
-            f"{r.throughput_ktps:6.1f} K tps"
-            for interval, r in zip(intervals, results)
-        ],
-    )
-    record_bench(
-        __file__,
-        "virtual_time",
-        {
-            "config": {"num_shards": NUM_SHARDS, "intervals": intervals},
-            "results": [
-                {
-                    "checkpoint_interval": interval,
-                    "checkpoints": r.checkpoints,
-                    "max_wal_tail": r.max_wal_tail,
-                    "estimated_recovery_us": round(r.estimated_recovery_us, 1),
-                    "throughput_ktps": round(r.throughput_ktps, 1),
-                }
-                for interval, r in zip(intervals, results)
-            ],
-        },
-    )
-    unbounded, bounded = results[0], results[1]
-    assert bounded.checkpoints > 0 and unbounded.checkpoints == 0
-    assert bounded.max_wal_tail <= intervals[1]
-    # bounding the tail must actually shrink the restart estimate
-    assert bounded.estimated_recovery_us < unbounded.estimated_recovery_us

@@ -1,30 +1,16 @@
-"""Replication study: what quorum acks cost and what follower reads buy.
+"""Replication study: what a quorum ack costs on the commit path.
 
-Three benchmarks around shard replication
+The same single-key commit stream against a 2-shard rf=2 manager
 (:mod:`repro.core.replication`, manager knobs ``replication_factor=`` /
-``ack=``):
+``ack=``) under ``ack="local"`` (returns after the local batched fsync,
+replicas catch up asynchronously) and ``ack="quorum"`` (returns only
+after a majority of replicas confirms the batch durable).  Per-commit
+p50/p95/p99 are *reported* — wall clock on in-process loopback replicas
+understates a real network RTT, so the shape (quorum ≥ local) is the
+signal, not the absolute gap.
 
-* **quorum vs local commit latency, real engine** — the same single-key
-  commit stream against a 2-shard rf=2 manager under ``ack="local"``
-  (returns after the local batched fsync, replicas catch up
-  asynchronously) and ``ack="quorum"`` (returns only after a majority of
-  replicas confirms the batch durable).  Per-commit p50/p95/p99 are
-  *reported* — wall clock on in-process loopback replicas understates a
-  real network RTT, so the shape (quorum ≥ local) is the signal, not the
-  absolute gap;
-* **quorum vs local commit p99, virtual time** — the same comparison on
-  the discrete-event model, where the quorum round trip
-  (``CostModel.quorum_rtt_us``) is priced explicitly: the p99 gap is
-  asserted (quorum strictly slower; local unaffected by shipping, which
-  runs off the commit path);
-* **follower-read lift + failover retention, virtual time** — a
-  read-heavy window served by primaries alone vs round-robined over
-  primaries + rf=2 replicas pinned at
-  ``min(replica watermark, snapshot barrier)``: the throughput lift must
-  be **≥ 1.5×** (the model predicts ~3× at rf=2 — pure fan-out over
-  3 servers per shard).  The failover scenario then kills a primary and
-  promotes its replica mid-run: post-promotion throughput retention is
-  asserted ≥ 0.9 and the latched promotion pause is reported.
+Follower-read throughput and failover retention have no real-engine
+measurement yet.
 
 Run:  pytest benchmarks/bench_replication.py --benchmark-only -s
 """
@@ -36,25 +22,12 @@ import time
 import pytest
 
 from repro.core import ShardedTransactionManager
-from repro.sim import (
-    run_failover_scenario,
-    run_follower_read_scenario,
-    run_sharded_benchmark,
-)
 
-from conftest import (
-    BENCH_DURATION_US,
-    BENCH_WARMUP_US,
-    latency_stats,
-    record_bench,
-    report_lines,
-)
+from conftest import latency_stats, record_bench, report_lines
 
 NUM_SHARDS = 2
 REPLICATION_FACTOR = 2
 COMMITS = 150
-LOW_CROSS_RATIO = 0.05  # the sharding bench config
-CLIENTS = 8
 
 
 def _commit_latencies(tmp_path, ack: str, commits: int) -> list[float]:
@@ -114,106 +87,3 @@ def test_quorum_vs_local_commit_latency_real(benchmark, smoke, tmp_path):
             "latency_ms": stats,
         },
     )
-
-
-@pytest.mark.benchmark(group="replication")
-def test_quorum_vs_local_commit_p99_sim(benchmark, smoke):
-    """Virtual-time p99 gap: the quorum RTT is the one on-path cost."""
-    duration = BENCH_DURATION_US / 3 if smoke else BENCH_DURATION_US
-    warmup = BENCH_WARMUP_US / 3 if smoke else BENCH_WARMUP_US
-
-    def measure():
-        kwargs = dict(
-            clients=CLIENTS,
-            duration_us=duration,
-            warmup_us=warmup,
-            durability="group",
-            replication_factor=REPLICATION_FACTOR,
-        )
-        return (
-            run_sharded_benchmark(NUM_SHARDS, LOW_CROSS_RATIO, ack="local", **kwargs),
-            run_sharded_benchmark(NUM_SHARDS, LOW_CROSS_RATIO, ack="quorum", **kwargs),
-        )
-
-    local, quorum = benchmark.pedantic(measure, rounds=1, iterations=1)
-    report_lines(
-        f"Commit p99, virtual time ({NUM_SHARDS} shards, "
-        f"rf={REPLICATION_FACTOR}, {CLIENTS} writers, group durability)",
-        [
-            f"local : p99 {local.commit_p99_us:7.1f} us   "
-            f"{local.throughput_ktps:7.1f} K tps",
-            f"quorum: p99 {quorum.commit_p99_us:7.1f} us   "
-            f"{quorum.throughput_ktps:7.1f} K tps   "
-            f"({quorum.replica_acks} replica acks)",
-        ],
-    )
-    record_bench(
-        __file__,
-        "quorum_vs_local_sim",
-        {
-            "num_shards": NUM_SHARDS,
-            "replication_factor": REPLICATION_FACTOR,
-            "clients": CLIENTS,
-            "local_p99_us": local.commit_p99_us,
-            "quorum_p99_us": quorum.commit_p99_us,
-            "local_ktps": local.throughput_ktps,
-            "quorum_ktps": quorum.throughput_ktps,
-            "replica_acks": quorum.replica_acks,
-        },
-    )
-    assert quorum.commit_p99_us > local.commit_p99_us
-    assert quorum.replica_acks > 0 and local.replica_acks == 0
-
-
-@pytest.mark.benchmark(group="replication")
-def test_follower_read_lift_and_failover_retention_sim(benchmark, smoke):
-    """Follower reads at rf=2 must lift read throughput >= 1.5x; a
-    promoted replica must restore ~full commit throughput."""
-    duration = BENCH_DURATION_US / 3 if smoke else BENCH_DURATION_US
-    warmup = BENCH_WARMUP_US / 3 if smoke else BENCH_WARMUP_US
-
-    def measure():
-        reads = run_follower_read_scenario(
-            4, replication_factor=REPLICATION_FACTOR
-        )
-        failover = run_failover_scenario(
-            num_shards=4,
-            replication_factor=REPLICATION_FACTOR,
-            clients=CLIENTS,
-            duration_us=duration,
-            warmup_us=warmup,
-            settle_us=warmup,
-        )
-        return reads, failover
-
-    reads, failover = benchmark.pedantic(measure, rounds=1, iterations=1)
-    report_lines(
-        f"Follower reads + failover (4 shards, rf={REPLICATION_FACTOR})",
-        [
-            f"read lift : {reads.read_speedup:5.2f}x  "
-            f"(primary {reads.primary_us / 1000.0:.1f} ms vs "
-            f"followers {reads.follower_us / 1000.0:.1f} ms for "
-            f"{reads.reads} reads)",
-            f"failover  : retention {failover.retention:5.3f}  "
-            f"(pre {failover.pre_tps / 1000.0:.1f} K tps, "
-            f"post {failover.post_tps / 1000.0:.1f} K tps, "
-            f"promotion pause {failover.promotion_pause_us / 1000.0:.2f} ms)",
-        ],
-    )
-    record_bench(
-        __file__,
-        "follower_reads_and_failover",
-        {
-            "num_shards": 4,
-            "replication_factor": REPLICATION_FACTOR,
-            "read_speedup": reads.read_speedup,
-            "primary_read_us": reads.primary_us,
-            "follower_read_us": reads.follower_us,
-            "failover_retention": failover.retention,
-            "promotion_pause_us": failover.promotion_pause_us,
-            "replica_lag_records": failover.replica_lag_records,
-        },
-    )
-    assert reads.read_speedup >= 1.5
-    assert failover.retention >= 0.9
-    assert failover.failovers == 1

@@ -57,11 +57,6 @@ def smoke(request) -> bool:
     return request.config.getoption("--smoke")
 
 
-@pytest.fixture(scope="session")
-def sim_settings() -> dict:
-    return {"duration_us": BENCH_DURATION_US, "warmup_us": BENCH_WARMUP_US}
-
-
 def report_lines(title: str, lines: list[str]) -> None:
     """Print a labelled report block (captured into bench output logs)."""
     print()

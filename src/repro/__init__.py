@@ -11,8 +11,9 @@ A from-scratch Python reproduction of Götze & Sattler, EDBT 2019:
   TO_TABLE / TO_STREAM / FROM;
 * :mod:`repro.workload` — the Section-5 micro benchmark and the Figure-1
   smart-metering scenario;
-* :mod:`repro.sim` — a discrete-event simulator reproducing the Figure-4
-  concurrency study in virtual time;
+* :mod:`repro.sim` — a single-site discrete-event simulator reproducing
+  the Figure-4 concurrency study in virtual time (the sharded engine is
+  measured on the wall clock by ``perfbench/`` instead);
 * :mod:`repro.recovery` — context persistence, checkpoints, restart
   recovery;
 * :mod:`repro.bench` — the harness regenerating every figure.

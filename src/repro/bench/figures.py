@@ -4,7 +4,8 @@ The paper's evaluation section contains a single figure — Figure 4, two
 panels of throughput (K tps) vs. contention θ for 4 and 24 concurrent
 ad-hoc queries, one curve per protocol.  This module pins those axes and
 the qualitative expectations the reproduction must match, so the benchmark
-harness and EXPERIMENTS.md share one source of truth.
+harness, its tests and ``examples/protocol_comparison.py`` check one
+source of truth.
 """
 
 from __future__ import annotations

@@ -212,9 +212,11 @@ class StateContext:
         bound what a transaction may still read (conservative horizon).
         A reader may pin a new snapshot (``pin_snapshot`` inserts into its
         own ``read_cts`` without this lock) mid-scan; CPython raises
-        ``RuntimeError`` for the resize, and the scan simply retries — any
-        snapshot pinned concurrently is bounded below by that reader's
-        ``start_ts``, which the scan already covers.
+        ``RuntimeError`` for the resize, and the scan simply retries.  A
+        pin the scan misses is at or above that reader's ``start_ts``
+        unless it is capped at the live cross-shard barrier; that case is
+        covered by the barrier term of the sharded horizon (see
+        ``ShardedTransactionManager._global_horizon``).
         """
         while True:
             oldest = self.oracle.current()
@@ -252,14 +254,19 @@ class StateContext:
         if pinned is not None:
             return pinned
         ts = self.group(group_id).last_cts
-        cap = txn.snapshot_cap
-        if cap is None and txn.snapshot_guard is not None:
-            cap = txn.snapshot_guard.barrier()
-        if cap is not None and cap < ts:
-            ts = cap
         for other_gid, other_ts in txn.read_cts.items():
             if other_ts < ts and self.groups_overlap(group_id, other_gid):
                 ts = other_ts
+        cap = txn.snapshot_cap
+        if cap is None and txn.snapshot_guard is not None:
+            # The live barrier can sit below this reader's ``start_ts``,
+            # where the horizon scan does not cover it: publish a floor
+            # before reading it (the ordering argument is in
+            # ``ShardedTransactionManager._global_horizon``).
+            txn.read_cts[group_id] = 0
+            cap = txn.snapshot_guard.barrier()
+        if cap is not None and cap < ts:
+            ts = cap
         txn.read_cts[group_id] = ts
         return ts
 

@@ -1,8 +1,8 @@
 """Per-shard commit durability pipeline: batched-fsync group commit.
 
 The paper runs RocksDB with ``sync = true`` "to guarantee failure
-atomicity", so every commit pays a full fsync before it is acknowledged —
-exactly the per-shard throughput ceiling the sharded simulation measures.
+atomicity", so every commit pays a full fsync before it is acknowledged,
+and one shard can commit no faster than its device fsyncs.
 This module decouples the commit critical section (timestamp assignment +
 version install) from the durability wait, in the style of PostgreSQL's
 ``commit_delay`` and RocksDB's group WAL write:

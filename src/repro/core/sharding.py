@@ -1136,11 +1136,18 @@ class ShardedTransactionManager:
         Any later pin is ≥ this value (pins only derive from existing pins
         and barriers, both covered), so versions above it are never purged
         out from under a capped read.
+
+        The barrier is read **before** the local scans.  A first pin
+        publishes a floor in ``read_cts`` and only then reads the barrier
+        (``StateContext.pin_snapshot``): a scan that sees the floor is
+        bounded by it, and a scan that misses it began before the floor
+        was published, so the barrier read here came before the pin's
+        barrier read and — the barrier being monotone — is not above it.
         """
+        barrier = self.snapshot_coordinator.barrier()
         horizon = min(
             shard.context.local_oldest_active_version() for shard in self.shards
         )
-        barrier = self.snapshot_coordinator.barrier()
         return barrier if barrier < horizon else horizon
 
     def _ensure_child_routing(self, child: Transaction, idx: int) -> None:
@@ -1522,17 +1529,19 @@ class ShardedTransactionManager:
         children = [
             self._child(txn, idx, smap.epoch) for idx in range(self.num_shards)
         ]
+        # Gather over the shards opened above, not ``self.num_shards``
+        # again: a concurrent split may have added a shard since, and the
+        # snapshotted map routes no key to it.
+        opened = range(len(children))
 
         def materialise(idx: int) -> list[tuple[Any, Any]]:
             part = self.shards[idx].scan(children[idx], state_id, low, high)
             return [kv for kv in part if smap.shard_of(kv[0]) == idx]
 
-        if self.num_shards == 1 or self.state_residency != RESIDENCY_LAZY:
-            filtered = [materialise(idx) for idx in range(self.num_shards)]
+        if len(children) == 1 or self.state_residency != RESIDENCY_LAZY:
+            filtered = [materialise(idx) for idx in opened]
         else:
-            filtered = list(
-                self._scan_pool.map(materialise, range(self.num_shards))
-            )
+            filtered = list(self._scan_pool.map(materialise, opened))
         return _heap_merge(*filtered, key=lambda kv: kv[0])
 
     # txn ending ----------------------------------------------------------

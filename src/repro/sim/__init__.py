@@ -1,67 +1,25 @@
 """Discrete-event concurrency simulator (the paper's testbed substitute).
 
 Runs the Figure-4 benchmark in virtual time over the real protocol data
-structures, sidestepping the GIL for concurrency measurements.  See
-DESIGN.md §3 for the substitution rationale.
+structures, sidestepping the GIL for concurrency measurements: CPython
+threads serialise on the interpreter lock, so real-thread throughput
+would show the GIL rather than how MVCC, S2PL and BOCC contend.  The
+simulator keeps the protocols' real read/write sets, version arrays and
+validation logic and charges each step a virtual service time instead.
 """
 
 from .clients import CLIENTS, SimEnvironment, SimStats
 from .costmodel import CostModel, SimCache
 from .des import Acquire, Delay, Release, Simulator
-from .harness import (
-    FailoverSimResult,
-    FollowerReadResult,
-    LiveSplitResult,
-    ScatterGatherScanResult,
-    ShardedSimResult,
-    SimResult,
-    run_benchmark,
-    run_crash_recovery_scenario,
-    run_failover_scenario,
-    run_follower_read_scenario,
-    run_live_split_scenario,
-    run_scatter_gather_scan_scenario,
-    run_sharded_benchmark,
-    sweep_cross_ratio,
-    sweep_shards,
-    sweep_theta,
-)
+from .harness import SimResult, run_benchmark, sweep_theta
 from .resources import SimLatch, SimLock
-from .sharded import (
-    SIM_ACK_LOCAL,
-    SIM_ACK_QUORUM,
-    SIM_CHECKPOINT_BACKGROUND,
-    SIM_CHECKPOINT_INLINE,
-    SIM_DURABILITY_GROUP,
-    SIM_DURABILITY_SYNC,
-    ShardedSimEnvironment,
-    ShardedSimStats,
-    SimGroupFsync,
-    sharded_failover,
-    sharded_split,
-    sharded_writer,
-)
 
 __all__ = [
     "Acquire",
     "CLIENTS",
     "CostModel",
     "Delay",
-    "FailoverSimResult",
-    "FollowerReadResult",
-    "LiveSplitResult",
     "Release",
-    "ScatterGatherScanResult",
-    "SIM_ACK_LOCAL",
-    "SIM_ACK_QUORUM",
-    "SIM_CHECKPOINT_BACKGROUND",
-    "SIM_CHECKPOINT_INLINE",
-    "SIM_DURABILITY_GROUP",
-    "SIM_DURABILITY_SYNC",
-    "SimGroupFsync",
-    "ShardedSimEnvironment",
-    "ShardedSimResult",
-    "ShardedSimStats",
     "SimCache",
     "SimEnvironment",
     "SimLatch",
@@ -70,16 +28,5 @@ __all__ = [
     "SimStats",
     "Simulator",
     "run_benchmark",
-    "run_crash_recovery_scenario",
-    "run_failover_scenario",
-    "run_follower_read_scenario",
-    "run_live_split_scenario",
-    "run_scatter_gather_scan_scenario",
-    "run_sharded_benchmark",
-    "sharded_failover",
-    "sharded_split",
-    "sharded_writer",
-    "sweep_cross_ratio",
-    "sweep_shards",
     "sweep_theta",
 ]

@@ -15,9 +15,11 @@ Protocol timing behaviour reproduced:
 * **MVCC** — readers pin a snapshot and never block or abort; the writer
   commits under short per-table latches plus one synchronous I/O.
 * **S2PL** — clients acquire simulated key locks (readers S, writer X) in
-  key order (conservative acquisition; deadlock-free — see DESIGN.md) and
-  hold them until commit end, so the writer's lock span covers its
-  synchronous I/O and readers queue behind it on hot keys.
+  key order and hold them until commit end, so the writer's lock span
+  covers its synchronous I/O and readers queue behind it on hot keys.
+  Acquisition is conservative: every client takes its whole lock set in
+  one global order, so no wait cycle can form and no deadlock detector is
+  needed.
 * **BOCC** — readers run latch-free and validate backward in a serial
   critical section against commits that finished during their read phase;
   a conflict restarts the whole read phase (fresh timestamp), burning the

@@ -15,8 +15,13 @@ accessing memory"):
   one long ``sync`` I/O, which is why "the readers contribute almost
   exclusively to the total throughput".
 
-Absolute values are calibrated for shape, not for the authors' hardware;
-see EXPERIMENTS.md for the calibration rationale.
+Absolute values are calibrated for shape, not for the authors' hardware:
+the paper reports no per-operation costs, so the constants were tuned
+only until the curves meet the Section-5.2 shape pinned in
+:class:`repro.bench.figures.ExpectedShape` (BOCC a few percent above MVCC
+at low θ; S2PL and BOCC falling away as θ grows while MVCC holds).  The
+throughput numbers are virtual time and are not compared with the real
+engine.
 """
 
 from __future__ import annotations
@@ -49,114 +54,7 @@ class CostModel:
     commit_base_us: float = 1.0
     #: one synchronous WAL/base-table flush per writer commit (NVMe-class).
     commit_sync_io_us: float = 30.0
-    #: batched group commit (durability="group"): extra dwell a batch
-    #: leader waits before issuing the shared fsync so more committers can
-    #: join the batch (PostgreSQL commit_delay).  The fsync itself still
-    #: costs ``commit_sync_io_us`` — but one fsync now covers every commit
-    #: in the batch instead of one each, and it is paid *outside* the
-    #: shard's commit latch.
-    group_commit_window_us: float = 0.0
     begin_us: float = 0.2
-    # checkpoint / recovery (the crash-recover scenario)
-    #: flushing a shard's memtables to SSTables at a checkpoint cut — paid
-    #: inside the shard's commit latch by whichever committer trips the
-    #: interval in ``checkpoint_mode="inline"``, exactly like the real
-    #: inline auto-checkpoint trigger.
-    checkpoint_flush_io_us: float = 400.0
-    #: the *latched* remainder of a background checkpoint: the daemon
-    #: pre-flushes the memtables off the commit path, so the quiesced
-    #: window pays only the delta flush + marker + truncation I/O.  This
-    #: is what commits feel in ``checkpoint_mode="background"`` —
-    #: the background thread absorbs ``checkpoint_flush_io_us`` on a
-    #: spare core, overlapped with the foreground commit stream.
-    checkpoint_marker_io_us: float = 60.0
-    # storage maintenance (the background flush/compaction scenario)
-    #: building one sealed memtable into an L0 SSTable — paid on the
-    #: committer's own thread by whichever writer trips the memtable
-    #: threshold in ``maintenance="inline"``; absorbed on a spare core by
-    #: the StorageMaintenanceDaemon in ``"background"``.
-    memtable_flush_io_us: float = 300.0
-    #: the seal pivot alone (memtable swap + WAL sidecar rotate) — all a
-    #: background-mode writer pays at the threshold.
-    memtable_seal_us: float = 8.0
-    #: merging one full level of SSTables into the next — the cascading
-    #: compaction an inline tripping writer can be caught paying on top
-    #: of the flush.
-    compaction_io_us: float = 900.0
-    #: one bounded L0-backpressure stall (the slowdown sleep) charged to a
-    #: background-mode writer when seals outrun the daemon — the price of
-    #: keeping L0 bounded instead of letting reads degrade.
-    l0_stall_us: float = 40.0
-    #: one durable 2PC decision record on the global coordinator log —
-    #: paid by every cross-shard commit between prepare and phase two.
-    #: ``coordinator_durability="sync"`` charges it per commit under the
-    #: coordinator-log lock; ``"group"`` batches concurrent decisions into
-    #: one shared fsync (the CoordinatorLog batched mode).
-    coordinator_log_io_us: float = 30.0
-    #: decoding + re-applying one commit-WAL tail record during restart.
-    replay_record_us: float = 2.0
-    # online rebalancing (the live-split scenario)
-    #: copying one migrated row into the target shard's base table during
-    #: a slot migration's background copy phase — paid off the commit path
-    #: (the CheckpointDaemon's worker in the real engine), so it overlaps
-    #: the foreground commit stream instead of stalling it.
-    migration_copy_row_us: float = 0.8
-    #: per-moved-row work the freeze pays *under the latch*: the
-    #: version-index handover installs each moved key's live version on
-    #: the target (and feeds the purge) — in-memory work, but O(moved
-    #: rows) and latched, so the real pause grows with shard size and the
-    #: model must too.
-    migration_handover_row_us: float = 0.2
-    #: the fixed *latched* remainder of a migration's freeze window beyond
-    #: the per-record suffix replay (``replay_record_us`` each) and the
-    #: per-row handover: the target flush + checkpoint marker and the
-    #: durable slot-map flip fsync.  The freeze — not the copy — is what
-    #: concurrent commits on the source shard actually feel during an
-    #: online split.
-    migration_freeze_io_us: float = 120.0
-    #: rebuilding one row's version-index entry from the base table.
-    bootstrap_row_us: float = 0.8
-    # lazy residency (the larger-than-memory scenario)
-    #: faulting one cold row in from the base table on first read
-    #: (``residency_mode="lazy"``): bloom-gated LSM point get + decode +
-    #: bootstrap install — the cold-read penalty lazy startup trades for
-    #: skipping the full ``bootstrap_row_us`` × rows scan at open.
-    hydration_io_us: float = 25.0
-    #: evicting one cold key's version array back to backend-resident —
-    #: in-memory clock-sweep work, paid on the maintenance daemon's
-    #: thread, never by the reader or committer.
-    residency_evict_us: float = 0.4
-    # consistent scatter-gather scan (the global-snapshot scenario)
-    #: acquiring the global snapshot vector for a cross-shard read: one
-    #: barrier probe on the snapshot coordinator plus pinning every
-    #: shard's ReadCTS — in-memory, paid once per scan.
-    snapshot_vector_us: float = 1.0
-    #: reading one row out of a shard partition at the pinned snapshot
-    #: (version resolution + ownership filter).  The scatter-gather pool
-    #: overlaps this across shards; the sequential reference pays it for
-    #: every row back-to-back.
-    scan_row_us: float = 0.25
-    #: folding one row through the serial heap merge on the caller thread
-    #: — paid per row in both the parallel and the sequential plan.
-    scan_merge_row_us: float = 0.05
-    # replication (the quorum-ack / follower-read scenario)
-    #: shipping one committed WAL record to one replica: encode + local
-    #: loopback transfer, paid on the replication daemon's thread (off
-    #: the commit path for ``ack="local"``).
-    replication_ship_us: float = 4.0
-    #: folding one shipped record into a replica's in-memory version
-    #: store + the amortised share of its replica-WAL batch fsync.
-    replica_apply_us: float = 6.0
-    #: round trip a ``ack="quorum"`` commit waits on top of its local
-    #: fsync for the slowest replica in the quorum to confirm the batch
-    #: durable (send + replica fsync share + ack) — the quorum-vs-local
-    #: commit-latency gap the replication bench reports.
-    quorum_rtt_us: float = 45.0
-    #: restart-recovery fan-out: shards replay in a bounded worker pool
-    #: (``recover_sharded``'s thread pool); 1 models the sequential
-    #: reference procedure.  The estimate is the makespan of the
-    #: per-shard costs over this many workers.
-    recovery_parallelism: int = 1
     # cache
     cache_capacity: int = 4096
 

@@ -16,14 +16,6 @@ from ..workload.generator import WorkloadConfig, WorkloadGenerator
 from .clients import CLIENTS, SimEnvironment, bocc_reader, bocc_writer
 from .costmodel import CostModel
 from .des import Simulator
-from .sharded import (
-    SIM_ACK_LOCAL,
-    SIM_DURABILITY_SYNC,
-    ShardedSimEnvironment,
-    sharded_failover,
-    sharded_split,
-    sharded_writer,
-)
 
 
 @dataclass
@@ -147,693 +139,3 @@ def sweep_theta(
 ) -> list[SimResult]:
     """One protocol's Figure-4 curve: throughput over the θ sweep."""
     return [run_benchmark(protocol, theta, readers, **kwargs) for theta in thetas]
-
-
-# --------------------------------------------------------------------------
-# multi-shard contention scenario
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class ShardedSimResult:
-    """Outcome of one simulated sharded benchmark point."""
-
-    num_shards: int
-    cross_ratio: float
-    theta: float
-    clients: int
-    duration_us: float
-    single_shard_commits: int
-    cross_shard_commits: int
-    aborts: int
-    latch_waits: int
-    events: int
-    durability: str = SIM_DURABILITY_SYNC
-    fsyncs: int = 0
-    #: commit-WAL lifecycle accounting (checkpoint_interval > 0 only).
-    checkpoints: int = 0
-    max_wal_tail: int = 0
-    estimated_recovery_us: float = 0.0
-    #: who paid the checkpoint flush ("inline" committer vs "background").
-    checkpoint_mode: str = "inline"
-    #: durable 2PC decision fsyncs (coordinator_durability modelled only).
-    coordinator_fsyncs: int = 0
-    #: storage-maintenance accounting (maintenance_interval > 0 only):
-    #: memtable-threshold trips, on-path level merges, bounded L0 stalls,
-    #: and who paid the builds ("inline" committer vs "background" daemon).
-    flushes: int = 0
-    compactions: int = 0
-    write_stalls: int = 0
-    maintenance_mode: str = "inline"
-    #: lazy-residency accounting (residency_mode="lazy" only): cold keys
-    #: faulted in on the commit path, keys evicted back to
-    #: backend-resident by the modelled daemon, and which mode ran.
-    hydrations: int = 0
-    evictions: int = 0
-    residency_mode: str = "full"
-    #: replication accounting (replication_factor > 0 only): the knobs
-    #: the point ran with, quorum batch acks collected by committers
-    #: (``ack="quorum"``), replica promotions completed, and the p99 of
-    #: the end-to-end commit-latency distribution (virtual µs) — the
-    #: number the quorum-vs-local comparison reports.
-    replication_factor: int = 0
-    ack: str = "local"
-    replica_acks: int = 0
-    failovers: int = 0
-    commit_p99_us: float = 0.0
-
-    @property
-    def commits(self) -> int:
-        return self.single_shard_commits + self.cross_shard_commits
-
-    @property
-    def throughput_tps(self) -> float:
-        """Aggregate committed transactions per (virtual) second."""
-        if self.duration_us <= 0:
-            return 0.0
-        return self.commits / (self.duration_us / 1_000_000.0)
-
-    @property
-    def throughput_ktps(self) -> float:
-        return self.throughput_tps / 1000.0
-
-    @property
-    def abort_rate(self) -> float:
-        attempts = self.commits + self.aborts
-        if attempts == 0:
-            return 0.0
-        return self.aborts / attempts
-
-    @property
-    def cross_shard_fraction(self) -> float:
-        """Measured share of commits that took the two-phase path."""
-        if self.commits == 0:
-            return 0.0
-        return self.cross_shard_commits / self.commits
-
-    @property
-    def commits_per_fsync(self) -> float:
-        """Batched-fsync amortisation factor (1.0 = one fsync per record)."""
-        if self.fsyncs == 0:
-            return 0.0
-        return self.commits / self.fsyncs
-
-
-def run_sharded_benchmark(
-    num_shards: int,
-    cross_ratio: float,
-    clients: int = 8,
-    theta: float = 0.0,
-    duration_us: float = 200_000.0,
-    warmup_us: float = 50_000.0,
-    config: WorkloadConfig | None = None,
-    cost: CostModel | None = None,
-    seed: int = 42,
-    durability: str = SIM_DURABILITY_SYNC,
-    checkpoint_interval: int = 0,
-    checkpoint_mode: str = "inline",
-    coordinator_durability: str | None = None,
-    maintenance_interval: int = 0,
-    maintenance_mode: str = "inline",
-    residency_mode: str = "full",
-    residency_budget: int = 0,
-    replication_factor: int = 0,
-    ack: str = SIM_ACK_LOCAL,
-) -> ShardedSimResult:
-    """Run one point of the multi-shard contention scenario.
-
-    ``clients`` writer processes drive the sharded commit pipeline
-    (:mod:`repro.sim.sharded`); each transaction stays on one shard with
-    probability ``1 - cross_ratio`` and spans two shards otherwise.  The
-    single-shard/1-client-per-shard scaling limit is the per-shard commit
-    latch with its synchronous durability I/O — exactly the bottleneck the
-    real :class:`~repro.core.sharding.ShardedTransactionManager` splits.
-    ``durability="group"`` swaps the per-commit fsync for the per-shard
-    batched-fsync pipeline and lifts that ceiling (the async-group-commit
-    study).
-    """
-    if clients <= 0:
-        raise BenchmarkError("need at least one client")
-
-    base = config or WorkloadConfig()
-    workload = WorkloadConfig(
-        table_size=base.table_size,
-        txn_length=base.txn_length,
-        theta=theta,
-        value_bytes=base.value_bytes,
-        seed=seed,
-        states=base.states,
-    )
-    env = ShardedSimEnvironment(
-        workload,
-        num_shards,
-        cross_ratio,
-        cost,
-        durability,
-        checkpoint_interval,
-        checkpoint_mode=checkpoint_mode,
-        coordinator_durability=coordinator_durability,
-        maintenance_interval=maintenance_interval,
-        maintenance_mode=maintenance_mode,
-        residency_mode=residency_mode,
-        residency_budget=residency_budget,
-        replication_factor=replication_factor,
-        ack=ack,
-    )
-    sim = Simulator()
-    deadline = warmup_us + duration_us
-    for i in range(clients):
-        wl = WorkloadGenerator(workload, seed_offset=3000 + i)
-        sim.spawn(sharded_writer(env, sim, wl, deadline))
-
-    sim.run_until(warmup_us)
-    # reset counters after warm-up: measure steady state only
-    env.stats.single_shard_commits = 0
-    env.stats.cross_shard_commits = 0
-    env.stats.aborts = 0
-    env.stats.latch_waits = 0
-    env.stats.fsyncs = 0
-    env.stats.flushes = 0
-    env.stats.compactions = 0
-    env.stats.write_stalls = 0
-    env.stats.hydrations = 0
-    env.stats.evictions = 0
-    env.stats.replica_acks = 0
-    env.commit_latencies_us.clear()
-    for batcher in env.fsync:
-        batcher.reset_counters()
-    env.coord_fsync.reset_counters()
-    sim.run_to_completion()
-
-    latencies = sorted(env.commit_latencies_us)
-    commit_p99_us = (
-        latencies[int(0.99 * (len(latencies) - 1))] if latencies else 0.0
-    )
-    return ShardedSimResult(
-        num_shards=num_shards,
-        cross_ratio=cross_ratio,
-        theta=theta,
-        clients=clients,
-        duration_us=duration_us,
-        single_shard_commits=env.stats.single_shard_commits,
-        cross_shard_commits=env.stats.cross_shard_commits,
-        aborts=env.stats.aborts,
-        latch_waits=env.stats.latch_waits,
-        events=sim.events_processed,
-        durability=durability,
-        fsyncs=env.stats.fsyncs + env.total_fsyncs(),
-        checkpoints=env.stats.checkpoints,
-        max_wal_tail=max(env.wal_tail),
-        estimated_recovery_us=env.estimated_recovery_us(),
-        checkpoint_mode=checkpoint_mode,
-        coordinator_fsyncs=env.coord_fsync.fsyncs,
-        flushes=env.stats.flushes,
-        compactions=env.stats.compactions,
-        write_stalls=env.stats.write_stalls,
-        maintenance_mode=maintenance_mode,
-        hydrations=env.stats.hydrations,
-        evictions=env.stats.evictions,
-        residency_mode=residency_mode,
-        replication_factor=replication_factor,
-        ack=ack,
-        replica_acks=env.stats.replica_acks,
-        failovers=env.stats.failovers,
-        commit_p99_us=commit_p99_us,
-    )
-
-
-def sweep_shards(
-    shard_counts: list[int],
-    cross_ratio: float,
-    **kwargs: object,
-) -> list[ShardedSimResult]:
-    """Throughput-scaling curve: one point per shard count."""
-    return [run_sharded_benchmark(n, cross_ratio, **kwargs) for n in shard_counts]
-
-
-def sweep_cross_ratio(
-    num_shards: int,
-    cross_ratios: list[float],
-    **kwargs: object,
-) -> list[ShardedSimResult]:
-    """Cross-shard cost curve: one point per cross-shard probability."""
-    return [run_sharded_benchmark(num_shards, r, **kwargs) for r in cross_ratios]
-
-
-# --------------------------------------------------------------------------
-# consistent scatter-gather scan scenario
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class ScatterGatherScanResult:
-    """Virtual-time pricing of one consistent cross-shard full scan.
-
-    ``parallel_us`` is the scatter-gather plan (global snapshot vector +
-    the per-shard scans overlapped on the pool + the serial heap merge);
-    ``sequential_us`` is the one-shard-after-another reference over the
-    same rows and the same merge.
-    """
-
-    num_shards: int
-    rows: int
-    parallel_us: float
-    sequential_us: float
-
-    @property
-    def speedup(self) -> float:
-        """Sequential / parallel scan time (>1 = scatter-gather wins)."""
-        if self.parallel_us <= 0.0:
-            return 0.0
-        return self.sequential_us / self.parallel_us
-
-
-def run_scatter_gather_scan_scenario(
-    num_shards: int,
-    config: WorkloadConfig | None = None,
-    cost: CostModel | None = None,
-) -> ScatterGatherScanResult:
-    """Price a consistent full scan on ``num_shards`` shards (virtual time).
-
-    Installs the workload's key space into real per-shard partitions (the
-    same slot routing the real engine uses), then compares the
-    scatter-gather plan against the sequential reference via
-    :meth:`~repro.sim.sharded.ShardedSimEnvironment.estimated_scan_us`.
-    The sim exists for the same reason the Figure-4 study runs here: the
-    GIL hides the real pool's parallelism, virtual time does not.
-    """
-    workload = config or WorkloadConfig()
-    env = ShardedSimEnvironment(workload, num_shards, cross_ratio=0.0, cost=cost)
-    commit_ts = env.oracle.next()
-    rows = 0
-    for state_id in workload.states:
-        for key in range(workload.table_size):
-            shard = env.shard_of(key)
-            env.tables[shard][state_id].mvcc_object(key, create=True).install(
-                key, commit_ts, commit_ts
-            )
-            rows += 1
-    return ScatterGatherScanResult(
-        num_shards=num_shards,
-        rows=rows,
-        parallel_us=env.estimated_scan_us(parallel=True),
-        sequential_us=env.estimated_scan_us(parallel=False),
-    )
-
-
-# --------------------------------------------------------------------------
-# crash / recover scenario
-# --------------------------------------------------------------------------
-
-
-def run_crash_recovery_scenario(
-    num_shards: int,
-    checkpoint_intervals: list[int],
-    cross_ratio: float = 0.1,
-    **kwargs: object,
-) -> list[ShardedSimResult]:
-    """Recovery-time accounting across checkpoint intervals.
-
-    Each point runs the sharded workload with a different commit-WAL
-    checkpoint interval, then "crashes" at the end of the measurement
-    window: ``estimated_recovery_us`` prices the restart (tail replay +
-    version-index bootstrap, the :mod:`repro.recovery.sharded` procedure)
-    and ``checkpoints``/``throughput_tps`` price what bounding the tail
-    cost during normal operation.  Interval 0 means "never checkpoint" —
-    the unbounded-WAL baseline whose recovery time grows with the whole
-    run instead of the interval.
-    """
-    return [
-        run_sharded_benchmark(
-            num_shards, cross_ratio, checkpoint_interval=interval, **kwargs
-        )
-        for interval in checkpoint_intervals
-    ]
-
-
-# --------------------------------------------------------------------------
-# live-split (online rebalancing) scenario
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class LiveSplitResult:
-    """Outcome of one live-split scenario run (virtual time).
-
-    ``pre_tps``/``post_tps`` are steady-state throughputs measured over
-    equal windows before the first and after the last migration; the
-    commits lost to the freeze windows themselves show up in
-    ``max_migration_pause_us`` (the longest latched stall any single
-    migration imposed), not in either window.
-    """
-
-    initial_shards: int
-    final_shards: int
-    cross_ratio: float
-    clients: int
-    duration_us: float
-    pre_commits: int
-    post_commits: int
-    migrations: int
-    rows_migrated: int
-    max_migration_pause_us: float
-    aborts: int
-
-    @property
-    def pre_tps(self) -> float:
-        return self.pre_commits / (self.duration_us / 1_000_000.0)
-
-    @property
-    def post_tps(self) -> float:
-        return self.post_commits / (self.duration_us / 1_000_000.0)
-
-    @property
-    def speedup(self) -> float:
-        return self.post_tps / self.pre_tps if self.pre_commits else 0.0
-
-
-def run_live_split_scenario(
-    initial_shards: int = 4,
-    final_shards: int = 8,
-    cross_ratio: float = 0.05,
-    clients: int = 8,
-    theta: float = 0.0,
-    duration_us: float = 200_000.0,
-    warmup_us: float = 50_000.0,
-    settle_us: float = 20_000.0,
-    config: WorkloadConfig | None = None,
-    cost: CostModel | None = None,
-    seed: int = 42,
-    durability: str = SIM_DURABILITY_SYNC,
-) -> LiveSplitResult:
-    """Measure throughput before and after an *online* shard doubling.
-
-    The scenario runs ``clients`` writers continuously while every
-    original shard splits into a reserved twin
-    (:func:`~repro.sim.sharded.sharded_split`, staggered so the freeze
-    windows do not align), exactly the real engine's
-    ``split_shard``-per-shard doubling: once all migrations land, the
-    slot map equals the uniform ``final_shards`` map.  Steady-state
-    throughput is measured over two equal windows — after warm-up on the
-    initial layout, and after the migrations plus a settle period on the
-    final layout — so the result isolates what the split *buys* (more
-    commit pipelines) from what it *costs* (the latched freeze windows,
-    reported separately).
-    """
-    if final_shards != 2 * initial_shards:
-        raise BenchmarkError(
-            "the live-split scenario doubles the fleet: final_shards must "
-            f"be 2 * initial_shards ({initial_shards} -> {final_shards})"
-        )
-    if clients <= 0:
-        raise BenchmarkError("need at least one client")
-    base = config or WorkloadConfig()
-    workload = WorkloadConfig(
-        table_size=base.table_size,
-        txn_length=base.txn_length,
-        theta=theta,
-        value_bytes=base.value_bytes,
-        seed=seed,
-        states=base.states,
-    )
-    env = ShardedSimEnvironment(
-        workload,
-        initial_shards,
-        cross_ratio,
-        cost,
-        durability,
-        reserve_shards=final_shards,
-    )
-    sim = Simulator()
-    # Writers run through warm-up, the pre window, the migrations (bounded
-    # below), the settle period and the post window.
-    copy_allowance_us = (
-        2.0 * workload.table_size * env.cost.migration_copy_row_us
-        + initial_shards * env.cost.migration_freeze_io_us
-        + 10_000.0
-    )
-    deadline = warmup_us + 2 * duration_us + copy_allowance_us + settle_us
-    for i in range(clients):
-        wl = WorkloadGenerator(workload, seed_offset=3000 + i)
-        sim.spawn(sharded_writer(env, sim, wl, deadline))
-
-    sim.run_until(warmup_us)
-    env.stats.single_shard_commits = 0
-    env.stats.cross_shard_commits = 0
-    env.stats.aborts = 0
-    sim.run_until(warmup_us + duration_us)
-    pre_commits = env.stats.commits
-
-    # Stagger the splits so at most one freeze window is open at a time.
-    stagger_us = 2.0 * env.cost.migration_freeze_io_us + 500.0
-    for i, source in enumerate(range(initial_shards)):
-        sim.spawn(
-            sharded_split(
-                env, sim, source, initial_shards + i, start_delay_us=i * stagger_us
-            )
-        )
-    migration_deadline = sim.now + copy_allowance_us
-    while env.stats.migrations < initial_shards and sim.now < migration_deadline:
-        sim.run_until(min(sim.now + 1_000.0, migration_deadline))
-    if env.stats.migrations < initial_shards:
-        raise BenchmarkError(
-            f"only {env.stats.migrations}/{initial_shards} migrations "
-            "finished within the allowance"
-        )
-    sim.run_until(sim.now + settle_us)
-
-    env.stats.single_shard_commits = 0
-    env.stats.cross_shard_commits = 0
-    aborts_pre = env.stats.aborts
-    post_start = sim.now
-    sim.run_until(post_start + duration_us)
-    post_commits = env.stats.commits
-    sim.run_to_completion()
-
-    return LiveSplitResult(
-        initial_shards=initial_shards,
-        final_shards=final_shards,
-        cross_ratio=cross_ratio,
-        clients=clients,
-        duration_us=duration_us,
-        pre_commits=pre_commits,
-        post_commits=post_commits,
-        migrations=env.stats.migrations,
-        rows_migrated=env.stats.rows_migrated,
-        max_migration_pause_us=env.stats.max_migration_pause_us,
-        aborts=aborts_pre,
-    )
-
-
-# --------------------------------------------------------------------------
-# replication: follower-read and failover scenarios
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class FollowerReadResult:
-    """Virtual-time pricing of a point-read fleet with and without replicas.
-
-    ``primary_us`` is the primary-only plan: every shard's read stream
-    serialises on that shard's one serving pipeline.  ``follower_us`` is
-    the follower-read plan: the same reads round-robin over the primary
-    plus its ``replication_factor`` replicas, each read pinned at
-    ``min(replica watermark, snapshot barrier)`` so it can never observe
-    un-replicated (or fractured cross-shard) state — the safety that
-    makes offloading legal.  Per-server read service time is identical in
-    both plans; the lift is pure fan-out.
-    """
-
-    num_shards: int
-    replication_factor: int
-    reads: int
-    primary_us: float
-    follower_us: float
-
-    @property
-    def read_speedup(self) -> float:
-        """Primary-only / follower-read makespan (>1 = followers win)."""
-        if self.follower_us <= 0.0:
-            return 0.0
-        return self.primary_us / self.follower_us
-
-
-def run_follower_read_scenario(
-    num_shards: int,
-    replication_factor: int = 2,
-    reads_per_shard: int = 10_000,
-    cost: CostModel | None = None,
-) -> FollowerReadResult:
-    """Price a read-heavy window served by primaries vs primaries+replicas.
-
-    Mirrors :meth:`repro.core.sharding.ShardedTransactionManager.read_follower`:
-    a snapshot timestamp is pinned once per batch at
-    ``min(replica watermark, barrier)`` (``snapshot_vector_us``), then
-    each point read costs one versioned probe
-    (``read_hit_us + mvcc_read_overhead_us``) on whichever server it
-    lands on.  With ``replication_factor`` replicas per shard the
-    round-robin spreads a shard's stream over ``1 + rf`` servers, so the
-    makespan divides by the fleet size — at rf=2 the model predicts ~3×,
-    which is what the replication bench's ≥1.5× assertion banks on.
-    """
-    if num_shards <= 0:
-        raise BenchmarkError(f"num_shards must be positive: {num_shards}")
-    if replication_factor < 1:
-        raise BenchmarkError(
-            "follower reads need at least one replica: "
-            f"replication_factor={replication_factor}"
-        )
-    if reads_per_shard <= 0:
-        raise BenchmarkError(f"reads_per_shard must be positive: {reads_per_shard}")
-    c = cost or CostModel()
-    read_us = c.read_hit_us + c.mvcc_read_overhead_us
-    servers = 1 + replication_factor
-    per_server = -(-reads_per_shard // servers)  # ceil division
-    return FollowerReadResult(
-        num_shards=num_shards,
-        replication_factor=replication_factor,
-        reads=num_shards * reads_per_shard,
-        primary_us=c.snapshot_vector_us + reads_per_shard * read_us,
-        follower_us=c.snapshot_vector_us + per_server * read_us,
-    )
-
-
-@dataclass
-class FailoverSimResult:
-    """Outcome of one simulated primary-loss failover (virtual time).
-
-    ``pre_commits``/``post_commits`` are measured over equal windows
-    before the primary dies and after its replica is promoted; the
-    latched promotion window itself is ``promotion_pause_us``.  A healthy
-    failover retains throughput (``retention`` ≈ 1.0): the promoted
-    replica is a full commit pipeline, not a degraded stand-in.
-    """
-
-    num_shards: int
-    replication_factor: int
-    clients: int
-    duration_us: float
-    pre_commits: int
-    post_commits: int
-    failovers: int
-    promotion_pause_us: float
-    replica_lag_records: int
-
-    @property
-    def pre_tps(self) -> float:
-        return self.pre_commits / (self.duration_us / 1_000_000.0)
-
-    @property
-    def post_tps(self) -> float:
-        return self.post_commits / (self.duration_us / 1_000_000.0)
-
-    @property
-    def retention(self) -> float:
-        """Post-failover / pre-failover throughput (≈1.0 = full recovery)."""
-        return self.post_tps / self.pre_tps if self.pre_commits else 0.0
-
-
-def run_failover_scenario(
-    num_shards: int = 4,
-    replication_factor: int = 2,
-    replica_lag_records: int = 32,
-    cross_ratio: float = 0.0,
-    clients: int = 8,
-    theta: float = 0.0,
-    duration_us: float = 200_000.0,
-    warmup_us: float = 50_000.0,
-    settle_us: float = 20_000.0,
-    config: WorkloadConfig | None = None,
-    cost: CostModel | None = None,
-    seed: int = 42,
-    durability: str = SIM_DURABILITY_SYNC,
-) -> FailoverSimResult:
-    """Measure throughput across a live replica promotion.
-
-    ``clients`` writers run continuously while shard 0's primary "dies"
-    and its most-caught-up replica (modelled by a reserved shard slot) is
-    promoted via :func:`~repro.sim.sharded.sharded_failover`.  The
-    promotion pays no bulk copy — continuous WAL-tail shipping already
-    placed the data — only the latched drain-handover-flip window, whose
-    length scales with ``replica_lag_records`` (how far the replica
-    trailed when the primary died; quorum ack bounds it to the unconfirmed
-    tail).  Steady-state throughput is measured over two equal windows so
-    the result isolates what promotion *restores* (a full commit
-    pipeline) from what it *costs* (the pause, reported separately).
-    """
-    if clients <= 0:
-        raise BenchmarkError("need at least one client")
-    if replica_lag_records < 0:
-        raise BenchmarkError(
-            f"replica_lag_records must be >= 0: {replica_lag_records}"
-        )
-    base = config or WorkloadConfig()
-    workload = WorkloadConfig(
-        table_size=base.table_size,
-        txn_length=base.txn_length,
-        theta=theta,
-        value_bytes=base.value_bytes,
-        seed=seed,
-        states=base.states,
-    )
-    env = ShardedSimEnvironment(
-        workload,
-        num_shards,
-        cross_ratio,
-        cost,
-        durability,
-        reserve_shards=num_shards + 1,
-        replication_factor=replication_factor,
-    )
-    sim = Simulator()
-    promote_allowance_us = (
-        workload.table_size
-        * len(workload.states)
-        * env.cost.migration_handover_row_us
-        + replica_lag_records
-        * (env.cost.replication_ship_us + env.cost.replica_apply_us)
-        + env.cost.migration_freeze_io_us
-        + 10_000.0
-    )
-    deadline = warmup_us + 2 * duration_us + promote_allowance_us + settle_us
-    for i in range(clients):
-        wl = WorkloadGenerator(workload, seed_offset=3000 + i)
-        sim.spawn(sharded_writer(env, sim, wl, deadline))
-
-    sim.run_until(warmup_us)
-    env.stats.single_shard_commits = 0
-    env.stats.cross_shard_commits = 0
-    env.stats.aborts = 0
-    sim.run_until(warmup_us + duration_us)
-    pre_commits = env.stats.commits
-
-    sim.spawn(
-        sharded_failover(
-            env, sim, 0, num_shards, lag_records=replica_lag_records
-        )
-    )
-    promote_deadline = sim.now + promote_allowance_us
-    while env.stats.failovers < 1 and sim.now < promote_deadline:
-        sim.run_until(min(sim.now + 1_000.0, promote_deadline))
-    if env.stats.failovers < 1:
-        raise BenchmarkError("the promotion did not finish within the allowance")
-    sim.run_until(sim.now + settle_us)
-
-    env.stats.single_shard_commits = 0
-    env.stats.cross_shard_commits = 0
-    post_start = sim.now
-    sim.run_until(post_start + duration_us)
-    post_commits = env.stats.commits
-    sim.run_to_completion()
-
-    return FailoverSimResult(
-        num_shards=num_shards,
-        replication_factor=replication_factor,
-        clients=clients,
-        duration_us=duration_us,
-        pre_commits=pre_commits,
-        post_commits=post_commits,
-        failovers=env.stats.failovers,
-        promotion_pause_us=env.stats.max_failover_pause_us,
-        replica_lag_records=replica_lag_records,
-    )

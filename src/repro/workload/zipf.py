@@ -17,6 +17,7 @@ permutation step).
 
 from __future__ import annotations
 
+import functools
 import random
 
 
@@ -64,11 +65,14 @@ class ZipfianGenerator:
                 self._harmonic_prefix = prefix
 
     @staticmethod
+    @functools.cache
     def _zeta(n: int, theta: float) -> float:
         """Truncated zeta sum ``sum_{i=1..n} 1/i^theta``.
 
         For very large ``n`` the tail is approximated by the integral
-        ``∫ x^-theta dx`` to keep construction O(min(n, cutoff)).
+        ``∫ x^-theta dx`` to keep construction O(min(n, cutoff)).  Memoised:
+        a pure function of ``(n, theta)``, and every workload generator of a
+        sweep point draws over the same keyspace and θ.
         """
         cutoff = 1_000_000
         if n <= cutoff:

@@ -6,10 +6,12 @@ so adding one has to be a deliberate, reviewed edit to this list.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 from repro.core import ShardedTransactionManager, TransactionManager
 from repro.core.durability import GroupFsyncDaemon
+from repro.sim import CostModel
 
 
 def test_constructor_parameters_are_pinned():
@@ -58,4 +60,27 @@ def test_constructor_parameters_are_pinned():
         "flusher",
         "wait_in_latch",
         "lock_index",
+    ]
+
+
+def test_cost_model_fields_are_pinned():
+    # The Figure-4 simulator charges exactly these costs; a field nothing
+    # in ``repro.sim.clients`` reads is a model of a feature the simulator
+    # no longer has.
+    assert [f.name for f in dataclasses.fields(CostModel)] == [
+        "read_hit_us",
+        "read_miss_us",
+        "mvcc_read_overhead_us",
+        "mvcc_pin_us",
+        "write_buffer_us",
+        "lock_acquire_us",
+        "lock_release_all_us",
+        "validate_base_us",
+        "validate_per_record_us",
+        "latch_us",
+        "apply_per_key_us",
+        "commit_base_us",
+        "commit_sync_io_us",
+        "begin_us",
+        "cache_capacity",
     ]

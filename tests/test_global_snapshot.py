@@ -17,7 +17,10 @@ Pinned here:
 * the barrier is monotone under concurrent cross-shard committers, and
   the coordinator's registration ledger drains;
 * the ``pinned_snapshots`` stats poll no longer races the owning reader
-  (the dictionary-changed-size crash).
+  (the dictionary-changed-size crash);
+* a GC racing a first pin capped at a stale barrier keeps the version
+  the pin reads, whichever of the two runs its barrier read first, and a
+  split landing mid-scan does not break the gather.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ import time
 import pytest
 
 from repro.core import ShardedTransactionManager
+from repro.core.context import StateContext
+from repro.core.snapshot import SnapshotCoordinator
 from repro.errors import TransactionAborted
 
 #: Two-shard transfer invariant: key 0 lives on shard 0, key 1 on shard 1
@@ -230,19 +235,24 @@ class TestSnapshotAcrossSplit:
                 failures.append(("writer", repr(exc)))
 
         def reader():
-            while not stop.is_set():
-                try:
-                    with smgr.snapshot() as view:
-                        total = view.get("S", 0) + view.get("S", 1)
-                        scanned = sum(v for _, v in view.scan("S"))
-                except TransactionAborted:
-                    continue  # rebalance abort: retry with a fresh snapshot
-                if total != 2 * BALANCE:
-                    failures.append(("get", total))
-                    return
-                if scanned != 2 * BALANCE:
-                    failures.append(("scan", scanned))
-                    return
+            # Same rule as the writers: anything but a retryable abort is
+            # a failure, not a silently dead reader.
+            try:
+                while not stop.is_set():
+                    try:
+                        with smgr.snapshot() as view:
+                            total = view.get("S", 0) + view.get("S", 1)
+                            scanned = sum(v for _, v in view.scan("S"))
+                    except TransactionAborted:
+                        continue  # rebalance abort: retry with a fresh snapshot
+                    if total != 2 * BALANCE:
+                        failures.append(("get", total))
+                        return
+                    if scanned != 2 * BALANCE:
+                        failures.append(("scan", scanned))
+                        return
+            except BaseException as exc:
+                failures.append(("reader", repr(exc)))
 
         threads = [threading.Thread(target=writer) for _ in range(2)]
         threads += [threading.Thread(target=reader) for _ in range(2)]
@@ -260,6 +270,96 @@ class TestSnapshotAcrossSplit:
         assert not any(t.is_alive() for t in threads)
         assert smgr.num_shards == 3
         smgr.close()
+
+
+    @pytest.mark.parametrize("protocol", ["mvcc", "bocc"])
+    def test_split_after_scan_opens_its_shards(self, protocol, monkeypatch):
+        """Deterministic: a split that lands after a scan opened its
+        per-shard children (here: right after the last one) must not make
+        the gather index a shard the scan never opened."""
+        smgr = make_sharded(protocol)
+        original = ShardedTransactionManager._child
+        split_after: list[int] = []
+
+        def child(self, txn, shard, route_epoch=None):
+            opened = original(self, txn, shard, route_epoch)
+            if split_after and shard == split_after[0]:
+                split_after.clear()
+                self.split_shard(0)
+            return opened
+
+        monkeypatch.setattr(ShardedTransactionManager, "_child", child)
+        try:
+            with smgr.snapshot() as view:
+                split_after.append(smgr.num_shards - 1)
+                rows = dict(view.scan("S"))
+            assert smgr.num_shards == 3
+            assert rows == {0: BALANCE, 1: BALANCE}
+        finally:
+            smgr.close()
+
+
+@pytest.mark.parametrize("protocol", ["mvcc", "bocc"])
+class TestPinFloorRace:
+    """A first pin capped at a stale live barrier sits below the reader's
+    ``start_ts``.  A GC racing that pin used to reclaim the version the
+    pin reads, and a committed key then read as absent.  Both orders are
+    forced deterministically."""
+
+    @pytest.fixture()
+    def stale(self, protocol):
+        """Key 0 holds ``BALANCE``; a newer version commits while a
+        cross-shard commit held mid phase two keeps the barrier below it;
+        then a reader begins."""
+        smgr = make_sharded(protocol, keys=(0,))
+        held = smgr.snapshot_coordinator.begin_commit()
+        txn = smgr.begin()
+        smgr.write(txn, "S", 0, BALANCE + TRANSFER)
+        smgr.commit(txn)
+        reader = smgr.begin()
+        yield smgr, held, reader
+        smgr.abort(reader)
+        smgr.close()
+
+    def test_gc_between_barrier_read_and_pin(self, stale, monkeypatch):
+        """The GC runs after the reader read the barrier and before it
+        stored the pin, so it sees neither."""
+        smgr, held, reader = stale
+        original = SnapshotCoordinator.barrier
+        fired: list[int] = []
+
+        def barrier(self):
+            value = original(self)
+            if not fired:  # the reader's read; the GC's own reads pass
+                fired.append(value)
+                self.complete(held)
+                smgr.collect_garbage()
+            return value
+
+        monkeypatch.setattr(SnapshotCoordinator, "barrier", barrier)
+        assert smgr.read(reader, "S", 0) == BALANCE
+        assert fired == [held - 1]
+
+    def test_pin_between_horizon_scan_and_barrier_read(self, stale, monkeypatch):
+        """The reader pins after the GC's horizon scan passed it, and the
+        held commit completes before the GC reads its barrier term."""
+        smgr, held, reader = stale
+        original = StateContext.local_oldest_active_version
+        pinned: list[object] = []
+
+        def local_oldest_active_version(self):
+            value = original(self)
+            if not pinned and self is smgr.shards[-1].context:
+                pinned.append(smgr.read(reader, "S", 0))
+                smgr.snapshot_coordinator.complete(held)
+            return value
+
+        monkeypatch.setattr(
+            StateContext, "local_oldest_active_version", local_oldest_active_version
+        )
+        smgr.collect_garbage()
+        assert pinned == [BALANCE]
+        assert smgr.read(reader, "S", 0) == BALANCE
 
 
 class TestPinnedSnapshotsRace:

@@ -7,15 +7,12 @@ from repro.sim import (
     Acquire,
     Delay,
     Release,
-    ShardedSimEnvironment,
     SimCache,
     SimEnvironment,
-    SimGroupFsync,
     SimLatch,
     SimLock,
     Simulator,
     run_benchmark,
-    run_sharded_benchmark,
     sweep_theta,
 )
 from repro.workload import WorkloadConfig
@@ -287,6 +284,30 @@ class TestHarness:
         assert a.commits == b.commits
         assert a.events == b.events
 
+    # Exact counters of one short Figure-4 point per protocol: (reader
+    # commits, writer commits, reader aborts, writer aborts, lock waits,
+    # events).  A change to the cost model, the clients or the harness
+    # that shifts Figure 4 shows up here first; re-record them only for a
+    # deliberate change to the model.
+    @pytest.mark.parametrize(
+        ("protocol", "expected"),
+        [
+            ("mvcc", (369, 80, 0, 0, 0, 804)),
+            ("s2pl", (173, 42, 0, 0, 582, 1111)),
+            ("bocc", (77, 79, 315, 0, 0, 1412)),
+        ],
+    )
+    def test_figure4_point_counters_pinned(self, protocol, expected):
+        r = run_benchmark(protocol, 1.5, readers=4, seed=7, **self._fast)
+        assert (
+            r.reader_commits,
+            r.writer_commits,
+            r.reader_aborts,
+            r.writer_aborts,
+            r.lock_waits,
+            r.events,
+        ) == expected
+
 
 class TestEnvironment:
     def test_group_registered(self):
@@ -307,102 +328,3 @@ class TestEnvironment:
         lock1 = env.key_lock("state_a", 5)
         lock2 = env.key_lock("state_a", 5)
         assert lock1 is lock2
-
-
-class TestShardedDurabilityModes:
-    """Batched-fsync amortisation in the virtual-time sharded scenario."""
-
-    _fast = dict(clients=8, duration_us=15_000.0, warmup_us=4_000.0)
-
-    def test_group_durability_beats_per_commit_fsync(self):
-        sync = run_sharded_benchmark(1, 0.05, **self._fast)
-        group = run_sharded_benchmark(1, 0.05, durability="group", **self._fast)
-        assert group.throughput_tps > sync.throughput_tps
-        # amortisation: strictly fewer fsyncs than committed transactions
-        assert 0 < group.fsyncs < group.commits
-        assert group.commits_per_fsync > 1.0
-        # per-commit mode pays one fsync per participant of every commit
-        assert sync.fsyncs >= sync.commits
-
-    def test_group_durability_scales_with_shards(self):
-        one = run_sharded_benchmark(1, 0.05, durability="group", **self._fast)
-        four = run_sharded_benchmark(4, 0.05, durability="group", **self._fast)
-        assert four.throughput_tps > one.throughput_tps
-
-    def test_unknown_durability_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedSimEnvironment(WorkloadConfig(table_size=64), 1, 0.0, durability="bogus")
-
-    def test_sim_group_fsync_batches_joiners(self):
-        batcher = SimGroupFsync(io_us=100.0)
-        # t=0: device idle, fsync A runs [0, 100)
-        assert batcher.durable_at(0.0) == 100.0
-        # t=50: A is in flight, fsync B is scheduled for [100, 200)
-        assert batcher.durable_at(50.0) == 200.0
-        # t=120: B already started, fsync C is scheduled for [200, 300)
-        assert batcher.durable_at(120.0) == 300.0
-        # t=150: C has not started yet — this record joins C's batch
-        assert batcher.durable_at(150.0) == 300.0
-        assert batcher.fsyncs == 3 and batcher.records == 4
-
-
-class TestShardedOffloadKnobs:
-    """PR-4 cost-model knobs: background checkpoints + coordinator fsync."""
-
-    _fast = dict(clients=8, duration_us=15_000.0, warmup_us=4_000.0)
-
-    def test_background_checkpoints_beat_inline(self):
-        inline = run_sharded_benchmark(
-            2, 0.05, checkpoint_interval=40, **self._fast
-        )
-        background = run_sharded_benchmark(
-            2, 0.05, checkpoint_interval=40,
-            checkpoint_mode="background", **self._fast
-        )
-        # same lifecycle guarantee, cheaper commit path: the daemon pays
-        # the flush, the latched window only the marker I/O
-        assert background.checkpoints > 0
-        assert background.max_wal_tail <= 40
-        assert background.throughput_tps > inline.throughput_tps
-        assert background.checkpoint_mode == "background"
-
-    def test_coordinator_batching_beats_private_fsync(self):
-        sync = run_sharded_benchmark(
-            4, 0.6, coordinator_durability="sync", **self._fast
-        )
-        group = run_sharded_benchmark(
-            4, 0.6, coordinator_durability="group", **self._fast
-        )
-        # one decision fsync per cross-shard commit (±1 straddling the
-        # warmup counter reset) vs shared batches
-        assert sync.coordinator_fsyncs >= sync.cross_shard_commits - 1
-        assert 0 < group.coordinator_fsyncs < group.cross_shard_commits
-        assert group.throughput_tps > sync.throughput_tps
-
-    def test_unmodelled_coordinator_keeps_old_numbers(self):
-        off = run_sharded_benchmark(2, 0.3, **self._fast)
-        assert off.coordinator_fsyncs == 0
-
-    def test_parallel_recovery_estimate_divides_by_workers(self):
-        from repro.sim import CostModel
-
-        seq = run_sharded_benchmark(
-            4, 0.05, cost=CostModel(recovery_parallelism=1), **self._fast
-        )
-        par = run_sharded_benchmark(
-            4, 0.05, cost=CostModel(recovery_parallelism=4), **self._fast
-        )
-        assert par.estimated_recovery_us < seq.estimated_recovery_us
-        # bounded below by the slowest single shard: never a free lunch
-        assert par.estimated_recovery_us > 0
-
-    def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            ShardedSimEnvironment(
-                WorkloadConfig(table_size=64), 1, 0.0, checkpoint_mode="nope"
-            )
-        with pytest.raises(ValueError):
-            ShardedSimEnvironment(
-                WorkloadConfig(table_size=64), 1, 0.0,
-                coordinator_durability="nope",
-            )
