@@ -25,8 +25,8 @@ smaller commit timestamp is durable too — publishing
 an earlier, still-volatile commit of the same shard.
 
 ``durability="async"`` acknowledges commits immediately: the enqueue still
-happens (a background flusher drains batches within ``flush_interval``),
-but nobody waits.  Callers track crash-safety through the durable
+happens (a background flusher drains the queue as records arrive), but
+nobody waits.  Callers track crash-safety through the durable
 watermark (:meth:`GroupFsyncDaemon.durable_watermark`) and can force the
 remainder down with :meth:`GroupFsyncDaemon.flush`.
 """
@@ -71,6 +71,11 @@ DURABILITY_MODES = (DURABILITY_SYNC, DURABILITY_ASYNC)
 #: sorted by shard, so shard-owned daemons use their shard index and
 #: anonymous ones draw from far above any realistic shard count.
 _ANON_DAEMON_INDEX = itertools.count(1 << 16)
+
+#: How long an idle dedicated flusher sleeps between re-checks of its
+#: queue (it is also woken by every enqueue, so this only bounds the
+#: shutdown/poison latency).
+_FLUSHER_IDLE_WAIT_S = 0.002
 
 
 # --------------------------------------------------------------------------
@@ -305,7 +310,6 @@ class GroupFsyncDaemon:
         mode: str = DURABILITY_SYNC,
         max_batch: int = 128,
         batch_window: float = 0.0,
-        flush_interval: float = 0.002,
         flusher: bool | None = None,
         wait_in_latch: bool = False,
         lock_index: int | None = None,
@@ -320,7 +324,6 @@ class GroupFsyncDaemon:
         self.mode = mode
         self.max_batch = max_batch
         self.batch_window = batch_window
-        self.flush_interval = flush_interval
         #: Reference/ablation knob: ``True`` keeps the durability wait
         #: *inside* the table commit latches — the paper's ``sync = true``
         #: design point, where every commit's fsync serialises the whole
@@ -355,7 +358,7 @@ class GroupFsyncDaemon:
         #: *outside* the table commit latches, so a checkpoint that only
         #: quiesces the latches can race it —
         #: :meth:`wait_publishes_drained` closes that window (seq-aware:
-        #: a fuzzy cut only needs the publishes of the records it
+        #: a background cut only needs the publishes of the records it
         #: truncates, not of the tail it keeps).
         self._unpublished: set[int] = set()
         #: Signals the checkpoint quiesce when the unpublished set drains
@@ -368,7 +371,7 @@ class GroupFsyncDaemon:
         self._failure: BaseException | None = None
         self._closed = False
         #: Exactly-once durable-record feed for WAL-tail shipping: called
-        #: with ``[(seq, kind, payload), ...]`` after a batch (or a fuzzy
+        #: with ``[(seq, kind, payload), ...]`` after a batch (or a checkpoint
         #: cut that absorbed pending records) made those records durable.
         #: Invoked *outside* the daemon mutex; batches may be delivered out
         #: of seq order across threads, so consumers buffer by seq (see
@@ -608,8 +611,8 @@ class GroupFsyncDaemon:
         completed) flush plus the context lock, so the set drains in
         bounded time.
 
-        ``up_to`` waits only for records with ``seq <= up_to`` — the fuzzy
-        cut needs the publishes of the prefix it *truncates*; the kept
+        ``up_to`` waits only for records with ``seq <= up_to`` — the
+        background cut needs the publishes of the prefix it *truncates*; the kept
         tail's commits may still be waiting on their durability barrier
         (the cut itself is what makes them durable), so waiting on them
         here would deadlock against the latches this caller holds.
@@ -850,84 +853,38 @@ class GroupFsyncDaemon:
         with self._lock:
             self._records_at_checkpoint = -records
 
-    def write_checkpoint(self, checkpoint_ts: int, last_cts: dict[str, int]) -> int:
-        """Cut a checkpoint: durable marker, then truncate the prefix.
-
-        Caller contract (see ``ShardedTransactionManager.checkpoint_shard``):
-        the shard must be *quiesced* — every table commit latch held, so no
-        new record can enqueue — and the base tables flushed, so every
-        record currently in the WAL is reflected in durable SSTables.
-
-        Two steps, each individually crash-safe:
-
-        1. the marker is appended to the live WAL and fsynced — a crash
-           after this leaves ``[old records..., marker]``: recovery sees an
-           empty tail after the marker and replays nothing;
-        2. the WAL is atomically rewritten to just ``[marker]``
-           (:meth:`~repro.storage.wal.WriteAheadLog.reset_to`) — the
-           truncation that keeps commit WALs bounded.  A crash before the
-           rename keeps the old (marked) file; after it, the new one.
-
-        Returns the number of records the truncation dropped.
-        """
-        self.flush()
-        with self._lock:
-            if self._closed:
-                raise WALError(
-                    f"checkpoint on closed durability daemon ({self.wal.path})"
-                )
-            if self._pending:  # pragma: no cover - quiesce contract violated
-                raise WALError(
-                    f"checkpoint with {len(self._pending)} records still "
-                    f"pending on {self.wal.path} (shard not quiesced)"
-                )
-            dropped = self.records_enqueued - self._records_at_checkpoint
-            self._records_at_checkpoint = self.records_enqueued
-            self.checkpoints += 1
-        payload = encode_checkpoint_record(checkpoint_ts, last_cts)
-        self.wal.append(KIND_CHECKPOINT, payload)
-        self.wal.sync()
-        self.wal.reset_to([(KIND_CHECKPOINT, payload)])
-        return dropped
-
-    def write_checkpoint_fuzzy(
+    def write_checkpoint(
         self, checkpoint_ts: int, last_cts: dict[str, int], covered_seq: int
     ) -> int:
         """Cut a checkpoint whose marker covers only records ``<=
-        covered_seq`` — the background daemon's latch-light variant.
+        covered_seq`` (an ARIES-style fuzzy checkpoint).
 
-        The daemon pre-flushes the base tables *before* quiescing, so by
-        latch time every record up to the pre-flush watermark
-        (``covered_seq``) is reflected in durable SSTables, while a small
-        delta enqueued during the pre-flush is not.  The classic cut would
-        have to flush that delta inside the latches (a whole extra SSTable
-        + its fsyncs, since flush cost is fsync-count-bound, not
-        byte-bound); this cut instead *keeps* the delta records in the
-        WAL: the file is atomically rewritten to ``[marker, delta
-        records...]``, so recovery replays exactly the uncovered suffix
-        (idempotent redo).  The quiesced window then pays a single
-        ``reset_to`` — no flush, no marker pre-append.
+        Caller contract (see ``ShardedTransactionManager.checkpoint_shard``):
+        the shard is *quiesced* — every table commit latch held, so no new
+        record can enqueue — and every record ``<= covered_seq`` is
+        reflected in durable SSTables.  The file is atomically rewritten
+        (:meth:`~repro.storage.wal.WriteAheadLog.reset_to`) to ``[marker,
+        uncovered records...]``, so recovery replays exactly the uncovered
+        suffix (idempotent redo).  A full cut passes the last enqueued seq
+        and leaves just ``[marker]``; the background cut passes its
+        pre-flush watermark and keeps the small delta enqueued during the
+        pre-flush instead of flushing it inside the latches.  Either way the
+        quiesced window pays one ``reset_to`` and nothing else.
 
-        Skipping the classic pre-append of the marker to the old file is
-        what makes this safe: a marker appended *after* records it does
-        not cover would, on a crash before the truncation, make replay
-        skip those records.  Here a crash before the rename keeps the old
+        The marker is never appended to the old file: a marker *after*
+        records it does not cover would, on a crash before the rewrite,
+        make replay skip them.  A crash before the rename keeps the old
         file (the previous marker's longer tail replays — more work, same
-        state); after it, the new file.  ``last_cts``/``checkpoint_ts``
-        may cover the kept delta (they are snapshotted under the latches):
+        state); after it, the new file.  ``last_cts``/``checkpoint_ts`` may
+        cover the kept delta (they are snapshotted under the latches):
         recovery still converges because the delta stays replayable — the
         marker's watermark is a floor the replayed tail reaches, never a
         claim about records that were dropped.
 
         The cut *absorbs* still-pending records instead of flushing them
-        first: the atomic file rewrite writes them (fsynced) into the new
-        tail, so one ``reset_to`` is the quiesced window's only I/O — the
+        first: the rewrite writes them (fsynced) into the new tail, so the
         absorbed records become durable as a side effect and their waiting
         committers are woken, batched into the checkpoint's own fsync.
-
-        Caller contract is otherwise ``write_checkpoint``'s: shard
-        quiesced (no enqueue possible — the table latches are held) and
-        every record ``<= covered_seq`` flushed to the base tables.
         Returns the number of records the truncation dropped.
         """
         with self._lock:
@@ -947,7 +904,7 @@ class GroupFsyncDaemon:
             while self._leader_active:
                 if time.monotonic() >= deadline:
                     raise WALError(
-                        f"fuzzy checkpoint on {self.wal.path}: in-flight "
+                        f"checkpoint on {self.wal.path}: in-flight "
                         "fsync batch did not finish in time"
                     )
                 self._work.wait(0.01)
@@ -965,22 +922,26 @@ class GroupFsyncDaemon:
                 if seq > covered_seq
             ]
             keep_from_file = delta - len(kept_pending)
-            frames = [
-                (kind, frame)
-                for kind, frame in WriteAheadLog.replay(self.wal.path)
-                if kind != KIND_CHECKPOINT
-            ]
+            # A full cut keeps nothing from the file, so it never reads
+            # the tail back.
+            frames = (
+                [
+                    (kind, frame)
+                    for kind, frame in WriteAheadLog.replay(self.wal.path)
+                    if kind != KIND_CHECKPOINT
+                ]
+                if keep_from_file
+                else []
+            )
             if keep_from_file < 0 or keep_from_file > len(frames):
                 # pragma: no cover - accounting corrupted
                 raise WALError(
-                    f"fuzzy checkpoint on {self.wal.path}: {keep_from_file} "
+                    f"checkpoint on {self.wal.path}: {keep_from_file} "
                     f"uncovered file records expected, {len(frames)} intact "
                     "frames found"
                 )
             payload = encode_checkpoint_record(checkpoint_ts, last_cts)
-            keep = (
-                frames[len(frames) - keep_from_file :] if keep_from_file else []
-            )
+            keep = frames[len(frames) - keep_from_file :]
             self.wal.reset_to([(KIND_CHECKPOINT, payload)] + keep + kept_pending)
             # The rewrite fsynced the new file: every submitted record is
             # now durable — the absorbed ones (pending ≤ covered_seq are
@@ -1038,9 +999,9 @@ class GroupFsyncDaemon:
             elif error is not None:
                 self._failure = error
             ready = self._collect_ready_waiters_locked(error)
-            # A fuzzy cut may be parked waiting for this in-flight batch
-            # to finish before it rewrites the file (see
-            # :meth:`write_checkpoint_fuzzy`).
+            # A checkpoint cut may be parked waiting for this in-flight
+            # batch to finish before it rewrites the file (see
+            # :meth:`write_checkpoint`).
             self._work.notify_all()
         # Wake outside the mutex: each waiter parks on its own event, so
         # none of them re-contend the daemon lock on the way out.
@@ -1083,7 +1044,7 @@ class GroupFsyncDaemon:
                 if not self._pending:
                     if self._closed:
                         return
-                    self._work.wait(self.flush_interval)
+                    self._work.wait(_FLUSHER_IDLE_WAIT_S)
                     continue
             self._lead_one_batch()
 

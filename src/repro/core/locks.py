@@ -3,9 +3,13 @@
 Implements hierarchical two-phase locking with the standard multi-granularity
 modes — intention-shared (IS), intention-exclusive (IX), shared (S) and
 exclusive (X) — over abstract resources (we use table-level and key-level
-resources).  Deadlocks are detected with a waits-for graph checked at block
-time; the requester is the victim (simple, starvation-free for the retrying
-workloads the benchmarks run).  A timeout provides a liveness backstop.
+resources).  Grants are FIFO per resource: a request may not overtake an
+earlier queued request it conflicts with, so a waiting writer blocks later
+readers and a stream of readers cannot starve it (upgrades by a current
+holder are the one exception — queueing them behind requests that wait for
+the holder would deadlock).  Deadlocks are detected with a waits-for graph
+derived from the live lock table at block time; the requester is the
+victim.  A timeout provides a liveness backstop.
 """
 
 from __future__ import annotations
@@ -66,10 +70,11 @@ def covers(held: LockMode, requested: LockMode) -> bool:
 
 @dataclass
 class _ResourceLock:
-    """Lock state of one resource: current holders and their modes."""
+    """Lock state of one resource: current holders and their modes, and
+    the blocked requests in arrival order (txn id -> requested mode)."""
 
     holders: dict[int, LockMode] = field(default_factory=dict)
-    waiters: int = 0
+    queue: dict[int, LockMode] = field(default_factory=dict)
 
 
 class LockManager:
@@ -88,8 +93,8 @@ class LockManager:
         self._cond = threading.Condition(self._mutex)
         self._locks: dict[Hashable, _ResourceLock] = {}
         self._held_by_txn: dict[int, set[Hashable]] = {}
-        #: waits-for edges, only populated while a txn is blocked.
-        self._waits_for: dict[int, set[int]] = {}
+        #: txn id -> the resource it is blocked on (queued there).
+        self._blocked_on: dict[int, Hashable] = {}
         self.deadlocks = 0
         self.timeouts = 0
         self.waits = 0
@@ -117,24 +122,21 @@ class LockManager:
                 return False
 
             waited = False
-            while not self._grantable(lock, txn_id, mode):
-                waited = True
-                blockers = {
-                    holder
-                    for holder, held_mode in lock.holders.items()
-                    if holder != txn_id and not compatible(held_mode, mode)
-                }
-                if self.deadlock_detection and self._would_deadlock(txn_id, blockers):
-                    self.deadlocks += 1
-                    raise DeadlockDetected(
-                        f"txn {txn_id} requesting {mode.value} on {resource!r} "
-                        f"would deadlock with {sorted(blockers)}",
-                        txn_id=txn_id,
-                    )
-                self._waits_for[txn_id] = blockers
-                lock.waiters += 1
-                self.waits += 1
-                try:
+            try:
+                while blockers := self._blockers(lock, txn_id, mode):
+                    waited = True
+                    if self.deadlock_detection and self._would_deadlock(
+                        txn_id, blockers
+                    ):
+                        self.deadlocks += 1
+                        raise DeadlockDetected(
+                            f"txn {txn_id} requesting {mode.value} on "
+                            f"{resource!r} would deadlock with {sorted(blockers)}",
+                            txn_id=txn_id,
+                        )
+                    lock.queue.setdefault(txn_id, mode)
+                    self._blocked_on[txn_id] = resource
+                    self.waits += 1
                     remaining = deadline - time.monotonic()
                     if remaining <= 0 or not self._cond.wait(remaining):
                         self.timeouts += 1
@@ -142,21 +144,35 @@ class LockManager:
                             f"txn {txn_id} timed out on {mode.value} {resource!r}",
                             txn_id=txn_id,
                         )
-                finally:
-                    lock.waiters -= 1
-                    self._waits_for.pop(txn_id, None)
+            except BaseException:
+                # Requests queued behind this one may be grantable now.
+                self._cond.notify_all()
+                raise
+            finally:
+                if lock.queue.pop(txn_id, None) is not None:
+                    del self._blocked_on[txn_id]
 
             self._grant(lock, txn_id, mode)
             self._held_by_txn.setdefault(txn_id, set()).add(resource)
             return waited
 
-    def _grantable(self, lock: _ResourceLock, txn_id: int, mode: LockMode) -> bool:
-        for holder, held_mode in lock.holders.items():
-            if holder == txn_id:
-                continue
-            if not compatible(held_mode, mode):
-                return False
-        return True
+    @staticmethod
+    def _blockers(lock: _ResourceLock, txn_id: int, mode: LockMode) -> set[int]:
+        """The txns ``txn_id``'s request for ``mode`` waits for: conflicting
+        holders and, unless it already holds the resource (an upgrade),
+        conflicting requests queued ahead of it.  Empty means grantable."""
+        blockers = {
+            holder
+            for holder, held_mode in lock.holders.items()
+            if holder != txn_id and not compatible(held_mode, mode)
+        }
+        if txn_id not in lock.holders:
+            for queued, wanted in lock.queue.items():
+                if queued == txn_id:
+                    break
+                if not compatible(wanted, mode):
+                    blockers.add(queued)
+        return blockers
 
     @staticmethod
     def _grant(lock: _ResourceLock, txn_id: int, mode: LockMode) -> None:
@@ -172,7 +188,12 @@ class LockManager:
                 lock.holders[txn_id] = mode
 
     def _would_deadlock(self, requester: int, blockers: set[int]) -> bool:
-        """DFS over waits-for: would ``requester -> blockers`` close a cycle?"""
+        """DFS over waits-for: would ``requester -> blockers`` close a cycle?
+
+        A blocked txn's edges are recomputed from the lock table, never
+        cached: queue order and holders change while it sleeps, and a stale
+        edge set reports cycles that no longer exist.
+        """
         stack = list(blockers)
         seen: set[int] = set()
         while stack:
@@ -182,7 +203,10 @@ class LockManager:
             if node in seen:
                 continue
             seen.add(node)
-            stack.extend(self._waits_for.get(node, ()))
+            resource = self._blocked_on.get(node)
+            if resource is not None:
+                lock = self._locks[resource]
+                stack.extend(self._blockers(lock, node, lock.queue[node]))
         return False
 
     # -------------------------------------------------------------- release
@@ -192,7 +216,7 @@ class LockManager:
             lock = self._locks.get(resource)
             if lock is not None and txn_id in lock.holders:
                 del lock.holders[txn_id]
-                if not lock.holders and not lock.waiters:
+                if not lock.holders and not lock.queue:
                     del self._locks[resource]
             held = self._held_by_txn.get(txn_id)
             if held is not None:
@@ -209,7 +233,7 @@ class LockManager:
                 lock = self._locks.get(resource)
                 if lock is not None:
                     lock.holders.pop(txn_id, None)
-                    if not lock.holders and not lock.waiters:
+                    if not lock.holders and not lock.queue:
                         del self._locks[resource]
             if resources:
                 self._cond.notify_all()

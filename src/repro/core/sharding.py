@@ -64,12 +64,13 @@ cross-shard commits additionally log their decision to a global
 coordinator outcome log (batched: concurrent 2PC coordinators share one
 decision fsync) so recovery can resolve in-doubt prepares
 (presumed-abort).  Commit WALs stay bounded through checkpoints: before
-a shard's tail outgrows ``checkpoint_interval`` records the shard is
-pre-flushed without latches, quiesced briefly (all commit latches),
-its LSM stores flushed, a checkpoint marker cut and the covered prefix
-truncated — by the background :class:`CheckpointDaemon` in the default
-``checkpoint_mode="background"`` (committers only signal it), or by the
-committer that trips the interval in ``"inline"`` mode.  A crashed
+a shard's tail outgrows ``checkpoint_interval`` records the background
+:class:`CheckpointDaemon` (committers only signal it) pre-flushes the
+shard's LSM stores without latches, quiesces it briefly (all commit
+latches) and rewrites the WAL to a checkpoint marker plus the few
+records the pre-flush did not cover — an ARIES-style fuzzy checkpoint.
+Manual, closing, migration and post-recovery cuts take the same path
+with everything covered, leaving just the marker.  A crashed
 process reopens with :meth:`ShardedTransactionManager.open`, which
 replays only the tails, shards in parallel
 (:mod:`repro.recovery.sharded`).
@@ -341,15 +342,15 @@ CHECKPOINT_FLUSH_TIMEOUT = 30.0
 class CheckpointDaemon:
     """Background checkpoint thread of one sharded manager.
 
-    In ``background`` checkpoint mode committers never run
-    ``checkpoint_shard`` themselves: when a shard's commit-WAL tail crosses
-    the trigger they :meth:`request` a cut (one set insert under a mutex)
-    and return — the LSM flush, marker and truncation all happen on this
-    thread, off the commit path's tail latency.  Requests coalesce: a
-    trigger storm on one shard collapses into a single cut.  Fence and
-    poison are honored by the cut itself (``checkpoint_shard(idx,
-    blocking=False)`` skips on both), so the daemon can never flush base
-    tables on a manager whose in-memory state is not trustworthy.
+    Committers never run ``checkpoint_shard`` themselves: when a shard's
+    commit-WAL tail crosses the trigger they :meth:`request` a cut (one set
+    insert under a mutex) and return — the LSM flush, marker and truncation
+    all happen on this thread, off the commit path's tail latency.
+    Requests coalesce: a trigger storm on one shard collapses into a single
+    cut.  Fence and poison are honored by the cut itself
+    (``checkpoint_shard(idx, background=True)`` skips on both), so the
+    daemon can never flush base tables on a manager whose in-memory state
+    is not trustworthy.
 
     The on-disk WAL bound survives the move off the commit path through
     :meth:`throttle`: a committer about to push a shard's tail past
@@ -360,10 +361,11 @@ class CheckpointDaemon:
 
     Cuts of *different* shards are independent (each quiesces only its own
     tables and truncates its own WAL), so the daemon runs a small worker
-    pool: when several shards trip together — the common case under a
-    uniform load — their marker/SSTable fsyncs overlap on the device
-    instead of forming one long serial stall that commits behind the last
-    shard's latches would feel.
+    pool of half the shards (rounded up, at most ``_SHARD_POOL_LIMIT``):
+    when several shards trip together — the common case under a uniform
+    load — their marker/SSTable fsyncs overlap on the device instead of
+    forming one long serial stall that commits behind the last shard's
+    latches would feel, while commits on the uncut half keep flowing.
 
     Lifecycle: :meth:`close` drains the pending set (outstanding requests
     are still cut), then joins with a bounded timeout so a wedged WAL (an
@@ -372,9 +374,7 @@ class CheckpointDaemon:
     tests (and the final checkpoint) synchronise with the queue.
     """
 
-    def __init__(
-        self, manager: "ShardedTransactionManager", workers: int | None = None
-    ) -> None:
+    def __init__(self, manager: "ShardedTransactionManager") -> None:
         self._manager = manager
         # Ranked above the per-shard fsync-daemon mutex: the auto-cut
         # throttle samples ``records_since_checkpoint()`` (daemon lock)
@@ -399,7 +399,7 @@ class CheckpointDaemon:
         self.cuts = 0
         self.records_truncated = 0
         #: Cuts that raised out of ``checkpoint_shard`` (anything beyond
-        #: the WALError/TimeoutError the non-blocking path absorbs — e.g.
+        #: the WALError/TimeoutError a background cut absorbs — e.g.
         #: an OSError from the LSM pre-flush).  Kept visible instead of
         #: swallowed: diagnosable via :meth:`stats`, and committers
         #: parked in :meth:`throttle` are released when the cut they are
@@ -409,16 +409,12 @@ class CheckpointDaemon:
         #: Per-shard failure epochs: throttled committers give up only
         #: when a cut of *their* shard fails, not any shard's.
         self._shard_cut_failures: dict[int, int] = {}
-        if workers is None:
-            # Half the shards (rounded up): enough to overlap coinciding
-            # cuts' fsyncs, while never holding every shard's latches at
-            # once — commits on the uncut half keep flowing.
-            workers = min((manager.num_shards + 1) // 2, _SHARD_POOL_LIMIT)
+        workers = min((manager.num_shards + 1) // 2, _SHARD_POOL_LIMIT)
         self._threads = [
             threading.Thread(
                 target=self._run, name=f"checkpoint-daemon-{i}", daemon=True
             )
-            for i in range(max(1, workers))
+            for i in range(workers)
         ]
         for thread in self._threads:
             thread.start()
@@ -537,8 +533,9 @@ class CheckpointDaemon:
                     self._cond.notify_all()
                     return
                 if job is None:
-                    # Workers never double up on one shard: the cut's
-                    # non-blocking lock would make the second a no-op anyway.
+                    # Workers never double up on one shard: a background
+                    # cut skips a held lock, so the second would be a
+                    # no-op anyway.
                     idx = min(self._pending)
                     self._pending.discard(idx)
                     self._active.add(idx)
@@ -563,15 +560,13 @@ class CheckpointDaemon:
                     shard_daemon is not None
                     and shard_daemon.records_since_checkpoint() > 0
                 ):
-                    dropped = self._manager.checkpoint_shard(
-                        idx, blocking=False, fuzzy=True
-                    )
+                    dropped = self._manager.checkpoint_shard(idx, background=True)
                 if dropped:
                     with self._cond:
                         self.cuts += 1
                         self.records_truncated += dropped
             except Exception as exc:
-                # Beyond the WALError/TimeoutError the non-blocking cut
+                # Beyond the WALError/TimeoutError the background cut
                 # absorbs (e.g. OSError from the LSM pre-flush).  Record
                 # it — stats() surfaces the count, throttle() releases
                 # the committers parked on this cut — and keep serving:
@@ -632,8 +627,6 @@ class ShardedTransactionManager:
         durability: str = DURABILITY_SYNC,
         fsync_batch_window: float = 0.0,
         checkpoint_interval: int = 4096,
-        checkpoint_mode: str = "background",
-        coordinator_batching: bool = True,
         lsm_options: LSMOptions | None = None,
         global_snapshots: bool = True,
         storage_maintenance: str = MAINTENANCE_BACKGROUND,
@@ -647,11 +640,6 @@ class ShardedTransactionManager:
     ) -> None:
         if num_shards <= 0:
             raise ValueError(f"num_shards must be positive: {num_shards}")
-        if checkpoint_mode not in ("background", "inline"):
-            raise ValueError(
-                f"checkpoint_mode must be 'background' or 'inline': "
-                f"{checkpoint_mode!r}"
-            )
         if storage_maintenance not in (MAINTENANCE_BACKGROUND, MAINTENANCE_INLINE):
             raise ValueError(
                 f"storage_maintenance must be 'background' or 'inline': "
@@ -685,16 +673,11 @@ class ShardedTransactionManager:
         #: tail outgrows this many records (0 disables; explicit
         #: :meth:`checkpoint` always works).
         self.checkpoint_interval = checkpoint_interval
-        #: ``"background"`` (default) hands auto-checkpoints to the
-        #: :class:`CheckpointDaemon` — committers only signal; ``"inline"``
-        #: keeps the pre-daemon behaviour (the committer that trips the
-        #: interval pays the whole flush), the benchmark reference point.
-        self.checkpoint_mode = checkpoint_mode
-        #: Background-mode soft trigger: a cut is *requested* once a tail
-        #: is within 1/8 interval (≥2 records) of the bound, so it
-        #: normally completes before the hard bound engages commit
-        #: backpressure without cutting much more often than inline mode
-        #: would (fuzzy cuts leave a small residual tail behind).
+        #: Soft trigger: a cut is *requested* once a tail is within 1/8
+        #: interval (≥2 records) of the bound, so it normally completes
+        #: before the hard bound engages commit backpressure without
+        #: cutting much more often than once per interval (a background
+        #: cut leaves a small residual tail behind).
         self._soft_trigger = max(
             1, checkpoint_interval - max(2, checkpoint_interval // 8)
         )
@@ -704,9 +687,9 @@ class ShardedTransactionManager:
         #: checkpoint protocol flushes memtables to fsynced SSTables before
         #: any commit-WAL prefix is dropped.  The manager-level
         #: ``storage_maintenance`` knob is authoritative over the options'
-        #: ``maintenance`` field (so benchmarks flip one argument, like
-        #: ``checkpoint_mode``): in durable mode every base table is stamped
-        #: with it and, for ``"background"``, attached to the shared
+        #: ``maintenance`` field (so benchmarks flip one argument): in
+        #: durable mode every base table is stamped with it and, for
+        #: ``"background"``, attached to the shared
         #: :class:`~repro.storage.maintenance.StorageMaintenanceDaemon`.
         self.storage_maintenance = storage_maintenance
         base_lsm_options = lsm_options or LSMOptions(sync=False)
@@ -931,11 +914,9 @@ class ShardedTransactionManager:
             # Cross-shard 2PC decisions batch their fsync exactly like the
             # shard commit WALs do: concurrent coordinators share one
             # decision flush instead of serialising on a private fsync
-            # under the log's lock (coordinator_batching=False keeps the
-            # fsync-per-decision reference behaviour for benchmarks).
+            # under the log's lock.
             self.coordinator_log = CoordinatorLog(
                 coordinator_log_path(self.data_dir),
-                batched=coordinator_batching,
                 batch_window=fsync_batch_window,
             )
             # Roll the slot map forward over flip records newer than the
@@ -959,14 +940,10 @@ class ShardedTransactionManager:
             self._schema.slot_epoch = self.slot_map.epoch
             self._schema.save(self.data_dir)
             self._durable_slot_epoch = self.slot_map.epoch
-        #: Background checkpoint thread (durable auto-checkpointing mode
-        #: only): commits signal it instead of flushing inline.
+        #: Background checkpoint thread (durable managers with an
+        #: auto-checkpoint interval only): commits signal it.
         self.checkpoint_daemon: CheckpointDaemon | None = None
-        if (
-            self.data_dir is not None
-            and checkpoint_interval > 0
-            and checkpoint_mode == "background"
-        ):
+        if self.data_dir is not None and checkpoint_interval > 0:
             self.checkpoint_daemon = CheckpointDaemon(self)
         #: Shared background flush/compaction pool for every LSM base
         #: table (durable ``storage_maintenance="background"`` mode only):
@@ -1979,75 +1956,55 @@ class ShardedTransactionManager:
     def _maybe_checkpoint(self, shards: list[int]) -> None:
         """Auto-checkpoint trigger, evaluated after every commit.
 
-        Cheap when idle (one counter read per touched shard).  In
-        ``background`` mode (the default) a shard whose tail crosses the
-        soft trigger is handed to the :class:`CheckpointDaemon` — the
-        committer only signals; the flush, marker and truncation run off
-        the commit path.  In ``inline`` mode the triggering committer runs
-        the checkpoint itself once the tail reaches the interval (the
-        pre-daemon behaviour, kept as the benchmark reference point).
-        Non-blocking either way: if another thread is already
-        checkpointing the shard, skip.
+        Cheap when idle (one counter read per touched shard).  A shard
+        whose tail crosses the soft trigger is handed to the
+        :class:`CheckpointDaemon` — the committer only signals; the flush,
+        marker and truncation run off the commit path.
         """
-        if self.data_dir is None or self.checkpoint_interval <= 0 or self.fenced:
+        if self.checkpoint_daemon is None or self.fenced:
             return
         for idx in shards:
             daemon = self.daemons[idx]
             if daemon is None:
                 continue
-            tail = daemon.records_since_checkpoint()
-            if self.checkpoint_daemon is not None:
-                # De-phase the fleet: under a uniform load every shard's
-                # tail crosses the trigger within a few records of the
-                # others, so the cuts would all land together — one wide
-                # stall window instead of num_shards narrow ones.  The
-                # *first* trigger of each shard is pulled forward by a
-                # large per-shard offset (initial phase separation), and
-                # every later trigger by a small permanent one: slightly
-                # different periods keep the phases drifting apart
-                # instead of re-clumping.
-                if self._auto_cut_seeded[idx]:
-                    skew = (idx * self.checkpoint_interval) // (
-                        8 * self.num_shards
-                    )
-                else:
-                    skew = (idx * self.checkpoint_interval) // (
-                        2 * self.num_shards
-                    )
-                threshold = max(1, self._soft_trigger - skew)
-                if tail >= threshold:
-                    self._auto_cut_seeded[idx] = True
-                    self.checkpoint_daemon.request(idx)
-            elif tail >= self.checkpoint_interval:
-                self.checkpoint_shard(idx, blocking=False)
+            # De-phase the fleet: under a uniform load every shard's tail
+            # crosses the trigger within a few records of the others, so
+            # the cuts would all land together — one wide stall window
+            # instead of num_shards narrow ones.  The *first* trigger of
+            # each shard is pulled forward by a large per-shard offset
+            # (initial phase separation), and every later trigger by a
+            # small permanent one: slightly different periods keep the
+            # phases drifting apart instead of re-clumping.
+            if self._auto_cut_seeded[idx]:
+                skew = (idx * self.checkpoint_interval) // (8 * self.num_shards)
+            else:
+                skew = (idx * self.checkpoint_interval) // (2 * self.num_shards)
+            threshold = max(1, self._soft_trigger - skew)
+            if daemon.records_since_checkpoint() >= threshold:
+                self._auto_cut_seeded[idx] = True
+                self.checkpoint_daemon.request(idx)
 
     def checkpoint_shard(
-        self,
-        idx: int,
-        blocking: bool = True,
-        fuzzy: bool = False,
-        during_migration: bool = False,
+        self, idx: int, background: bool = False, during_migration: bool = False
     ) -> int:
         """Cut one shard's checkpoint; returns WAL records truncated.
 
-        ``fuzzy=True`` (the background daemon's mode) keeps the records
-        enqueued *during* the pre-flush in the WAL instead of flushing
-        them under the latches: the quiesced window then pays one atomic
-        ``reset_to`` and nothing else — see
-        :meth:`~repro.core.durability.GroupFsyncDaemon.
-        write_checkpoint_fuzzy`.  The classic cut (manual checkpoints,
-        inline mode, the final close checkpoint) flushes everything and
-        leaves a clean ``[marker]`` file behind.
+        ``background=True`` is the :class:`CheckpointDaemon`'s cut: it
+        skips instead of waiting when another cut holds the shard, skips
+        on a fenced manager or a failed pipeline, and keeps the records
+        enqueued *during* the pre-flush in the WAL instead of flushing them
+        under the latches.  The default full cut (manual checkpoints,
+        close, migrations, the post-recovery cut) waits for the shard,
+        raises on failure, flushes everything and leaves a clean
+        ``[marker]`` file behind.  Both end in the one atomic rewrite of
+        :meth:`~repro.core.durability.GroupFsyncDaemon.write_checkpoint`.
 
-        Protocol (each step leaves a recoverable state, see
-        :meth:`~repro.core.durability.GroupFsyncDaemon.write_checkpoint`):
+        Protocol (each step leaves a recoverable state):
 
         0. pre-flush every LSM base table *without* the latches: the bulk
            of the memtable data reaches fsynced SSTables while commits
            keep flowing, so the quiesced window below pays only the small
-           delta written since — the latch-hold time (what concurrent
-           committers actually feel) shrinks from the whole flush to a
-           near-empty one plus the marker I/O;
+           delta written since;
         1. quiesce the shard — acquire **all** its table commit latches in
            sorted order (the same order commits use).  Every commit-WAL
            enqueue happens under the latches of the tables it writes, and
@@ -2055,18 +2012,19 @@ class ShardedTransactionManager:
            the latches are held no record can enqueue and no enqueued
            record is un-applied — and no in-doubt prepare can be caught
            behind the marker;
-        2. drain the daemon (everything enqueued becomes durable) and wait
-           out in-flight ``LastCTS`` publishes — committers release the
-           latches *before* their durability barrier and publish, so
-           without this wait the marker's ``last_cts`` snapshot could miss
-           a commit whose record step 4 then truncates (after a crash that
-           loses the unsynced context store, recovery would restore
-           ``LastCTS`` below an acknowledged commit and the oracle could
-           reissue its timestamp);
-        3. flush every LSM base table — all applied commits land in
-           fsynced SSTables;
-        4. write the checkpoint marker (carrying the shard's group
-           ``LastCTS`` snapshot) and truncate the covered prefix.
+        2. wait out in-flight ``LastCTS`` publishes of the records the cut
+           truncates — committers release the latches *before* their
+           durability barrier and publish, so without this wait the
+           marker's ``last_cts`` snapshot could miss a commit whose record
+           step 4 then truncates (after a crash that loses the unsynced
+           context store, recovery would restore ``LastCTS`` below an
+           acknowledged commit and the oracle could reissue its
+           timestamp).  A full cut first drains the daemon and waits for
+           every publish;
+        3. a full cut re-flushes every LSM base table, so all applied
+           commits land in fsynced SSTables;
+        4. rewrite the WAL to the checkpoint marker (carrying the shard's
+           group ``LastCTS`` snapshot) plus the uncovered records.
         """
         daemon = self.daemons[idx]
         if daemon is None:
@@ -2078,18 +2036,13 @@ class ShardedTransactionManager:
             # blocked — the migration cuts its own checkpoints and leaves
             # the WAL bounded again once the flip lands.
             return 0
-        if not blocking and (self.fenced or daemon.failed):
-            # Best-effort auto-checkpoint riding a committer that already
-            # committed and published (possibly a pure read): skip, like
-            # on lock contention, rather than raising out of a successful
-            # commit — an explicit blocking checkpoint still surfaces the
-            # fence/poison.
+        if background and (self.fenced or daemon.failed):
+            # Best-effort cut: skip, like on lock contention — an explicit
+            # full checkpoint still surfaces the fence/poison.
             return 0
         self._ensure_not_fenced()
         lock = self._ckpt_locks[idx]
-        if blocking:
-            lock.acquire()
-        elif not lock.acquire(blocking=False):
+        if not lock.acquire(blocking=not background):
             return 0
         try:
             if idx in self._migrating and not during_migration:
@@ -2108,12 +2061,12 @@ class ShardedTransactionManager:
                 if callable(flush)
             ]
             # Step 0: pre-flush outside the latches (see the docstring).
-            # The watermark drawn *before* the flush is what the fuzzy cut
-            # may cover.  NOT ``last_enqueued()``: commits enqueue before
-            # they apply, so an in-flight commit's record can be enqueued
-            # while its writes are still missing from the memtable this
-            # pre-flush seals.  The settled-publish prefix is the safe
-            # cover — settle happens strictly after the apply (see
+            # The watermark drawn *before* the flush is what a background
+            # cut may cover.  NOT ``last_enqueued()``: commits enqueue
+            # before they apply, so an in-flight commit's record can be
+            # enqueued while its writes are still missing from the
+            # memtable this pre-flush seals.  The settled-publish prefix is
+            # the safe cover — settle happens strictly after the apply (see
             # :meth:`GroupFsyncDaemon.covered_watermark`).
             covered_seq = daemon.covered_watermark()
             for flush in backend_flushes:
@@ -2130,10 +2083,10 @@ class ShardedTransactionManager:
                 # fenced the manager while this thread blocked on a
                 # prepared participant's latch — the tables it released
                 # may be missing a durably-decided transaction's writes.
-                if self.fenced and not blocking:
+                if self.fenced and background:
                     return 0
                 self._ensure_not_fenced()
-                if fuzzy:
+                if background:
                     # Only the publishes of the records the cut will
                     # *truncate* must land before the snapshot below; the
                     # kept tail's committers may still be parked on their
@@ -2142,21 +2095,20 @@ class ShardedTransactionManager:
                 else:
                     daemon.flush(timeout=CHECKPOINT_FLUSH_TIMEOUT)
                     daemon.wait_publishes_drained()
-                    # Classic cut: the delta enqueued since the pre-flush
-                    # must reach the SSTables before the marker covers it.
+                    # The delta enqueued since the pre-flush must reach
+                    # the SSTables before the marker covers it; with every
+                    # publish settled the watermark is the last record.
                     for flush in backend_flushes:
                         flush()
+                    covered_seq = daemon.covered_watermark()
                 last_cts = {
                     gid: shard.context.last_cts(gid)
                     for gid in shard.context.group_ids()
                 }
                 checkpoint_ts = max(last_cts.values(), default=0)
-                if fuzzy:
-                    dropped = daemon.write_checkpoint_fuzzy(
-                        checkpoint_ts, last_cts, covered_seq
-                    )
-                else:
-                    dropped = daemon.write_checkpoint(checkpoint_ts, last_cts)
+                dropped = daemon.write_checkpoint(
+                    checkpoint_ts, last_cts, covered_seq
+                )
                 self._last_checkpoint_ts[idx] = checkpoint_ts
             if self.coordinator_log is not None:
                 # Decision watermark over the shards that can still hold
@@ -2182,7 +2134,7 @@ class ShardedTransactionManager:
                 )
             return dropped
         except (WALError, TimeoutError):
-            if not blocking:
+            if background:
                 # The pipeline failed (poison, drain timeout, wedged
                 # device) under a best-effort cut: the WAL tail simply
                 # stays for a later explicit checkpoint or restart
@@ -2543,9 +2495,7 @@ class ShardedTransactionManager:
                     # Promoted rows + marker durable BEFORE the flip can
                     # commit — a durable flip must never point at data
                     # only buffered in memory.
-                    self.checkpoint_shard(
-                        target, blocking=True, during_migration=True
-                    )
+                    self.checkpoint_shard(target, during_migration=True)
                     flip = self.slot_map.promotion_flip(source, target)
                     try:
                         self.coordinator_log.log_slot_flip(flip)
@@ -2594,9 +2544,7 @@ class ShardedTransactionManager:
                         if deletes:
                             src.backend.write_batch([], deletes)
                     try:
-                        self.checkpoint_shard(
-                            source, blocking=True, during_migration=True
-                        )
+                        self.checkpoint_shard(source, during_migration=True)
                     except (WALError, TimeoutError, StorageError):
                         # Best effort: the demoted primary's storage may
                         # be the very thing that failed.  Its surviving
@@ -2857,9 +2805,7 @@ class ShardedTransactionManager:
                     # reaches fsynced SSTables and the marker, so the scan
                     # below reads a complete image and the WAL suffix is
                     # exactly the delta the freeze will replay.
-                    self.checkpoint_shard(
-                        source, blocking=True, during_migration=True
-                    )
+                    self.checkpoint_shard(source, during_migration=True)
                 copied = 0
                 for state_id in src_mgr.context.state_ids():
                     src = src_mgr.table(state_id)
@@ -2881,7 +2827,8 @@ class ShardedTransactionManager:
 
             if durable:
                 # The CheckpointDaemon drives the copy (it already owns
-                # off-critical-path flush I/O); inline mode runs it here.
+                # off-critical-path flush I/O); a manager without
+                # auto-checkpoints (interval 0) runs it here.
                 if self.checkpoint_daemon is not None:
                     self.checkpoint_daemon.drive(copy_phase)
                 else:
@@ -3008,9 +2955,7 @@ class ShardedTransactionManager:
                     # Migrated rows + marker durable on the target BEFORE
                     # the flip can commit: a durable flip must never point
                     # at data only buffered in memory.
-                    self.checkpoint_shard(
-                        target, blocking=True, during_migration=True
-                    )
+                    self.checkpoint_shard(target, during_migration=True)
                 self._fault_point("catchup")
                 flip = SlotFlip(
                     self.slot_map.epoch + 1,
@@ -3066,9 +3011,7 @@ class ShardedTransactionManager:
                     # migrated and checkpointed on the target (moved
                     # keys), so the suffix truncates and the purge
                     # becomes durable.
-                    self.checkpoint_shard(
-                        source, blocking=True, during_migration=True
-                    )
+                    self.checkpoint_shard(source, during_migration=True)
             self.slot_migrations += 1
             self.slots_moved += len(moving)
             self.keys_migrated += moved_keys

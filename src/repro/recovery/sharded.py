@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..errors import StorageError, WALError
+from ..errors import StorageError
 from ..storage.wal import (
     KIND_COORD_COMMIT,
     KIND_SLOT_FLIP,
@@ -263,18 +263,15 @@ class CoordinatorLog:
     image); a prepare with **no** decision anywhere rolls back.  Abort
     decisions are never logged — that is the presumed-abort optimisation.
 
-    ``batched=True`` (the default) routes decision records through a
+    Decision records go through a
     :class:`~repro.core.durability.GroupFsyncDaemon` on the log file:
-    :meth:`log_commit` becomes enqueue-then-wait, so N concurrent
-    cross-shard coordinators share **one** decision fsync
-    (``append_many``) instead of serialising N private fsyncs under this
-    log's lock — the classic 2PC coordinator-log bottleneck, amortised
-    the same way the per-shard commit WALs already are.  The durability
-    contract is unchanged: :meth:`log_commit` returns only once the
-    decision is on stable storage, so phase two still starts strictly
-    after the decision is durable and recovery's presumed-abort reading
-    holds.  ``batched=False`` keeps the fsync-per-decision reference
-    behaviour (benchmarks compare the two).
+    :meth:`log_commit` is enqueue-then-wait, so N concurrent cross-shard
+    coordinators share **one** decision fsync (``append_many``) instead of
+    serialising N private fsyncs under this log's lock — the classic 2PC
+    coordinator-log bottleneck, amortised the same way the per-shard
+    commit WALs are.  :meth:`log_commit` returns only once the decision is
+    on stable storage, so phase two starts strictly after the decision is
+    durable and recovery's presumed-abort reading holds.
 
     Decisions for transactions whose commit records every shard has since
     checkpointed are garbage; :meth:`compact` drops every outcome at or
@@ -282,16 +279,12 @@ class CoordinatorLog:
     """
 
     def __init__(
-        self,
-        path: str | os.PathLike[str],
-        sync: bool = True,
-        batched: bool = True,
-        batch_window: float = 0.0,
+        self, path: str | os.PathLike[str], batch_window: float = 0.0
     ) -> None:
         self.path = Path(path)
         self._outcomes, self._flips = self._read_log(self.path)
-        batched = batched and sync
-        self._wal = WriteAheadLog(self.path, sync=sync and not batched)
+        # The batcher fsyncs; the WAL's own per-append sync stays off.
+        self._wal = WriteAheadLog(self.path, sync=False)
         if self.path.stat().st_size > 0:
             # Rewrite to exactly the intact records before appending: a
             # crash-torn tail frame would otherwise sit *before* every new
@@ -302,11 +295,7 @@ class CoordinatorLog:
             self._wal.reset_to(self._all_records_locked())
         #: Leader/follower batcher over the log (no dedicated thread): the
         #: first waiting coordinator drains the queue and fsyncs for all.
-        self._daemon = (
-            GroupFsyncDaemon(self._wal, batch_window=batch_window)
-            if batched
-            else None
-        )
+        self._daemon = GroupFsyncDaemon(self._wal, batch_window=batch_window)
         self._lock = threading.Lock()
 
     @staticmethod
@@ -362,13 +351,13 @@ class CoordinatorLog:
     def log_commit(self, txn_id: int, commit_ts: int, shards: list[int]) -> None:
         """Make one commit decision durable (fsynced before returning).
 
-        Batched mode enqueues the record and waits on its ticket — the
-        wait runs *outside* this log's lock, so concurrent coordinators
-        pile onto the batcher and one ``append_many`` fsync covers all of
-        them.  The in-memory outcome is recorded at enqueue time (not
-        after the fsync): :meth:`compact` rewrites the file from the
-        in-memory map, and a decision that is enqueued-but-not-yet-synced
-        must survive that rewrite — over-including an outcome whose fsync
+        Enqueues the record and waits on its ticket — the wait runs
+        *outside* this log's lock, so concurrent coordinators pile onto the
+        batcher and one ``append_many`` fsync covers all of them.  The
+        in-memory outcome is recorded at enqueue time (not after the
+        fsync): :meth:`compact` rewrites the file from the in-memory map,
+        and a decision that is enqueued-but-not-yet-synced must survive
+        that rewrite — over-including an outcome whose fsync
         then fails is harmless, because a failed decision fsync fences the
         whole manager before any later checkpoint (and therefore compact)
         can run.
@@ -377,17 +366,10 @@ class CoordinatorLog:
             (txn_id, commit_ts, tuple(shards)), protocol=pickle.HIGHEST_PROTOCOL
         )
         outcome = CoordinatorOutcome(txn_id, commit_ts, tuple(shards))
-        if self._daemon is not None:
-            with self._lock:
-                ticket = self._daemon.submit(KIND_COORD_COMMIT, payload)
-                self._outcomes[txn_id] = outcome
-            ticket.wait()
-            return
         with self._lock:
-            if self._wal.closed:
-                raise WALError(f"log_commit on closed coordinator log {self.path}")
-            self._wal.append(KIND_COORD_COMMIT, payload)
+            ticket = self._daemon.submit(KIND_COORD_COMMIT, payload)
             self._outcomes[txn_id] = outcome
+        ticket.wait()
 
     def log_slot_flip(self, flip: SlotFlip) -> None:
         """Make one slot-map flip durable (fsynced before returning).
@@ -396,34 +378,25 @@ class CoordinatorLog:
         the *source* shard owns the migrating slots until this record is
         on stable storage, and routes by the flipped map from then on —
         even if the crash hit before ``schema.json`` was rewritten.
-        Batched mode shares the decision fsync with concurrent 2PC
-        coordinators, exactly like :meth:`log_commit`.
+        Shares the decision fsync with concurrent 2PC coordinators,
+        exactly like :meth:`log_commit`.
         """
         payload = self._encode_flip(flip)
-        if self._daemon is not None:
-            with self._lock:
-                ticket = self._daemon.submit(KIND_SLOT_FLIP, payload)
-                self._flips[flip.epoch] = flip
-            try:
-                ticket.wait()
-            except BaseException:
-                # The fsync failed: the flip may or may not be on disk,
-                # but it must NOT survive in memory — a later compact()
-                # rewrite works from ``_flips`` and would durably persist
-                # a flip the migration reported as failed (the caller
-                # also fences the manager, because the on-disk state is
-                # now genuinely uncertain).
-                with self._lock:
-                    self._flips.pop(flip.epoch, None)
-                raise
-            return
         with self._lock:
-            if self._wal.closed:
-                raise WALError(
-                    f"log_slot_flip on closed coordinator log {self.path}"
-                )
-            self._wal.append(KIND_SLOT_FLIP, payload)
+            ticket = self._daemon.submit(KIND_SLOT_FLIP, payload)
             self._flips[flip.epoch] = flip
+        try:
+            ticket.wait()
+        except BaseException:
+            # The fsync failed: the flip may or may not be on disk, but it
+            # must NOT survive in memory — a later compact() rewrite works
+            # from ``_flips`` and would durably persist a flip the
+            # migration reported as failed (the caller also fences the
+            # manager, because the on-disk state is now genuinely
+            # uncertain).
+            with self._lock:
+                self._flips.pop(flip.epoch, None)
+            raise
 
     def slot_flips(self) -> list[SlotFlip]:
         """Durable slot-map flips, ascending epoch order."""
@@ -473,24 +446,17 @@ class CoordinatorLog:
                 self._outcomes = survivors
                 self._flips = surviving_flips
                 records = self._all_records_locked()
-                if self._daemon is not None:
-                    # Quiesce the batcher around the rewrite: a batch
-                    # leader mid-``append_many`` would otherwise race
-                    # ``reset_to``'s no-concurrent-append precondition
-                    # (and re-append already-rewritten frames after it).
-                    with self._daemon.paused():
-                        self._wal.reset_to(records)
-                else:
+                # Quiesce the batcher around the rewrite: a batch leader
+                # mid-``append_many`` would otherwise race ``reset_to``'s
+                # no-concurrent-append precondition (and re-append
+                # already-rewritten frames after it).
+                with self._daemon.paused():
                     self._wal.reset_to(records)
             return dropped
 
     def close(self) -> None:
-        if self._daemon is not None:
-            # Flushes the last decision batch, then closes the WAL.
-            self._daemon.close()
-            return
-        with self._lock:
-            self._wal.close()
+        # Flushes the last decision batch, then closes the WAL.
+        self._daemon.close()
 
 
 # --------------------------------------------------------------------------

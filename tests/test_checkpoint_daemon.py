@@ -2,7 +2,7 @@
 
 The durability-offload subsystem (:class:`repro.core.sharding.
 CheckpointDaemon` + the fuzzy cut in :meth:`GroupFsyncDaemon.
-write_checkpoint_fuzzy`) moves auto-checkpoints off the commit path.
+write_checkpoint`) moves auto-checkpoints off the commit path.
 Everything here is about what can go wrong *around* that thread:
 
 * trigger storms must coalesce (a thousand requests ≠ a thousand cuts);
@@ -38,26 +38,14 @@ def _commit(smgr, key, value):
 
 
 class TestBackgroundMode:
-    def test_background_is_default_and_inline_opts_out(self, tmp_path):
-        background = ShardedTransactionManager(
-            num_shards=2, data_dir=tmp_path / "bg", checkpoint_interval=16
-        )
-        inline = ShardedTransactionManager(
-            num_shards=2,
-            data_dir=tmp_path / "in",
-            checkpoint_interval=16,
-            checkpoint_mode="inline",
+    def test_durable_manager_with_interval_always_has_daemon(self, tmp_path):
+        smgr = ShardedTransactionManager(
+            num_shards=2, data_dir=tmp_path, checkpoint_interval=16
         )
         try:
-            assert background.checkpoint_daemon is not None
-            assert inline.checkpoint_daemon is None
-            with pytest.raises(ValueError, match="checkpoint_mode"):
-                ShardedTransactionManager(
-                    num_shards=2, checkpoint_mode="sideways"
-                )
+            assert smgr.checkpoint_daemon is not None
         finally:
-            background.close()
-            inline.close()
+            smgr.close()
 
     def test_no_daemon_without_auto_checkpointing(self, tmp_path):
         """interval=0 (and volatile managers) never spawn the thread."""

@@ -1,4 +1,4 @@
-"""Pin the constructor parameters of the engine's three central classes.
+"""Pin the constructor parameters of the engine's central classes.
 
 Every option doubles the configurations tests and benchmarks must cover,
 so adding one has to be a deliberate, reviewed edit to this list.
@@ -11,6 +11,8 @@ import inspect
 
 from repro.core import ShardedTransactionManager, TransactionManager
 from repro.core.durability import GroupFsyncDaemon
+from repro.core.sharding import CheckpointDaemon
+from repro.recovery.sharded import CoordinatorLog
 from repro.sim import CostModel
 
 
@@ -27,8 +29,6 @@ def test_constructor_parameters_are_pinned():
         "durability",
         "fsync_batch_window",
         "checkpoint_interval",
-        "checkpoint_mode",
-        "coordinator_batching",
         "lsm_options",
         "global_snapshots",
         "storage_maintenance",
@@ -56,11 +56,17 @@ def test_constructor_parameters_are_pinned():
         "mode",
         "max_batch",
         "batch_window",
-        "flush_interval",
         "flusher",
         "wait_in_latch",
         "lock_index",
     ]
+    assert params(CoordinatorLog) == ["path", "batch_window"]
+    assert params(CheckpointDaemon) == ["manager"]
+    # One switch picks how a checkpoint is cut: the daemon's best-effort
+    # background cut or the full one.
+    assert list(
+        inspect.signature(ShardedTransactionManager.checkpoint_shard).parameters
+    )[1:] == ["idx", "background", "during_migration"]
 
 
 def test_cost_model_fields_are_pinned():

@@ -494,7 +494,7 @@ class TestCheckpointMarkers:
         self._commit_some(mgr, 0, 12)
         daemon = mgr.durability
         assert daemon.records_since_checkpoint() == 12
-        dropped = daemon.write_checkpoint(99, {"g": 99})
+        dropped = daemon.write_checkpoint(99, {"g": 99}, daemon.last_enqueued())
         assert dropped == 12
         assert daemon.records_since_checkpoint() == 0
         # the truncated log holds exactly the marker
@@ -545,9 +545,10 @@ class TestCheckpointMarkers:
 
 
 class TestFuzzyCheckpoint:
-    """The background daemon's latch-light cut: the marker covers only the
-    pre-flush watermark; the uncovered suffix stays in the WAL (replayable)
-    and still-pending records are absorbed by the rewrite's own fsync."""
+    """The one checkpoint cut: the marker covers only ``covered_seq``; the
+    uncovered suffix stays in the WAL (replayable) and still-pending
+    records are absorbed by the rewrite's own fsync.  A full cut is the
+    case with everything covered."""
 
     def test_fuzzy_cut_keeps_uncovered_suffix(self, tmp_path):
         daemon = GroupFsyncDaemon(WriteAheadLog(tmp_path / "c.wal", sync=False))
@@ -556,7 +557,7 @@ class TestFuzzyCheckpoint:
         daemon.flush()
         # covered_seq=3: records 4 and 5 were enqueued "during the
         # pre-flush" and must survive the truncation
-        dropped = daemon.write_checkpoint_fuzzy(90, {"g": 90}, covered_seq=3)
+        dropped = daemon.write_checkpoint(90, {"g": 90}, covered_seq=3)
         assert dropped == 3
         assert daemon.records_since_checkpoint() == 2
         marker, tail = commit_wal_tail(tmp_path / "c.wal")
@@ -574,7 +575,7 @@ class TestFuzzyCheckpoint:
             for i in range(4)
         ]
         assert daemon.durable_watermark() == 0  # nobody flushed
-        dropped = daemon.write_checkpoint_fuzzy(50, {"g": 50}, covered_seq=1)
+        dropped = daemon.write_checkpoint(50, {"g": 50}, covered_seq=1)
         assert dropped == 1
         # every submitted record is durable after the rewrite's fsync
         assert daemon.durable_watermark() == 4
@@ -591,7 +592,7 @@ class TestFuzzyCheckpoint:
         for i in range(3):
             daemon.submit(KIND_TXN_COMMIT, encode_commit_record(i, i + 1, {}))
         daemon.flush()
-        dropped = daemon.write_checkpoint_fuzzy(30, {"g": 30}, covered_seq=3)
+        dropped = daemon.write_checkpoint(30, {"g": 30}, covered_seq=3)
         assert dropped == 3
         assert daemon.records_since_checkpoint() == 0
         assert list(replay_commit_wal(tmp_path / "c.wal")) == [
@@ -609,7 +610,7 @@ class TestFuzzyCheckpoint:
             daemon.submit(
                 KIND_TXN_COMMIT, encode_commit_record(i, i + 1, {"A": ws})
             )
-        daemon.write_checkpoint_fuzzy(2, {"g": 2}, covered_seq=2)
+        daemon.write_checkpoint(2, {"g": 2}, covered_seq=2)
         daemon.close()  # simulated crash boundary: reopen the file cold
         marker, tail = commit_wal_tail(tmp_path / "c.wal")
         assert marker.checkpoint_ts == 2
@@ -743,7 +744,7 @@ class TestCoveredWatermark:
         worker = threading.Thread(target=committer)
         worker.start()
         assert enqueued.wait(timeout=10.0)
-        # the stalled commit holds the latches: a blocking cut would
+        # the stalled commit holds the latches: a full cut would
         # deadlock, but the cover decision is what's under test
         daemon = smgr.daemons[0]
         covered = daemon.covered_watermark()
@@ -754,7 +755,7 @@ class TestCoveredWatermark:
         assert not worker_error
         # now the background-style cut runs: the in-flight record from
         # the race window would have been truncated under last_enqueued
-        smgr.checkpoint_shard(0, fuzzy=True)
+        smgr.checkpoint_shard(0, background=True)
         smgr.close()
         reopened = ShardedTransactionManager.open(tmp_path)
         state = scan_all(reopened, "A")

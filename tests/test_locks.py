@@ -158,6 +158,79 @@ class TestDeadlockDetection:
         assert lm.deadlocks == 0
 
 
+def _wait_until(predicate, timeout: float = 5.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
+
+
+class TestFifoGrants:
+    """A queued writer is not overtaken by later readers (no starvation)."""
+
+    def _acquire_in_thread(self, lm, txn, resource, mode, log, **kwargs):
+        def run():
+            try:
+                lm.acquire(txn, resource, mode, **kwargs)
+                log.append(txn)
+            except (DeadlockDetected, LockTimeout) as exc:
+                log.append(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        return thread
+
+    def test_waiting_writer_is_granted_before_later_reader(self):
+        lm = LockManager(timeout=5)
+        lm.acquire(1, "r", LockMode.S)
+        granted: list = []
+        writer = self._acquire_in_thread(lm, 2, "r", LockMode.X, granted)
+        _wait_until(lambda: lm.waits == 1)
+        reader = self._acquire_in_thread(lm, 3, "r", LockMode.S, granted)
+        # compatible with the S holder, but queued behind the writer
+        _wait_until(lambda: lm.waits == 2)
+        assert granted == []
+        lm.release_all(1)
+        writer.join(timeout=5)
+        assert granted == [2]
+        lm.release_all(2)
+        reader.join(timeout=5)
+        assert granted == [2, 3]
+
+    def test_timed_out_writer_lets_queued_readers_through(self):
+        lm = LockManager(timeout=5)
+        lm.acquire(1, "r", LockMode.S)
+        outcome: list = []
+        writer = self._acquire_in_thread(
+            lm, 2, "r", LockMode.X, outcome, timeout=0.2
+        )
+        _wait_until(lambda: lm.waits == 1)
+        reader = self._acquire_in_thread(lm, 3, "r", LockMode.S, outcome)
+        writer.join(timeout=5)
+        reader.join(timeout=2)  # well before the reader's own 5 s timeout
+        assert not reader.is_alive()
+        assert isinstance(outcome[0], LockTimeout)
+        assert outcome[1] == 3
+
+    def test_cycle_through_a_queued_request_is_detected(self):
+        lm = LockManager(timeout=5)
+        lm.acquire(1, "a", LockMode.S)
+        lm.acquire(3, "b", LockMode.X)
+        outcome: list = []
+        writer = self._acquire_in_thread(lm, 2, "a", LockMode.X, outcome)
+        _wait_until(lambda: lm.waits == 1)
+        # txn 3 waits behind txn 2's queued X, which waits for txn 1
+        reader = self._acquire_in_thread(lm, 3, "a", LockMode.S, outcome)
+        _wait_until(lambda: lm.waits == 2)
+        with pytest.raises(DeadlockDetected):
+            lm.acquire(1, "b", LockMode.S)
+        lm.release_all(1)
+        writer.join(timeout=5)
+        lm.release_all(2)
+        reader.join(timeout=5)
+        assert outcome == [2, 3]
+
+
 class TestConcurrentStress:
     def test_many_threads_disjoint_resources(self):
         lm = LockManager(timeout=5)

@@ -200,9 +200,9 @@ for i in range(30):
 
 if crash_point == "before-marker":
     # LSM stores flushed, marker never written: the full tail stays
-    GroupFsyncDaemon.write_checkpoint = lambda self, ts, m: os._exit(42)
-elif crash_point == "before-truncate":
-    # marker durable on the old log, prefix not yet dropped
+    GroupFsyncDaemon.write_checkpoint = lambda self, ts, m, covered: os._exit(42)
+elif crash_point == "in-rewrite":
+    # the cut's only I/O step dies before its rename: the old file stays
     WriteAheadLog.reset_to = lambda self, records: os._exit(42)
 smgr.checkpoint_shard(0)
 os._exit(9)  # must not get here
@@ -210,17 +210,18 @@ os._exit(9)  # must not get here
 
 
 class TestCrashMidCheckpoint:
-    @pytest.mark.parametrize("crash_point", ["before-marker", "before-truncate"])
+    @pytest.mark.parametrize("crash_point", ["before-marker", "in-rewrite"])
     def test_checkpoint_crash_windows_recover_identically(self, tmp_path, crash_point):
         proc = run_crash_child(_MID_CHECKPOINT_SCRIPT, tmp_path, crash_point)
         assert proc.returncode == 42, proc.stderr
         reopened = ShardedTransactionManager.open(tmp_path)
         assert scan_all(reopened, "A") == {i: f"v{i}" for i in range(30)}
-        if crash_point == "before-truncate":
-            # shard 0's tail after its durable trailing marker is empty
+        if crash_point == "in-rewrite":
+            # no marker reached the disk: shard 0 replays its whole tail
+            # (idempotent redo over the pre-flushed SSTables)
             shard0 = reopened.last_recovery.shards[0]
-            assert shard0.commits_replayed == 0
-            assert shard0.checkpoint_ts > 0
+            assert shard0.commits_replayed == 15
+            assert shard0.checkpoint_ts == 0
         reopened.close()
 
     def test_torn_checkpoint_marker_does_not_count_as_cut(self, tmp_path):
@@ -577,7 +578,7 @@ class TestPhaseTwoFailure:
             assert shard.context.active_count() == 0
         # the best-effort auto-checkpoint path skips instead of raising out
         # of a commit that already succeeded; explicit checkpoints raise
-        assert smgr.checkpoint_shard(0, blocking=False) == 0
+        assert smgr.checkpoint_shard(0, background=True) == 0
         with pytest.raises(StorageError, match="fenced"):
             smgr.checkpoint_shard(0)
         smgr.close()
@@ -674,7 +675,7 @@ class TestApplyFailurePoisonsDaemon:
         assert not daemon._unpublished
         # the best-effort auto-checkpoint path skips on the poisoned
         # daemon instead of raising out of a commit that succeeded ...
-        assert smgr.checkpoint_shard(0, blocking=False) == 0
+        assert smgr.checkpoint_shard(0, background=True) == 0
         # ... while poisoned explicit checkpoints and commits fail fast,
         # keeping the WAL tail intact
         with pytest.raises(WALError):
@@ -867,7 +868,7 @@ class TestCoordinatorBatching:
     def test_concurrent_batched_decisions_all_durable(self, tmp_path):
         """N threads log decisions through the batched path; every one is
         durable (readable by a fresh replay) and shared fsyncs happened."""
-        log = CoordinatorLog(tmp_path / "coordinator.log", batched=True)
+        log = CoordinatorLog(tmp_path / "coordinator.log")
         threads = [
             threading.Thread(
                 target=lambda base: [
@@ -891,14 +892,14 @@ class TestCoordinatorBatching:
     def test_log_commit_returns_only_after_durable(self, tmp_path):
         """The durable-decision-before-phase-two invariant: the record is
         replayable from disk the moment log_commit returns."""
-        log = CoordinatorLog(tmp_path / "coordinator.log", batched=True)
+        log = CoordinatorLog(tmp_path / "coordinator.log")
         log.log_commit(7, 99, [2, 3])
         on_disk = CoordinatorLog.read_outcomes(tmp_path / "coordinator.log")
         assert on_disk[7].commit_ts == 99
         log.close()
 
     def test_compact_preserves_batched_decisions_above_floor(self, tmp_path):
-        log = CoordinatorLog(tmp_path / "coordinator.log", batched=True)
+        log = CoordinatorLog(tmp_path / "coordinator.log")
         for txn_id, cts in ((1, 10), (2, 20), (3, 30)):
             log.log_commit(txn_id, cts, [0])
         assert log.compact(20) == 2
@@ -906,14 +907,10 @@ class TestCoordinatorBatching:
         recovered = CoordinatorLog.read_outcomes(tmp_path / "coordinator.log")
         assert set(recovered) == {3}
 
-    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "plain"])
-    def test_cross_shard_commits_recover_either_mode(self, tmp_path, batched):
-        """End to end: 2PC decisions survive close/reopen in both modes."""
+    def test_cross_shard_decisions_recover(self, tmp_path):
+        """End to end: batched 2PC decisions survive close/reopen."""
         smgr = ShardedTransactionManager(
-            num_shards=2,
-            data_dir=tmp_path,
-            checkpoint_interval=0,
-            coordinator_batching=batched,
+            num_shards=2, data_dir=tmp_path, checkpoint_interval=0
         )
         smgr.create_table("A")
         for i in range(6):
