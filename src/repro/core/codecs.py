@@ -33,6 +33,12 @@ class Codec(abc.ABC):
     #: above it is unordered, so a bounded scan reads that region whole.
     unordered_region: bytes | None = None
 
+    @property
+    def format_name(self) -> str:
+        """Name a catalog records for the bytes this codec writes: data
+        written under one name is read back only under the same name."""
+        return type(self).__name__
+
     @abc.abstractmethod
     def encode(self, obj: Any) -> bytes:
         """Serialise ``obj``."""
@@ -99,6 +105,10 @@ class IntCodec(Codec):
             raise ValueError(f"unsupported integer width: {width}")
         self.width = width
         self._max = (1 << (8 * width)) - 1
+
+    @property
+    def format_name(self) -> str:
+        return f"IntCodec({self.width})"
 
     def encode(self, obj: Any) -> bytes:
         if not isinstance(obj, int) or isinstance(obj, bool):
@@ -274,7 +284,7 @@ class OrderedKeyCodec(Codec):
     order_preserving = True
     unordered_region = bytes((_UNORDERED,))
     #: Name recorded in a sharded ``schema.json`` as ``key_encoding``.
-    format_name = "ordered-v1"
+    format_name = "ordered-v1"  # type: ignore[assignment]
 
     def encode(self, obj: Any) -> bytes:
         if type(obj) is int and 0 <= obj < _MAX_SHORT:

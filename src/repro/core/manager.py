@@ -29,10 +29,9 @@ from typing import Any
 
 from ..errors import ABORT_USER, TransactionAborted
 from ..storage.kvstore import KVStore
-from ..storage.wal import WriteAheadLog
 from .codecs import ORDERED_KEY_CODEC, PICKLE_CODEC, Codec
 from .context import StateContext
-from .durability import DURABILITY_SYNC, GroupFsyncDaemon
+from .durability import GroupFsyncDaemon
 from .gc import GarbageCollector, GCPolicy
 from .group_commit import GroupCommitCoordinator
 from .isolation import IsolationLevel
@@ -59,32 +58,21 @@ class TransactionManager:
         gc_policy: GCPolicy = GCPolicy.ON_DEMAND,
         gc_interval: int = 1000,
         oracle: TimestampOracle | None = None,
-        wal_path: str | None = None,
-        durability: str = DURABILITY_SYNC,
         durability_daemon: GroupFsyncDaemon | None = None,
         **protocol_kwargs: Any,
     ) -> None:
         if context is not None and oracle is not None:
             raise ValueError("pass either a context or an oracle, not both")
-        if wal_path is not None and durability_daemon is not None:
-            raise ValueError("pass either wal_path or durability_daemon, not both")
         self.context = context or StateContext(oracle=oracle)
         if isinstance(protocol, ConcurrencyControl):
             self.protocol = protocol
         else:
             self.protocol = make_protocol(protocol, self.context, **protocol_kwargs)
-        # Commit durability pipeline: given a WAL path the manager owns a
-        # batched-fsync daemon over it (see repro.core.durability); a shared
-        # daemon instance can be injected instead (the sharded manager does,
-        # one per shard).  Without either, commits stay volatile, as before.
-        if durability_daemon is not None:
-            self.durability = durability_daemon
-        elif wal_path is not None:
-            self.durability = GroupFsyncDaemon(
-                WriteAheadLog(wal_path, sync=False), mode=durability
-            )
-        else:
-            self.durability = None
+        # Commit durability pipeline: a batched-fsync daemon over a commit
+        # WAL (see repro.core.durability), injected by the caller — the
+        # sharded manager gives each shard its own.  Without one, commits
+        # stay volatile.
+        self.durability = durability_daemon
         self.protocol.durability = self.durability
         self.coordinator = GroupCommitCoordinator(self.context, self.protocol)
         self.gc = GarbageCollector(self.context, gc_policy, gc_interval)
@@ -267,7 +255,7 @@ class TransactionManager:
     def flush_durability(self) -> int:
         """Force every enqueued commit record to stable storage.
 
-        The crash-safety boundary for ``durability="async"``: after this
+        The crash-safety boundary for an ``mode="async"`` daemon: after this
         returns, every commit acknowledged so far is recoverable.  Returns
         the durable watermark (0 without a commit WAL).
         """

@@ -7,7 +7,12 @@ through the slot-map indirection of :mod:`repro.core.slots` (keys hash to
 a fixed slot space, slots map to shards), so shards can split and merge
 *online* (:meth:`ShardedTransactionManager.split_shard` /
 :meth:`~ShardedTransactionManager.merge_shard`) without re-routing the
-rest of the key space.  Each
+rest of the key space.  Split, merge and replica failover
+(:meth:`~ShardedTransactionManager.failover`) are one slot handover —
+quiesce, hand each moved key's live version over at its original commit
+timestamp, log one durable ``SlotFlip``, purge the source — that differ
+only in where the moved image comes from (the source shard or a
+replica).  Each
 shard is a complete single-site stack — its own :class:`StateContext`, its
 own concurrency-control protocol instance, group-commit coordinator and
 garbage collector — so shards never contend on latches, lock tables or
@@ -121,7 +126,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from heapq import merge as _heap_merge
 from pathlib import Path
 from typing import Any, Callable
@@ -165,7 +170,7 @@ from .table import RESIDENCY_FULL, RESIDENCY_LAZY, RESIDENCY_MODES, StateTable
 from .timestamps import TimestampOracle
 from .transactions import Transaction, TxnStatus
 from .version_store import DEFAULT_SLOTS
-from .write_set import WriteKind, WriteSet
+from .write_set import WriteSet
 
 
 def shard_of_key(key: Any, num_shards: int) -> int:
@@ -383,11 +388,6 @@ class CheckpointDaemon:
         self._pending: set[int] = set()
         #: Shard indices currently being cut (at most one worker each).
         self._active: set[int] = set()
-        #: Arbitrary maintenance closures (:meth:`drive`): shard-migration
-        #: copy phases run here so the daemon's pool — not the caller's
-        #: thread — pays the image cut and the bulk copy I/O.
-        self._jobs: list[tuple[Callable[[], Any], "threading.Event", list]] = []
-        self._jobs_active = 0
         self._closed = False
         #: Backpressured committers give up after this long (seconds): the
         #: WAL bound is best-effort once the pipeline is wedged.
@@ -474,33 +474,6 @@ class CheckpointDaemon:
                     return
                 self._cond.wait(min(remaining, 0.05))
 
-    def drive(self, fn: Callable[[], Any], timeout: float | None = None) -> Any:
-        """Run ``fn`` on the daemon's worker pool and wait for its result.
-
-        The shard-migration copy phase uses this: the image cut and bulk
-        copy execute on a checkpoint worker (the thread that already owns
-        off-critical-path flush I/O), while the caller merely waits.
-        Falls back to running ``fn`` inline when the daemon is closed.
-        Exceptions propagate to the caller; ``TimeoutError`` on expiry.
-        """
-        done = threading.Event()
-        outcome: list = []  # [("ok", value) | ("err", exc)]
-        with self._cond:
-            if self._closed:
-                closed = True
-            else:
-                closed = False
-                self._jobs.append((fn, done, outcome))
-                self._cond.notify_all()
-        if closed:
-            return fn()
-        if not done.wait(timeout):
-            raise TimeoutError("checkpoint daemon did not finish the job in time")
-        status, value = outcome[0]
-        if status == "err":
-            raise value
-        return value
-
     def wait_idle(self, timeout: float | None = None) -> bool:
         """Block until nothing is pending and no cut is in flight.
 
@@ -508,7 +481,7 @@ class CheckpointDaemon:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while self._pending or self._active or self._jobs or self._jobs_active:
+            while self._pending or self._active:
                 wait_s = 0.1
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
@@ -521,35 +494,16 @@ class CheckpointDaemon:
     def _run(self) -> None:
         while True:
             with self._cond:
-                while not self._pending and not self._jobs and not self._closed:
+                while not self._pending and not self._closed:
                     self._cond.wait()
-                if self._jobs:
-                    fn, done, outcome = self._jobs.pop(0)
-                    self._jobs_active += 1
-                    job = (fn, done, outcome)
-                else:
-                    job = None
-                if job is None and not self._pending:  # closed and drained
+                if not self._pending:  # closed and drained
                     self._cond.notify_all()
                     return
-                if job is None:
-                    # Workers never double up on one shard: a background
-                    # cut skips a held lock, so the second would be a
-                    # no-op anyway.
-                    idx = min(self._pending)
-                    self._pending.discard(idx)
-                    self._active.add(idx)
-            if job is not None:
-                fn, done, outcome = job
-                try:
-                    outcome.append(("ok", fn()))
-                except BaseException as exc:  # propagate to the driver
-                    outcome.append(("err", exc))
-                done.set()
-                with self._cond:
-                    self._jobs_active -= 1
-                    self._cond.notify_all()
-                continue
+                # Workers never double up on one shard: a background cut
+                # skips a held lock, so the second would be a no-op anyway.
+                idx = min(self._pending)
+                self._pending.discard(idx)
+                self._active.add(idx)
             try:
                 shard_daemon = self._manager.daemons[idx]
                 # A coalesced storm can leave requests behind for a shard
@@ -936,10 +890,7 @@ class ShardedTransactionManager:
                         f"the {num_shards}-shard layout"
                     )
                 self.slot_map = self.slot_map.apply(flip)
-            self._schema.slot_map = list(self.slot_map.slots)
-            self._schema.slot_epoch = self.slot_map.epoch
-            self._schema.save(self.data_dir)
-            self._durable_slot_epoch = self.slot_map.epoch
+            self._save_slot_map()
         #: Background checkpoint thread (durable managers with an
         #: auto-checkpoint interval only): commits signal it.
         self.checkpoint_daemon: CheckpointDaemon | None = None
@@ -1049,6 +1000,15 @@ class ShardedTransactionManager:
             self.context_stores.append(store)
             shard.context.attach_persistence(store.record)
         return shard
+
+    def _save_slot_map(self) -> None:
+        """Persist the live slot map in the schema.  ``_durable_slot_epoch``
+        advances only after the rewrite's rename lands, never ahead of it
+        (coordinator-log compaction retires flips up to it)."""
+        self._schema.slot_map = list(self.slot_map.slots)
+        self._schema.slot_epoch = self.slot_map.epoch
+        self._schema.save(self.data_dir)
+        self._durable_slot_epoch = self.slot_map.epoch
 
     def shard_of(self, key: Any) -> int:
         """Current home shard of ``key`` (one slot lookup; the map
@@ -1984,6 +1944,26 @@ class ShardedTransactionManager:
                 self._auto_cut_seeded[idx] = True
                 self.checkpoint_daemon.request(idx)
 
+    @contextmanager
+    def _commit_latches(self, *shards: int) -> Iterator[None]:
+        """Quiesce ``shards``: hold every table commit latch they have.
+
+        Every commit-WAL enqueue happens under the latches of the tables
+        it writes, and a prepared 2PC participant pins them until phase
+        two, so while they are held no record can enqueue, no enqueued
+        record is un-applied and no in-doubt prepare can straddle what
+        the holder does.  Order: ascending shard index (the global order
+        commits and 2PC prepares use, so no hold-and-wait cycle), then
+        state id within a shard (the order commits take them in).
+        """
+        with ExitStack() as stack:
+            for idx in sorted(shards):
+                for table in sorted(
+                    self.shards[idx].tables(), key=lambda t: t.state_id
+                ):
+                    stack.enter_context(table.commit_latch)
+            yield
+
     def checkpoint_shard(
         self, idx: int, background: bool = False, during_migration: bool = False
     ) -> int:
@@ -2005,13 +1985,10 @@ class ShardedTransactionManager:
            of the memtable data reaches fsynced SSTables while commits
            keep flowing, so the quiesced window below pays only the small
            delta written since;
-        1. quiesce the shard — acquire **all** its table commit latches in
-           sorted order (the same order commits use).  Every commit-WAL
-           enqueue happens under the latches of the tables it writes, and
-           a prepared 2PC participant pins them until phase two, so once
-           the latches are held no record can enqueue and no enqueued
-           record is un-applied — and no in-doubt prepare can be caught
-           behind the marker;
+        1. quiesce the shard (:meth:`_commit_latches`): once the latches
+           are held no record can enqueue and no enqueued record is
+           un-applied — and no in-doubt prepare can be caught behind the
+           marker;
         2. wait out in-flight ``LastCTS`` publishes of the records the cut
            truncates — committers release the latches *before* their
            durability barrier and publish, so without this wait the
@@ -2076,9 +2053,7 @@ class ShardedTransactionManager:
             # the batch fsync a checkpointing thread would otherwise lead
             # while holding every latch.
             daemon.flush(timeout=CHECKPOINT_FLUSH_TIMEOUT)
-            with ExitStack() as stack:
-                for table in tables:
-                    stack.enter_context(table.commit_latch)
+            with self._commit_latches(idx):
                 # Re-check under the latches: a phase-two failure may have
                 # fenced the manager while this thread blocked on a
                 # prepared participant's latch — the tables it released
@@ -2180,50 +2155,54 @@ class ShardedTransactionManager:
             return
         self._replication_attached = True
         for idx in range(self.num_shards):
-            self._start_shard_replication(idx)
+            self._bootstrap_shard_replicas(idx)
 
-    def _start_shard_replication(self, idx: int) -> None:
-        """Create + bootstrap shard ``idx``'s replicas and wire the daemon
-        chain: fsync daemon ``on_durable`` -> :class:`ReplicationDaemon`
-        buffer -> replica WAL append/apply -> ``confirm_replica_durable``."""
-        daemon = self.daemons[idx]
-        if daemon is None:
-            return
-        replicas = [
-            ShardReplica(self._replica_dir(idx, r), r)
-            for r in range(self.replication_factor)
-        ]
-        for replica in replicas:
-            daemon.register_replica(replica.replica_id)
-        repl = ReplicationDaemon(idx, daemon, replicas, faults=self.faults)
-        self._replication[idx] = repl
-        # The feed must be live BEFORE the bootstrap cut below: a commit
-        # that lands between the cut's drain and a later wiring would
-        # never be shipped — a permanent sequence gap.
-        daemon.set_on_durable(repl.ingest)
-        if self.ack == "quorum":
-            daemon.configure_replication(
-                (self.replication_factor + 2) // 2, self.replica_ack_timeout
-            )
-        self._bootstrap_shard_replicas(idx, repl)
-
-    def _bootstrap_shard_replicas(self, idx: int, repl: ReplicationDaemon) -> None:
+    def _bootstrap_shard_replicas(self, idx: int) -> None:
         """(Re)base every replica of shard ``idx`` on a fresh image — the
         migration copy phase pointed at a replica: quiesce the shard's
         commit latches, drain the durability pipeline, snapshot every
         table at the newest committed timestamp and stamp the replicas'
-        confirmed floor at the WAL sequence the image covers.  Also the
-        repair path for lagging replicas (bootstrap clears the flag and
-        re-enters them into quorum accounting)."""
-        shard = self.shards[idx]
+        confirmed floor at the WAL sequence the image covers.
+
+        Runs when replication attaches, after a slot handover changed the
+        shard's contents outside the commit-WAL feed (catch-up and
+        handover write through ``redo_write_set``/backend batches, which
+        the shipping loop never sees), and as the repair path for lagging
+        replicas (bootstrap clears the flag and re-enters them into quorum
+        accounting).  A shard without replicas yet (a split's or a
+        failover's fresh target) first gets them, with the daemon chain:
+        fsync daemon ``on_durable`` -> :class:`ReplicationDaemon` buffer ->
+        replica WAL append/apply -> ``confirm_replica_durable``.
+        """
         daemon = self.daemons[idx]
-        assert daemon is not None
+        if (
+            daemon is None
+            or not self._replication_attached
+            or self.replication_factor <= 0
+        ):
+            return
+        repl = self._replication[idx]
+        if repl is None:
+            replicas = [
+                ShardReplica(self._replica_dir(idx, r), r)
+                for r in range(self.replication_factor)
+            ]
+            for replica in replicas:
+                daemon.register_replica(replica.replica_id)
+            repl = ReplicationDaemon(idx, daemon, replicas, faults=self.faults)
+            self._replication[idx] = repl
+            # The feed must be live BEFORE the bootstrap cut below: a
+            # commit that lands between the cut's drain and a later wiring
+            # would never be shipped — a permanent sequence gap.
+            daemon.set_on_durable(repl.ingest)
+            if self.ack == "quorum":
+                daemon.configure_replication(
+                    (self.replication_factor + 2) // 2, self.replica_ack_timeout
+                )
+        shard = self.shards[idx]
         owned = frozenset(self.slot_map.slots_of(idx))
         num_slots = self.slot_map.num_slots
-        tables = sorted(shard.tables(), key=lambda t: t.state_id)
-        with ExitStack() as stack:
-            for table in tables:
-                stack.enter_context(table.commit_latch)
+        with self._commit_latches(idx):
             daemon.flush(timeout=CHECKPOINT_FLUSH_TIMEOUT)
             daemon.wait_publishes_drained()
             last_cts = {
@@ -2240,27 +2219,13 @@ class ShardedTransactionManager:
                     for key, value in table.scan_at(bootstrap_cts)
                     if slot_of_key(key, num_slots) in owned
                 ]
-                for table in tables
+                for table in shard.tables()
             }
             floor = daemon.last_enqueued()
             for replica in repl.replicas:
                 replica.bootstrap(bootstrap_cts, last_cts, image, floor)
                 daemon.register_replica(replica.replica_id)
                 daemon.confirm_replica_durable(replica.replica_id, floor)
-
-    def _rebootstrap_shard_replicas(self, idx: int) -> None:
-        """Refresh shard ``idx``'s replicas after its contents changed
-        outside the commit-WAL feed (slot migration catch-up and handover
-        write through ``redo_write_set``/backend batches, which the
-        shipping loop never sees).  Starts replication for a shard that
-        does not have it yet (a split's freshly added target)."""
-        if not self._replication_attached or self.replication_factor <= 0:
-            return
-        repl = self._replication[idx]
-        if repl is None:
-            self._start_shard_replication(idx)
-        else:
-            self._bootstrap_shard_replicas(idx, repl)
 
     def replica_durable_watermarks(self) -> list[int]:
         """Per-shard replica-durable watermark: the highest commit-WAL
@@ -2347,16 +2312,21 @@ class ShardedTransactionManager:
         shard via a durable :class:`~repro.core.slots.SlotFlip` — the
         recovery path for a lost primary *machine* (storage and all).
 
-        Reuses the migration commit protocol end-to-end: the promoted
-        image is installed and checkpointed on the new shard **before**
-        the flip record is fsynced to the coordinator log (the commit
-        point — recovery presumes the source owns its slots until the
-        record is durable, and rolls the flip forward once it is), then
-        the in-memory map swaps atomically, the schema is rewritten and
-        the demoted shard's rows are purged.  A crash at either
-        promotion fault point (``promote_pre_flip`` /
-        ``promote_post_flip``) therefore reopens consistently pre- or
-        post-flip, never a mix.
+        The promotion is a slot handover (:meth:`_hand_over_slots`, the one
+        path split and merge take too) of every slot ``source`` owns, with
+        the replica as the image: there is no copy phase, and under the
+        latches the replica's newest live version per key is written to
+        the new shard's base tables and handed over at its original commit
+        timestamp.  The promoted image is checkpointed on the new shard
+        **before** the flip record is fsynced to the coordinator log (the
+        commit point — recovery presumes the source owns its slots until
+        the record is durable, and rolls the flip forward once it is), so
+        a crash at either promotion fault point (``promote_pre_flip``
+        before the handover, ``promote_post_flip`` after the durable flip)
+        reopens consistently pre- or post-flip, never a mix.  The demoted
+        shard's final checkpoint is best effort: its storage may be the
+        very thing that failed, and post-flip recovery evicts its copies
+        of the moved slots as stale.
 
         ``catch_up=True`` (live failover) first drains the source's
         durability pipeline and waits until a replica confirmed the whole
@@ -2371,11 +2341,7 @@ class ShardedTransactionManager:
         Returns the new shard's index.
         """
         with self._migration_lock:
-            self._check_migratable()
-            if not 0 <= source < self.num_shards:
-                raise ValueError(
-                    f"no shard {source} in a {self.num_shards}-shard manager"
-                )
+            self._check_migratable(source)
             if self.data_dir is None:
                 raise StorageError(
                     "failover needs data_dir= (durable SlotFlip + replica WALs)"
@@ -2394,188 +2360,91 @@ class ShardedTransactionManager:
                     except ValueError:
                         continue
                     cold.append(ShardReplica.load(entry, rid))
-            # Durably migration-touched BEFORE any on-disk side effect:
-            # recovery's slot-ownership sweep must treat the demoted
-            # shard's leftover rows as evictable stale copies.
-            if not self.migrations_started and self._schema is not None:
-                self._schema.migrations_started = True
-                self._schema.save(self.data_dir)
-            self.migrations_started = True
             target = self._add_shard()
-            src_mgr = self.shards[source]
             tgt_mgr = self.shards[target]
             moving_set = frozenset(moving)
             num_slots = self.slot_map.num_slots
-            promoted_keys = 0
-            self._migrating.add(source)
-            self._migrating.add(target)
-            if self.maintenance_daemon is not None:
-                for idx in (source, target):
-                    for store in self._lsm_backends(idx):
-                        self.maintenance_daemon.suspend(store)
-            try:
-                for idx in (source, target):
-                    with self._ckpt_locks[idx]:
-                        pass
-                with ExitStack() as stack:
-                    for shard_idx in sorted((source, target)):
-                        for table in sorted(
-                            self.shards[shard_idx].tables(),
-                            key=lambda t: t.state_id,
-                        ):
-                            stack.enter_context(table.commit_latch)
-                    self._ensure_not_fenced()
-                    if repl is not None and catch_up and daemon is not None:
-                        # Live catch-up drain: everything enqueued becomes
-                        # durable, published and shipped before promotion,
-                        # so the promoted image misses nothing.
-                        daemon.flush(timeout=CHECKPOINT_FLUSH_TIMEOUT)
-                        daemon.wait_publishes_drained()
-                        tail_seq = daemon.last_enqueued()
-                        if not repl.wait_shipped(tail_seq, timeout=timeout):
-                            raise StorageError(
-                                f"no replica of shard {source} confirmed "
-                                f"seq {tail_seq} within {timeout}s — "
-                                "replicas lagging; re-bootstrap or fail "
-                                "over with catch_up=False (quorum-acked "
-                                "commits only)"
-                            )
-                    replica = (
-                        repl.best_replica()
-                        if repl is not None
-                        else max(
-                            cold, key=lambda r: r.confirmed_seq, default=None
-                        )
-                    )
-                    if replica is None:
+
+            def promote() -> tuple[dict[str, list[tuple[Any, Any, int]]], Callable[[str], int]]:
+                if repl is not None and catch_up and daemon is not None:
+                    # Live catch-up drain: everything enqueued becomes
+                    # durable, published and shipped before promotion,
+                    # so the promoted image misses nothing.
+                    daemon.flush(timeout=CHECKPOINT_FLUSH_TIMEOUT)
+                    daemon.wait_publishes_drained()
+                    tail_seq = daemon.last_enqueued()
+                    if not repl.wait_shipped(tail_seq, timeout=timeout):
                         raise StorageError(
-                            f"shard {source} has no replica to promote"
+                            f"no replica of shard {source} confirmed "
+                            f"seq {tail_seq} within {timeout}s — "
+                            "replicas lagging; re-bootstrap or fail "
+                            "over with catch_up=False (quorum-acked "
+                            "commits only)"
                         )
-                    self.faults.fire("promote_pre_flip", source)
-                    # Version handover, exactly migration's: newest live
-                    # version per key at its original commit timestamp,
-                    # written through to the target's base tables.
-                    known_states = set(tgt_mgr.context.state_ids())
-                    for state_id, rows in replica.live_items().items():
-                        if state_id not in known_states:
-                            continue
-                        dst = tgt_mgr.table(state_id)
-                        batch: list[tuple[bytes, bytes]] = []
-                        for key, value, cts in rows:
-                            if slot_of_key(key, num_slots) not in moving_set:
-                                continue
-                            dst.mvcc_object(key, create=True).install(
-                                value, cts, cts
-                            )
-                            batch.append(
-                                (
-                                    dst.key_codec.encode(key),
-                                    dst.value_codec.encode(value),
-                                )
-                            )
-                            promoted_keys += 1
-                            if len(batch) >= 512:
-                                dst.backend.write_batch(batch, [])
-                                batch = []
-                        if batch:
-                            dst.backend.write_batch(batch, [])
-                    # Visibility floors: the replica's bootstrap floors,
-                    # raised to its applied watermark (WAL-order ==
-                    # cts-order means every commit at or below it is
-                    # applied, so pinning readers there is complete).
-                    merged = {
-                        gid: max(
-                            tgt_mgr.context.last_cts(gid),
-                            replica.last_cts.get(gid, 0),
-                            replica.applied_cts,
-                        )
-                        for gid in tgt_mgr.context.group_ids()
-                    }
-                    tgt_mgr.context.restore_last_cts(merged)
-                    # Promoted rows + marker durable BEFORE the flip can
-                    # commit — a durable flip must never point at data
-                    # only buffered in memory.
-                    self.checkpoint_shard(target, during_migration=True)
-                    flip = self.slot_map.promotion_flip(source, target)
-                    try:
-                        self.coordinator_log.log_slot_flip(flip)
-                    except BaseException as exc:
-                        self._fence(
-                            f"promotion flip epoch {flip.epoch} failed to "
-                            f"become durable: {exc!r}"
-                        )
-                        raise
+                replica = (
+                    repl.best_replica()
+                    if repl is not None
+                    else max(cold, key=lambda r: r.confirmed_seq, default=None)
+                )
+                if replica is None:
+                    raise StorageError(f"shard {source} has no replica to promote")
+                self.faults.fire("promote_pre_flip", source)
+                known_states = set(tgt_mgr.context.state_ids())
+                rows = {
+                    state_id: [
+                        row
+                        for row in state_rows
+                        if slot_of_key(row[0], num_slots) in moving_set
+                    ]
+                    for state_id, state_rows in replica.live_items().items()
+                    if state_id in known_states
+                }
+                # No copy phase ran, so the promoted rows reach the new
+                # shard's base tables here, inside the freeze.
+                for state_id, state_rows in rows.items():
+                    dst = tgt_mgr.table(state_id)
+                    self._write_rows(
+                        dst,
+                        (
+                            (dst.key_codec.encode(key), dst.value_codec.encode(value))
+                            for key, value, _cts in state_rows
+                        ),
+                    )
+
+                # Visibility floors: the replica's bootstrap floors, raised
+                # to its applied watermark (WAL-order == cts-order means
+                # every commit at or below it is applied, so pinning
+                # readers there is complete).
+                def floor(gid: str) -> int:
+                    return max(replica.last_cts.get(gid, 0), replica.applied_cts)
+
+                return rows, floor
+
+            def fault(phase: str) -> None:
+                # ``promote_pre_flip`` fires inside ``promote`` above.
+                if phase == "flip":
                     self.faults.fire("promote_post_flip", source)
-                    self.slot_map = self.slot_map.apply(flip)
-                    self._schema.slot_map = list(self.slot_map.slots)
-                    self._schema.slot_epoch = self.slot_map.epoch
-                    self._schema.save(self.data_dir)
-                    self._durable_slot_epoch = self.slot_map.epoch
-                    # Purge the demoted shard's base-table rows (version
-                    # arrays stay frozen for latch-free in-flight readers,
-                    # exactly like migration's source purge; cold rows of
-                    # a lazy source get frozen in-memory copies first).
-                    for state_id in src_mgr.context.state_ids():
-                        src = src_mgr.table(state_id)
-                        deletes: list[bytes] = []
-                        seen: set[bytes] = set()
-                        for key in src.keys():
-                            if slot_of_key(key, num_slots) not in moving_set:
-                                continue
-                            kbytes = src.key_codec.encode(key)
-                            deletes.append(kbytes)
-                            seen.add(kbytes)
-                        if src.residency == RESIDENCY_LAZY:
-                            for kbytes, vbytes in list(src.backend.scan()):
-                                if kbytes in seen:
-                                    continue
-                                key = src.key_codec.decode(kbytes)
-                                if (
-                                    slot_of_key(key, num_slots)
-                                    not in moving_set
-                                ):
-                                    continue
-                                deletes.append(kbytes)
-                                src.mvcc_object(key, create=True).install(
-                                    src.value_codec.decode(vbytes),
-                                    src.bootstrap_cts,
-                                    src.bootstrap_cts,
-                                )
-                        if deletes:
-                            src.backend.write_batch([], deletes)
-                    try:
-                        self.checkpoint_shard(source, during_migration=True)
-                    except (WALError, TimeoutError, StorageError):
-                        # Best effort: the demoted primary's storage may
-                        # be the very thing that failed.  Its surviving
-                        # WAL tail is harmless — post-flip recovery evicts
-                        # its copies of the moved slots as stale.
-                        pass
-                self.failovers += 1
-                # Retire the demoted shard's shipping; the new primary
-                # gets fresh replicas when live replication is on.
-                if repl is not None:
-                    repl.stop()
-                    self._replication[source] = None
-                    if daemon is not None:
-                        daemon.configure_replication(0, self.replica_ack_timeout)
+
+            try:
+                self._hand_over_slots(
+                    moving, source, target, promote, fault, best_effort_source_cut=True
+                )
+            finally:
                 for cold_replica in cold:
                     cold_replica.close()
-                self._rebootstrap_shard_replicas(target)
-                self._adopt_lsm_backends()
-            finally:
-                self._migrating.discard(source)
-                self._migrating.discard(target)
-                if self.maintenance_daemon is not None:
-                    for idx in (source, target):
-                        for store in self._lsm_backends(idx):
-                            self.maintenance_daemon.resume(store)
+            self.failovers += 1
+            # Retire the demoted shard's shipping; the new primary gets
+            # fresh replicas when live replication is on.
+            if repl is not None:
+                repl.stop()
+                self._replication[source] = None
+                if daemon is not None:
+                    daemon.configure_replication(0, self.replica_ack_timeout)
+            self._bootstrap_shard_replicas(target)
+            self._adopt_lsm_backends()
             return target
 
     # online rebalancing ---------------------------------------------------
-
-    def _fault_point(self, phase: str) -> None:
-        self.faults.fire("migration", phase)
 
     def split_shard(
         self, source: int, moving: list[int] | None = None
@@ -2589,15 +2458,13 @@ class ShardedTransactionManager:
         uniform ``2N``-shard map — while commits keep flowing.  Returns
         the new shard's index.
 
-        The migration is the three-phase protocol of
+        The migration is the slot handover of
         :meth:`_migrate_slots_locked`; a crash at any point recovers to
         either the pre-split or the post-split map, never a mix (the flip
         record in the coordinator log is the commit point).
         """
         with self._migration_lock:
-            self._check_migratable()
-            if not 0 <= source < self.num_shards:
-                raise ValueError(f"no shard {source} in a {self.num_shards}-shard manager")
+            self._check_migratable(source)
             owned = self.slot_map.slots_of(source)
             if moving is None:
                 moving = owned[1::2]
@@ -2614,54 +2481,36 @@ class ShardedTransactionManager:
                 )
             target = self._add_shard()
             self._migrate_slots_locked(list(moving), source, target)
-            # Divide the fleet-wide budgets again now that the target owns
-            # slots: ``_add_shard`` ran the division while the new shard
-            # was still slot-less, which classified it as a husk.
-            self._adopt_lsm_backends()
-            # Migration catch-up/handover writes bypass the commit-WAL
-            # feed (redo + backend batches), so both sides' replicas must
-            # re-base on fresh images (the target's start here).
-            self._rebootstrap_shard_replicas(source)
-            self._rebootstrap_shard_replicas(target)
             return target
 
     def merge_shard(self, source: int, target: int) -> int:
         """Online merge: migrate every slot of ``source`` onto ``target``.
 
-        The inverse of a split; uses the same three-phase migration.  The
+        The inverse of a split; uses the same slot handover.  The
         emptied source shard stays in the layout as a slot-less husk (its
         directories remain valid, it simply receives no traffic) — shard
         indices are never renumbered, so persisted WALs and the schema
         stay consistent.  Returns the number of slots moved.
         """
         with self._migration_lock:
-            self._check_migratable()
-            for idx in (source, target):
-                if not 0 <= idx < self.num_shards:
-                    raise ValueError(
-                        f"no shard {idx} in a {self.num_shards}-shard manager"
-                    )
+            self._check_migratable(source, target)
             if source == target:
                 raise ValueError("merge source and target must differ")
             moving = self.slot_map.slots_of(source)
             if not moving:
                 return 0
             self._migrate_slots_locked(moving, source, target)
-            # The source is a slot-less husk now: re-divide the fleet-wide
-            # cache and memory budgets so the surviving shards reclaim its
-            # share (creation divides the budgets, but nothing else would
-            # ever expand them back after a retirement).
-            self._adopt_lsm_backends()
-            # Handover wrote around the commit-WAL feed: re-base both
-            # sides' replicas (the husk's image simply goes empty).
-            self._rebootstrap_shard_replicas(source)
-            self._rebootstrap_shard_replicas(target)
             return len(moving)
 
-    def _check_migratable(self) -> None:
+    def _check_migratable(self, *shards: int) -> None:
         self._ensure_not_fenced()
         if self._closed:
             raise StorageError("cannot migrate slots on a closed manager")
+        for idx in shards:
+            if not 0 <= idx < self.num_shards:
+                raise ValueError(
+                    f"no shard {idx} in a {self.num_shards}-shard manager"
+                )
 
     def _add_shard(self) -> int:
         """Stamp out one more shard identical to the existing ones.
@@ -2722,37 +2571,24 @@ class ShardedTransactionManager:
     ) -> None:
         """Move ``moving`` slots from ``source`` to ``target``, online.
 
-        Three phases (caller holds ``_migration_lock``):
+        A slot handover (:meth:`_hand_over_slots`; the caller holds
+        ``_migration_lock``) whose image is the source shard itself:
 
-        1. **copy** — off the commit path.  Durable mode cuts a checkpoint
-           image of the source (LSM stores flushed, marker cut, WAL
-           truncated to the marker) and bulk-copies the moving slots' rows
-           from the source base tables into the target's, driven on the
-           :class:`CheckpointDaemon`'s worker pool when one exists.
-           Commits keep flowing on the source; everything they write after
-           the marker lands in the commit-WAL suffix, and source
-           checkpoints are suspended (``_migrating``) so that suffix
-           cannot be truncated from under the migration.
-        2. **catch-up + freeze** — the source (and target) are quiesced
-           via their table commit latches, the source's batched-fsync
-           daemon is drained, and the WAL suffix since the marker — PR 4's
-           "delta since marker" unit, via
-           :meth:`~repro.core.durability.GroupFsyncDaemon.export_tail` —
-           is replayed onto the target (idempotent redo, filtered to the
-           moving slots).  Each moved key's live version is installed on
-           the target with its *original* commit timestamp, the target's
-           group ``LastCTS`` floors are raised to the source's, and a
-           target checkpoint makes the whole image durable before the
-           flip.
-        3. **flip** — one :class:`~repro.core.slots.SlotFlip` record is
-           fsynced to the coordinator log (the commit point: recovery
-           presumes the source owns the slots until this record is
-           durable), the in-memory map is swapped (one atomic reference
-           store), the schema is rewritten, the source drops the moved
-           keys from its *base tables* (the version arrays stay frozen
-           for latch-free in-flight readers until the next reopen) and
-           cuts a final checkpoint that truncates its now fully-covered
-           WAL.
+        * **copy** — off the latches.  Durable mode cuts a checkpoint
+          image of the source (LSM stores flushed, marker cut, WAL
+          truncated to the marker) and bulk-copies the moving slots' rows
+          from the source base tables into the target's.  Commits keep
+          flowing on the source; everything they write after the marker
+          lands in the commit-WAL suffix, which source checkpoints
+          (suspended for the migration) cannot truncate.
+        * **catch-up** — under the latches, the source's batched-fsync
+          daemon is drained and the WAL suffix since the marker — via
+          :meth:`~repro.core.durability.GroupFsyncDaemon.export_tail` — is
+          replayed onto the target (idempotent redo, filtered to the
+          moving slots).  Volatile mode has no WAL to replay, so its bulk
+          copy runs here instead.  The handover carries each moved key's
+          live version from the source's version index, and the target's
+          group ``LastCTS`` floors are raised to the source's.
 
         In-flight transactions: writers that buffered a moved key on the
         source drain while the latches are awaited or are aborted
@@ -2771,9 +2607,146 @@ class ShardedTransactionManager:
         num_slots = self.slot_map.num_slots
         src_mgr = self.shards[source]
         tgt_mgr = self.shards[target]
-        # Durably mark the dir as migration-touched BEFORE the copy phase
-        # can write a byte: from here on, recovery evicts misrouted keys
-        # as migration leftovers instead of refusing to open the store.
+
+        def copy_rows() -> None:
+            for state_id in src_mgr.context.state_ids():
+                src = src_mgr.table(state_id)
+                self._write_rows(
+                    tgt_mgr.table(state_id),
+                    (
+                        (kbytes, vbytes)
+                        for kbytes, vbytes in src.backend.scan()
+                        if slot_of_key(src.key_codec.decode(kbytes), num_slots)
+                        in moving_set
+                    ),
+                )
+
+        def copy() -> None:
+            # The fuzzy-image cut: everything committed so far reaches
+            # fsynced SSTables and the marker, so the scan reads a complete
+            # image and the WAL suffix is exactly the delta the freeze will
+            # replay.
+            self.checkpoint_shard(source, during_migration=True)
+            copy_rows()
+
+        def live_rows(src: StateTable) -> Iterator[tuple[Any, Any, int]]:
+            for key in src.keys():
+                if slot_of_key(key, num_slots) not in moving_set:
+                    continue
+                live = src.read_live(key)
+                if live is not None:
+                    yield key, live.value, live.cts
+
+        def catch_up() -> tuple[dict[str, Iterator[tuple[Any, Any, int]]], Callable[[str], int]]:
+            if durable:
+                # Drain the pipeline, then replay the commit-WAL suffix
+                # since the copy-phase marker onto the target.  Only commit
+                # records apply: a prepare whose transaction committed has
+                # its own commit record here, and an aborted prepare must
+                # not apply at all.
+                src_daemon = self.daemons[source]
+                src_daemon.flush(timeout=CHECKPOINT_FLUSH_TIMEOUT)
+                src_daemon.wait_publishes_drained()
+                _marker, records = src_daemon.export_tail()
+                for record in records:
+                    if not isinstance(record, CommitLogRecord):
+                        continue
+                    for state_id, ws in apply_recovered_commit(record).items():
+                        moved = WriteSet(
+                            {
+                                key: entry
+                                for key, entry in ws.entries.items()
+                                if slot_of_key(key, num_slots) in moving_set
+                            }
+                        )
+                        if moved:
+                            tgt_mgr.table(state_id).redo_write_set(moved)
+            else:
+                # Base tables are write-through, so under the latches the
+                # source's backend holds every moved row, cold ones too.
+                copy_rows()
+            rows = {
+                state_id: live_rows(src_mgr.table(state_id))
+                for state_id in src_mgr.context.state_ids()
+            }
+            return rows, src_mgr.context.last_cts
+
+        moved_keys = self._hand_over_slots(
+            moving,
+            source,
+            target,
+            catch_up,
+            functools.partial(self.faults.fire, "migration"),
+            copy=copy if durable else None,
+        )
+        self.slot_migrations += 1
+        self.slots_moved += len(moving)
+        self.keys_migrated += moved_keys
+        # Re-divide the fleet-wide cache and memory budgets: a split's
+        # target was classified as a husk while ``_add_shard`` ran the
+        # division slot-less, and a merge's source is a husk now whose
+        # share the survivors reclaim (nothing else would ever expand
+        # them back after a retirement).
+        self._adopt_lsm_backends()
+        # Catch-up and handover wrote around the commit-WAL feed (redo +
+        # backend batches), so both sides' replicas re-base on fresh
+        # images (a split's target starts shipping here; a husk's image
+        # simply goes empty).
+        self._bootstrap_shard_replicas(source)
+        self._bootstrap_shard_replicas(target)
+
+    def _hand_over_slots(
+        self,
+        moving: list[int],
+        source: int,
+        target: int,
+        catch_up: Callable[
+            [], tuple[dict[str, Iterable[tuple[Any, Any, int]]], Callable[[str], int]]
+        ],
+        fault: Callable[[str], None],
+        *,
+        copy: Callable[[], None] | None = None,
+        best_effort_source_cut: bool = False,
+    ) -> int:
+        """Hand ``moving`` slots from ``source`` to ``target`` over one
+        durable :class:`~repro.core.slots.SlotFlip`; returns the number of
+        versions installed on the target.
+
+        The one routing-change protocol: split, merge
+        (:meth:`_migrate_slots_locked`) and :meth:`failover` differ only
+        in where the moved image comes from — ``copy`` runs off the
+        latches, ``catch_up`` under them and returns the image as
+        ``(rows, floor)``: per state the ``(key, value, commit_ts)`` of
+        each moved key's live version, already in the target's base
+        tables, and each group's ``LastCTS`` floor.  ``fault`` is called
+        with ``"copy"``, ``"catchup"`` and ``"flip"`` at the phase
+        boundaries.  Caller holds ``_migration_lock``.
+
+        1. **window** — the store is durably marked migration-touched,
+           both shards' auto-checkpoints and storage maintenance are
+           suspended and in-flight cuts drained; ``copy`` runs.
+        2. **freeze** — both shards are quiesced
+           (:meth:`_commit_latches`); ``catch_up`` runs, each handed-over
+           version is installed on the target at its *original* commit
+           timestamp, the target's group ``LastCTS`` floors are raised to
+           cover them, and a target checkpoint makes the whole image
+           durable before the flip.
+        3. **flip** — the flip record is fsynced to the coordinator log
+           (the commit point: recovery presumes the source owns the slots
+           until this record is durable), the in-memory map is swapped
+           (one atomic reference store), the schema is rewritten, the
+           source's moved rows are purged (:meth:`_purge_moved_rows`) and
+           a final source checkpoint truncates its now fully-covered WAL
+           — best effort for a failover, whose source storage may be the
+           very thing that failed.
+        """
+        durable = self.data_dir is not None
+        moving_set = frozenset(moving)
+        src_mgr = self.shards[source]
+        tgt_mgr = self.shards[target]
+        # Durably mark the dir as migration-touched BEFORE any phase can
+        # write a byte: from here on, recovery evicts misrouted keys as
+        # migration leftovers instead of refusing to open the store.
         if not self.migrations_started and self._schema is not None:
             self._schema.migrations_started = True
             self._schema.save(self.data_dir)
@@ -2785,181 +2758,54 @@ class ShardedTransactionManager:
         # very SSTables the copy phase is scanning, and suspended stores
         # also waive backpressure (catch-up replay writes on the target
         # must never park waiting for a daemon told not to touch it).
-        if self.maintenance_daemon is not None:
-            for idx in (source, target):
-                for store in self._lsm_backends(idx):
-                    self.maintenance_daemon.suspend(store)
+        maintenance = self.maintenance_daemon
+        stores = (
+            []
+            if maintenance is None
+            else self._lsm_backends(source) + self._lsm_backends(target)
+        )
+        for store in stores:
+            maintenance.suspend(store)
         try:
             # Drain in-flight background cuts of both shards: a cut holds
             # the per-shard checkpoint lock while waiting on latches this
-            # migration is about to take — waiting here (lock order:
+            # handover is about to take — waiting here (lock order:
             # checkpoint lock before latches, same as the cuts) instead of
             # inside the freeze avoids the inversion.
             for idx in (source, target):
                 with self._ckpt_locks[idx]:
                     pass
-
-            def copy_phase() -> int:
-                if durable:
-                    # The fuzzy-image cut: everything committed so far
-                    # reaches fsynced SSTables and the marker, so the scan
-                    # below reads a complete image and the WAL suffix is
-                    # exactly the delta the freeze will replay.
-                    self.checkpoint_shard(source, during_migration=True)
-                copied = 0
-                for state_id in src_mgr.context.state_ids():
-                    src = src_mgr.table(state_id)
-                    dst = tgt_mgr.table(state_id)
-                    batch: list[tuple[bytes, bytes]] = []
-                    for kbytes, vbytes in src.backend.scan():
-                        key = src.key_codec.decode(kbytes)
-                        if slot_of_key(key, num_slots) not in moving_set:
-                            continue
-                        batch.append((kbytes, vbytes))
-                        if len(batch) >= 512:
-                            dst.backend.write_batch(batch, [])
-                            copied += len(batch)
-                            batch = []
-                    if batch:
-                        dst.backend.write_batch(batch, [])
-                        copied += len(batch)
-                return copied
-
-            if durable:
-                # The CheckpointDaemon drives the copy (it already owns
-                # off-critical-path flush I/O); a manager without
-                # auto-checkpoints (interval 0) runs it here.
-                if self.checkpoint_daemon is not None:
-                    self.checkpoint_daemon.drive(copy_phase)
-                else:
-                    copy_phase()
-            self._fault_point("copy")
-
+            if copy is not None:
+                copy()
+            fault("copy")
             moved_keys = 0
-            with ExitStack() as stack:
-                # Quiesce both shards in ascending shard order — the same
-                # global order commits and 2PC prepares use, so no
-                # hold-and-wait cycle; within a shard, state-id order (the
-                # checkpoint order).  Prepared 2PC participants pin these
-                # latches until phase two, so no in-doubt transaction can
-                # straddle the flip.
-                for shard_idx in sorted((source, target)):
-                    for table in sorted(
-                        self.shards[shard_idx].tables(),
-                        key=lambda t: t.state_id,
-                    ):
-                        stack.enter_context(table.commit_latch)
+            with self._commit_latches(source, target):
                 self._ensure_not_fenced()
-                src_daemon = self.daemons[source]
-                if durable:
-                    # Catch-up: drain the pipeline, then replay the
-                    # commit-WAL suffix since the copy-phase marker onto
-                    # the target (idempotent backend-level redo).  Only
-                    # commit records apply: a prepare whose transaction
-                    # committed has its own commit record here, and an
-                    # aborted prepare must not apply at all.
-                    src_daemon.flush(timeout=CHECKPOINT_FLUSH_TIMEOUT)
-                    src_daemon.wait_publishes_drained()
-                    _marker, records = src_daemon.export_tail()
-                    for record in records:
-                        if not isinstance(record, CommitLogRecord):
-                            continue
-                        for state_id, ws in apply_recovered_commit(record).items():
-                            filtered = WriteSet()
-                            for key, entry in ws.entries.items():
-                                if slot_of_key(key, num_slots) not in moving_set:
-                                    continue
-                                if entry.kind is WriteKind.DELETE:
-                                    filtered.delete(key)
-                                else:
-                                    filtered.upsert(key, entry.value)
-                            if filtered:
-                                tgt_mgr.table(state_id).redo_write_set(filtered)
-                # Version-index handover: install each moved key's live
-                # version on the target at its original commit timestamp,
-                # so snapshot reads at or after that timestamp keep
-                # resolving correctly under the new routing.
-                moved_encoded: dict[str, list[bytes]] = {}
-                for state_id in src_mgr.context.state_ids():
-                    src = src_mgr.table(state_id)
+                rows, floor = catch_up()
+                # Version-index handover: snapshot reads at or after each
+                # version's commit timestamp keep resolving correctly
+                # under the new routing.
+                for state_id, state_rows in rows.items():
                     dst = tgt_mgr.table(state_id)
-                    volatile_batch: list[tuple[bytes, bytes]] = []
-                    purge = moved_encoded.setdefault(state_id, [])
-                    for key in src.keys():
-                        if slot_of_key(key, num_slots) not in moving_set:
-                            continue
-                        # One scan feeds both the handover and the purge
-                        # below — the latched window pays O(source keys)
-                        # once, not twice.
-                        purge.append(src.key_codec.encode(key))
-                        live = src.read_live(key)
-                        if live is None:
-                            continue
-                        dst.mvcc_object(key, create=True).install(
-                            live.value, live.cts, live.cts
-                        )
+                    for key, value, cts in state_rows:
+                        dst.mvcc_object(key, create=True).install(value, cts, cts)
                         moved_keys += 1
-                        if not durable:
-                            volatile_batch.append(
-                                (
-                                    dst.key_codec.encode(key),
-                                    dst.value_codec.encode(live.value),
-                                )
-                            )
-                    if src.residency == RESIDENCY_LAZY:
-                        # A lazy source holds moved rows its version index
-                        # never faulted in, so the purge (and, in volatile
-                        # mode, the copy) must come from the backend — or
-                        # the flip would leave cold moved rows behind for
-                        # recovery to re-purge on every reopen.  The
-                        # target needs no handover for them (a cold key
-                        # was last written before the source opened —
-                        # writes pin a key resident — so target-side lazy
-                        # hydration serves it correctly), but the SOURCE
-                        # does: an in-flight reader that routed here just
-                        # before the flip would otherwise fault against
-                        # the purged backend and read the key as absent.
-                        # Each cold moved row therefore gets a frozen
-                        # in-memory copy on the source — installed as a
-                        # committed (non-evictable) version, like the
-                        # frozen arrays full residency leaves behind, and
-                        # reclaimed the same way on the next reopen.
-                        handed = set(purge)
-                        for kbytes, vbytes in list(src.backend.scan()):
-                            if kbytes in handed:
-                                continue
-                            key = src.key_codec.decode(kbytes)
-                            if slot_of_key(key, num_slots) not in moving_set:
-                                continue
-                            purge.append(kbytes)
-                            src.mvcc_object(key, create=True).install(
-                                src.value_codec.decode(vbytes),
-                                src.bootstrap_cts,
-                                src.bootstrap_cts,
-                            )
-                            if not durable:
-                                volatile_batch.append((kbytes, vbytes))
-                    if volatile_batch:
-                        dst.backend.write_batch(volatile_batch, [])
                 # The target's visibility floors must cover the adopted
                 # timestamps before any reader pins a snapshot there.
-                merged = {
-                    gid: max(
-                        tgt_mgr.context.last_cts(gid),
-                        src_mgr.context.last_cts(gid),
-                    )
-                    for gid in src_mgr.context.group_ids()
-                }
-                tgt_mgr.context.restore_last_cts(merged)
+                tgt_mgr.context.restore_last_cts(
+                    {
+                        gid: max(tgt_mgr.context.last_cts(gid), floor(gid))
+                        for gid in tgt_mgr.context.group_ids()
+                    }
+                )
                 if durable:
-                    # Migrated rows + marker durable on the target BEFORE
-                    # the flip can commit: a durable flip must never point
-                    # at data only buffered in memory.
+                    # Moved rows + marker durable on the target BEFORE the
+                    # flip can commit: a durable flip must never point at
+                    # data only buffered in memory.
                     self.checkpoint_shard(target, during_migration=True)
-                self._fault_point("catchup")
+                fault("catchup")
                 flip = SlotFlip(
-                    self.slot_map.epoch + 1,
-                    {slot: target for slot in moving},
+                    self.slot_map.epoch + 1, {slot: target for slot in moving}
                 )
                 if self.coordinator_log is not None:
                     try:
@@ -2970,58 +2816,99 @@ class ShardedTransactionManager:
                         # stop either way — if it IS durable, a reopen
                         # resolves post-flip and would evict any further
                         # source-side commits to the moved slots as stale
-                        # copies.  Fencing (like a failed phase two)
-                        # makes the reopen the next step, and the reopen
-                        # lands on a consistent state whichever way the
-                        # record fell: pre-split (source complete, target
-                        # copies purged) or post-split (the target was
-                        # checkpointed before the flip was attempted).
+                        # copies.  Fencing (like a failed phase two) makes
+                        # the reopen the next step, and the reopen lands
+                        # on a consistent state whichever way the record
+                        # fell: pre-flip (source complete, target copies
+                        # purged) or post-flip (the target was checkpointed
+                        # before the flip was attempted).
                         self._fence(
                             f"slot-map flip epoch {flip.epoch} failed to "
                             f"become durable: {exc!r}"
                         )
                         raise
-                    self._fault_point("flip")
+                    fault("flip")
                 # The in-memory commit point: one atomic reference swap.
                 # Committers blocked on the held latches re-check their
                 # routing against this map in the commit gate.
                 self.slot_map = self.slot_map.apply(flip)
                 if self._schema is not None:
-                    self._schema.slot_map = list(self.slot_map.slots)
-                    self._schema.slot_epoch = self.slot_map.epoch
-                    self._schema.save(self.data_dir)
-                    self._durable_slot_epoch = self.slot_map.epoch
-                # Purge the moved keys from the source *backend* only: the
-                # durable base tables must stop carrying rows recovery
-                # would re-bootstrap (it would purge them again on every
-                # reopen).  The in-memory version arrays stay — readers
-                # take no latches, so one that routed to the source just
-                # before the flip may still be about to read; its versions
-                # are frozen (the commit gate refuses any further writer)
-                # and the epoch-gated scan filter keeps the stale copies
-                # out of merged scans.  The memory is reclaimed on the
-                # next reopen (recovery bootstraps from the purged
-                # backend).
-                for state_id, deletes in moved_encoded.items():
-                    if deletes:
-                        src_mgr.table(state_id).backend.write_batch([], deletes)
+                    self._save_slot_map()
+                self._purge_moved_rows(src_mgr, moving_set)
                 if durable:
                     # Final source cut: every surviving WAL record is
                     # either in the source's SSTables (kept keys) or
-                    # migrated and checkpointed on the target (moved
-                    # keys), so the suffix truncates and the purge
-                    # becomes durable.
-                    self.checkpoint_shard(source, during_migration=True)
-            self.slot_migrations += 1
-            self.slots_moved += len(moving)
-            self.keys_migrated += moved_keys
+                    # handed over and checkpointed on the target (moved
+                    # keys), so the suffix truncates and the purge becomes
+                    # durable.
+                    try:
+                        self.checkpoint_shard(source, during_migration=True)
+                    except (WALError, TimeoutError, StorageError):
+                        if not best_effort_source_cut:
+                            raise
+            return moved_keys
         finally:
             self._migrating.discard(source)
             self._migrating.discard(target)
-            if self.maintenance_daemon is not None:
-                for idx in (source, target):
-                    for store in self._lsm_backends(idx):
-                        self.maintenance_daemon.resume(store)
+            for store in stores:
+                maintenance.resume(store)
+
+    def _purge_moved_rows(
+        self, src_mgr: TransactionManager, moving_set: frozenset[int]
+    ) -> None:
+        """Delete the moved slots' rows from a flipped source's *base
+        tables* only.
+
+        The durable base tables must stop carrying rows recovery would
+        re-bootstrap (it would purge them again on every reopen).  The
+        in-memory version arrays stay — readers take no latches, so one
+        that routed to the source just before the flip may still be about
+        to read; its versions are frozen (the commit gate refuses any
+        further writer) and the epoch-gated scan filter keeps the stale
+        copies out of merged scans.  A lazy source also holds moved rows
+        its version index never faulted in, and such a reader would fault
+        against the purged backend and read the key as absent — so each
+        cold moved row first gets a frozen in-memory copy, installed as a
+        committed (non-evictable) version like the arrays full residency
+        leaves behind.  The memory is reclaimed on the next reopen
+        (recovery bootstraps from the purged backend).
+        """
+        num_slots = self.slot_map.num_slots
+        for state_id in src_mgr.context.state_ids():
+            src = src_mgr.table(state_id)
+            deletes = [
+                src.key_codec.encode(key)
+                for key in src.keys()
+                if slot_of_key(key, num_slots) in moving_set
+            ]
+            if src.residency == RESIDENCY_LAZY:
+                resident = set(deletes)
+                for kbytes, vbytes in list(src.backend.scan()):
+                    if kbytes in resident:
+                        continue
+                    key = src.key_codec.decode(kbytes)
+                    if slot_of_key(key, num_slots) not in moving_set:
+                        continue
+                    deletes.append(kbytes)
+                    src.mvcc_object(key, create=True).install(
+                        src.value_codec.decode(vbytes),
+                        src.bootstrap_cts,
+                        src.bootstrap_cts,
+                    )
+            if deletes:
+                src.backend.write_batch([], deletes)
+
+    @staticmethod
+    def _write_rows(table: StateTable, rows: Iterable[tuple[bytes, bytes]]) -> None:
+        """Write encoded rows to ``table``'s base table in bounded batches."""
+        batch: list[tuple[bytes, bytes]] = []
+        for row in rows:
+            batch.append(row)
+            if len(batch) >= 512:
+                table.backend.write_batch(batch, [])
+                batch = []
+        if batch:
+            table.backend.write_batch(batch, [])
 
     # recovery ------------------------------------------------------------
 

@@ -16,11 +16,16 @@ crash-child ``os._exit`` idiom:
 
 Fault points the sharded manager fires (hooks receive the arguments in
 parentheses; see :mod:`repro.core.sharding` and
-:mod:`repro.core.replication`):
+:mod:`repro.core.replication`).  Split, merge and failover share one slot
+handover (``ShardedTransactionManager._hand_over_slots``): a split or a
+merge fires ``migration`` at its phase boundaries, a failover the two
+``promote_*`` points.
 
 =================== =======================================================
-``migration``       ``(phase)`` at a slot migration's durable phase
-                    boundaries ``"copy"``/``"catchup"``/``"flip"``
+``migration``       ``(phase)`` at the handover's durable phase
+                    boundaries: ``"copy"`` after the off-latch copy,
+                    ``"catchup"`` after the target checkpoint, ``"flip"``
+                    after the flip record is durable
 ``prepare``         ``(shard_index)`` per 2PC participant once every
                     participant prepared and all votes are durable
 ``vote``            ``(shard_index)`` right after that participant's
@@ -32,11 +37,12 @@ parentheses; see :mod:`repro.core.sharding` and
 ``replica_apply``   ``(shard_index, replica_id)`` after the replica WAL
                     append, before the in-memory apply +
                     durable-confirmation step
-``promote_pre_flip``  ``(shard_index)`` during ``failover()``, after the
-                    replica state is rebuilt on the new primary but before
-                    the durable ``SlotFlip`` is logged
-``promote_post_flip`` ``(shard_index)`` after the flip record is durable,
-                    before the new slot map is published/saved
+``promote_pre_flip``  ``(shard_index)`` during ``failover()``, once the
+                    replica to promote is caught up and chosen, before its
+                    rows reach the new primary (no flip is logged yet)
+``promote_post_flip`` ``(shard_index)`` at the handover's ``"flip"``
+                    boundary: the flip record is durable, the new slot map
+                    is not yet published/saved
 =================== =======================================================
 """
 

@@ -20,6 +20,7 @@ The recovery invariants this module restores:
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +28,9 @@ from typing import Any
 
 from ..core.codecs import ORDERED_KEY_CODEC, PICKLE_CODEC, Codec
 from ..core.manager import TransactionManager
+from ..errors import StorageError
 from ..storage.lsm import LSMOptions, LSMStore
+from ..storage.wal import fsync_dir
 from .redo import ContextStore
 
 
@@ -48,6 +51,14 @@ class DurableSystem:
     ``LastCTS``, and the recovery procedure.  Create it, register states
     and groups, use ``manager`` for transactions; after a crash, create it
     again over the same directory and call :meth:`recover`.
+
+    ``key_encodings.json`` records the key codec each state was created
+    with (its :attr:`~repro.core.codecs.Codec.format_name`), the way a
+    sharded ``schema.json`` records ``key_encoding``: re-creating a state
+    under another key codec raises :class:`~repro.errors.StorageError`
+    before its base table is opened, instead of failing to decode its
+    rows mid-:meth:`recover`.  A directory written before the file
+    existed adopts the codec of the first reopen.
     """
 
     def __init__(
@@ -67,22 +78,58 @@ class DurableSystem:
         self.context_store = ContextStore(self.directory / "context.log", sync=sync)
         self.manager.context.attach_persistence(self.context_store.record)
         self._state_dirs: dict[str, Path] = {}
+        self._key_encodings_path = self.directory / "key_encodings.json"
+        self._key_encodings: dict[str, str] = {}
+        if self._key_encodings_path.exists():
+            try:
+                self._key_encodings = json.loads(
+                    self._key_encodings_path.read_text(encoding="utf-8")
+                )
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise StorageError(
+                    f"catalog {self._key_encodings_path} is not valid JSON: {exc}"
+                ) from exc
+            if not isinstance(self._key_encodings, dict):
+                raise StorageError(
+                    f"catalog {self._key_encodings_path} is not a JSON object"
+                )
 
     # ------------------------------------------------------------- schema
 
     def create_table(self, state_id: str, **table_kwargs: Any):
         """Register a durable state backed by its own LSM directory."""
+        key_codec = table_kwargs.pop("key_codec", self.key_codec)
+        recorded = self._key_encodings.get(state_id)
+        if recorded is None:
+            self._key_encodings[state_id] = key_codec.format_name
+            self._save_key_encodings()
+        elif recorded != key_codec.format_name:
+            raise StorageError(
+                f"state {state_id!r} in {self.directory} stores keys encoded "
+                f"with {recorded!r}, not {key_codec.format_name!r}; pass the "
+                "key_codec it was created with"
+            )
         state_dir = self.directory / "states" / state_id
         self._state_dirs[state_id] = state_dir
         backend = LSMStore(state_dir, LSMOptions(sync=self.sync))
         return self.manager.create_table(
             state_id,
             backend=backend,
-            key_codec=table_kwargs.pop("key_codec", self.key_codec),
+            key_codec=key_codec,
             value_codec=table_kwargs.pop("value_codec", self.value_codec),
             location=str(state_dir),
             **table_kwargs,
         )
+
+    def _save_key_encodings(self) -> None:
+        """Atomically persist (tmp + fsync + rename + directory fsync)."""
+        tmp = self._key_encodings_path.with_suffix(".tmp")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(self._key_encodings, fh, indent=2, sort_keys=True)
+            fh.flush()
+            os.fsync(fh.fileno())
+        tmp.replace(self._key_encodings_path)
+        fsync_dir(self.directory)
 
     def register_group(self, group_id: str, state_ids: list[str]) -> None:
         self.manager.register_group(group_id, state_ids)

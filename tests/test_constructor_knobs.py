@@ -46,8 +46,6 @@ def test_constructor_parameters_are_pinned():
         "gc_policy",
         "gc_interval",
         "oracle",
-        "wal_path",
-        "durability",
         "durability_daemon",
         "protocol_kwargs",
     ]

@@ -57,6 +57,15 @@ from repro.storage.wal import (
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def wal_manager(path: Path, mode: str = "sync") -> TransactionManager:
+    """A single-site manager committing through a group-fsync daemon over
+    the commit WAL at ``path``."""
+    return TransactionManager(
+        protocol="mvcc",
+        durability_daemon=GroupFsyncDaemon(WriteAheadLog(path, sync=False), mode=mode),
+    )
+
+
 # ---------------------------------------------------------------- append_many
 
 
@@ -192,7 +201,7 @@ class TestTailCorruptionRecovery:
 
 class TestCommitRecords:
     def test_roundtrip_with_upserts_and_deletes(self, tmp_path):
-        mgr = TransactionManager(protocol="mvcc", wal_path=tmp_path / "c.wal")
+        mgr = wal_manager(tmp_path / "c.wal")
         mgr.create_table("A")
         mgr.table("A").bulk_load([(2, "doomed")])
         txn = mgr.begin()
@@ -256,7 +265,7 @@ class TestGroupFsyncDaemon:
 
     def test_commit_ts_order_equals_wal_order(self, tmp_path):
         """The ordering invariant: per-shard WAL order == commit-ts order."""
-        mgr = TransactionManager(protocol="mvcc", wal_path=tmp_path / "c.wal")
+        mgr = wal_manager(tmp_path / "c.wal")
         mgr.create_table("A")
 
         def worker(wid: int) -> None:
@@ -285,9 +294,7 @@ class TestGroupFsyncDaemon:
 
 class TestAsyncDurability:
     def test_async_acknowledges_before_durable(self, tmp_path):
-        mgr = TransactionManager(
-            protocol="mvcc", wal_path=tmp_path / "c.wal", durability="async"
-        )
+        mgr = wal_manager(tmp_path / "c.wal", mode="async")
         mgr.create_table("A")
         txn = mgr.begin()
         mgr.write(txn, "A", 1, "v")
@@ -303,9 +310,7 @@ class TestAsyncDurability:
         assert len(recovered_commits(tmp_path / "c.wal")) == 1
 
     def test_watermark_monotone_and_complete_after_flush(self, tmp_path):
-        mgr = TransactionManager(
-            protocol="mvcc", wal_path=tmp_path / "c.wal", durability="async"
-        )
+        mgr = wal_manager(tmp_path / "c.wal", mode="async")
         mgr.create_table("A")
         marks = [mgr.durable_watermark()]
         for i in range(30):
@@ -489,7 +494,7 @@ class TestCheckpointMarkers:
             mgr.commit(txn)
 
     def test_write_checkpoint_truncates_prefix_and_seeds_marker(self, tmp_path):
-        mgr = TransactionManager(protocol="mvcc", wal_path=tmp_path / "c.wal")
+        mgr = wal_manager(tmp_path / "c.wal")
         mgr.create_table("A")
         self._commit_some(mgr, 0, 12)
         daemon = mgr.durability
@@ -510,7 +515,7 @@ class TestCheckpointMarkers:
         mgr.close()
 
     def test_commit_wal_tail_without_marker_returns_everything(self, tmp_path):
-        mgr = TransactionManager(protocol="mvcc", wal_path=tmp_path / "c.wal")
+        mgr = wal_manager(tmp_path / "c.wal")
         mgr.create_table("A")
         self._commit_some(mgr, 0, 5)
         mgr.close()
@@ -627,7 +632,7 @@ class TestDurabilityFailureCleanup:
     context slots (code-review regression tests)."""
 
     def test_closed_daemon_releases_latches_and_slot(self, tmp_path):
-        mgr = TransactionManager(protocol="mvcc", wal_path=tmp_path / "c.wal")
+        mgr = wal_manager(tmp_path / "c.wal")
         mgr.create_table("A")
         txn = mgr.begin()
         mgr.write(txn, "A", 1, "v")

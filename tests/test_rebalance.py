@@ -6,9 +6,10 @@ The migration contract under test (``split_shard`` / ``merge_shard`` on a
 * a completed split survives close/reopen — the slot map, the migrated
   rows and the per-group watermarks all come back, and the moved keys'
   stale source copies never resurface;
-* a ``kill -9`` at **every** durable phase boundary recovers to exactly
-  the pre-split or the post-split state, never a mix.  The flip record in
-  the coordinator log is the commit point:
+* a ``kill -9`` at **every** durable phase boundary of a split — and of a
+  merge, which takes the same slot handover — recovers to exactly the
+  pre- or the post-migration state, never a mix.  The flip record in the
+  coordinator log is the commit point:
 
   ========================  =============================================
   crash point               recovered state
@@ -131,7 +132,7 @@ class TestDurableSplit:
 # ------------------------------------------------------------- crash matrix
 
 
-_SPLIT_CRASH_SCRIPT = r"""
+_MIGRATION_CRASH_SCRIPT = r"""
 import os, sys
 from repro.core import ShardedTransactionManager
 
@@ -144,27 +145,45 @@ for i in range(120):
     with smgr.transaction() as txn:
         smgr.write(txn, "A", i, i * 11)
 
-crash_phase = sys.argv[2]
+crash_phase, op = sys.argv[2], sys.argv[3]
 
 def fault(phase):
     if phase == crash_phase:
         os._exit(41)
 
 smgr.faults.register("migration", fault)
-smgr.split_shard(0)
+if op == "split":
+    smgr.split_shard(0)
+else:
+    smgr.merge_shard(3, 1)
 os._exit(7)  # only when the requested phase never fired
 """
 
 
-def _run_split_crash(tmp_path, phase: str) -> None:
-    proc = run_crash_child(_SPLIT_CRASH_SCRIPT, tmp_path, phase)
+def _run_migration_crash(tmp_path, phase: str, op: str) -> None:
+    proc = run_crash_child(_MIGRATION_CRASH_SCRIPT, tmp_path, phase, op)
     assert proc.returncode == 41, (proc.returncode, proc.stderr)
+
+
+#: ``merge_shard(3, 1)`` on the uniform 4-shard map: what each side owns.
+MERGE_SOURCE_SLOTS = list(range(3, NUM_SLOTS, 4))
+MERGED_TARGET_SLOTS = sorted(list(range(1, NUM_SLOTS, 4)) + MERGE_SOURCE_SLOTS)
+
+
+def _assert_pre_merge(reopened) -> None:
+    assert reopened.num_shards == 4
+    assert reopened.slot_map.epoch == 0
+    assert reopened.slot_map.slots_of(3) == MERGE_SOURCE_SLOTS
+    assert scan_all(reopened, "A") == EXPECTED
+    # the target's copies of the source's rows were purged, not resurrected
+    for key, _ in reopened.table(1, "A").scan_live():
+        assert reopened.shard_of(key) == 1
 
 
 class TestCrashMatrix:
     @pytest.mark.parametrize("phase", ["copy", "catchup"])
     def test_crash_before_flip_recovers_pre_split(self, tmp_path, phase):
-        _run_split_crash(tmp_path, phase)
+        _run_migration_crash(tmp_path, phase, "split")
         reopened = ShardedTransactionManager.open(tmp_path)
         # the grown (empty) shard reopens, but no slot routes to it
         assert reopened.num_shards == 5
@@ -184,7 +203,7 @@ class TestCrashMatrix:
         reopened.close()
 
     def test_crash_after_durable_flip_recovers_post_split(self, tmp_path):
-        _run_split_crash(tmp_path, "flip")
+        _run_migration_crash(tmp_path, "flip", "split")
         # schema.json still carries the pre-flip map: the coordinator log
         # is the authority
         schema = ShardedSchema.load(tmp_path)
@@ -207,10 +226,48 @@ class TestCrashMatrix:
         assert scan_all(again, "A") == EXPECTED
         again.close()
 
+    @pytest.mark.parametrize("phase", ["copy", "catchup"])
+    def test_crash_before_flip_recovers_pre_merge(self, tmp_path, phase):
+        _run_migration_crash(tmp_path, phase, "merge")
+        reopened = ShardedTransactionManager.open(tmp_path)
+        _assert_pre_merge(reopened)
+        if phase == "catchup":
+            assert reopened.last_recovery.stale_keys_purged > 0
+        # the manager is fully live: merging again succeeds
+        assert reopened.merge_shard(3, 1) == len(MERGE_SOURCE_SLOTS)
+        assert scan_all(reopened, "A") == EXPECTED
+        reopened.close()
+
+    def test_crash_after_durable_flip_recovers_post_merge(self, tmp_path):
+        _run_migration_crash(tmp_path, "flip", "merge")
+        assert ShardedSchema.load(tmp_path).slot_epoch == 0
+        reopened = ShardedTransactionManager.open(tmp_path)
+        assert reopened.slot_map.epoch == 1
+        assert reopened.slot_map.slots_of(3) == []
+        assert reopened.slot_map.slots_of(1) == MERGED_TARGET_SLOTS
+        assert scan_all(reopened, "A") == EXPECTED
+        # the husk's stale copies were purged by recovery
+        assert list(reopened.table(3, "A").scan_live()) == []
+        reopened.close()
+        assert ShardedSchema.load(tmp_path).slot_epoch == 1
+        again = ShardedTransactionManager.open(tmp_path)
+        assert again.slot_map.slots_of(1) == MERGED_TARGET_SLOTS
+        assert scan_all(again, "A") == EXPECTED
+        again.close()
+
+    def test_torn_flip_record_recovers_pre_merge(self, tmp_path):
+        _run_migration_crash(tmp_path, "flip", "merge")
+        log = coordinator_log_path(tmp_path)
+        with open(log, "r+b") as fh:
+            fh.truncate(max(0, log.stat().st_size - 5))
+        reopened = ShardedTransactionManager.open(tmp_path)
+        _assert_pre_merge(reopened)
+        reopened.close()
+
     def test_torn_flip_record_recovers_pre_split(self, tmp_path):
         """A flip record whose tail bytes never hit the disk fails its CRC
         and does not count — the migration never committed."""
-        _run_split_crash(tmp_path, "flip")
+        _run_migration_crash(tmp_path, "flip", "split")
         log = coordinator_log_path(tmp_path)
         with open(log, "r+b") as fh:
             fh.truncate(max(0, log.stat().st_size - 5))
@@ -374,32 +431,41 @@ class TestHuskCompactionWatermark:
         smgr.close()
 
 
+def _assert_failed_flip_fences(smgr, tmp_path, handover) -> None:
+    from repro.errors import WALError
+
+    def boom(flip):
+        raise WALError("injected flip fsync failure")
+
+    smgr.coordinator_log.log_slot_flip = boom
+    with pytest.raises(WALError):
+        handover(smgr)
+    assert smgr.fenced
+    with pytest.raises(StorageError):
+        with smgr.transaction() as txn:
+            smgr.write(txn, "A", 0, "refused")
+    smgr.close()
+    reopened = ShardedTransactionManager.open(tmp_path)
+    assert reopened.slot_map.epoch == 0  # nothing was written: pre-flip
+    assert scan_all(reopened, "A") == EXPECTED
+    reopened.close()
+
+
 class TestFlipDurabilityFailure:
+    """If the flip record's durability cannot be confirmed, the on-disk
+    routing state is uncertain: the manager must fence (no further
+    commits could survive a reopen that resolves post-flip) and the
+    reopen must land on a consistent pre- or post-flip state.  Split,
+    merge and failover share the one handover path, so a split and a
+    failover cover its fence."""
+
     def test_failed_flip_fsync_fences_the_manager(self, tmp_path):
-        """If the flip record's durability cannot be confirmed, the
-        on-disk routing state is uncertain: the manager must fence (no
-        further commits could survive a reopen that resolves post-flip)
-        and the reopen must land on a consistent pre- or post-split
-        state."""
-        from repro.errors import WALError
-
         smgr = make_durable(tmp_path)
+        _assert_failed_flip_fences(smgr, tmp_path, lambda m: m.split_shard(0))
 
-        def boom(flip):
-            raise WALError("injected flip fsync failure")
-
-        smgr.coordinator_log.log_slot_flip = boom
-        with pytest.raises(WALError):
-            smgr.split_shard(0)
-        assert smgr.fenced
-        with pytest.raises(StorageError):
-            with smgr.transaction() as txn:
-                smgr.write(txn, "A", 0, "refused")
-        smgr.close()
-        reopened = ShardedTransactionManager.open(tmp_path)
-        assert reopened.slot_map.epoch == 0  # nothing was written: pre-split
-        assert scan_all(reopened, "A") == EXPECTED
-        reopened.close()
+    def test_failed_promotion_flip_fsync_fences_the_manager(self, tmp_path):
+        smgr = make_durable(tmp_path, replication_factor=2)
+        _assert_failed_flip_fences(smgr, tmp_path, lambda m: m.failover(0))
 
     def test_log_slot_flip_wait_failure_leaves_no_phantom_flip(self, tmp_path):
         """A flip whose batched fsync wait fails must not linger in the

@@ -1,6 +1,9 @@
 """Tests for the recovery layer: context store, checkpoints, restart."""
 
+import pytest
 
+from repro.core.codecs import PICKLE_CODEC
+from repro.errors import StorageError
 from repro.recovery import CheckpointManager, ContextStore, DurableSystem
 
 
@@ -181,3 +184,30 @@ class TestDurableSystem:
             for i in range(3):
                 assert view.get("A", i) == f"r{i}"
         final.close()
+
+    def test_reopen_under_another_key_codec_is_refused(self, tmp_path):
+        """A directory written with pickled keys reopened under the default
+        ordered key codec raises ``StorageError`` before the state's base
+        table is opened (not a decode error mid-``recover()``); reopening
+        with the codec it was written with still recovers every row."""
+        system = DurableSystem(tmp_path, sync=False, key_codec=PICKLE_CODEC)
+        system.create_table("A")
+        with system.manager.transaction() as txn:
+            system.manager.write(txn, "A", 1, "v")
+        system.close()
+        state_dir = tmp_path / "states" / "A"
+        files_before = sorted(p.name for p in state_dir.iterdir())
+
+        reopened = DurableSystem(tmp_path, sync=False)
+        with pytest.raises(StorageError, match="PickleCodec"):
+            reopened.create_table("A")
+        assert reopened.manager.tables() == []
+        reopened.close()
+        assert sorted(p.name for p in state_dir.iterdir()) == files_before
+
+        restarted = DurableSystem(tmp_path, sync=False, key_codec=PICKLE_CODEC)
+        restarted.create_table("A")
+        assert restarted.recover().rows_recovered == {"A": 1}
+        with restarted.manager.snapshot() as view:
+            assert view.get("A", 1) == "v"
+        restarted.close()

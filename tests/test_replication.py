@@ -313,6 +313,46 @@ class TestLiveFailover:
             smgr.close()  # idempotent
 
 
+class TestLazyFailover:
+    def test_failover_of_a_lazy_store_promotes_and_purges_cold_rows(self, tmp_path):
+        smgr = make_replicated(tmp_path, state_residency="lazy")
+        load_rows(smgr)
+        smgr.close()
+        # A lazy store faults rows in on first touch: after a reopen the
+        # source's rows start cold (only in its base table).
+        smgr = ShardedTransactionManager.open(tmp_path)
+        try:
+            src = smgr.table(0, "A")
+            moved = [k for k in EXPECTED if smgr.shard_of(k) == 0]
+            resident = set(src.keys())
+            cold = [k for k in moved if k not in resident]
+            assert cold
+            target = smgr.failover(0)
+            assert smgr.slot_map.slots_of(0) == []
+            assert scan_all(smgr, "A") == EXPECTED
+            with smgr.snapshot() as view:
+                for key in moved:
+                    assert view.get("A", key) == key * 7
+            # the demoted shard's base table holds no moved row, cold or not
+            for key in moved:
+                assert src.backend.get(src.key_codec.encode(key)) is None
+            # a reader that routed to the source just before the flip still
+            # reads the cold moved rows (frozen in-memory copies)
+            ts = smgr.oracle.current()
+            for key in cold:
+                entry = src.read_version_at(key, ts)
+                assert entry is not None and entry.value == key * 7
+        finally:
+            smgr.close()
+        reopened = ShardedTransactionManager.open(tmp_path)
+        try:
+            assert reopened.slot_map.slots_of(0) == []
+            assert scan_all(reopened, "A") == EXPECTED
+            assert {k for k, _ in reopened.table(target, "A").scan_live()} == set(moved)
+        finally:
+            reopened.close()
+
+
 # --------------------------------------------------------- crash matrix
 
 
