@@ -669,12 +669,6 @@ class GroupFsyncDaemon:
         with self._lock:
             self._replica_seqs.setdefault(replica_id, 0)
 
-    def retire_replica(self, replica_id: int) -> None:
-        with self._lock:
-            self._replica_seqs.pop(replica_id, None)
-            self._replica_lagging.discard(replica_id)
-            self._recompute_replica_watermark_locked()
-
     def confirm_replica_durable(self, replica_id: int, seq: int) -> None:
         """A replica reports every record ``<= seq`` durable on its WAL.
 
@@ -708,12 +702,6 @@ class GroupFsyncDaemon:
         if mark != self._replica_durable_seq:
             self._replica_durable_seq = mark
             self._replica_cv.notify_all()
-
-    def replica_durable_watermark(self) -> int:
-        """Highest seq confirmed durable by a replica quorum (0 when the
-        ack policy is local or no quorum has formed yet)."""
-        with self._lock:
-            return self._replica_durable_seq
 
     def lagging_replicas(self) -> int:
         with self._lock:
@@ -839,19 +827,6 @@ class GroupFsyncDaemon:
                     "in flight (shard not quiesced/flushed)"
                 )
             return commit_wal_tail(self.wal.path)
-
-    def preload_tail(self, records: int) -> None:
-        """Account for an on-disk WAL tail that predates this process.
-
-        Called by restart recovery after parsing the tail: the fresh
-        daemon's counters would otherwise start at zero, under-reporting
-        :meth:`records_since_checkpoint` by the whole replayed tail — the
-        auto-checkpoint trigger would let the file grow past its bound,
-        and :meth:`write_checkpoint` would report ``dropped=0`` for a
-        truncation that in fact dropped the tail.
-        """
-        with self._lock:
-            self._records_at_checkpoint = -records
 
     def write_checkpoint(
         self, checkpoint_ts: int, last_cts: dict[str, int], covered_seq: int

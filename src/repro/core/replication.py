@@ -164,20 +164,7 @@ class ShardReplica:
         """Cold-open a replica from its WAL (the promotion source after a
         primary crash).  Replay stops at the first torn frame — exactly
         the durable prefix the primary was confirmed."""
-        replica = cls.__new__(cls)
-        replica.path = Path(path)
-        replica.replica_id = replica_id
-        replica.wal = WriteAheadLog(replica.path / "replica.wal", sync=True)
-        replica.bootstrap_cts = 0
-        replica.last_cts = {}
-        replica.confirmed_seq = 0
-        replica.applied_cts = 0
-        replica.lagging = False
-        replica._versions = {}
-        replica._lock = make_lock(
-            lockranks.REPLICA, index=replica_id, name=f"replica[{replica_id}]"
-        )
-        replica.records_applied = 0
+        replica = cls(path, replica_id)
         for kind, frame in WriteAheadLog.replay(replica.wal.path):
             if kind == KIND_CHECKPOINT:
                 bootstrap_cts, last_cts, confirmed_seq, image = pickle.loads(frame)

@@ -75,10 +75,10 @@ shard's LSM stores without latches, quiesces it briefly (all commit
 latches) and rewrites the WAL to a checkpoint marker plus the few
 records the pre-flush did not cover — an ARIES-style fuzzy checkpoint.
 Manual, closing, migration and post-recovery cuts take the same path
-with everything covered, leaving just the marker.  A crashed
-process reopens with :meth:`ShardedTransactionManager.open`, which
-replays only the tails, shards in parallel
-(:mod:`repro.recovery.sharded`).
+with everything covered, leaving just the marker.  The constructor only
+creates a store; a crashed or closed one reopens with
+:meth:`ShardedTransactionManager.open`, which replays only the tails,
+shards in parallel (:mod:`repro.recovery.sharded`).
 
 Replication and ack policies (``replication_factor=``/``ack=``): each
 durable primary shard can ship its committed WAL tail to
@@ -569,6 +569,12 @@ class ShardedTransactionManager:
     ``begin`` / ``read`` / ``write`` / ``commit`` / ``snapshot`` /
     ``run_transaction``), routing each key to its home shard and upgrading
     the commit to two-phase only when a transaction actually spans shards.
+
+    Two entry points, one job each: the constructor builds a volatile
+    manager or, with ``data_dir=``, *creates* a durable store — it raises
+    :class:`~repro.errors.StorageError` before touching a file when
+    ``data_dir`` already holds a ``schema.json``; :meth:`open` is the only
+    way to reopen one, because only it recovers the committed state.
     """
 
     def __init__(
@@ -671,66 +677,33 @@ class ShardedTransactionManager:
         self.snapshot_coordinator: SnapshotCoordinator | None = (
             SnapshotCoordinator(self.oracle) if global_snapshots else None
         )
-        # Adopt-or-create the persisted catalog BEFORE any on-disk side
-        # effect.  Adopting (instead of clobbering) protects the state and
-        # group definitions against a crash between this constructor and
-        # the caller's create_table/register_group calls (e.g. inside
-        # ``open()``); failing fast on a shard-count mismatch protects the
-        # existing shard-NN directories from being reread under a
-        # different key routing, which would orphan committed data.
-        self._schema: Any | None = None
-        #: ``True`` when this constructor adopted a *pre-existing* catalog
-        #: (reopen path): replica attachment is deferred to :meth:`open`,
-        #: so bootstrap images are cut from *recovered* state.
-        self._adopted_existing_schema = False
-        if self.data_dir is not None:
+        #: The persisted catalog (durable mode only): what a reopen
+        #: recreates before replay.  :meth:`open` sets the one it loaded
+        #: and checked before it runs this constructor, with the catalog's
+        #: settings as arguments; every other call creates a new store,
+        #: and refuses a directory that already holds one before touching
+        #: a file — reopening is :meth:`open`'s job alone, since only it
+        #: recovers the committed state.
+        self._schema: Any | None = vars(self).get("_schema")
+        created = self._schema is None
+        if self.data_dir is not None and created:
             from ..recovery.sharded import ShardedSchema, schema_path
 
-            # Only an *absent* catalog means a fresh store: a corrupt or
-            # refused one raises from ``load`` and is never overwritten.
-            if not schema_path(self.data_dir).exists():
-                self._schema = ShardedSchema(
-                    num_shards,
-                    protocol or "mvcc",
-                    list(SlotMap.uniform(num_shards).slots),
+            path = schema_path(self.data_dir)
+            if path.exists():
+                raise StorageError(
+                    f"{path} already holds a sharded store; the constructor "
+                    "only creates stores — reopen it with "
+                    "ShardedTransactionManager.open()"
                 )
-            else:
-                adopted = ShardedSchema.load(self.data_dir)
-                self._adopted_existing_schema = True
-                if adopted.num_shards != num_shards:
-                    raise StorageError(
-                        f"data_dir {self.data_dir} was created with "
-                        f"num_shards={adopted.num_shards}; reopening it "
-                        f"with num_shards={num_shards} would re-route keys "
-                        "over the existing shard directories — use "
-                        "ShardedTransactionManager.open() to adopt the "
-                        "persisted layout"
-                    )
-                # The protocol is not data-affecting (redo records are
-                # protocol-agnostic), so an *explicit* ``protocol=`` is a
-                # legitimate catalog update; the ``None`` default adopts
-                # the persisted engine instead of silently rewriting it.
-                if protocol is not None:
-                    adopted.protocol = protocol
-                # Residency follows the same rule: it is a read-path
-                # policy, not a data format — an explicit argument updates
-                # the catalog, ``None`` adopts the persisted mode.
-                if state_residency is not None:
-                    adopted.state_residency = state_residency
-                self._schema = adopted
-            if state_residency is not None:
-                self._schema.state_residency = state_residency
-            # Replication knobs persist like ``protocol``/``state_residency``:
-            # an explicit argument updates the catalog, ``None`` adopts the
-            # persisted configuration.
-            if replication_factor is not None:
-                self._schema.replication_factor = replication_factor
-            if ack is not None:
-                self._schema.ack = ack
-            protocol = self._schema.protocol
-            state_residency = self._schema.state_residency
-            replication_factor = self._schema.replication_factor
-            ack = self._schema.ack
+            self._schema = ShardedSchema(
+                num_shards,
+                protocol or "mvcc",
+                list(SlotMap.uniform(num_shards).slots),
+                state_residency=state_residency or RESIDENCY_FULL,
+                replication_factor=replication_factor or 0,
+                ack=ack or "local",
+            )
         #: Default residency mode stamped on every partition
         #: :meth:`create_table` creates (``"full"`` bootstraps the whole
         #: version index at open; ``"lazy"`` faults rows in on first read
@@ -739,7 +712,7 @@ class ShardedTransactionManager:
         self.state_residency = state_residency or RESIDENCY_FULL
         #: Replicas per shard (0 = replication off) and the commit-ack
         #: policy — see the module-docstring "ack policies" section.  Both
-        #: persist in ``schema.json``; ``None`` arguments adopt them.
+        #: persist in ``schema.json`` like ``protocol``.
         self.replication_factor = replication_factor or 0
         self.ack = ack or "local"
         #: Bound on a ``ack="quorum"`` commit's wait for its replica
@@ -751,23 +724,14 @@ class ShardedTransactionManager:
                 "ack='quorum' needs replication_factor >= 1 — there is no "
                 "replica quorum to wait for"
             )
-        #: Live slot -> shard routing table.  Adopted from the persisted
-        #: schema in durable mode (validated against the shard count and
-        #: the on-disk layout *before* any side effect, like the
-        #: ``num_shards`` check above); the uniform map otherwise.
-        if self._schema is not None:
-            slots = self._schema.slot_map
-            bad = [s for s in slots if not 0 <= s < num_shards]
-            if bad:
-                raise StorageError(
-                    f"slot map in {self.data_dir} routes to shard(s) "
-                    f"{sorted(set(bad))} outside the {num_shards}-shard "
-                    "layout; the catalog is inconsistent with the shard "
-                    "directories — refusing to re-route keys over them"
-                )
-            self.slot_map = SlotMap(slots, self._schema.slot_epoch)
-        else:
-            self.slot_map = SlotMap.uniform(num_shards)
+        #: Live slot -> shard routing table: the catalog's in durable mode
+        #: (a reopened one is rolled forward and checked by :meth:`open`),
+        #: the uniform map otherwise.
+        self.slot_map = (
+            SlotMap(self._schema.slot_map, self._schema.slot_epoch)
+            if self._schema is not None
+            else SlotMap.uniform(num_shards)
+        )
         #: Durably ``True`` before the first migration's copy phase can
         #: touch disk: recovery's slot-ownership sweep evicts misrouted
         #: keys only on managers that have migrated — on any other store
@@ -781,22 +745,6 @@ class ShardedTransactionManager:
         #: migration's schema rewrite, and compacting against it could
         #: drop a flip the on-disk schema does not cover yet.
         self._durable_slot_epoch = self.slot_map.epoch
-        if self.data_dir is not None and self.data_dir.exists():
-            # A shard directory beyond the catalog's shard count holds
-            # data no slot can route to (e.g. a hand-edited schema): fail
-            # before any WAL/daemon side effect instead of orphaning it.
-            for entry in self.data_dir.glob("shard-*"):
-                try:
-                    shard_no = int(entry.name.split("-", 1)[1])
-                except ValueError:
-                    continue
-                if entry.is_dir() and shard_no >= num_shards:
-                    raise StorageError(
-                        f"{entry} exists but the catalog only covers "
-                        f"{num_shards} shard(s); the slot map cannot route "
-                        "to it — the directory layout is inconsistent with "
-                        "the schema"
-                    )
         #: Engine name resolved against the persisted catalog (``"mvcc"``
         #: when neither an argument nor a catalog supplies one).
         protocol = protocol or "mvcc"
@@ -873,23 +821,8 @@ class ShardedTransactionManager:
                 coordinator_log_path(self.data_dir),
                 batch_window=fsync_batch_window,
             )
-            # Roll the slot map forward over flip records newer than the
-            # persisted schema: a crash between the durable flip and the
-            # schema rewrite must still resolve post-flip (until the flip
-            # record is durable, the source shard is presumed owner).
-            for flip in self.coordinator_log.slot_flips():
-                if flip.epoch <= self.slot_map.epoch:
-                    continue
-                bad = [
-                    s for s in flip.moves.values() if not 0 <= s < num_shards
-                ]
-                if bad:
-                    raise StorageError(
-                        f"slot flip epoch {flip.epoch} in the coordinator "
-                        f"log routes to shard(s) {sorted(set(bad))} outside "
-                        f"the {num_shards}-shard layout"
-                    )
-                self.slot_map = self.slot_map.apply(flip)
+            # Persists a new catalog, or the rolled-forward slot map and
+            # explicit settings of a reopened one.
             self._save_slot_map()
         #: Background checkpoint thread (durable managers with an
         #: auto-checkpoint interval only): commits signal it.
@@ -932,21 +865,19 @@ class ShardedTransactionManager:
         #: this manager fires and their hook signatures.
         self.faults = FaultInjector()
         #: Per-shard replication daemons (``None`` when the shard ships to
-        #: no replicas); sized to ``num_shards`` by ``_attach_replication``
-        #: and grown alongside :meth:`_add_shard`.
+        #: no replicas); filled by :meth:`_attach_replication` and grown
+        #: alongside :meth:`_add_shard`.
         self._replication: list[ReplicationDaemon | None] = [
             None for _ in range(num_shards)
         ]
-        self._replication_attached = False
         #: Round-robin cursor for :meth:`read_follower` replica choice.
         self._follower_rr = 0
-        #: Report of the last :meth:`open`/:meth:`recover` run (``None``
-        #: for a fresh, never-recovered manager).
+        #: Report of the :meth:`open` that built this manager (``None``
+        #: for a new store).
         self.last_recovery: Any | None = None
-        # A *fresh* store attaches replication immediately; reopening an
-        # existing store defers to :meth:`open`, which attaches after
-        # recovery so bootstrap images include the recovered state.
-        if self.replication_factor > 0 and not self._adopted_existing_schema:
+        # A new store's shards are empty, so its replicas bootstrap now;
+        # open() bootstraps them once recovery has refilled the shards.
+        if created:
             self._attach_replication()
 
     # ------------------------------------------------------------- schema
@@ -2148,12 +2079,9 @@ class ShardedTransactionManager:
         return self.data_dir / f"shard-{shard:02d}" / f"replica-{replica_id}"
 
     def _attach_replication(self) -> None:
-        """Start shipping on every shard (idempotent).  Fresh stores run
-        this from the constructor; :meth:`open` runs it after recovery so
-        bootstrap images are cut from recovered state."""
-        if self._replication_attached or self.replication_factor <= 0:
-            return
-        self._replication_attached = True
+        """Start shipping on every shard.  A new store runs this from the
+        constructor; :meth:`open` runs it after recovery so bootstrap
+        images are cut from recovered state."""
         for idx in range(self.num_shards):
             self._bootstrap_shard_replicas(idx)
 
@@ -2175,11 +2103,7 @@ class ShardedTransactionManager:
         replica WAL append/apply -> ``confirm_replica_durable``.
         """
         daemon = self.daemons[idx]
-        if (
-            daemon is None
-            or not self._replication_attached
-            or self.replication_factor <= 0
-        ):
+        if daemon is None or self.replication_factor <= 0:
             return
         repl = self._replication[idx]
         if repl is None:
@@ -2226,15 +2150,6 @@ class ShardedTransactionManager:
                 replica.bootstrap(bootstrap_cts, last_cts, image, floor)
                 daemon.register_replica(replica.replica_id)
                 daemon.confirm_replica_durable(replica.replica_id, floor)
-
-    def replica_durable_watermarks(self) -> list[int]:
-        """Per-shard replica-durable watermark: the highest commit-WAL
-        sequence a quorum of that shard's replicas holds durably (0 when
-        the shard ships to no replicas)."""
-        return [
-            daemon.replica_durable_watermark() if daemon is not None else 0
-            for daemon in self.daemons
-        ]
 
     def follower_read_ts(self) -> int:
         """Newest timestamp follower reads can serve consistently: the
@@ -2916,64 +2831,48 @@ class ShardedTransactionManager:
     def open(
         cls,
         data_dir: str | os.PathLike[str],
-        recover: bool = True,
-        checkpoint_after_recovery: bool = True,
         recovery_workers: int | None = None,
         **kwargs: Any,
     ) -> "ShardedTransactionManager":
-        """Reopen a durable sharded manager from its ``data_dir``.
+        """Reopen the durable store in ``data_dir``: the only way to.
 
-        Reads the persisted schema (shard count, protocol, states,
-        groups), reconstructs the manager with its durable layout, and —
-        unless ``recover=False`` — runs restart recovery: commit-WAL tail
-        replay, in-doubt 2PC resolution, ``LastCTS``/oracle restoration
-        and version-index bootstrap.  Shards recover in parallel by
-        default (they are self-contained directories);
-        ``recovery_workers=1`` forces the sequential reference procedure.
-        The report lands on ``manager.last_recovery``.  ``kwargs``
-        override constructor parameters (``protocol=``,
-        ``checkpoint_interval=``, ...).  A data dir whose schema records
-        another key encoding than the engine's (or none: pickled keys),
-        or that is unreadable or lacks a field, raises
-        :class:`~repro.errors.StorageError` before anything is read or
-        written (see :meth:`~repro.recovery.sharded.ShardedSchema.load`).
+        Loads the persisted catalog once and checks it against the
+        directory before anything is written (see
+        :func:`~repro.recovery.sharded.load_catalog`): a catalog that is
+        unreadable, lacks a field or records another key encoding than the
+        engine's, a ``num_shards=`` other than the persisted count, a slot
+        map or coordinator-log flip record routing outside the layout, or
+        a stray ``shard-NN`` directory raises
+        :class:`~repro.errors.StorageError`.  ``kwargs`` are constructor
+        parameters; for the persisted settings (``protocol``,
+        ``state_residency``, ``replication_factor``, ``ack``) an explicit
+        argument beats, and rewrites, the catalog's value.
+
+        Then builds the manager on that catalog, recreates its tables and
+        groups and runs restart recovery: commit-WAL tail replay, in-doubt
+        2PC resolution, ``LastCTS``/oracle restoration, version-index
+        bootstrap and a checkpoint that truncates the replayed tails.
+        Shards recover in parallel by default (they are self-contained
+        directories); ``recovery_workers=1`` forces the sequential
+        reference procedure.  The report lands on
+        ``manager.last_recovery``.  Replication attaches last, so replica
+        bootstrap images are cut from the recovered state.
         """
-        from ..recovery.sharded import ShardedSchema, recover_sharded
+        from ..recovery.sharded import CATALOG_SETTINGS, load_catalog, recover_sharded
 
-        schema = ShardedSchema.load(data_dir)
-        kwargs.setdefault("num_shards", schema.num_shards)
-        kwargs.setdefault("protocol", schema.protocol)
-        manager = cls(data_dir=data_dir, **kwargs)
-        for state_id, version_slots in schema.states.items():
-            manager.create_table(state_id, version_slots=version_slots)
-        for group_id, state_ids in schema.groups.items():
-            manager.register_group(group_id, state_ids)
-        manager.last_recovery = (
-            recover_sharded(
-                manager,
-                checkpoint=checkpoint_after_recovery,
-                max_workers=recovery_workers,
-            )
-            if recover
-            else None
+        catalog = load_catalog(
+            data_dir, {name: kwargs.pop(name, None) for name in CATALOG_SETTINGS}
         )
-        # Replication attaches only now, after recovery: the replica
-        # bootstrap images must be cut from the *recovered* state, not
-        # from the empty tables the constructor starts with.
-        if manager.replication_factor > 0:
-            manager._attach_replication()
+        manager = cls.__new__(cls)
+        manager._schema = catalog
+        manager.__init__(data_dir=data_dir, **catalog.settings(), **kwargs)
+        for state_id, version_slots in catalog.states.items():
+            manager.create_table(state_id, version_slots=version_slots)
+        for group_id, state_ids in catalog.groups.items():
+            manager.register_group(group_id, state_ids)
+        manager.last_recovery = recover_sharded(manager, max_workers=recovery_workers)
+        manager._attach_replication()
         return manager
-
-    def recover(self, checkpoint: bool = True, max_workers: int | None = None):
-        """Run restart recovery on this (freshly reopened) manager.
-
-        Prefer :meth:`open`, which recreates the schema first and then
-        calls this.  Returns a
-        :class:`~repro.recovery.sharded.ShardedRecoveryReport`.
-        """
-        from ..recovery.sharded import recover_sharded
-
-        return recover_sharded(self, checkpoint=checkpoint, max_workers=max_workers)
 
     # maintenance ---------------------------------------------------------
 

@@ -166,16 +166,6 @@ class SlotMap:
         """Smallest shard count covering every assignment."""
         return max(self.slots) + 1
 
-    def promotion_flip(self, source: int, target: int) -> SlotFlip:
-        """The failover flip: every slot ``source`` owns moves to
-        ``target`` in one epoch — a promoted replica takes over its dead
-        primary's whole key range atomically (partial takeover would
-        split one shard's WAL history across owners)."""
-        moves = {slot: target for slot in self.slots_of(source)}
-        if not moves:
-            raise ValueError(f"shard {source} owns no slots to promote")
-        return SlotFlip(self.epoch + 1, moves)
-
     def apply(self, flip: SlotFlip) -> "SlotMap":
         """The successor map after ``flip`` (validates slot indices)."""
         slots = list(self.slots)

@@ -23,7 +23,6 @@ transaction either entirely or not at all.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterator
 from typing import Any
 
@@ -168,9 +167,6 @@ class SnapshotCoordinator:
             if not self._inflight:
                 return self.oracle.current()
             return min(self._inflight) - 1
-
-    def inflight_count(self) -> int:
-        return len(self._inflight)
 
     def stats(self) -> dict[str, int]:
         return {

@@ -641,10 +641,6 @@ class StateTable:
     def index(self, name: str) -> SecondaryIndex:
         return self.indexes.get(name)
 
-    def index_lookup_at(self, name: str, index_key: Hashable, ts: int) -> list[Any]:
-        """Primary keys matching ``index_key`` at snapshot ``ts``."""
-        return self.indexes.get(name).lookup_at(index_key, ts)
-
     # ------------------------------------------------------------------- GC
 
     def collect_garbage(self, oldest_active: int) -> int:

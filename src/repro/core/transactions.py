@@ -203,10 +203,6 @@ class Transaction:
 
     # ------------------------------------------------------------ snapshots
 
-    def pinned_snapshot(self, group_id: str) -> int | None:
-        """ReadCTS pinned for ``group_id`` (``None`` before the first read)."""
-        return self.read_cts.get(group_id)
-
     def snapshot_or_start(self, group_id: str) -> int:
         """Snapshot used for conflict checks: the pinned ReadCTS when the
         transaction read the group, else its begin timestamp (blind writes

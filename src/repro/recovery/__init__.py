@@ -1,4 +1,4 @@
-"""Recovery: persistent metadata, checkpoints, restart procedures.
+"""Recovery: persistent metadata and restart procedures.
 
 Architecture overview — what is durable, who owns it, and how a crashed
 process gets back to its exact committed state:
@@ -16,8 +16,13 @@ process gets back to its exact committed state:
                                                marker + replayed commit ts
   2PC       —                                  coordinator.log: durable commit
                                                decisions, presumed-abort
+  create    DurableSystem(dir)                 ShardedTransactionManager(
+                                               data_dir=...): new stores only;
+                                               refuses an existing schema.json
   restart   DurableSystem.recover()            ShardedTransactionManager.open()
-                                               -> recover_sharded()
+                                               -> load_catalog() (checks, no
+                                               writes) -> recover_sharded()
+                                               -> post-recovery checkpoint
 ```
 
 Module map:
@@ -25,8 +30,6 @@ Module map:
 * :mod:`~repro.recovery.redo` — :class:`ContextStore`, the durable
   group -> ``LastCTS`` map the paper requires ("the last committed
   transaction (LastCTS) per group ... needs to be persistent", §4.1).
-* :mod:`~repro.recovery.checkpoint` — flush-and-snapshot checkpointing
-  for single-site table sets (volatile backends get snapshot files).
 * :mod:`~repro.recovery.recovery` — :class:`DurableSystem`, the
   single-site durable manager: one LSM directory per state, restart =
   restore ``LastCTS`` + rebuild version indexes from the base tables.
@@ -35,7 +38,8 @@ Module map:
   resolution against the global :class:`CoordinatorLog` (presumed-abort),
   ``LastCTS``/oracle restoration, version-index bootstrap, and the
   post-recovery checkpoint that truncates the replayed tails.  Also owns
-  the on-disk layout helpers and the persisted :class:`ShardedSchema`.
+  the on-disk layout helpers, the persisted :class:`ShardedSchema` and
+  :func:`load_catalog`, the one place a reopen checks it.
 
 Recovery invariants (both procedures):
 
@@ -50,7 +54,6 @@ Recovery invariants (both procedures):
    prepare without a durable commit decision is presumed aborted).
 """
 
-from .checkpoint import CheckpointInfo, CheckpointManager
 from .recovery import DurableSystem, RecoveryReport
 from .redo import ContextStore
 from .sharded import (
@@ -59,12 +62,11 @@ from .sharded import (
     ShardRecovery,
     ShardedRecoveryReport,
     ShardedSchema,
+    load_catalog,
     recover_sharded,
 )
 
 __all__ = [
-    "CheckpointInfo",
-    "CheckpointManager",
     "ContextStore",
     "CoordinatorLog",
     "CoordinatorOutcome",
@@ -73,5 +75,6 @@ __all__ = [
     "ShardRecovery",
     "ShardedRecoveryReport",
     "ShardedSchema",
+    "load_catalog",
     "recover_sharded",
 ]

@@ -51,7 +51,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..errors import StorageError
 from ..storage.wal import (
@@ -61,7 +61,7 @@ from ..storage.wal import (
     fsync_dir,
 )
 from ..core.codecs import ORDERED_KEY_CODEC
-from ..core.slots import SlotFlip
+from ..core.slots import SlotFlip, SlotMap
 from ..core.durability import (
     CommitLogRecord,
     GroupFsyncDaemon,
@@ -82,6 +82,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _SCHEMA_NAME = "schema.json"
 _COORD_LOG_NAME = "coordinator.log"
+
+#: Constructor settings the catalog persists (see :func:`load_catalog`).
+CATALOG_SETTINGS = (
+    "num_shards",
+    "protocol",
+    "state_residency",
+    "replication_factor",
+    "ack",
+)
 
 
 # --------------------------------------------------------------------------
@@ -155,6 +164,10 @@ class ShardedSchema:
     #: explicit constructor arguments update the catalog.
     replication_factor: int = 0
     ack: str = "local"
+
+    def settings(self) -> dict[str, Any]:
+        """The persisted constructor settings, by parameter name."""
+        return {name: getattr(self, name) for name in CATALOG_SETTINGS}
 
     def save(self, data_dir: str | os.PathLike[str]) -> None:
         """Atomically persist (tmp + fsync + rename + directory fsync)."""
@@ -460,6 +473,81 @@ class CoordinatorLog:
 
 
 # --------------------------------------------------------------------------
+# reopening a store
+# --------------------------------------------------------------------------
+
+
+def _check_routes(what: str, shards: list[int], num_shards: int) -> None:
+    bad = sorted({s for s in shards if not 0 <= s < num_shards})
+    if bad:
+        raise StorageError(
+            f"{what} routes to shard(s) {bad} outside the {num_shards}-shard "
+            "layout; the catalog is inconsistent with the shard directories "
+            "— refusing to re-route keys over them"
+        )
+
+
+def load_catalog(
+    data_dir: str | os.PathLike[str], overrides: dict[str, Any]
+) -> ShardedSchema:
+    """Load and check the catalog a reopen builds on; never writes.
+
+    The one place
+    :meth:`~repro.core.sharding.ShardedTransactionManager.open` checks a
+    store, all before any file is touched:
+
+    * :meth:`ShardedSchema.load`'s format and key-encoding checks;
+    * ``overrides`` (explicit :data:`CATALOG_SETTINGS` arguments, ``None``
+      = not given) replace the persisted settings — the protocol,
+      residency and replication policy are not data formats — except
+      ``num_shards``, which must match: another count would re-route keys
+      over the existing shard directories;
+    * the slot map, rolled forward over coordinator-log flip records
+      newer than the schema (a crash between a durable flip and the
+      schema rewrite must still resolve post-flip), routes only to shards
+      of the layout;
+    * no ``shard-NN`` directory lies beyond the layout (its data would be
+      unroutable, e.g. after a hand-edited schema).
+    """
+    schema = ShardedSchema.load(data_dir)
+    num_shards = overrides.get("num_shards")
+    if num_shards is not None and num_shards != schema.num_shards:
+        raise StorageError(
+            f"data_dir {data_dir} was created with "
+            f"num_shards={schema.num_shards}; reopening it with "
+            f"num_shards={num_shards} would re-route keys over the existing "
+            "shard directories"
+        )
+    for name in CATALOG_SETTINGS:
+        if name != "num_shards" and overrides.get(name) is not None:
+            setattr(schema, name, overrides[name])
+    _check_routes(f"slot map in {data_dir}", schema.slot_map, schema.num_shards)
+    slot_map = SlotMap(schema.slot_map, schema.slot_epoch)
+    flips = CoordinatorLog._read_log(coordinator_log_path(data_dir))[1]
+    for epoch in sorted(e for e in flips if e > slot_map.epoch):
+        _check_routes(
+            f"slot flip epoch {epoch} in the coordinator log",
+            list(flips[epoch].moves.values()),
+            schema.num_shards,
+        )
+        slot_map = slot_map.apply(flips[epoch])
+    schema.slot_map = list(slot_map.slots)
+    schema.slot_epoch = slot_map.epoch
+    for entry in Path(data_dir).glob("shard-*"):
+        try:
+            shard_no = int(entry.name.split("-", 1)[1])
+        except ValueError:
+            continue
+        if entry.is_dir() and shard_no >= schema.num_shards:
+            raise StorageError(
+                f"{entry} exists but the catalog only covers "
+                f"{schema.num_shards} shard(s); the slot map cannot route to "
+                "it — the directory layout is inconsistent with the schema"
+            )
+    return schema
+
+
+# --------------------------------------------------------------------------
 # the recovery procedure
 # --------------------------------------------------------------------------
 
@@ -496,7 +584,7 @@ class ShardedRecoveryReport:
     coordinator_outcomes: int = 0
     #: wall-clock seconds spent in recovery (replay + bootstrap).
     recovery_s: float = 0.0
-    #: WAL records dropped by the post-recovery checkpoint (0 if disabled).
+    #: WAL records dropped by the post-recovery checkpoint.
     truncated_records: int = 0
 
     @property
@@ -709,18 +797,11 @@ def _recover_shard(
             info.stale_keys_purged += table.evict_keys(stale)
             if not lazy:
                 info.rows_loaded[table.state_id] -= len(stale)
-    daemon = manager.daemons[idx]
-    if daemon is not None:
-        # Seed the tail accounting so the auto-checkpoint bound and the
-        # truncation report cover the pre-crash records, not just the
-        # ones this process will enqueue.
-        daemon.preload_tail(len(records))
     return info, max_seen
 
 
 def recover_sharded(
     manager: "ShardedTransactionManager",
-    checkpoint: bool = True,
     max_workers: int | None = None,
 ) -> ShardedRecoveryReport:
     """Replay every shard's commit-WAL tail into its base tables.
@@ -751,41 +832,32 @@ def recover_sharded(
     def parse_tail(idx: int):
         return commit_wal_tail(manager.commit_wal_path(manager.data_dir, idx))
 
-    # Pass 1 — parse every shard's tail and gather global commit evidence:
-    # the coordinator log's decisions plus every durable commit record (a
-    # commit record on any participant proves the decision was commit).
-    # The decision map needs *every* tail before any shard can resolve its
-    # prepares, so this pass is a barrier before pass 2.
-    if workers > 1:
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="shard-recovery"
-        ) as pool:
-            tails = dict(zip(shard_ids, pool.map(parse_tail, shard_ids)))
-    else:
-        tails = {idx: parse_tail(idx) for idx in shard_ids}
-    decisions: dict[int, int] = {}
-    if manager.coordinator_log is not None:
-        for txn_id, outcome in manager.coordinator_log.outcomes().items():
-            decisions[txn_id] = outcome.commit_ts
-        report.coordinator_outcomes = len(manager.coordinator_log)
-    for _marker, records in tails.values():
-        for record in records:
-            if isinstance(record, CommitLogRecord):
-                decisions.setdefault(record.txn_id, record.commit_ts)
-
-    # Pass 2 — per shard, in parallel: redo tails, resolve in-doubt
-    # prepares, restore LastCTS, bootstrap version indexes.
     def run_shard(idx: int) -> tuple[ShardRecovery, int]:
         marker, records = tails[idx]
         return _recover_shard(manager, idx, marker, records, decisions)
 
-    if workers > 1:
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="shard-recovery"
-        ) as pool:
-            outcomes = list(pool.map(run_shard, shard_ids))
-    else:
-        outcomes = [run_shard(idx) for idx in shard_ids]
+    decisions: dict[int, int] = {}
+    with ThreadPoolExecutor(
+        max_workers=workers, thread_name_prefix="shard-recovery"
+    ) as pool:
+        # Pass 1 — parse every shard's tail and gather global commit
+        # evidence: the coordinator log's decisions plus every durable
+        # commit record (a commit record on any participant proves the
+        # decision was commit).  The decision map needs *every* tail
+        # before any shard can resolve its prepares, so this pass is a
+        # barrier before pass 2.
+        tails = dict(zip(shard_ids, pool.map(parse_tail, shard_ids)))
+        if manager.coordinator_log is not None:
+            for txn_id, outcome in manager.coordinator_log.outcomes().items():
+                decisions[txn_id] = outcome.commit_ts
+            report.coordinator_outcomes = len(manager.coordinator_log)
+        for _marker, records in tails.values():
+            for record in records:
+                if isinstance(record, CommitLogRecord):
+                    decisions.setdefault(record.txn_id, record.commit_ts)
+        # Pass 2 — per shard, in parallel: redo tails, resolve in-doubt
+        # prepares, restore LastCTS, bootstrap version indexes.
+        outcomes = list(pool.map(run_shard, shard_ids))
     report.shards = [info for info, _ in outcomes]
     max_seen = max((seen for _, seen in outcomes), default=0)
 
@@ -818,23 +890,14 @@ def recover_sharded(
     manager.oracle.advance_to(max_seen)
     report.oracle_restarted_at = manager.oracle.current()
 
-    if checkpoint:
-        # Truncate the replayed tails (and the now-covered coordinator
-        # decisions) so a second crash replays only post-recovery work.
-        report.truncated_records = manager.checkpoint(parallel=workers > 1)
-    else:
-        # Even without a checkpoint the WAL files must be made appendable:
-        # a crash-torn tail frame would sit before every new append and
-        # hide it from replay (replay stops at the first bad frame), so
-        # each WAL is rewritten to exactly its intact records.
-        for idx in shard_ids:
-            daemon = manager.daemons[idx]
-            if daemon is None:
-                continue
-            intact = list(WriteAheadLog.replay(daemon.wal.path))
-            if daemon.wal.size_bytes() > sum(
-                len(p) + 9 for _, p in intact  # 9 = frame header bytes
-            ):
-                daemon.wal.reset_to(intact)
+    # Truncate the replayed tails (and the now-covered coordinator
+    # decisions) so a second crash replays only post-recovery work.  The
+    # full cut rewrites each WAL to just its marker, which also drops a
+    # crash-torn tail frame that would otherwise hide every later append
+    # from replay.  Its own count covers only records this process
+    # enqueued — none yet — so the replayed tails are added.
+    report.truncated_records = report.tail_records + manager.checkpoint(
+        parallel=workers > 1
+    )
     report.recovery_s = time.perf_counter() - t0
     return report

@@ -51,7 +51,6 @@ mid-build leaves a sealed sidecar (replayed) and possibly an orphan
 from __future__ import annotations
 
 import os
-import threading
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
 import zlib
 from collections.abc import Iterable, Iterator
 from pathlib import Path

@@ -12,7 +12,7 @@ import inspect
 from repro.core import ShardedTransactionManager, TransactionManager
 from repro.core.durability import GroupFsyncDaemon
 from repro.core.sharding import CheckpointDaemon
-from repro.recovery.sharded import CoordinatorLog
+from repro.recovery.sharded import CoordinatorLog, recover_sharded
 from repro.sim import CostModel
 
 
@@ -65,6 +65,17 @@ def test_constructor_parameters_are_pinned():
     assert list(
         inspect.signature(ShardedTransactionManager.checkpoint_shard).parameters
     )[1:] == ["idx", "background", "during_migration"]
+    # One way to reopen a store, and its recovery always ends in a
+    # checkpoint: no switch skips either.
+    assert list(inspect.signature(ShardedTransactionManager.open).parameters) == [
+        "data_dir",
+        "recovery_workers",
+        "kwargs",
+    ]
+    assert list(inspect.signature(recover_sharded).parameters) == [
+        "manager",
+        "max_workers",
+    ]
 
 
 def test_cost_model_fields_are_pinned():

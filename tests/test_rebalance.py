@@ -318,7 +318,7 @@ class TestSlotMapValidation:
         payload["slot_map"][7] = 9  # no shard 9 in a 4-shard layout
         path.write_text(json.dumps(payload))
         before = sorted(p.name for p in tmp_path.rglob("*"))
-        with pytest.raises(StorageError, match="slot map"):
+        with pytest.raises(StorageError, match=r"open\(\)"):
             ShardedTransactionManager(num_shards=4, data_dir=tmp_path)
         with pytest.raises(StorageError, match="slot map"):
             ShardedTransactionManager.open(tmp_path)
@@ -339,9 +339,9 @@ class TestSlotMapValidation:
         del payload["slot_map"]
         path.write_text(json.dumps(payload))
         before = _tree_bytes(tmp_path)
-        with pytest.raises(StorageError, match="slot_map"):
+        with pytest.raises(StorageError, match=r"open\(\)"):
             ShardedTransactionManager(num_shards=4, data_dir=tmp_path)
-        with pytest.raises(StorageError, match="slot_map"):
+        with pytest.raises(StorageError, match="no 'slot_map' field"):
             ShardedTransactionManager.open(tmp_path)
         assert _tree_bytes(tmp_path) == before
 

@@ -1,10 +1,10 @@
-"""Tests for the recovery layer: context store, checkpoints, restart."""
+"""Tests for the recovery layer: context store and restart."""
 
 import pytest
 
 from repro.core.codecs import PICKLE_CODEC
 from repro.errors import StorageError
-from repro.recovery import CheckpointManager, ContextStore, DurableSystem
+from repro.recovery import ContextStore, DurableSystem
 
 
 class TestContextStore:
@@ -52,28 +52,6 @@ class TestContextStore:
         assert store.values() == {}
         assert store.last_cts("g") == 0
         store.close()
-
-
-class TestCheckpointManager:
-    def test_volatile_snapshot_roundtrip(self, tmp_path):
-        from repro.core.table import StateTable
-
-        cm = CheckpointManager(tmp_path)
-        table = StateTable("vol")
-        table.bulk_load([(i, i * 2) for i in range(10)])
-        info = cm.checkpoint([table], {"g": 5})
-        assert info.snapshot_files
-
-        fresh = StateTable("vol")
-        assert cm.restore_volatile(fresh) == 10
-        fresh.load_from_backend(bootstrap_cts=5)
-        assert fresh.read_live(3).value == 6
-
-    def test_restore_missing_snapshot(self, tmp_path):
-        from repro.core.table import StateTable
-
-        cm = CheckpointManager(tmp_path)
-        assert cm.restore_volatile(StateTable("never")) == 0
 
 
 class TestDurableSystem:

@@ -311,26 +311,79 @@ class TestInDoubtPrepares:
 # ------------------------------------------------------ reopen hardening
 
 
+def _crash_after_commits(data_dir, commits: int) -> None:
+    """``commits`` sync-acknowledged commits, then ``os._exit``."""
+    proc = run_crash_child(_MID_LOAD_SCRIPT, data_dir, "0", str(commits))
+    assert proc.returncode == 42, proc.stderr
+    assert len(proc.stdout.split(",")) == commits
+
+
+def _close_after_commits(data_dir, commits: int) -> None:
+    """``commits`` commits, then a clean ``close()``."""
+    smgr = ShardedTransactionManager(num_shards=4, protocol="mvcc", data_dir=data_dir)
+    smgr.create_table("A")
+    smgr.create_table("B")
+    smgr.register_group("g", ["A", "B"])
+    for i in range(commits):
+        with smgr.transaction() as txn:
+            smgr.write(txn, "A", i, f"a{i}")
+    smgr.close()
+
+
 class TestReopenHardening:
     """Crash windows around the reopen path itself (code-review fixes)."""
 
-    def test_schema_survives_crash_during_open(self, tmp_path):
-        """Reconstructing the manager over an existing data_dir (the first
-        thing open() does) must not clobber the persisted catalog: a crash
-        before the tables are re-registered would otherwise lose it."""
+    def test_schema_survives_crash_during_open(self, tmp_path, monkeypatch):
+        """open() builds the manager on the catalog it loaded, so the
+        catalog it persists while building keeps every table and group: a
+        crash before recovery finishes loses none of them."""
+        import repro.recovery.sharded as sharded_mod
+
         smgr = ShardedTransactionManager(num_shards=2, data_dir=tmp_path)
         smgr.create_table("A")
         smgr.register_group("g", ["A"])
         with smgr.transaction() as txn:
             smgr.write(txn, "A", 1, "v")
         smgr.close()
-        # crash-during-open simulation: constructor runs, then nothing
-        half_open = ShardedTransactionManager(num_shards=2, data_dir=tmp_path)
-        del half_open
+
+        # crash-during-open simulation: the manager is built, recovery dies
+        def crash(manager, max_workers=None):
+            raise RuntimeError("crash during recovery")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sharded_mod, "recover_sharded", crash)
+            with pytest.raises(RuntimeError, match="crash during recovery"):
+                ShardedTransactionManager.open(tmp_path)
         schema = ShardedSchema.load(tmp_path)
         assert "A" in schema.states and schema.groups["g"] == ["A"]
         reopened = ShardedTransactionManager.open(tmp_path)
         assert scan_all(reopened, "A") == {1: "v"}
+        reopened.close()
+
+    @pytest.mark.parametrize(
+        "stop", [_crash_after_commits, _close_after_commits], ids=["crashed", "closed"]
+    )
+    def test_constructor_refuses_existing_store_and_open_loses_nothing(
+        self, tmp_path, stop
+    ):
+        """The constructor only creates stores: over an existing one it
+        raises before touching a file, because it would skip recovery (and
+        its closing checkpoint would then cut the commit WALs down to a
+        marker over tables that never received the tail).  open() then
+        finds every sync-acknowledged commit."""
+        commits = 50
+        stop(tmp_path, commits)
+        protected = [schema_path(tmp_path)] + sorted(
+            tmp_path.glob("shard-*/commit.wal")
+        )
+        assert len(protected) == 5
+        before = [path.read_bytes() for path in protected]
+        with pytest.raises(StorageError, match=r"open\(\)") as info:
+            ShardedTransactionManager(num_shards=4, data_dir=tmp_path)
+        assert str(schema_path(tmp_path)) in str(info.value)
+        assert [path.read_bytes() for path in protected] == before
+        reopened = ShardedTransactionManager.open(tmp_path)
+        assert scan_all(reopened, "A") == {i: f"a{i}" for i in range(commits)}
         reopened.close()
 
     def test_torn_coordinator_tail_does_not_hide_new_decisions(self, tmp_path):
@@ -348,7 +401,7 @@ class TestReopenHardening:
         assert set(outcomes) == {1, 2}
         assert outcomes[2].commit_ts == 9
 
-    def test_recovery_without_checkpoint_keeps_wal_bound_and_appendable(self, tmp_path):
+    def test_recovery_cuts_torn_wal_tail_so_appends_replay(self, tmp_path):
         proc = run_crash_child(_MID_LOAD_SCRIPT, tmp_path, "0", "50")
         assert proc.returncode == 42, proc.stderr
         # tear one shard's commit-WAL tail, as a crash mid-append would
@@ -356,16 +409,13 @@ class TestReopenHardening:
         intact = len(commit_wal_tail(wal0)[1])
         with open(wal0, "ab") as fh:
             fh.write(b"\xde\xadtorn-frame")
-        reopened = ShardedTransactionManager.open(
-            tmp_path, checkpoint_after_recovery=False
-        )
-        # the replayed tail counts toward the auto-checkpoint bound
-        assert (
-            reopened.daemons[0].records_since_checkpoint()
-            >= reopened.last_recovery.shards[0].tail_records
-            == intact
-        )
-        # and appends after the (sanitized) torn tail are replayable
+        reopened = ShardedTransactionManager.open(tmp_path)
+        # recovery replayed the intact prefix, and its checkpoint cut the
+        # WAL down to the marker, torn frame included
+        assert reopened.last_recovery.shards[0].tail_records == intact
+        assert [kind for kind, _ in WriteAheadLog.replay(wal0)] == [KIND_CHECKPOINT]
+        assert reopened.daemons[0].records_since_checkpoint() == 0
+        # so appends after the torn tail are replayable
         with reopened.transaction() as txn:
             reopened.write(txn, "A", 0, "rewritten")
         reopened.close()
@@ -710,7 +760,7 @@ class TestSchemaMismatchRejected:
         with smgr.transaction() as txn:
             smgr.write(txn, "A", 1, "v")
         smgr.close()
-        with pytest.raises(StorageError, match="num_shards=2"):
+        with pytest.raises(StorageError, match=r"open\(\)"):
             ShardedTransactionManager(num_shards=3, data_dir=tmp_path)
         with pytest.raises(StorageError, match="num_shards=2"):
             ShardedTransactionManager.open(tmp_path, num_shards=5)
@@ -738,9 +788,9 @@ class TestSchemaMismatchRejected:
         reopened.close()
 
     def test_reopen_without_protocol_adopts_persisted_engine(self, tmp_path):
-        """Only an *explicit* protocol= rewrites the catalog; the default
-        adopts the persisted engine instead of silently flipping it back
-        to mvcc on a direct constructor reopen."""
+        """Only an *explicit* protocol= rewrites the catalog; a reopen
+        without one adopts the persisted engine instead of silently
+        flipping it back to mvcc."""
         smgr = ShardedTransactionManager(
             num_shards=2, protocol="s2pl", data_dir=tmp_path
         )
@@ -748,7 +798,7 @@ class TestSchemaMismatchRejected:
         with smgr.transaction() as txn:
             smgr.write(txn, "A", 1, "v")
         smgr.close()
-        reopened = ShardedTransactionManager(num_shards=2, data_dir=tmp_path)
+        reopened = ShardedTransactionManager.open(tmp_path, protocol=None)
         assert reopened.protocol_name == "s2pl"
         assert ShardedSchema.load(tmp_path).protocol == "s2pl"
         reopened.close()
@@ -757,8 +807,8 @@ class TestSchemaMismatchRejected:
 
 class TestCorruptCatalog:
     """A damaged ``schema.json`` is refused with a ``StorageError`` naming
-    the file; only an *absent* catalog makes the constructor start a
-    fresh one, so a corrupt catalog is never overwritten."""
+    the file and never overwritten: open() names the damage, and the
+    constructor, which only creates stores, refuses any existing one."""
 
     @staticmethod
     def _truncate(text: str) -> str:
@@ -784,11 +834,14 @@ class TestCorruptCatalog:
         path = schema_path(tmp_path)
         path.write_text(damage(path.read_text()))
         damaged = path.read_bytes()
-        for open_store in (
-            lambda: ShardedTransactionManager(num_shards=2, data_dir=tmp_path),
-            lambda: ShardedTransactionManager.open(tmp_path),
+        for open_store, refusal in (
+            (
+                lambda: ShardedTransactionManager(num_shards=2, data_dir=tmp_path),
+                r"open\(\)",
+            ),
+            (lambda: ShardedTransactionManager.open(tmp_path), problem),
         ):
-            with pytest.raises(StorageError, match=problem) as info:
+            with pytest.raises(StorageError, match=refusal) as info:
                 open_store()
             assert str(path) in str(info.value)
             assert path.read_bytes() == damaged

@@ -3,8 +3,8 @@
 Each rule gets a violating, a clean and a suppressed fixture, exercised
 through :func:`tools.reprolint.analyze_source` on synthetic snippets; the
 regression class at the bottom pins the real findings this pass surfaced
-and we fixed (RL003 fsync-discipline on the checkpoint/context-compaction
-paths, and the manifest write moved off the LSM store lock).
+and we fixed (RL003 fsync-discipline on the context-compaction path, and
+the manifest write moved off the LSM store lock).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tools import reprolint  # noqa: E402
 
-from repro.recovery.checkpoint import CheckpointManager  # noqa: E402
 from repro.recovery.redo import ContextStore  # noqa: E402
 from repro.storage.lsm import LSMOptions, LSMStore  # noqa: E402
 from repro.storage.manifest import Manifest  # noqa: E402
@@ -458,29 +457,6 @@ class TestBaselineAndCLI:
 
 class TestRegressions:
     """Pins for real findings the pass surfaced (and we fixed)."""
-
-    def test_checkpoint_snapshot_publish_syncs_directory(
-        self, tmp_path, monkeypatch
-    ):
-        """RL003 fix: a volatile-table checkpoint snapshot must flush the
-        checkpoint directory after publishing via rename."""
-        from repro.core.table import StateTable
-        from repro.storage.kvstore import MemoryKVStore
-        import repro.recovery.checkpoint as checkpoint_mod
-
-        synced: list[Path] = []
-        real = checkpoint_mod.fsync_dir
-        monkeypatch.setattr(
-            checkpoint_mod,
-            "fsync_dir",
-            lambda d: (synced.append(Path(d)), real(d))[1],
-        )
-        table = StateTable("vol", backend=MemoryKVStore())
-        table.backend.write_batch([("k", "v")], [])
-        cm = CheckpointManager(tmp_path / "ckpt")
-        info = cm.checkpoint([table], {})
-        assert info.snapshot_files
-        assert cm.directory in synced
 
     def test_context_store_compaction_syncs_directory(
         self, tmp_path, monkeypatch
