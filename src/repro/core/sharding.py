@@ -1108,12 +1108,12 @@ class ShardedTransactionManager:
     def _wire_residency(self, idx: int, table: StateTable) -> None:
         """Hook one lazy partition into the manager's shared services.
 
-        The GC-horizon hook keeps eviction snapshot-safe: a bootstrap
-        version may only be dropped once no reader (local or capped
-        cross-shard — the context's ``horizon_hook`` folds the global
-        barrier in) could still resolve it.  The eviction trigger routes
-        over-budget sweeps to the maintenance daemon so the commit path
-        never pays them.
+        The GC-horizon hook keeps eviction snapshot-safe: an array may
+        only be dropped once no reader (local or capped cross-shard — the
+        context's ``horizon_hook`` folds the global barrier in) could
+        still resolve any version but its clean live one.  The eviction
+        trigger routes over-budget sweeps to the maintenance daemon so the
+        commit path never pays them.
         """
         if table.residency != RESIDENCY_LAZY:
             return
@@ -2701,10 +2701,9 @@ class ShardedTransactionManager:
                 # version's commit timestamp keep resolving correctly
                 # under the new routing.
                 for state_id, state_rows in rows.items():
-                    dst = tgt_mgr.table(state_id)
-                    for key, value, cts in state_rows:
-                        dst.mvcc_object(key, create=True).install(value, cts, cts)
-                        moved_keys += 1
+                    moved_keys += self._install_handover(
+                        tgt_mgr.table(state_id), list(state_rows)
+                    )
                 # The target's visibility floors must cover the adopted
                 # timestamps before any reader pins a snapshot there.
                 tgt_mgr.context.restore_last_cts(
@@ -2768,6 +2767,23 @@ class ShardedTransactionManager:
             for store in stores:
                 maintenance.resume(store)
 
+    @staticmethod
+    def _install_handover(
+        dst: StateTable, rows: list[tuple[Any, Any, int]]
+    ) -> int:
+        """Install handed-over live versions on the target at their
+        original commit timestamps.  A version is clean only where the
+        target's base table is checked to hold exactly its encoded value
+        (the image the handover wrote there), so residency eviction never
+        drops a version that a re-fault would not read back."""
+        held = dst.backend.multi_get(
+            [dst.key_codec.encode(key) for key, _value, _cts in rows]
+        )
+        for (key, value, cts), vbytes in zip(rows, held):
+            clean = vbytes == dst.value_codec.encode(value)
+            dst.mvcc_object(key, create=True).install(value, cts, cts, clean=clean)
+        return len(rows)
+
     def _purge_moved_rows(
         self, src_mgr: TransactionManager, moving_set: frozenset[int]
     ) -> None:
@@ -2783,19 +2799,24 @@ class ShardedTransactionManager:
         copies out of merged scans.  A lazy source also holds moved rows
         its version index never faulted in, and such a reader would fault
         against the purged backend and read the key as absent — so each
-        cold moved row first gets a frozen in-memory copy, installed as a
-        committed (non-evictable) version like the arrays full residency
-        leaves behind.  The memory is reclaimed on the next reopen
-        (recovery bootstraps from the purged backend).
+        cold moved row first gets a frozen in-memory copy, installed
+        unclean (non-evictable) like the arrays full residency leaves
+        behind, and every moved array already resident loses its clean
+        bit, since the base table no longer holds it.  The memory is
+        reclaimed on the next reopen (recovery bootstraps from the purged
+        backend).
         """
         num_slots = self.slot_map.num_slots
         for state_id in src_mgr.context.state_ids():
             src = src_mgr.table(state_id)
-            deletes = [
-                src.key_codec.encode(key)
-                for key in src.keys()
-                if slot_of_key(key, num_slots) in moving_set
-            ]
+            deletes = []
+            for key in src.keys():
+                if slot_of_key(key, num_slots) not in moving_set:
+                    continue
+                obj = src.mvcc_object(key)
+                if obj is not None:
+                    obj.mark_dirty()
+                deletes.append(src.key_codec.encode(key))
             if src.residency == RESIDENCY_LAZY:
                 resident = set(deletes)
                 for kbytes, vbytes in list(src.backend.scan()):
@@ -2857,6 +2878,11 @@ class ShardedTransactionManager:
         reference procedure.  The report lands on
         ``manager.last_recovery``.  Replication attaches last, so replica
         bootstrap images are cut from the recovered state.
+
+        If any step after construction raises, the half-built manager is
+        fenced and closed — daemons stopped, WAL and LSM handles closed,
+        no final checkpoint (it would cut the commit WALs over tables
+        that never got their tails) — and the original error propagates.
         """
         from ..recovery.sharded import CATALOG_SETTINGS, load_catalog, recover_sharded
 
@@ -2866,12 +2892,22 @@ class ShardedTransactionManager:
         manager = cls.__new__(cls)
         manager._schema = catalog
         manager.__init__(data_dir=data_dir, **catalog.settings(), **kwargs)
-        for state_id, version_slots in catalog.states.items():
-            manager.create_table(state_id, version_slots=version_slots)
-        for group_id, state_ids in catalog.groups.items():
-            manager.register_group(group_id, state_ids)
-        manager.last_recovery = recover_sharded(manager, max_workers=recovery_workers)
-        manager._attach_replication()
+        try:
+            for state_id, version_slots in catalog.states.items():
+                manager.create_table(state_id, version_slots=version_slots)
+            for group_id, state_ids in catalog.groups.items():
+                manager.register_group(group_id, state_ids)
+            manager.last_recovery = recover_sharded(
+                manager, max_workers=recovery_workers
+            )
+            manager._attach_replication()
+        except BaseException as exc:
+            manager._fence(f"open() failed: {exc!r}")
+            try:
+                manager.close()
+            except Exception:
+                pass  # the open failure is the error to report
+            raise
         return manager
 
     # maintenance ---------------------------------------------------------

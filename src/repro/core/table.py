@@ -38,15 +38,27 @@ starts (nearly) empty and each key moves through a small state machine:
   committed version exists, and a committed delete that beat the fault-in
   leaves the bootstrap entry already-superseded instead of resurrected.
 * **resident** — the key behaves exactly like full residency: reads hit
-  the version array, commits supersede it, GC prunes it.
+  the version array, commits supersede it, GC prunes it.  A commit
+  writes its values through to the base table under the commit latch,
+  so each committed version is *clean* (the base table holds exactly
+  it) from the moment it is installed.
 * **evicted (cold again)** — when the index exceeds the residency budget,
-  a clock/second-chance sweep drops arrays whose *only* version is a
-  clean live bootstrap entry at or below the GC horizon.  Eviction
-  removes the index entry only — never the backend row — so the next
-  read faults the identical entry back in.  Bulk sweeps run on the
+  a clock/second-chance sweep drops arrays whose only version not yet
+  dead at the GC horizon is clean, live and itself at or below the
+  horizon — a bootstrap entry or a written-through commit alike.  Every
+  snapshot that can still read the key then reads that value, which is
+  what the base table holds.  Eviction removes the index entry only —
+  never the backend row — so the next read faults the value back in,
+  stamped with ``bootstrap_cts`` (hence no sweep while ``bootstrap_cts``
+  is above the horizon).  The sweep frees never-written arrays first
+  and falls back to written ones only when that cannot reach the
+  budget.  A write to a cold key needs no fault-in for
+  First-Committer-Wins: its newest commit is at or below the horizon,
+  so no live snapshot can have missed it.  Bulk sweeps run on the
   :class:`~repro.storage.maintenance.StorageMaintenanceDaemon`; the
   faulting reader only pays a bounded inline backstop that keeps the
-  resident count hard-capped at the budget.
+  resident count at the budget plus the keys written since the last
+  fault-in.
 
 Range scans in lazy mode merge the resident index with a base-table scan
 (cold rows are visible iff the snapshot is at or above
@@ -71,7 +83,7 @@ from collections.abc import Iterator
 from itertools import chain
 from typing import Any
 
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Iterable
 
 from ..storage.kvstore import KVStore, MemoryKVStore
 from .codecs import ORDERED_KEY_CODEC, PICKLE_CODEC, Codec
@@ -82,7 +94,7 @@ from .write_set import WriteKind, WriteSet
 
 #: Residency modes: ``full`` bootstraps the whole base table into the
 #: version index at open; ``lazy`` faults rows in on first read and lets
-#: the residency budget evict cold bootstrap arrays back to the backend.
+#: the residency budget evict clean arrays back to the backend.
 RESIDENCY_FULL = "full"
 RESIDENCY_LAZY = "lazy"
 RESIDENCY_MODES = (RESIDENCY_FULL, RESIDENCY_LAZY)
@@ -128,7 +140,7 @@ class StateTable:
         #: lazy-residency cap on index entries (``None`` = unbounded); the
         #: sharded manager divides its fleet-wide ``memory_budget`` here.
         self.residency_budget: int | None = None
-        #: supplies the GC horizon below which bootstrap arrays may be
+        #: supplies the GC horizon at or below which clean arrays may be
         #: evicted; the sharded manager wires the shard context's
         #: ``oldest_active_version`` (which folds in the global barrier).
         self.gc_horizon_hook: Callable[[], int] | None = None
@@ -147,6 +159,9 @@ class StateTable:
         #: valid while its epoch is current (see :meth:`_sorted_keys`).
         self._key_epoch = 0
         self._key_cache: tuple[int, list[Any], bool] | None = None
+        #: bumped under the index latch whenever a written array is
+        #: evicted (see :meth:`_arrays_for`).
+        self._written_evictions = 0
 
     # -------------------------------------------------------------- lookups
 
@@ -193,14 +208,16 @@ class StateTable:
     def latest_cts(self, key: Any) -> int:
         """Newest commit timestamp recorded for ``key`` (0 when unwritten).
 
-        In lazy mode a cold key hydrates first: First-Committer-Wins
-        validation of a blind write must see the bootstrap timestamp, not
-        a silent 0, to match what full residency would have answered.
+        In lazy mode a cold key answers :attr:`bootstrap_cts` without a
+        backend probe.  Its newest commit is the bootstrap or an evicted
+        write, both at or below the GC horizon and so at or below every
+        live snapshot: First-Committer-Wins passes on it exactly as full
+        residency's answer would let it.
         """
-        obj = self.mvcc_object(key)
-        if obj is None and self.residency == RESIDENCY_LAZY:
-            obj = self._hydrate(key)
-        return obj.latest_cts() if obj is not None else 0
+        obj = self._index.get(key)
+        if obj is None:
+            return self.bootstrap_cts if self.residency == RESIDENCY_LAZY else 0
+        return obj.latest_cts()
 
     # ------------------------------------------------------- lazy residency
 
@@ -216,12 +233,18 @@ class StateTable:
         delegated to :meth:`MVCCObject.install_bootstrap`, which makes it
         idempotent and safe against racing committers (see there).
         """
-        vbytes = self.backend.get(self.key_codec.encode(key))
-        if vbytes is None:
-            self.hydration_misses += 1
-            # a racing commit may have created the object meanwhile
-            return self._index.get(key)
-        obj = self.mvcc_object(key, create=True)
+        kbytes = self.key_codec.encode(key)
+        while True:
+            evictions = self._written_evictions
+            vbytes = self.backend.get(kbytes)
+            if vbytes is None:
+                self.hydration_misses += 1
+                # a racing commit may have created the object meanwhile
+                return self._index.get(key)
+            objects = self._arrays_for([key], evictions)
+            if objects is not None:
+                break
+        obj = objects[0]
         if obj.install_bootstrap(self.value_codec.decode(vbytes), self.bootstrap_cts):
             self.hydrations += 1
             self._enforce_budget()
@@ -239,15 +262,20 @@ class StateTable:
         missing = [key for key in keys if key not in self._index]
         if not missing:
             return 0
-        values = self.backend.multi_get(
-            [self.key_codec.encode(key) for key in missing]
-        )
+        encoded = [self.key_codec.encode(key) for key in missing]
+        while True:
+            evictions = self._written_evictions
+            rows = [
+                (key, vbytes)
+                for key, vbytes in zip(missing, self.backend.multi_get(encoded))
+                if vbytes is not None
+            ]
+            objects = self._arrays_for([key for key, _ in rows], evictions)
+            if objects is not None:
+                break
+        self.hydration_misses += len(missing) - len(rows)
         installed = 0
-        for key, vbytes in zip(missing, values):
-            if vbytes is None:
-                self.hydration_misses += 1
-                continue
-            obj = self.mvcc_object(key, create=True)
+        for (_key, vbytes), obj in zip(rows, objects):
             if obj.install_bootstrap(
                 self.value_codec.decode(vbytes), self.bootstrap_cts
             ):
@@ -257,13 +285,31 @@ class StateTable:
             self._enforce_budget()
         return installed
 
+    def _arrays_for(
+        self, keys: list[Any], evictions: int
+    ) -> list[MVCCObject] | None:
+        """The arrays a fault-in installs rows just read from the base
+        table into, created where missing — or ``None`` when a written
+        array was evicted since :attr:`_written_evictions` read
+        ``evictions``: the read may predate that write, and installing it
+        into a fresh array would resurrect the overwritten value, so the
+        caller reads again.  Any write after this check lands in these
+        arrays, where the bootstrap install loses to it.
+        """
+        with self._index_latch:
+            if self._written_evictions != evictions:
+                return None
+            return [self.mvcc_object(key, create=True) for key in keys]
+
     def _enforce_budget(self) -> None:
         """Keep the resident count at or below the residency budget.
 
-        The maintenance daemon owns bulk sweeps (requested through
-        :attr:`eviction_trigger`, so eviction never rides the commit
-        path); the faulting reader additionally pays a small strict
-        backstop so the budget stays a hard cap between daemon passes.
+        Runs on every fault-in.  The maintenance daemon owns bulk sweeps
+        (requested through :attr:`eviction_trigger`, so eviction never
+        rides the commit path); the faulting reader additionally pays a
+        small strict backstop, so between fault-ins the index exceeds the
+        budget by at most the keys written since the last one (commits
+        add arrays but never sweep).
         """
         budget = self.residency_budget
         if budget is None or len(self._index) <= budget:
@@ -281,15 +327,19 @@ class StateTable:
     ) -> int:
         """Clock/second-chance sweep demoting cold keys to backend-resident.
 
-        Drops version arrays whose only version is a clean live bootstrap
-        entry at or below the GC ``horizon`` (see
-        :meth:`MVCCObject.evictable`) until the index is back under the
-        residency budget (or ``limit`` keys are evicted).  Only the index
-        entry is removed — the backend row is untouched, so the key
-        simply becomes cold again.  Holds the commit latch so no commit
-        is concurrently installing into an array being dropped; the hold
-        is bounded by ``max_steps`` clock positions.  Returns the number
-        of arrays evicted.
+        Drops version arrays that :meth:`MVCCObject.evictable` admits at
+        the GC ``horizon`` until the index is back under the residency
+        budget (or ``limit`` keys are evicted).  The clock pass frees
+        never-written arrays only; a written array (``last_write_ts``,
+        read without its latch) whose newest commit is at or below the
+        horizon is set aside and tried after the pass, only if the pass
+        fell short.  Nothing is evicted while :attr:`bootstrap_cts` is
+        above the horizon, because a re-fault is stamped with it.  Only
+        the index entry is removed — the backend row is untouched, so the
+        key simply becomes cold again.  Holds the commit latch so no
+        commit is concurrently installing into an array being dropped;
+        the hold is bounded by ``max_steps`` clock positions.  Returns
+        the number of arrays evicted.
         """
         if self.residency != RESIDENCY_LAZY:
             return 0
@@ -305,10 +355,13 @@ class StateTable:
             if horizon is None:
                 hook = self.gc_horizon_hook
                 horizon = hook() if hook is not None else self.bootstrap_cts
+            if self.bootstrap_cts > horizon:
+                return 0
             if max_steps is None:
                 max_steps = 2 * resident + 64
             evicted = 0
             steps = 0
+            written: dict[Any, None] = {}
             while evicted < limit and steps < max_steps:
                 if self._clock_hand >= len(self._clock_keys):
                     with self._index_latch:
@@ -320,15 +373,32 @@ class StateTable:
                 self._clock_hand += 1
                 steps += 1
                 obj = self._index.get(key)
-                if obj is None or not obj.evictable(horizon, strict=strict):
+                if obj is None:
                     continue
-                with self._index_latch:
-                    self._index.pop(key, None)
-                    self._key_epoch += 1
-                evicted += 1
+                if obj.last_write_ts:
+                    if obj.last_write_ts <= horizon:
+                        written[key] = None
+                    continue
+                if obj.evictable(horizon, strict=strict):
+                    self._drop(key)
+                    evicted += 1
+            for key in written:
+                if evicted >= limit:
+                    break
+                obj = self._index.get(key)
+                if obj is not None and obj.evictable(horizon, strict=strict):
+                    self._drop(key, written=True)
+                    evicted += 1
             if evicted:
                 self.residency_evictions += evicted
             return evicted
+
+    def _drop(self, key: Any, written: bool = False) -> None:
+        with self._index_latch:
+            self._index.pop(key, None)
+            self._key_epoch += 1
+            if written:
+                self._written_evictions += 1
 
     def _sorted_keys(self) -> tuple[list[Any], bool]:
         """The cached key list and whether it is sorted.
@@ -481,30 +551,19 @@ class StateTable:
         """Install a committed write set into the version index **and** push
         it to the base table as one atomic batch.
 
-        Caller must hold :attr:`commit_latch` (the group-commit path does).
+        Every installed version is clean once the batch lands.  Caller
+        must hold :attr:`commit_latch` (the group-commit path does).
         """
+        entries = write_set.entries
+        objects = [self.mvcc_object(key, create=True) for key in entries]
+        if self.residency == RESIDENCY_LAZY:
+            self._install_underlays(entries, objects)
         puts: list[tuple[bytes, bytes]] = []
         deletes: list[bytes] = []
-        for key, entry in write_set.entries.items():
-            obj = self.mvcc_object(key, create=True)
-            if (
-                self.residency == RESIDENCY_LAZY
-                and obj.last_write_ts == 0
-                and obj.version_count() == 0
-            ):
-                # A commit to a *cold* key (blind write, or the writer's
-                # fault-in was evicted before this commit latched): the
-                # fresh array must carry the backend pre-image as its
-                # bootstrap underlay, or the interval below ``commit_ts``
-                # would vanish from history while a barrier-capped reader
-                # can still pin a snapshot inside it.
-                vbytes = self.backend.get(self.key_codec.encode(key))
-                if vbytes is not None:
-                    obj.install_bootstrap(
-                        self.value_codec.decode(vbytes), self.bootstrap_cts
-                    )
+        installed: list[VersionEntry] = []
+        for (key, entry), obj in zip(entries.items(), objects):
             if entry.kind is WriteKind.UPSERT:
-                obj.install(entry.value, commit_ts, oldest_active)
+                installed.append(obj.install(entry.value, commit_ts, oldest_active))
                 puts.append(
                     (self.key_codec.encode(key), self.value_codec.encode(entry.value))
                 )
@@ -517,7 +576,37 @@ class StateTable:
                 for index in self.indexes.all():
                     index.apply_delete(key, commit_ts)
         self.backend.write_batch(puts, deletes)
+        for version in installed:
+            version.clean = True
         self.commits_applied += 1
+
+    def _install_underlays(
+        self, keys: Iterable[Any], objects: list[MVCCObject]
+    ) -> None:
+        """Give each *cold* key of a commit its backend pre-image.
+
+        A commit to a cold key (blind write, an evicted write, or the
+        writer's fault-in was evicted before this commit latched) starts
+        a fresh array, which must carry the backend pre-image as its
+        bootstrap underlay, or the interval below the commit would vanish
+        from history while a barrier-capped reader can still pin a
+        snapshot inside it.  One ``multi_get`` fetches every pre-image.
+        """
+        cold = [
+            (key, obj)
+            for key, obj in zip(keys, objects)
+            if obj.last_write_ts == 0 and obj.version_count() == 0
+        ]
+        if not cold:
+            return
+        values = self.backend.multi_get(
+            [self.key_codec.encode(key) for key, _ in cold]
+        )
+        for (_key, obj), vbytes in zip(cold, values):
+            if vbytes is not None:
+                obj.install_bootstrap(
+                    self.value_codec.decode(vbytes), self.bootstrap_cts
+                )
 
     def redo_write_set(self, write_set: WriteSet) -> int:
         """Apply a recovered commit's write set to the **base table only**.
@@ -548,20 +637,21 @@ class StateTable:
 
         Used to initialise benchmark tables; visible to every snapshot.
         """
-        count = 0
         puts: list[tuple[bytes, bytes]] = []
+        installed: list[VersionEntry] = []
         with self.commit_latch:
             for key, value in items:
                 obj = self.mvcc_object(key, create=True)
-                obj.install(value, ZERO_TS, ZERO_TS)
+                installed.append(obj.install(value, ZERO_TS, ZERO_TS))
                 puts.append(
                     (self.key_codec.encode(key), self.value_codec.encode(value))
                 )
                 for index in self.indexes.all():
                     index.apply_upsert(key, value, ZERO_TS)
-                count += 1
             self.backend.write_batch(puts, [])
-        return count
+            for version in installed:
+                version.clean = True
+        return len(installed)
 
     def load_from_backend(self, bootstrap_cts: int = ZERO_TS) -> int:
         """Rebuild the version index from the base table (recovery path).
@@ -580,7 +670,7 @@ class StateTable:
                 key = self.key_codec.decode(kbytes)
                 value = self.value_codec.decode(vbytes)
                 obj = self.mvcc_object(key, create=True)
-                obj.install(value, bootstrap_cts, bootstrap_cts)
+                obj.install(value, bootstrap_cts, bootstrap_cts, clean=True)
                 for index in self.indexes.all():
                     index.apply_upsert(key, value, bootstrap_cts)
                 count += 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 from .timestamps import INF_TS, AtomicBitmask
@@ -32,17 +33,18 @@ DEFAULT_SLOTS = 8
 class VersionEntry:
     """One committed version: ``value`` valid during ``[cts, dts)``.
 
-    ``bootstrap`` marks versions rebuilt from the base table (full-scan
-    bootstrap at recovery, or a lazy-residency fault-in) rather than
-    installed by a commit: their value is byte-identical to the backend
-    row, which is what makes them safe to *evict* — dropping the array
-    and re-faulting later reproduces the same entry.
+    ``clean`` means the base table holds exactly this value.  It is set
+    where that value reaches the base table: a fault-in or full-scan
+    bootstrap (read from it), a write-through commit, a bulk load, the
+    WAL-tail hydration at open and a verified slot handover.  A clean
+    live version is what makes an array safe to *evict*: dropping it and
+    re-faulting later reads the same value back.
     """
 
     cts: int
     dts: int
     value: Any
-    bootstrap: bool = False
+    clean: bool = False
 
     def visible_at(self, ts: int) -> bool:
         """Snapshot-isolation visibility: ``cts <= ts < dts``."""
@@ -156,15 +158,18 @@ class MVCCObject:
 
     # ----------------------------------------------------------- write side
 
-    def install(self, value: Any, commit_ts: int, oldest_active: int) -> None:
+    def install(
+        self, value: Any, commit_ts: int, oldest_active: int, clean: bool = False
+    ) -> VersionEntry:
         """Install a new live version committed at ``commit_ts``.
 
         The previous live version (if any) is superseded: its ``dts`` becomes
         ``commit_ts``.  When no free slot exists, on-demand GC reclaims every
         slot dead to ``oldest_active``; if that frees nothing the new version
-        goes to the overflow list.
+        goes to the overflow list.  ``clean`` says the base table already
+        holds ``value`` (see :class:`VersionEntry`).  Returns the entry.
         """
-        entry = VersionEntry(commit_ts, INF_TS, value)
+        entry = VersionEntry(commit_ts, INF_TS, value, clean)
         with self._latch:
             if commit_ts > self.last_write_ts:
                 self.last_write_ts = commit_ts
@@ -177,6 +182,7 @@ class MVCCObject:
                 self._overflow.append(entry)
             else:
                 self._slots[slot] = entry
+        return entry
 
     def mark_deleted(self, commit_ts: int) -> None:
         """Terminate the live version at ``commit_ts`` (a committed delete)."""
@@ -208,35 +214,43 @@ class MVCCObject:
             slot = self._used.claim_free_slot()
             if slot is None:  # pragma: no cover - fresh objects have slots
                 return False
-            self._slots[slot] = VersionEntry(cts, dts, value, bootstrap=True)
+            self._slots[slot] = VersionEntry(cts, dts, value, clean=True)
             return True
+
+    def mark_dirty(self) -> None:
+        """Clear the clean bit of every version: the base table no longer
+        holds them (a migration purged the rows), so the array must stay
+        resident until the process ends."""
+        with self._latch:
+            for version in chain(self._slots, self._overflow):
+                if version is not None:
+                    version.clean = False
 
     def evictable(self, horizon: int, strict: bool = False) -> bool:
         """Residency-eviction eligibility test (clock/second-chance).
 
-        An array may be dropped from the version index iff its *only*
-        version is a clean live bootstrap entry no newer than the GC
-        ``horizon`` (every active or future snapshot reads at or above
-        the horizon, and a re-fault reproduces the identical entry) and
-        no commit ever wrote through the object.  Unless ``strict``, a
-        set reference bit buys the array one more clock sweep.
+        Versions dead at the GC ``horizon`` (``dts <= horizon``) are
+        ignored: no active or future snapshot reads below the horizon.
+        The array may be dropped from the version index iff exactly one
+        version survives and it is live, clean and no newer than the
+        horizon — then every snapshot that can still read the key reads
+        that value, and a re-fault reads it back from the base table.
+        Unless ``strict``, a set reference bit buys the array one more
+        clock sweep.
         """
         with self._latch:
-            if self._overflow:
-                return False
-            only: VersionEntry | None = None
-            for version in self._slots:
-                if version is None:
+            survivor: VersionEntry | None = None
+            for version in chain(self._slots, self._overflow):
+                if version is None or version.dts <= horizon:
                     continue
-                if only is not None:
+                if survivor is not None:
                     return False
-                only = version
+                survivor = version
             if (
-                only is None
-                or not only.bootstrap
-                or not only.is_live()
-                or only.cts > horizon
-                or self.last_write_ts > only.cts
+                survivor is None
+                or not survivor.clean
+                or not survivor.is_live()
+                or survivor.cts > horizon
             ):
                 return False
             if self.referenced and not strict:

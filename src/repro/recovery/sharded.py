@@ -748,7 +748,11 @@ def _recover_shard(
                     continue
                 if manager.slot_map.shard_of(key) != idx:
                     continue  # stale migration leftover; swept below
-                table.mvcc_object(key, create=True).install(value, ts, ts)
+                # the redo pass above already put this value in the base
+                # table, so the entry is clean (evictable once old enough)
+                table.mvcc_object(key, create=True).install(
+                    value, ts, ts, clean=True
+                )
                 hydrated += 1
             info.rows_loaded[table.state_id] = hydrated
         else:

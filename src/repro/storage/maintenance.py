@@ -74,7 +74,7 @@ class StorageMaintenanceDaemon:
         #: double-books a pair, so workers don't pile onto one level lock.
         self._merge_active: set[tuple[LSMStore, int]] = set()
         #: Lazy-residency tables whose index ran over budget; the sweep
-        #: (:meth:`StateTable.evict_cold_versions`) demotes cold bootstrap
+        #: (:meth:`StateTable.evict_cold_versions`) demotes clean cold
         #: arrays back to backend-resident off the commit path.
         self._evict_pending: set[StateTable] = set()
         self._evict_active: set[StateTable] = set()

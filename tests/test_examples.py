@@ -4,6 +4,7 @@ Each example doubles as an integration test of the public API; failures
 here mean the documented entry points broke.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -66,8 +67,19 @@ def test_sharding_demo(protocol):
     assert "merged scan returned 16 keys in order" in out
 
 
-def test_protocol_comparison_fast():
-    out = run_example("protocol_comparison.py", "--fast", timeout=600)
+def test_protocol_comparison_fast(capsys):
+    # Both panels in-process at 1 ms of virtual time per point (the
+    # script's --fast mode runs 20 ms).  The simulator is deterministic
+    # for its fixed seed: every shape check passes at 0.5 ms and up, and
+    # at 0.25 ms ``s2pl_drops`` fails.
+    spec = importlib.util.spec_from_file_location(
+        "protocol_comparison", EXAMPLES / "protocol_comparison.py"
+    )
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    example.report(duration_us=1_000.0, warmup_us=250.0)
+    out = capsys.readouterr().out
     assert "figure4-left" in out
     assert "figure4-right" in out
-    assert "shape checks" in out
+    assert out.count("shape checks") == 2
+    assert out.count("[PASS]") == 10 and "[FAIL]" not in out

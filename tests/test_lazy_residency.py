@@ -8,9 +8,17 @@ The larger-than-memory read path (``state_residency="lazy"``):
   version;
 * scans merge the resident index with a base-table sweep, so a lazy
   manager answers exactly what a full-residency manager would;
-* the residency budget is a *hard* cap: the clock sweep (and the strict
-  inline backstop) demotes cold bootstrap arrays back to backend-resident
-  and the next read faults them back in unchanged;
+* the residency budget holds up to the keys written since the last
+  fault-in: the clock sweep (and the strict inline backstop) demotes
+  arrays whose newest version is clean (the base table holds it) and at
+  or below the GC horizon — never-written arrays first, written ones
+  when those do not suffice — and the next read faults them back in;
+* a write to a cold key needs no fault-in for First-Committer-Wins,
+  carries its backend pre-image for barrier-capped readers, and aborts
+  exactly when full residency would;
+* a split source's moved arrays lose their clean bit at the purge, so a
+  reader that routed there before the flip never re-faults them from
+  the purged base table;
 * ``kill -9`` mid-hydration and mid-evict both reopen — in lazy *and*
   full mode — to the identical committed state, because hydration and
   eviction never touch durable bytes;
@@ -28,6 +36,8 @@ import threading
 import pytest
 
 from repro.core import MVCCObject, ShardedTransactionManager, StateTable
+from repro.core.write_set import WriteSet
+from repro.errors import WriteConflict
 from repro.recovery.sharded import ShardedSchema
 from repro.storage.lsm import LSMOptions, LSMStore
 
@@ -61,7 +71,7 @@ class TestBootstrapInstall:
         assert not obj.install_bootstrap("row", 5)
         assert obj.version_count() == 1
         live = obj.live_version()
-        assert live.value == "row" and live.bootstrap and live.cts == 5
+        assert live.value == "row" and live.clean and live.cts == 5
 
     def test_bootstrap_loses_to_committed_version(self):
         obj = MVCCObject()
@@ -89,10 +99,28 @@ class TestBootstrapInstall:
         obj.referenced = True
         assert not obj.evictable(horizon=5)
         assert obj.evictable(horizon=5)
-        # a committed write through the object pins it resident
+        # a bare install is not known to be in the base table: resident
         written = MVCCObject()
         written.install("v", 7, 0)
         assert not written.evictable(horizon=100, strict=True)
+
+    def test_evictable_written_once_sole_survivor_is_clean_and_old(self):
+        obj = MVCCObject()
+        obj.install_bootstrap("row", 5)
+        obj.install("v", 9, 0, clean=True)
+        # the superseded bootstrap is still readable below 9
+        assert not obj.evictable(horizon=8, strict=True)
+        # dead at the horizon it no longer counts; the written version is
+        # the sole clean live survivor at or below the horizon
+        assert obj.evictable(horizon=9, strict=True)
+        # a delete leaves no live survivor
+        obj.mark_deleted(12)
+        assert not obj.evictable(horizon=20, strict=True)
+        # a purge clears the clean bit
+        moved = MVCCObject()
+        moved.install_bootstrap("row", 5)
+        moved.mark_dirty()
+        assert not moved.evictable(horizon=20, strict=True)
 
 
 # ----------------------------------------------------------- table hydration
@@ -105,7 +133,7 @@ class TestTableHydration:
         table.bootstrap_cts = 7
         assert table.resident_keys() == 0
         entry = table.read_version_at(1, 10)
-        assert entry.value == "x" and entry.bootstrap
+        assert entry.value == "x" and entry.clean
         assert table.resident_keys() == 1
         assert table.hydrations == 1
         # second read is a plain index hit
@@ -118,13 +146,14 @@ class TestTableHydration:
         assert table.hydration_misses == 1
         assert table.resident_keys() == 0
 
-    def test_latest_cts_hydrates_for_blind_write_fcw(self):
-        # First-Committer-Wins over a cold key must see the bootstrap
-        # timestamp, not a silent 0.
+    def test_latest_cts_answers_bootstrap_cts_for_cold_key(self):
+        # First-Committer-Wins over a cold key sees the bootstrap
+        # timestamp, not a silent 0 — and needs no fault-in for it.
         table = StateTable("A", residency="lazy")
         table.backend.put(table.key_codec.encode(1), table.value_codec.encode("x"))
         table.bootstrap_cts = 7
         assert table.latest_cts(1) == 7
+        assert table.hydrations == 0 and table.resident_keys() == 0
 
     def test_full_residency_never_hydrates(self):
         table = StateTable("A")  # residency="full" default
@@ -148,7 +177,7 @@ class TestTableHydration:
         assert table.residency_evictions == 20
         # cold again — the refault reproduces the identical entry
         entry = table.read_live(5)
-        assert entry.value == 10 and entry.bootstrap and entry.cts == 3
+        assert entry.value == 10 and entry.clean and entry.cts == 3
 
     def test_budget_is_hard_cap_via_inline_backstop(self):
         table = StateTable("A", residency="lazy")
@@ -173,11 +202,42 @@ class TestTableHydration:
         table.bootstrap_cts = 1
         for i in range(10):
             table.read_live(i)
-        # a commit through key 3 pins it resident
+        # a version the base table does not hold pins key 3 resident
         table.mvcc_object(3).install("written", 50, 0)
         table.evict_cold_versions(limit=10, horizon=10**9, strict=True)
         assert table.resident_keys() == 1
         assert table.read_live(3).value == "written"
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["get", "multi_get"])
+    def test_fault_in_rereads_when_a_racing_write_was_evicted(
+        self, monkeypatch, batched
+    ):
+        # The reader fetches "v1"; before it installs that, a commit
+        # writes "v2" through and its array is evicted.  Installing the
+        # fetched row into a fresh array would resurrect "v1" as live.
+        table = StateTable("A", residency="lazy")
+        table.backend.put(table.key_codec.encode(1), table.value_codec.encode("v1"))
+        table.bootstrap_cts = 1
+        name = "multi_get" if batched else "get"
+        real = getattr(table.backend, name)
+        raced: list[bool] = []
+
+        def racing(arg):
+            fetched = real(arg)
+            if not raced:
+                raced.append(True)
+                write = WriteSet()
+                write.upsert(1, "v2")
+                with table.commit_latch:
+                    table.apply_write_set(write, 5, 0)
+                assert table.evict_cold_versions(limit=1, horizon=9, strict=True) == 1
+            return fetched
+
+        monkeypatch.setattr(table.backend, name, racing)
+        if batched:
+            assert table.hydrate_many([1]) == 1
+        assert table.read_live(1).value == "v2"
+        assert table.read_version_at(1, 9).value == "v2"
 
     def test_lazy_scan_merges_cold_and_resident(self):
         table = StateTable("A", residency="lazy")
@@ -419,6 +479,241 @@ class TestMigrationWithLazyPartitions:
         again = ShardedTransactionManager.open(tmp_path)
         assert scan_all(again, "A") == {i: i * 3 for i in range(120)}
         again.close()
+
+
+# ------------------------------------------------------ write-back eviction
+
+
+def home_table(smgr: ShardedTransactionManager, key, state_id: str = "A"):
+    return smgr.shards[smgr.slot_map.shard_of(key)].table(state_id)
+
+
+def evict_all(smgr: ShardedTransactionManager, state_id: str = "A") -> int:
+    return sum(
+        shard.table(state_id).evict_cold_versions(limit=10**6, strict=True)
+        for shard in smgr.shards
+    )
+
+
+class TestWriteBackEviction:
+    """Written keys leave memory once the base table holds their newest
+    version and no snapshot can read below it."""
+
+    def test_budget_holds_for_written_pool_larger_than_share(self, tmp_path):
+        make_lazy(tmp_path, rows=400).close()
+        smgr = ShardedTransactionManager.open(
+            tmp_path, memory_budget=40, storage_maintenance="inline"
+        )
+        budget = smgr.memory_budget // 4
+        pool = list(range(0, 400, 5))
+        per_shard = [
+            sum(1 for key in pool if smgr.slot_map.shard_of(key) == idx)
+            for idx in range(4)
+        ]
+        assert min(per_shard) > budget  # the written pool outgrows the share
+        tables = [shard.table("A") for shard in smgr.shards]
+        faults = [table.hydrations for table in tables]
+        written_since: list[set] = [set() for _ in tables]
+        rng = random.Random(5)
+        expected = {i: i * 3 for i in range(400)}
+
+        def check() -> None:
+            for idx, table in enumerate(tables):
+                if table.hydrations != faults[idx]:
+                    faults[idx] = table.hydrations
+                    written_since[idx].clear()
+                assert table.resident_keys() <= budget + len(written_since[idx])
+
+        for step in range(400):
+            if step % 2:
+                keys = rng.sample(pool, 3)
+                with smgr.transaction() as txn:
+                    for key in keys:
+                        smgr.write(txn, "A", key, step)
+                for key in keys:
+                    expected[key] = step
+                    written_since[smgr.slot_map.shard_of(key)].add(key)
+            else:
+                key = rng.randrange(400)
+                with smgr.transaction() as txn:
+                    assert smgr.read(txn, "A", key) == expected[key]
+            check()
+        assert any(home_table(smgr, key).mvcc_object(key) is None for key in pool)
+        assert scan_all(smgr, "A") == expected
+        smgr.close()
+
+    def test_evicted_written_key_refaults_at_every_open_snapshot(self, tmp_path):
+        make_lazy(tmp_path, rows=40).close()
+        smgr = ShardedTransactionManager.open(tmp_path)
+        with smgr.transaction() as txn:
+            smgr.write(txn, "A", 7, "w1")
+        table = home_table(smgr, 7)
+        with smgr.snapshot() as view, smgr.transaction() as txn:
+            assert evict_all(smgr) > 0
+            assert table.mvcc_object(7) is None
+            assert view.get("A", 7) == "w1"
+            assert smgr.read(txn, "A", 7) == "w1"
+            # the re-fault is a clean bootstrap entry: evictable again
+            assert table.mvcc_object(7).live_version().clean
+            assert evict_all(smgr) > 0
+            assert view.get("A", 7) == "w1"
+        with smgr.transaction() as txn:
+            assert smgr.read(txn, "A", 7) == "w1"
+        smgr.close()
+
+    def test_active_snapshot_below_write_blocks_eviction(self, tmp_path):
+        make_lazy(tmp_path, rows=40).close()
+        smgr = ShardedTransactionManager.open(tmp_path)
+        table = home_table(smgr, 9)
+        with smgr.snapshot() as view:
+            assert view.get("A", 9) == 27
+            with smgr.transaction() as txn:
+                smgr.write(txn, "A", 9, "new")
+            evict_all(smgr)
+            # the snapshot still reads below the write: the array stays
+            assert table.mvcc_object(9) is not None
+            assert view.get("A", 9) == 27
+        assert evict_all(smgr) > 0
+        assert table.mvcc_object(9) is None
+        with smgr.transaction() as txn:
+            assert smgr.read(txn, "A", 9) == "new"
+        smgr.close()
+
+    def test_barrier_capped_snapshot_reads_cold_write_preimage(self, tmp_path):
+        make_lazy(tmp_path, rows=40).close()
+        smgr = ShardedTransactionManager.open(tmp_path)
+        table = home_table(smgr, 11)
+        with smgr.transaction() as txn:
+            smgr.write(txn, "A", 11, "w1")
+        assert evict_all(smgr) > 0
+        assert table.mvcc_object(11) is None
+        # a cross-shard commit held mid phase two keeps the barrier below
+        # the next write, so a reader beginning after it pins below it
+        held = smgr.snapshot_coordinator.begin_commit()
+        with smgr.transaction() as txn:
+            smgr.write(txn, "A", 11, "w2")  # a cold write
+        reader = smgr.begin()
+        try:
+            assert smgr.read(reader, "A", 11) == "w1"
+            evict_all(smgr)
+            assert smgr.read(reader, "A", 11) == "w1"
+        finally:
+            smgr.snapshot_coordinator.complete(held)
+            smgr.abort(reader)
+        with smgr.transaction() as txn:
+            assert smgr.read(txn, "A", 11) == "w2"
+        smgr.close()
+
+    def test_wal_tail_keys_become_evictable(self, tmp_path):
+        make_lazy(tmp_path, rows=100).close()
+        script = r"""
+import os, sys
+from repro.core import ShardedTransactionManager
+smgr = ShardedTransactionManager.open(sys.argv[1])
+for i in range(10):
+    with smgr.transaction() as txn:
+        smgr.write(txn, "A", i, {"tail": i})
+smgr.flush_durability()
+os._exit(42)
+"""
+        proc = run_crash_child(script, tmp_path)
+        assert proc.returncode == 42, proc.stderr
+        smgr = ShardedTransactionManager.open(tmp_path)
+        assert resident_total(smgr) == 10
+        assert evict_all(smgr) == 10
+        assert resident_total(smgr) == 0
+        with smgr.transaction() as txn:
+            for i in range(10):
+                assert smgr.read(txn, "A", i) == {"tail": i}
+        smgr.close()
+
+    def test_blind_write_fcw_outcomes_match_full_residency(self, tmp_path):
+        rows = 30
+        managers = {}
+        for mode in ("lazy", "full"):
+            path = tmp_path / mode
+            make_lazy(path, rows=rows).close()
+            managers[mode] = ShardedTransactionManager.open(
+                path, state_residency=mode, memory_budget=8
+            )
+        rng = random.Random(23)
+        ops = []
+        for _ in range(600):
+            roll = rng.random()
+            if roll < 0.25:
+                ops.append(("begin",))
+            elif roll < 0.6:
+                ops.append(("write", rng.random(), rng.randrange(rows + 10)))
+            elif roll < 0.85:
+                ops.append(("commit", rng.random()))
+            elif roll < 0.95:
+                ops.append(("read", rng.randrange(rows + 10)))
+            else:
+                ops.append(("evict",))
+
+        def play(smgr) -> list:
+            open_txns: list = []
+            outcomes: list = []
+            for op in ops:
+                if op[0] == "begin" and len(open_txns) < 4:
+                    open_txns.append(smgr.begin())
+                elif op[0] == "write" and open_txns:
+                    txn = open_txns[int(op[1] * len(open_txns))]
+                    smgr.write(txn, "A", op[2], len(outcomes))
+                elif op[0] == "commit" and open_txns:
+                    txn = open_txns.pop(int(op[1] * len(open_txns)))
+                    try:
+                        smgr.commit(txn)
+                        outcomes.append("commit")
+                    except WriteConflict:
+                        outcomes.append("abort")
+                elif op[0] == "read":
+                    with smgr.transaction() as txn:
+                        smgr.read(txn, "A", op[1])
+                elif op[0] == "evict":
+                    evict_all(smgr)
+            for txn in open_txns:
+                smgr.abort(txn)
+            return outcomes
+
+        lazy, full = (play(managers[mode]) for mode in ("lazy", "full"))
+        assert "abort" in lazy and "commit" in lazy
+        assert lazy == full
+        assert scan_all(managers["lazy"], "A") == scan_all(managers["full"], "A")
+        assert managers["lazy"].stats()["residency_evictions"] > 0
+        for smgr in managers.values():
+            smgr.close()
+
+
+class TestSplitSourcePurge:
+    def test_pre_flip_reader_survives_sweep_on_split_source(self, tmp_path):
+        """A split source keeps a residency budget, so a sweep may run on
+        it after the purge.  A moved array it drops could only re-fault
+        against the purged base table and read "absent" for a reader
+        that routed to the source before the flip; the purge clears the
+        clean bit of every moved array, so none is dropped."""
+        make_lazy(tmp_path, rows=120).close()
+        smgr = ShardedTransactionManager.open(tmp_path, memory_budget=4000)
+        src = smgr.shards[0].table("A")
+        owned = [key for key in range(120) if smgr.slot_map.shard_of(key) == 0]
+        with smgr.transaction() as txn:
+            for key in owned[::3]:  # a third resident, the rest cold
+                assert smgr.read(txn, "A", key) == key * 3
+        pre_flip_ts = smgr.oracle.current()
+        target = smgr.split_shard(0)
+        moved = [key for key in owned if smgr.slot_map.shard_of(key) == target]
+        kept = [key for key in owned[::3] if key not in moved]
+        assert any(key in moved for key in owned[::3])
+        assert moved and kept
+        assert src.residency_budget is not None
+        evicted = src.evict_cold_versions(limit=src.resident_keys(), strict=True)
+        for key in moved:
+            entry = src.read_version_at(key, pre_flip_ts)
+            assert entry is not None and entry.value == key * 3
+        # the sweep dropped the clean kept arrays and nothing that moved
+        assert evicted == len(kept)
+        assert scan_all(smgr, "A") == {i: i * 3 for i in range(120)}
+        smgr.close()
 
 
 # ------------------------------------------------------------- GC horizon

@@ -378,16 +378,28 @@ class TestMisroutedRows:
         """Without a migration nothing moves a key off its home shard, so
         a key on the wrong shard means a damaged or hand-edited layout:
         recovery refuses it, naming the shard and key, and deletes
-        nothing."""
+        nothing: the catalog and every commit WAL keep their bytes and
+        every SSTable stays.  (The refused open closes its LSM stores,
+        which flushes what the redo pass put in their memtables.)"""
         smgr = make_durable(tmp_path)
         last_ts = max(s.context.last_cts("g") for s in smgr.shards)
         smgr.close()
         # key 1000's slot-map home is shard 0; commit it on shard 2
         _append_commit(tmp_path, 2, 900_000, last_ts, 1000, "misrouted")
-        before = sorted(p.name for p in tmp_path.rglob("*"))
+
+        def logs() -> dict:
+            paths = [schema_path(tmp_path), *tmp_path.glob("shard-*/commit.wal")]
+            return {path: path.read_bytes() for path in paths}
+
+        def sstables() -> set:
+            return set(tmp_path.rglob("*.sst"))
+
+        before, tables = logs(), sstables()
+        assert len(before) == 5 and tables
         with pytest.raises(StorageError, match=r"shard 2 .*key 1000"):
             ShardedTransactionManager.open(tmp_path)
-        assert sorted(p.name for p in tmp_path.rglob("*")) == before
+        assert logs() == before
+        assert tables <= sstables()
         # the refused row is still in shard 2's commit WAL
         wal = ShardedTransactionManager.commit_wal_path(tmp_path, 2)
         assert [r.txn_id for r in recovered_commits(wal)] == [900_000]

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import json
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -358,6 +360,49 @@ class TestReopenHardening:
         assert "A" in schema.states and schema.groups["g"] == ["A"]
         reopened = ShardedTransactionManager.open(tmp_path)
         assert scan_all(reopened, "A") == {1: "v"}
+        reopened.close()
+
+    def test_failed_recovery_releases_threads_and_files(
+        self, tmp_path, monkeypatch
+    ):
+        """A recovery that raises inside open() leaves nothing running:
+        the half-built manager is fenced and closed (no final checkpoint,
+        so the commit WALs keep their tails) and the original error
+        propagates.  Three failed opens return the thread count and the
+        open file descriptors to where they started."""
+        import repro.recovery.sharded as sharded_mod
+
+        fd_dir = Path("/proc/self/fd")
+        if not fd_dir.is_dir():
+            pytest.skip("needs /proc/self/fd")
+        commits = 20
+        _crash_after_commits(tmp_path, commits)
+        wals = sorted(tmp_path.glob("shard-*/commit.wal"))
+        tails = [wal.read_bytes() for wal in wals]
+
+        def settled(count: int) -> int:
+            deadline = time.monotonic() + 5.0
+            while threading.active_count() > count and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return threading.active_count()
+
+        threads = threading.active_count()
+        fds = len(list(fd_dir.iterdir()))
+
+        def broken(*args, **kwargs):
+            raise StorageError("injected recovery failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sharded_mod, "_recover_shard", broken)
+            for _ in range(3):
+                with pytest.raises(StorageError, match="injected recovery failure"):
+                    ShardedTransactionManager.open(tmp_path)
+        assert settled(threads) == threads
+        assert len(list(fd_dir.iterdir())) == fds
+        # no final checkpoint ran: the tails are still there to replay
+        assert [wal.read_bytes() for wal in wals] == tails
+        reopened = ShardedTransactionManager.open(tmp_path)
+        assert scan_all(reopened, "A") == {i: f"a{i}" for i in range(commits)}
         reopened.close()
 
     @pytest.mark.parametrize(
