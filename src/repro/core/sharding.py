@@ -1324,8 +1324,9 @@ class ShardedTransactionManager:
         one slot-map snapshot, each shard's child is opened once, and on
         lazy partitions the cold keys of the batch are pre-faulted with a
         single :meth:`~repro.storage.kvstore.KVStore.multi_get` (one
-        cache/bloom pass per key, shared SSTable probes) instead of one
-        backend point-get per miss.  Reads then resolve through the
+        cache pass per key, one bloom probe per key and table, one block
+        ``pread`` per SSTable probe) instead of one backend point-get per
+        miss.  Reads then resolve through the
         normal protocol path, so visibility, read-set tracking and
         snapshot caps behave exactly like N separate :meth:`read` calls.
         """

@@ -253,9 +253,11 @@ class StateTable:
     def hydrate_many(self, keys: list[Any]) -> int:
         """Batched fault-in for a set of keys (the ``read_many`` path).
 
-        One ``backend.multi_get`` covers every cold key — a single
-        cache/bloom pass with shared SSTable handles instead of one full
-        probe chain per key.  Returns the number of keys installed.
+        One ``backend.multi_get`` covers every cold key: one store-lock
+        acquisition and one walk of the runs for the whole batch, one
+        bloom probe per (key, table) and, where the bloom passes, one
+        ``pread`` of one block on the table's held descriptor.  Returns
+        the number of keys installed.
         """
         if self.residency != RESIDENCY_LAZY:
             return 0

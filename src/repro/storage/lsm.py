@@ -171,30 +171,37 @@ class LSMStore(KVStore):
         self._closed = False
 
         self._manifest = Manifest(self.directory)
+        #: Every listed table's descriptor belongs to this store: a merge
+        #: closes its inputs after the install, ``close`` the rest.
         self._tables: dict[int, list[SSTable]] = {}
-        for level, name in self._manifest.tables:
-            table = SSTable(self._manifest.table_path(name))
-            self._tables.setdefault(level, []).append(table)
-        self._manifest.collect_garbage()
+        try:
+            for level, name in self._manifest.tables:
+                table = SSTable(self._manifest.table_path(name))
+                self._tables.setdefault(level, []).append(table)
+            self._manifest.collect_garbage()
 
-        self._memtable = MemTable()  #: guarded_by(_lock)
-        #: Sealed memtables of in-flight flush builds, oldest first: still
-        #: consulted by reads (between the live memtable and the SSTables)
-        #: until their SSTable is installed.  Each entry carries the seal
-        #: counter of its ``wal.log.imm-N`` sidecar.
-        self._immutables: list[tuple[int, MemTable]] = []
-        self._cache = LRUCache(self.options.cache_capacity)
+            self._memtable = MemTable()  #: guarded_by(_lock)
+            #: Sealed memtables of in-flight flush builds, oldest first: still
+            #: consulted by reads (between the live memtable and the SSTables)
+            #: until their SSTable is installed.  Each entry carries the seal
+            #: counter of its ``wal.log.imm-N`` sidecar.
+            self._immutables: list[tuple[int, MemTable]] = []
+            self._cache = LRUCache(self.options.cache_capacity)
 
-        # Crash leftovers first (a flush sealed these WALs but died before
-        # installing the SSTable), oldest first, then the live WAL — the
-        # same newest-wins order the writers produced.
-        self._imm_counter = 0
-        for counter, path in self._scan_imm_wals():
-            self._replay_wal(path)
-            self._imm_counter = max(self._imm_counter, counter)
-        wal_path = self.directory / _WAL_NAME
-        self._replay_wal(wal_path)
-        self._wal = WriteAheadLog(wal_path, sync=self.options.sync)
+            # Crash leftovers first (a flush sealed these WALs but died before
+            # installing the SSTable), oldest first, then the live WAL — the
+            # same newest-wins order the writers produced.
+            self._imm_counter = 0
+            for counter, path in self._scan_imm_wals():
+                self._replay_wal(path)
+                self._imm_counter = max(self._imm_counter, counter)
+            wal_path = self.directory / _WAL_NAME
+            self._replay_wal(wal_path)
+            self._wal = WriteAheadLog(wal_path, sync=self.options.sync)
+        except BaseException:
+            # Nothing else can reach a store that failed to open.
+            self._close_tables()
+            raise
 
     # ------------------------------------------------------------------ WAL
 
@@ -389,6 +396,7 @@ class LSMStore(KVStore):
                 return None
             return cached
         with self._lock:
+            self._ensure_open()
             value, found = self._memtable.get(key)
             if found:
                 self._cache.put(key, value if value is not None else _ABSENT)
@@ -421,15 +429,18 @@ class LSMStore(KVStore):
         return None
 
     def multi_get(self, keys: list[bytes]) -> list[bytes | None]:
-        """Batched point lookup: one cache/bloom pass per key, one walk of
-        the run hierarchy for the whole batch.
+        """Batched point lookup: one cache pass per key, one walk of the
+        run hierarchy for the whole batch.
 
-        Unlike ``len(keys)`` calls to :meth:`get`, every level is visited
-        once with the still-unresolved keys in sorted order — the SSTable
-        handles (and their blocks, for a paged implementation) are shared
-        across the batch instead of being re-opened per key.  Results are
-        aligned with ``keys``; cache contents and negative inserts end up
-        exactly as the equivalent ``get`` loop would leave them.
+        Unlike ``len(keys)`` calls to :meth:`get`, the store lock is taken
+        once and every level is visited once with the still-unresolved
+        keys in sorted order.  Each (key, table) pair costs one bloom probe
+        here (a miss counts a ``bloom_skips``); a pass costs one
+        :meth:`SSTable.get` — one ``pread`` of the single block that can
+        hold the key, on the descriptor the table keeps open.  Results are
+        aligned with ``keys``; cache contents, counters and negative
+        inserts end up exactly as the equivalent ``get`` loop would leave
+        them.
         """
         self._ensure_open()
         self.stats.gets += len(keys)
@@ -451,6 +462,7 @@ class LSMStore(KVStore):
             results[pos] = value
 
         with self._lock:
+            self._ensure_open()
             remaining: list[tuple[int, bytes]] = []
             for pos, key in pending:
                 value, found = self._memtable.get(key)
@@ -491,8 +503,8 @@ class LSMStore(KVStore):
         self, low: bytes | None = None, high: bytes | None = None
     ) -> Iterator[tuple[bytes, bytes]]:
         """Merged, shadow-resolved range scan across memtable and all runs."""
-        self._ensure_open()
         with self._lock:
+            self._ensure_open()
             sources: list[list[tuple[bytes, bytes | Tombstone | None]]] = [
                 list(self._memtable.range(low, high))
             ]
@@ -773,7 +785,10 @@ class LSMStore(KVStore):
                     if self._closed:
                         # The store closed while the merge was building:
                         # the manifest must not change post-close; drop
-                        # the output.
+                        # the output (its inputs are still listed, so
+                        # ``close`` releases them).
+                        if new_table is not None:
+                            new_table.close()
                         self._manifest.table_path(name).unlink(missing_ok=True)
                         return
                     self._tables[level] = [
@@ -786,6 +801,11 @@ class LSMStore(KVStore):
                     self._manifest.replace(removed, added)
                     manifest_payload = self._manifest.payload()
                     self.stats.compactions += 1
+                # Every other reader takes the store lock and the install
+                # has unlisted the inputs; the level locks keep other
+                # merges off them — no ``pread`` can reach them any more.
+                for table in inputs:
+                    table.close()
                 self._manifest.write_payload(manifest_payload)
                 for rname in removed:
                     self._manifest.table_path(rname).unlink(missing_ok=True)
@@ -862,7 +882,25 @@ class LSMStore(KVStore):
             with self._lock:
                 self._wal.close()
                 self._closed = True
+            # A merge still building holds its level locks: once every
+            # level lock is ours no merge reads a table, and readers check
+            # ``_closed`` under the store lock before they probe one.
+            for lk in self._level_locks:
+                lk.acquire()
+            try:
+                with self._lock:
+                    self._close_tables()
+            finally:
+                for lk in reversed(self._level_locks):
+                    lk.release()
         self._notify_stall_waiters()
+
+    def _close_tables(self) -> None:
+        """Release every listed table's descriptor (they stay listed, so
+        the counting accessors keep working on a closed store)."""
+        for tables in self._tables.values():
+            for table in tables:
+                table.close()
 
     def _ensure_open(self) -> None:
         if self._closed:

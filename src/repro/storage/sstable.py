@@ -9,16 +9,25 @@ File layout (all integers little-endian)::
                       | count(8) | magic(8)
 
 The sparse index holds every ``index_interval``-th key with the file offset
-of its record, so a point lookup seeks to the greatest indexed key <= target
-and scans forward at most ``index_interval`` records — the classic
-SSTable design (Bigtable, LevelDB, RocksDB).
+of its record, which cuts the data region into *blocks* of at most
+``index_interval`` records — the classic SSTable design (Bigtable, LevelDB,
+RocksDB).  Reads follow the LevelDB/RocksDB table-reader shape: each table
+keeps one read-only descriptor open from construction to :meth:`SSTable.close`
+and reads whole blocks with ``os.pread`` — no ``open()`` and no buffered
+seek/read per lookup.  A point lookup bisects the index for the one block
+that can hold the key, reads it in one ``pread`` and parses it in memory;
+scans and compaction merges read about 64 KiB of whole blocks per
+``pread``.  A record whose lengths run past its block raises
+:class:`~repro.errors.CorruptionError` instead of reading on into the
+index and footer.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-from bisect import bisect_right
+import weakref
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -29,6 +38,8 @@ from .wal import fsync_dir
 _MAGIC = 0x53535442_31303031  # "SSTB1001"
 _FOOTER = struct.Struct("<QQQQQQ")
 _REC_HEADER = struct.Struct("<IIB")
+#: Bytes of whole blocks one ``pread`` of a scan or merge asks for.
+_READ_AHEAD = 64 * 1024
 
 #: Marker stored in the tombstone byte.
 _LIVE = 0
@@ -108,17 +119,20 @@ class SSTable:
     """Read-side handle on an immutable sorted run.
 
     The sparse index and bloom filter are loaded eagerly (they are tiny);
-    data records are read on demand.
+    data blocks are read on demand with ``os.pread`` on one read-only
+    descriptor held from construction until :meth:`close`.  The store
+    that installs a table owns that descriptor (see ``LSMStore``); a table
+    dropped without ``close`` releases it when garbage-collected.
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = Path(path)
-        with open(self.path, "rb") as fh:
-            fh.seek(0, os.SEEK_END)
-            file_len = fh.tell()
-            if file_len < _FOOTER.size:
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            self._fd = fd
+            self._file_len = os.fstat(fd).st_size
+            if self._file_len < _FOOTER.size:
                 raise CorruptionError(f"SSTable {self.path} too short")
-            fh.seek(file_len - _FOOTER.size)
             (
                 index_off,
                 index_len,
@@ -126,14 +140,13 @@ class SSTable:
                 bloom_len,
                 count,
                 magic,
-            ) = _FOOTER.unpack(fh.read(_FOOTER.size))
+            ) = _FOOTER.unpack(self._pread(self._file_len - _FOOTER.size, self._file_len))
             if magic != _MAGIC:
                 raise CorruptionError(f"SSTable {self.path} bad magic {magic:#x}")
             self.count = count
             self._data_end = index_off
 
-            fh.seek(index_off)
-            index_blob = fh.read(index_len)
+            index_blob = self._pread(index_off, index_off + index_len)
             self._index_keys: list[bytes] = []
             self._index_offsets: list[int] = []
             pos = 0
@@ -146,76 +159,123 @@ class SSTable:
                     int.from_bytes(index_blob[pos : pos + 8], "little")
                 )
                 pos += 8
+            #: Block ``i`` spans ``[_index_offsets[i], _block_ends[i])``.
+            self._block_ends = self._index_offsets[1:] + [self._data_end]
 
-            fh.seek(bloom_off)
-            self._bloom = BloomFilter.from_bytes(fh.read(bloom_len))
+            self._bloom = BloomFilter.from_bytes(
+                self._pread(bloom_off, bloom_off + bloom_len)
+            )
+            self.min_key = self._index_keys[0] if self._index_keys else None
+            self.max_key = self._read_last_key() if self._index_keys else None
+        except BaseException:
+            os.close(fd)
+            raise
+        self._release = weakref.finalize(self, os.close, fd)
 
-        self.min_key = self._index_keys[0] if self._index_keys else None
-        self.max_key = self._read_last_key() if self._index_keys else None
+    def close(self) -> None:
+        """Release the descriptor (idempotent).
+
+        The caller guarantees no reader can still reach this table: a
+        closed descriptor's number may be reused by another file, and a
+        stale ``pread`` on it would return that file's bytes.
+        """
+        self._fd = -1
+        self._release()
+
+    @property
+    def closed(self) -> bool:
+        return not self._release.alive
+
+    def _pread(self, start: int, end: int) -> bytes:
+        """Bytes ``[start, end)`` of the file in one ``pread``."""
+        buf = os.pread(self._fd, end - start, start)
+        if len(buf) != end - start:
+            raise CorruptionError(f"SSTable {self.path} truncated at {start + len(buf)}")
+        return buf
+
+    def _records(
+        self, buf: bytes, pos: int, end: int
+    ) -> Iterator[tuple[bytes, bytes, int]]:
+        """Parse the block ``buf[pos:end]``; a record running past the
+        block's end is corruption, not a reason to read on."""
+        unpack = _REC_HEADER.unpack_from
+        header = _REC_HEADER.size
+        while pos < end:
+            if pos + header > end:
+                raise CorruptionError(f"torn record header in {self.path}")
+            klen, vlen, tomb = unpack(buf, pos)
+            key_start = pos + header
+            key_end = key_start + klen
+            pos = key_end + vlen
+            if pos > end:
+                raise CorruptionError(f"record runs past its block in {self.path}")
+            yield buf[key_start:key_end], buf[key_end:pos], tomb
 
     def _read_last_key(self) -> bytes:
         last = None
-        for key, _value, _tomb in self._scan_from(self._index_offsets[-1]):
+        for key, _value, _tomb in self._scan_from(len(self._index_offsets) - 1):
             last = key
         assert last is not None
         return last
 
-    def _scan_from(self, offset: int) -> Iterator[tuple[bytes, bytes, int]]:
-        with open(self.path, "rb") as fh:
-            fh.seek(offset)
-            while fh.tell() < self._data_end:
-                header = fh.read(_REC_HEADER.size)
-                if len(header) < _REC_HEADER.size:
-                    raise CorruptionError(f"torn record in {self.path}")
-                klen, vlen, tomb = _REC_HEADER.unpack(header)
-                key = fh.read(klen)
-                value = fh.read(vlen)
-                yield key, value, tomb
+    def _scan_from(
+        self, slot: int, stop: int | None = None
+    ) -> Iterator[tuple[bytes, bytes, int]]:
+        """Records of blocks ``slot`` up to ``stop`` (default: the end of
+        the data region), whole blocks about ``_READ_AHEAD`` bytes per
+        ``pread``."""
+        offsets = self._index_offsets
+        ends = self._block_ends
+        if stop is None:
+            stop = len(offsets)
+        while slot < stop:
+            start = offsets[slot]
+            last = max(slot, bisect_right(ends, start + _READ_AHEAD, slot, stop) - 1)
+            buf = self._pread(start, ends[last])
+            for block in range(slot, last + 1):
+                yield from self._records(buf, offsets[block] - start, ends[block] - start)
+            slot = last + 1
 
     def get(self, key: bytes) -> tuple[bytes | None, bool]:
-        """Point lookup.
+        """Point lookup: one ``pread`` of the one block that can hold ``key``.
 
         Returns ``(value, found)``; a tombstone yields ``(None, True)`` so
-        the LSM read path stops descending to older runs.
+        the LSM read path stops descending to older runs.  The bloom probe
+        is the caller's (the store counts its skips), so it is not repeated
+        here.
         """
-        if not self._index_keys or not self._bloom.might_contain(key):
-            return None, False
-        if self.min_key is not None and key < self.min_key:
-            return None, False
-        if self.max_key is not None and key > self.max_key:
+        if not self._index_keys or key < self.min_key or key > self.max_key:
             return None, False
         slot = bisect_right(self._index_keys, key) - 1
-        if slot < 0:
-            return None, False
-        for rec_key, value, tomb in self._scan_from(self._index_offsets[slot]):
+        start = self._index_offsets[slot]
+        end = self._block_ends[slot]
+        for rec_key, value, tomb in self._records(self._pread(start, end), 0, end - start):
             if rec_key == key:
                 return (None, True) if tomb == _TOMBSTONE else (value, True)
             if rec_key > key:
-                return None, False
+                break
         return None, False
 
     def items(self) -> Iterator[tuple[bytes, bytes | None]]:
         """All records in key order; tombstones surface as ``None`` values."""
         if not self._index_keys:
             return
-        for key, value, tomb in self._scan_from(self._index_offsets[0]):
+        for key, value, tomb in self._scan_from(0):
             yield key, None if tomb == _TOMBSTONE else value
 
     def range(self, low: bytes | None, high: bytes | None) -> Iterator[tuple[bytes, bytes | None]]:
         """Records with ``low <= key < high`` (open bounds when ``None``)."""
         if not self._index_keys:
             return
-        # a range outside [min_key, max_key] never opens the file
+        # a range outside [min_key, max_key] never reads the file
         if (low is not None and low > self.max_key) or (
             high is not None and high <= self.min_key
         ):
             return
-        if low is None:
-            start = self._index_offsets[0]
-        else:
-            slot = max(0, bisect_right(self._index_keys, low) - 1)
-            start = self._index_offsets[slot]
-        for key, value, tomb in self._scan_from(start):
+        slot = 0 if low is None else max(0, bisect_right(self._index_keys, low) - 1)
+        # a block whose first key is >= high holds nothing in the range
+        stop = None if high is None else bisect_left(self._index_keys, high)
+        for key, value, tomb in self._scan_from(slot, stop):
             if low is not None and key < low:
                 continue
             if high is not None and key >= high:
@@ -226,7 +286,7 @@ class SSTable:
         return self._bloom.might_contain(key)
 
     def size_bytes(self) -> int:
-        return self.path.stat().st_size
+        return self._file_len
 
     def __len__(self) -> int:
         return self.count

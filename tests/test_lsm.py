@@ -1,8 +1,13 @@
 """Tests for the LSM store: durability, compaction, crash recovery."""
 
+import os
+import threading
+import time
+from pathlib import Path
+
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import CorruptionError, StorageError
 from repro.storage import LSMOptions, LSMStore
 
 
@@ -276,3 +281,108 @@ class TestFlushFailureRecovery:
         reopened = LSMStore(tmp_path / "db")
         assert reopened.get(b"k") == b"v"
         reopened.close()
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestDescriptorLifecycle:
+    """Each SSTable holds one descriptor; the store closes it exactly when
+    no reader can reach the table any more.  The tests keep references
+    to every table they saw, so a descriptor only counts as released
+    when the store closed it, not when the table was garbage-collected."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_proc_fd(self):
+        if not Path("/proc/self/fd").is_dir():
+            pytest.skip("needs /proc/self/fd")
+
+    @staticmethod
+    def _write_batches(store, batches, start=0):
+        for batch in range(start, start + batches):
+            for i in range(20):
+                store.put(f"k{i:03d}".encode(), f"b{batch}".encode())
+            store.flush()
+
+    @staticmethod
+    def _live(store):
+        return [t for tables in store._tables.values() for t in tables]
+
+    def test_compactions_and_close_release_every_descriptor(self, tmp_path):
+        before = _open_fds()
+        store = LSMStore(tmp_path, small_options(auto_compact=False))
+        seen = []
+        for round_ in range(4):
+            self._write_batches(store, 3, start=3 * round_)
+            seen.extend(self._live(store))
+            store.compact_all()
+            # one descriptor per live table plus the live WAL's handle
+            assert _open_fds() == before + store.table_count() + 1
+        live = {id(t) for t in self._live(store)}
+        assert all(t.closed for t in seen if id(t) not in live)
+        assert store.get(b"k005") == b"b11"
+        store.close()
+        assert _open_fds() == before
+        assert all(t.closed for t in seen + self._live(store))
+
+    def test_merge_dropped_by_close_leaks_nothing(self, tmp_path, monkeypatch):
+        import repro.storage.lsm as lsm_mod
+
+        before = _open_fds()
+        store = LSMStore(tmp_path, small_options(auto_compact=False))
+        self._write_batches(store, 3)
+        inputs = list(store._tables[0])
+        built = []
+        real_write = lsm_mod.SSTableWriter.write
+
+        def recording_write(self, records):
+            table = real_write(self, records)
+            built.append(table)
+            return table
+
+        entered, release = threading.Event(), threading.Event()
+        real_merge = LSMStore._merge_tables
+
+        def slow_merge(tables, drop_tombstones):
+            entered.set()
+            release.wait(5.0)
+            return real_merge(tables, drop_tombstones)
+
+        monkeypatch.setattr(lsm_mod.SSTableWriter, "write", recording_write)
+        monkeypatch.setattr(LSMStore, "_merge_tables", staticmethod(slow_merge))
+        merger = threading.Thread(target=store.compact_level, args=(0,))
+        merger.start()
+        assert entered.wait(5.0)
+        closer = threading.Thread(target=store.close)
+        closer.start()
+        deadline = time.monotonic() + 5.0
+        while not store._closed and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
+        merger.join(5.0)
+        closer.join(5.0)
+        assert not merger.is_alive() and not closer.is_alive()
+
+        assert store.stats.compactions == 0  # the output was dropped
+        assert len(built) == 1 and built[0].closed
+        assert not built[0].path.exists()
+        assert all(t.closed for t in inputs)
+        assert _open_fds() == before
+        monkeypatch.undo()
+        with LSMStore(tmp_path, small_options(auto_compact=False)) as reopened:
+            assert reopened.level_shape() == {0: 3}
+            assert reopened.get(b"k000") == b"b2"
+
+    def test_failed_open_closes_the_tables_it_opened(self, tmp_path):
+        with LSMStore(tmp_path, small_options(auto_compact=False)) as store:
+            self._write_batches(store, 3)
+            newest = store._tables[0][-1].path
+        newest.write_bytes(newest.read_bytes()[:-1])  # torn footer
+        before = _open_fds()
+        with pytest.raises(CorruptionError) as excinfo:
+            LSMStore(tmp_path, small_options(auto_compact=False))
+        # the traceback keeps the half-built store (and its tables) alive:
+        # only an explicit close gives their descriptors back
+        assert excinfo.value is not None
+        assert _open_fds() == before

@@ -181,6 +181,42 @@ class TestSSTable:
         assert table.min_key == b"aaa"
         assert table.max_key == b"zzz"
 
+    def test_reads_after_construction_open_no_file(self, tmp_path, monkeypatch):
+        import os
+
+        import repro.storage.sstable as sstable_mod
+
+        records = [(f"k{i:03d}".encode(), str(i).encode()) for i in range(50)]
+        table = self._write(tmp_path, records, index_interval=8)
+
+        def no_open(*args, **kwargs):
+            raise AssertionError("SSTable read opened a file")
+
+        monkeypatch.setattr(sstable_mod, "open", no_open, raising=False)
+        monkeypatch.setattr(os, "open", no_open)
+        assert table.get(b"k017") == (b"17", True)
+        assert table.get(b"k017x") == (None, False)
+        assert list(table.items()) == records
+        assert [k for k, _ in table.range(b"k010", b"k013")] == [b"k010", b"k011", b"k012"]
+
+    def test_record_running_past_its_block_detected(self, tmp_path):
+        """A corrupt key length must not read on into the next records,
+        the index or the footer: the record overruns its block."""
+        records = [(f"k{i:04d}".encode(), f"v{i}".encode()) for i in range(100)]
+        self._write(tmp_path, records, index_interval=16)
+        path = tmp_path / "t.sst"
+        raw = bytearray(path.read_bytes())
+        raw[1] ^= 0x02  # first record's klen: 5 -> 517, past its ~260-byte block
+        path.write_bytes(bytes(raw))
+        table = SSTable(path)  # the last block, read on open, is intact
+        with pytest.raises(CorruptionError):
+            table.get(b"k0000")
+        with pytest.raises(CorruptionError):
+            list(table.items())
+        # blocks the corruption does not reach still answer
+        assert table.get(b"k0050") == (b"v50", True)
+        table.close()
+
 
 class TestMemTable:
     def test_put_get_delete(self):
