@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
-"""Durability and restart recovery — single-site and sharded.
+"""Durability and restart recovery of a stream query.
 
-Part 1 simulates the paper's persistence requirement on the single-site
-:class:`~repro.recovery.DurableSystem`: committed transactions survive a
-crash, uncommitted work vanishes, and the recovered group ``LastCTS``
-restores exactly the pre-crash snapshot boundary.
+A child process runs the shop query — one punctuated stream of events
+feeding two grouped ``TO_TABLE`` states, ``inventory`` and ``orders`` — on
+a 4-shard durable manager (``data_dir=``: LSM base tables + per-shard
+commit WALs + checkpoints).  Each transaction commits when the last of
+its two ``TO_TABLE`` votes arrives, through the single-shard path or 2PC
+when the two keys live on different shards.  The child leaves one stream
+transaction open and hard-kills itself with ``os._exit`` mid-load — no
+close, no flush, no atexit.
 
-Part 2 does it for real on the durable **sharded** manager: a child
-process runs a 4-shard workload over ``data_dir=`` storage (LSM base
-tables + per-shard commit WALs + checkpoints) and hard-kills itself with
-``os._exit`` mid-load — no close, no flush, no atexit.  The parent then
-reopens the directory with ``ShardedTransactionManager.open()``, which
-replays the commit-WAL tails, resolves any in-doubt 2PC prepares
-(presumed-abort) and restores ``LastCTS``, and prints what came back.
+The parent reopens the directory with ``ShardedTransactionManager.open()``,
+which replays the commit-WAL tails, resolves any in-doubt 2PC prepares
+(presumed-abort) and restores ``LastCTS``, prints what came back, and then
+restarts the same query on the reopened store.
 
 Run:  python examples/recovery_demo.py
 """
@@ -25,147 +26,93 @@ import tempfile
 from pathlib import Path
 
 from repro.core import ShardedTransactionManager
-from repro.recovery import DurableSystem
+from repro.streams import StreamTuple, Topology, TransactionalSource, bot
+
+EVENTS = [{"item": i % 50, "order": i, "stock": 100 - i % 7} for i in range(220)]
 
 
-_SHARDED_CHILD = r"""
-import os, sys
-from repro.core import ShardedTransactionManager
-
-smgr = ShardedTransactionManager(
-    num_shards=4, protocol="mvcc", data_dir=sys.argv[1], checkpoint_interval=60,
-)
-smgr.create_table("inventory")
-smgr.create_table("orders")
-smgr.register_group("shop", ["inventory", "orders"])
-
-for i in range(220):
-    txn = smgr.begin()
-    smgr.write(txn, "inventory", i % 50, {"stock": 100 - i % 7})
-    if i % 5 == 0:
-        smgr.write(txn, "orders", i, {"qty": 1})  # often a second shard: 2PC
-    smgr.commit(txn)
-
-# one uncommitted transaction that must NOT survive:
-doomed = smgr.begin()
-smgr.write(doomed, "inventory", 0, {"stock": -999})
-
-sys.stdout.write(str(max(s.context.last_cts("shop") for s in smgr.shards)))
-sys.stdout.flush()
-os._exit(42)  # hard kill: no close(), no flush, no atexit
-"""
-
-
-def sharded_demo(workdir: Path) -> None:
-    data_dir = workdir / "sharded"
-    print("=== part 2: sharded hard-kill + ShardedTransactionManager.open() ===")
-    proc = subprocess.run(
-        [sys.executable, "-c", _SHARDED_CHILD, str(data_dir)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
-        timeout=120,
+def shop_query(smgr: ShardedTransactionManager, events: list[dict]) -> Topology:
+    """Every event updates its item's stock; every fifth is also an order."""
+    topo = Topology(smgr, "shop")
+    stream = topo.source(
+        TransactionalSource(events, key_fn=lambda e: e["item"], append_eos=False)
     )
-    assert proc.returncode == 42, proc.stderr
-    pre_crash_cts = int(proc.stdout)
-    print(f"child committed 220 transactions, then os._exit(42); "
-          f"pre-crash LastCTS = {pre_crash_cts}")
+    stream.map(lambda e: {"stock": e["stock"]}).to_table("inventory")
+    (
+        stream.filter(lambda e: e["order"] % 5 == 0)
+        .key_by(lambda e: e["order"])
+        .map(lambda e: {"qty": 1})
+        .to_table("orders")
+    )
+    return topo
 
-    smgr = ShardedTransactionManager.open(data_dir)
-    report = smgr.last_recovery
-    print(f"tail records replayed    : {report.tail_records} "
-          f"({report.commits_replayed} commits) across {len(report.shards)} shards")
-    print(f"in-doubt prepares        : {report.prepares_rolled_forward} rolled "
-          f"forward, {report.prepares_rolled_back} rolled back")
-    print(f"restored LastCTS         : {report.last_cts}")
-    print(f"rows per state           : {report.rows_loaded}")
-    print(f"recovery time            : {report.recovery_s * 1e3:.1f} ms")
-    assert report.last_cts["shop"] >= pre_crash_cts
 
-    with smgr.snapshot() as view:
-        stock0 = view.get("inventory", 0)
-        inventory_rows = sum(1 for _ in view.scan("inventory"))
-        order_rows = sum(1 for _ in view.scan("orders"))
-    print(f"inventory[0]             : {stock0}")
-    print(f"row counts               : inventory={inventory_rows} orders={order_rows}")
-    assert stock0 != {"stock": -999}, "uncommitted write must not survive"
-    assert inventory_rows == 50 and order_rows == 44
-
-    # the recovered manager keeps committing (and checkpointing):
-    with smgr.transaction() as txn:
-        smgr.write(txn, "inventory", 0, {"stock": 42})
-    with smgr.snapshot() as view:
-        print(f"post-recovery write      : {view.get('inventory', 0)}")
-    smgr.close()
-    print("sharded crash recovery ✓\n")
+def crash_child(data_dir: str) -> None:
+    smgr = ShardedTransactionManager(
+        num_shards=4, protocol="mvcc", data_dir=data_dir, checkpoint_interval=60
+    )
+    smgr.create_table("inventory")
+    smgr.create_table("orders")
+    topo = shop_query(smgr, EVENTS)
+    topo.run()  # 220 stream transactions, one per event
+    # one stream transaction that must NOT survive:
+    topo.push(bot())
+    topo.push(StreamTuple({"item": 0, "order": -1, "stock": -999}, key=0))
+    sys.stdout.write(str(max(s.context.last_cts("shop") for s in smgr.shards)))
+    sys.stdout.flush()
+    os._exit(42)  # hard kill: no close(), no flush, no atexit
 
 
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro_recovery_"))
     print(f"workspace: {workdir}")
-    print("=== part 1: single-site DurableSystem ===")
     try:
-        # ---- phase 1: run, commit, then "crash" ---------------------------
-        system = DurableSystem(workdir, protocol="mvcc", sync=True)
-        system.create_table("inventory")
-        system.create_table("orders")
-        system.register_group("shop", ["inventory", "orders"])
-        mgr = system.manager
+        proc = subprocess.run(
+            [sys.executable, __file__, "--crash-child", str(workdir)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+            timeout=120,
+        )
+        assert proc.returncode == 42, proc.stderr
+        pre_crash_cts = int(proc.stdout)
+        print(f"child streamed 220 transactions, left one open, then "
+              f"os._exit(42); pre-crash LastCTS = {pre_crash_cts}")
 
-        for batch in range(5):
-            with mgr.transaction() as txn:
-                for item in range(10):
-                    mgr.write(txn, "inventory", item, {"stock": 100 - batch})
-                    mgr.write(txn, "orders", (batch, item), {"qty": 1})
+        smgr = ShardedTransactionManager.open(workdir)
+        report = smgr.last_recovery
+        print(f"tail records replayed    : {report.tail_records} "
+              f"({report.commits_replayed} commits) across {len(report.shards)} shards")
+        print(f"in-doubt prepares        : {report.prepares_rolled_forward} rolled "
+              f"forward, {report.prepares_rolled_back} rolled back")
+        print(f"restored LastCTS         : {report.last_cts}")
+        print(f"rows per state           : {report.rows_loaded}")
+        print(f"recovery time            : {report.recovery_s * 1e3:.1f} ms")
+        assert report.last_cts["shop"] >= pre_crash_cts
 
-        pre_crash_cts = mgr.context.group("shop").last_cts
-        print(f"committed 5 group transactions; LastCTS = {pre_crash_cts}")
-
-        # an uncommitted transaction that must NOT survive:
-        doomed = mgr.begin()
-        mgr.write(doomed, "inventory", 0, {"stock": -999})
-        print("left one transaction uncommitted (stock=-999) ...")
-
-        # crash: flush nothing explicitly beyond what commits already synced
-        for table in mgr.tables():
-            table.backend.close()  # release file handles only
-        system.context_store.close()
-        del system, mgr, doomed
-        print("crashed (process state dropped)\n")
-
-        # ---- phase 2: restart and recover ---------------------------------
-        recovered = DurableSystem(workdir, protocol="mvcc", sync=True)
-        recovered.create_table("inventory")
-        recovered.create_table("orders")
-        recovered.register_group("shop", ["inventory", "orders"])
-        report = recovered.recover()
-
-        print(f"recovered states   : {report.states}")
-        print(f"rows per state     : {report.rows_recovered}")
-        print(f"recovered LastCTS  : {report.last_cts}")
-        assert report.last_cts["shop"] == pre_crash_cts
-
-        with recovered.manager.snapshot() as view:
-            stock = view.get("inventory", 0)
-            orders = sum(1 for _ in view.scan("orders"))
-        print(f"inventory[0]       : {stock}")
-        print(f"order rows         : {orders}")
-        assert stock == {"stock": 96}, "last committed batch must be visible"
-        assert orders == 50
+        with smgr.snapshot() as view:
+            stock0 = view.get("inventory", 0)
+            inventory_rows = sum(1 for _ in view.scan("inventory"))
+            order_rows = sum(1 for _ in view.scan("orders"))
+        print(f"inventory[0]             : {stock0}")
+        print(f"row counts               : inventory={inventory_rows} orders={order_rows}")
+        assert stock0 == {"stock": 96}, "the last committed event must be visible"
+        assert inventory_rows == 50 and order_rows == 44
         print("uncommitted write is gone, committed data intact ✓")
 
-        # the recovered system keeps working transactionally:
-        with recovered.manager.transaction() as txn:
-            recovered.manager.write(txn, "inventory", 0, {"stock": 42})
-        with recovered.manager.snapshot() as view:
+        # the restarted query keeps committing on the reopened store:
+        shop_query(smgr, [{"item": 0, "order": 220, "stock": 42}]).run()
+        with smgr.snapshot() as view:
             print(f"post-recovery write: {view.get('inventory', 0)}")
-        recovered.close()
-        print()
-
-        sharded_demo(workdir)
+            assert view.get("orders", 220) == {"qty": 1}
+        smgr.close()
+        print("stream crash recovery ✓")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
 if __name__ == "__main__":
-    main()
+    if sys.argv[1:2] == ["--crash-child"]:
+        crash_child(sys.argv[2])
+    else:
+        main()

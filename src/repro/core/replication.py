@@ -237,23 +237,6 @@ class ShardReplica:
             cts, value, deleted = chain[pos - 1]
             return None if deleted else value
 
-    def scan_at(self, state_id: str, ts: int) -> list[tuple[Any, Any]]:
-        """Snapshot scan of one state at ``ts`` (sorted when sortable)."""
-        with self._lock:
-            out = []
-            for key, chain in self._versions.get(state_id, {}).items():
-                pos = bisect_right(chain, ts, key=lambda v: v[0])
-                if pos == 0:
-                    continue
-                _, value, deleted = chain[pos - 1]
-                if not deleted:
-                    out.append((key, value))
-        try:
-            out.sort(key=lambda kv: kv[0])
-        except TypeError:
-            pass
-        return out
-
     def live_items(self) -> dict[str, list[tuple[Any, Any, int]]]:
         """Promotion handover: per state, ``(key, value, cts)`` of the
         newest live (non-deleted) version of every key."""
@@ -267,10 +250,6 @@ class ShardReplica:
                         rows.append((key, value, cts))
                 out[state_id] = rows
             return out
-
-    def state_ids(self) -> list[str]:
-        with self._lock:
-            return list(self._versions)
 
     def close(self) -> None:
         self.wal.close()

@@ -148,7 +148,7 @@ from ..storage.kvstore import KVStore
 from ..storage.lsm import MAINTENANCE_BACKGROUND, MAINTENANCE_INLINE, LSMOptions, LSMStore
 from ..storage.maintenance import StorageMaintenanceDaemon
 from ..storage.wal import KIND_TXN_COMMIT, WriteAheadLog
-from .codecs import ORDERED_KEY_CODEC, PICKLE_CODEC, Codec
+from .codecs import ORDERED_KEY_CODEC, PICKLE_CODEC
 from .durability import (
     DURABILITY_SYNC,
     CommitLogRecord,
@@ -168,7 +168,7 @@ from .slots import SlotFlip, SlotMap, slot_of_key
 from .snapshot import GlobalSnapshot, SnapshotCoordinator
 from .table import RESIDENCY_FULL, RESIDENCY_LAZY, RESIDENCY_MODES, StateTable
 from .timestamps import TimestampOracle
-from .transactions import Transaction, TxnStatus
+from .transactions import StateFlag, Transaction, TxnStatus
 from .version_store import DEFAULT_SLOTS
 from .write_set import WriteSet
 
@@ -205,6 +205,9 @@ class ShardedTransaction:
 
     Child transactions on the individual shards are begun lazily on first
     touch; their handles live in :attr:`children` keyed by shard index.
+    Like every transaction handle it is driven by one client thread —
+    for a stream topology, the thread pushing its elements — so the
+    per-state votes in :attr:`state_flags` need no mutex.
     """
 
     __slots__ = (
@@ -214,6 +217,7 @@ class ShardedTransaction:
         "abort_reason",
         "children",
         "declared_states",
+        "state_flags",
         "isolation",
         "restarts",
         "snapshot_cap",
@@ -232,6 +236,9 @@ class ShardedTransaction:
         #: shard index -> child transaction handle (lazily created).
         self.children: dict[int, Transaction] = {}
         self.declared_states = list(declared_states or [])
+        #: state id -> per-state vote (:meth:`ShardedTransactionManager.
+        #: commit_state`); every declared state starts ``ACTIVE``.
+        self.state_flags = dict.fromkeys(self.declared_states, StateFlag.ACTIVE)
         self.isolation = isolation
         self.restarts = 0
         #: Frozen global-snapshot cap, acquired lazily on first touch of a
@@ -764,7 +771,7 @@ class ShardedTransactionManager:
             gc_interval=gc_interval,
             **protocol_kwargs,
         )
-        #: Per-shard ``LastCTS`` write-through stores (durable mode only).
+        #: Per-shard ``LastCTS`` stores (durable mode only).
         self.context_stores: list[Any] = []
         self.shards: list[TransactionManager] = [
             self._build_shard(idx) for idx in range(num_shards)
@@ -893,7 +900,7 @@ class ShardedTransactionManager:
 
         The one construction path for the constructor and
         :meth:`_add_shard`.  Durable mode gives the shard its commit WAL +
-        batched-fsync daemon and its ``LastCTS`` write-through store
+        batched-fsync daemon and its ``LastCTS`` store
         (appended to :attr:`context_stores`).
         """
         daemon: GroupFsyncDaemon | None = None
@@ -927,7 +934,7 @@ class ShardedTransactionManager:
             from ..recovery.redo import ContextStore
             from ..recovery.sharded import context_store_path
 
-            store = ContextStore(context_store_path(self.data_dir, idx), sync=False)
+            store = ContextStore(context_store_path(self.data_dir, idx))
             self.context_stores.append(store)
             shard.context.attach_persistence(store.record)
         return shard
@@ -1051,14 +1058,15 @@ class ShardedTransactionManager:
         self,
         state_id: str,
         backend_factory: Callable[[int], KVStore] | None = None,
-        key_codec: Codec = ORDERED_KEY_CODEC,
-        value_codec: Codec = PICKLE_CODEC,
         version_slots: int = DEFAULT_SLOTS,
     ) -> list[StateTable]:
         """Register ``state_id`` on every shard; returns the partitions.
 
         ``backend_factory`` (not a backend instance, called with the shard
         index) because each shard needs its *own* base-table backend.
+        Every partition keys its rows with ``ORDERED_KEY_CODEC`` and
+        pickles its values: the catalog records that one store-wide
+        encoding, so a reopen decodes every table the same way.
         In durable mode (``data_dir=``) the default factory
         routes each partition to its own LSM directory under
         ``data_dir/shard-NN/tables/<state_id>``; commits write through to
@@ -1079,8 +1087,8 @@ class ShardedTransactionManager:
             shard.create_table(
                 state_id,
                 backend=backend_factory(idx) if backend_factory else None,
-                key_codec=key_codec,
-                value_codec=value_codec,
+                key_codec=ORDERED_KEY_CODEC,
+                value_codec=PICKLE_CODEC,
                 version_slots=version_slots,
                 location=f"shard-{idx}",
                 residency=self.state_residency,
@@ -1180,10 +1188,31 @@ class ShardedTransactionManager:
                     table.residency_budget = None
 
     def register_group(self, group_id: str, state_ids: list[str]) -> None:
+        """Group ``state_ids`` on every shard (and in the catalog).
+
+        Registering a group again with the same member states is a no-op,
+        so a topology rebuilt on a reopened store (whose catalog restored
+        its group) builds; other members raise
+        :class:`~repro.errors.StateError`.
+        """
+        context = self.shards[0].context
+        if group_id in context.group_ids() and set(
+            context.group(group_id).state_ids
+        ) == set(state_ids):
+            return
         for shard in self.shards:
             shard.register_group(group_id, state_ids)
         if self._schema is not None:
-            self._schema.groups[group_id] = list(state_ids)
+            # The members leave their previous groups, as in the context:
+            # a reopen registers the catalog's groups in key order, so a
+            # stale entry would take the states back.
+            groups = {
+                gid: [s for s in members if s not in state_ids]
+                for gid, members in self._schema.groups.items()
+            }
+            groups = {gid: members for gid, members in groups.items() if members}
+            groups[group_id] = list(state_ids)
+            self._schema.groups = groups
             self._schema.save(self.data_dir)
 
     def bulk_load(self, state_id: str, rows: list[tuple[Any, Any]]) -> None:
@@ -1780,6 +1809,44 @@ class ShardedTransactionManager:
             if not child.is_finished():
                 self.shards[idx].coordinator.abort_transaction(child, reason)
         txn.mark_aborted(reason)
+
+    def commit_state(self, txn: ShardedTransaction, state_id: str) -> bool:
+        """Per-state ``Commit`` vote (the stream operators' entry point).
+
+        The single-site :class:`~repro.core.group_commit.
+        GroupCommitCoordinator` semantics: the vote set is every state
+        declared at :meth:`begin` or written since; a vote that leaves a
+        state unvoted returns ``False``, and the vote that completes the
+        set commits through :meth:`commit` (single-shard or 2PC) and
+        returns ``True``.  A commit vote after an ``Abort`` vote raises
+        :class:`~repro.errors.TransactionAborted` (``ABORT_GROUP``).
+        """
+        flags = txn.state_flags
+        if StateFlag.ABORT in flags.values():
+            raise TransactionAborted(
+                f"sharded transaction {txn.txn_id} aborted globally (another "
+                "state voted abort)",
+                txn_id=txn.txn_id,
+                reason=ABORT_GROUP,
+            )
+        txn.ensure_active()
+        flags[state_id] = StateFlag.COMMIT
+        for child in txn.children.values():
+            for written in child.write_sets:
+                flags.setdefault(written, StateFlag.ACTIVE)
+        if StateFlag.ACTIVE in flags.values():
+            return False
+        self.commit(txn)
+        return True
+
+    def abort_state(
+        self, txn: ShardedTransaction, state_id: str, reason: str = ABORT_USER
+    ) -> None:
+        """Per-state ``Abort`` vote: aborts the transaction on every shard."""
+        if txn.is_finished():
+            return
+        txn.state_flags[state_id] = StateFlag.ABORT
+        self.abort(txn, reason)
 
     # convenience ---------------------------------------------------------
 
@@ -2449,8 +2516,8 @@ class ShardedTransactionManager:
             shard.create_table(
                 state_id,
                 backend=factory(idx) if factory is not None else None,
-                key_codec=src_table.key_codec,
-                value_codec=src_table.value_codec,
+                key_codec=ORDERED_KEY_CODEC,
+                value_codec=PICKLE_CODEC,
                 version_slots=src_table.version_slots,
                 location=f"shard-{idx}",
                 residency=src_table.residency,

@@ -4,36 +4,29 @@ Architecture overview — what is durable, who owns it, and how a crashed
 process gets back to its exact committed state:
 
 ```
-            single-site (DurableSystem)        sharded (data_dir= mode)
-            ---------------------------        -------------------------------
-  redo      LSM per state (sync=True):         commit WAL per shard (batched
-  authority every commit batch fsynced         fsync; repro.core.durability) +
-            into the base table                LSM per state per shard
-                                               (sync=False, flushed at
-                                               checkpoints)
-  LastCTS   ContextStore (sync=True            ContextStore per shard
-            write-through per publish)         (sync=False hint) + checkpoint
-                                               marker + replayed commit ts
-  2PC       —                                  coordinator.log: durable commit
-                                               decisions, presumed-abort
-  create    DurableSystem(dir)                 ShardedTransactionManager(
-                                               data_dir=...): new stores only;
-                                               refuses an existing schema.json
-  restart   DurableSystem.recover()            ShardedTransactionManager.open()
-                                               -> load_catalog() (checks, no
-                                               writes) -> recover_sharded()
-                                               -> post-recovery checkpoint
+  redo       commit WAL per shard (batched fsync; repro.core.durability)
+  authority  + LSM base table per state per shard (sync=False, flushed
+             at checkpoints)
+  LastCTS    ContextStore per shard (buffered hint) + checkpoint marker
+             + replayed commit timestamps
+  2PC        coordinator.log: durable commit decisions, presumed-abort
+  create     ShardedTransactionManager(data_dir=...): new stores only;
+             refuses an existing schema.json
+  restart    ShardedTransactionManager.open() -> load_catalog() (checks,
+             no writes) -> recover_sharded() -> post-recovery checkpoint
 ```
+
+Stream topologies run on the same manager: their ``TO_TABLE`` votes
+(``commit_state``/``abort_state``) commit through the single-shard or
+2PC path, and a topology rebuilt on a reopened store finds its group in
+the restored catalog.
 
 Module map:
 
 * :mod:`~repro.recovery.redo` — :class:`ContextStore`, the durable
   group -> ``LastCTS`` map the paper requires ("the last committed
   transaction (LastCTS) per group ... needs to be persistent", §4.1).
-* :mod:`~repro.recovery.recovery` — :class:`DurableSystem`, the
-  single-site durable manager: one LSM directory per state, restart =
-  restore ``LastCTS`` + rebuild version indexes from the base tables.
-* :mod:`~repro.recovery.sharded` — the sharded restart procedure:
+* :mod:`~repro.recovery.sharded` — the restart procedure:
   per-shard commit-WAL tail replay on top of the LSM state, in-doubt 2PC
   resolution against the global :class:`CoordinatorLog` (presumed-abort),
   ``LastCTS``/oracle restoration, version-index bootstrap, and the
@@ -41,7 +34,7 @@ Module map:
   the on-disk layout helpers, the persisted :class:`ShardedSchema` and
   :func:`load_catalog`, the one place a reopen checks it.
 
-Recovery invariants (both procedures):
+Recovery invariants:
 
 1. every state table's content equals the last durable committed prefix —
    base tables only ever receive whole committed batches, and redo replay
@@ -54,13 +47,12 @@ Recovery invariants (both procedures):
    prepare without a durable commit decision is presumed aborted).
 """
 
-from .recovery import DurableSystem, RecoveryReport
 from .redo import ContextStore
 from .sharded import (
     CoordinatorLog,
     CoordinatorOutcome,
     ShardRecovery,
-    ShardedRecoveryReport,
+    ShardedRestartReport,
     ShardedSchema,
     load_catalog,
     recover_sharded,
@@ -70,10 +62,8 @@ __all__ = [
     "ContextStore",
     "CoordinatorLog",
     "CoordinatorOutcome",
-    "DurableSystem",
-    "RecoveryReport",
     "ShardRecovery",
-    "ShardedRecoveryReport",
+    "ShardedRestartReport",
     "ShardedSchema",
     "load_catalog",
     "recover_sharded",

@@ -3,7 +3,7 @@
 The paper (Section 4.1): topology groups track "the last committed
 transaction (LastCTS) per group ... For recovery purposes, this information
 needs to be persistent."  The :class:`ContextStore` writes exactly that —
-group id -> LastCTS — through on every group commit, using the same
+group id -> LastCTS — on every group commit, using the same
 CRC-framed append-only log format as the storage WAL so torn tails are
 tolerated.
 
@@ -32,22 +32,20 @@ class ContextStore:
     shard (the context's persistence hook runs outside the commit latches),
     so appends, compaction and close serialise on an internal mutex.
 
-    ``sync=False`` keeps the hot path cheap (buffered appends, no fsync per
-    publish).  That is safe whenever a commit WAL provides the durable
-    source of truth for the tail — recovery then takes the max of the
-    persisted value, the checkpoint marker and the replayed commit records
-    (:func:`repro.recovery.sharded.recover_sharded`), so a lost context
-    append can never roll a group's watermark backwards.
+    Appends are buffered, with no fsync per publish: the shard's commit WAL
+    is the durable source of truth for the tail, and recovery takes the
+    max of the persisted value, the checkpoint marker and the replayed
+    commit records (:func:`repro.recovery.sharded.recover_sharded`), so a
+    lost context append can never roll a group's watermark backwards.
+    :meth:`close` and compaction fsync.
     """
 
     def __init__(
         self,
         path: str | os.PathLike[str],
-        sync: bool = True,
         compact_after_records: int = 4096,
     ) -> None:
         self.path = Path(path)
-        self.sync = sync
         self.compact_after_records = compact_after_records
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._values: dict[str, int] = {}
@@ -96,9 +94,6 @@ class ContextStore:
             payload = self._encode(group_id, last_cts)
             self._file.write(_FRAME.pack(zlib.crc32(payload), len(payload)))
             self._file.write(payload)
-            if self.sync:
-                self._file.flush()
-                os.fsync(self._file.fileno())
             self._values[group_id] = max(self._values.get(group_id, 0), last_cts)
             self._records += 1
             if self._records >= self.compact_after_records:

@@ -9,7 +9,7 @@ owns::
       coordinator.log        global 2PC commit decisions (presumed-abort)
       shard-00/
         commit.wal           the shard's commit redo log (+ checkpoint marker)
-        context.log          per-group LastCTS write-through (ContextStore)
+        context.log          per-group LastCTS, appended per publish (ContextStore)
         tables/<state_id>/   one LSMStore directory per state partition
       shard-01/ ...
 
@@ -575,7 +575,7 @@ class ShardRecovery:
 
 
 @dataclass
-class ShardedRecoveryReport:
+class ShardedRestartReport:
     """Aggregate outcome of :func:`recover_sharded`."""
 
     shards: list[ShardRecovery] = field(default_factory=list)
@@ -807,7 +807,7 @@ def _recover_shard(
 def recover_sharded(
     manager: "ShardedTransactionManager",
     max_workers: int | None = None,
-) -> ShardedRecoveryReport:
+) -> ShardedRestartReport:
     """Replay every shard's commit-WAL tail into its base tables.
 
     ``manager`` must be a freshly constructed durable manager
@@ -829,7 +829,7 @@ def recover_sharded(
     if manager.data_dir is None:
         raise StorageError("recover_sharded needs a manager with data_dir set")
     t0 = time.perf_counter()
-    report = ShardedRecoveryReport()
+    report = ShardedRestartReport()
     shard_ids = range(manager.num_shards)
     workers = _resolve_workers(manager.num_shards, max_workers)
 

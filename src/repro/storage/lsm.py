@@ -55,6 +55,7 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from heapq import merge as heap_merge
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -755,18 +756,21 @@ class LSMStore(KVStore):
                 name = f"{self._manifest.allocate_file_number():08d}.sst"
 
             # Build outside the store lock: inputs are immutable SSTables.
+            # The merge streams from the inputs into the writer, so it
+            # holds one block per input, not the level's records.
             merged = self._merge_tables(inputs, drop_tombstones=is_bottom)
+            first = next(merged, None)
             removed = [t.path.name for t in inputs]
             added: list[tuple[int, str]] = []
             new_table: SSTable | None = None
-            if merged:
+            if first is not None:
                 writer = SSTableWriter(
                     self._manifest.table_path(name),
                     index_interval=self.options.index_interval,
                     bits_per_key=self.options.bloom_bits_per_key,
                 )
                 try:
-                    new_table = writer.write(iter(merged))
+                    new_table = writer.write(chain((first,), merged))
                 except BaseException:
                     # Failed build (e.g. transient ENOSPC): the inputs are
                     # untouched and still installed — drop the orphan.
@@ -818,24 +822,25 @@ class LSMStore(KVStore):
     @staticmethod
     def _merge_tables(
         tables: list[SSTable], drop_tombstones: bool
-    ) -> list[tuple[bytes, bytes | None]]:
-        """K-way merge; for duplicate keys the newest (highest-rank) wins."""
-        tagged = []
-        for rank, table in enumerate(tables):
+    ) -> Iterator[tuple[bytes, bytes | None]]:
+        """Lazy k-way merge; for duplicate keys the newest (highest-rank)
+        wins."""
+
+        def tagged(rank: int, table: SSTable) -> Iterator[tuple[bytes, int, bytes | None]]:
             # Higher rank = newer table; invert so the merge sees newest first.
-            tagged.append(
-                [(key, -rank, value) for key, value in table.items()]
-            )
-        out: list[tuple[bytes, bytes | None]] = []
+            for key, value in table.items():
+                yield key, -rank, value
+
         last_key: bytes | None = None
-        for key, _neg_rank, value in heap_merge(*tagged):
+        for key, _neg_rank, value in heap_merge(
+            *(tagged(rank, table) for rank, table in enumerate(tables))
+        ):
             if key == last_key:
                 continue
             last_key = key
             if value is None and drop_tombstones:
                 continue
-            out.append((key, value))
-        return out
+            yield key, value
 
     # -------------------------------------------------------------- control
 

@@ -3,9 +3,11 @@
 Topologies of push-based operators with punctuation-marked transaction
 boundaries, the linking operators TO_TABLE / TO_STREAM / FROM, windows and
 grouped aggregates — everything the paper's transaction model (Section 3)
-needs from its host stream processor.  The stream layer runs on the
-single-site :class:`~repro.core.manager.TransactionManager` only; the
-sharded manager serves transactions and ad-hoc queries, not topologies.
+needs from its host stream processor.  A topology runs on either
+manager: the single-site :class:`~repro.core.manager.TransactionManager`
+or the :class:`~repro.core.sharding.ShardedTransactionManager`, whose
+``commit_state``/``abort_state`` votes commit through its single-shard or
+2PC path (and, with ``data_dir=``, durably).
 """
 
 from .aggregates import AggregateSpec, GroupedAggregate

@@ -9,9 +9,9 @@ table."  Both flavours are provided:
 * :class:`StreamTap` — attach to a live operator's output and collect every
   tuple from the attachment point on.
 
-Ad-hoc *transactions* over several states go through
-:meth:`repro.core.manager.TransactionManager.snapshot`, which these helpers
-use internally, so the consistency protocol's multi-state guarantees apply.
+Ad-hoc *transactions* over several states go through the manager's
+``snapshot()`` (single-site or sharded), which these helpers use
+internally, so the consistency protocol's multi-state guarantees apply.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from .operators import Operator
 from .tuples import StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.manager import TransactionManager
+    from .runtime import StreamManager
 
 
 def from_table(
-    manager: "TransactionManager",
+    manager: "StreamManager",
     state_id: str,
     low: Any = None,
     high: Any = None,
@@ -37,7 +37,7 @@ def from_table(
 
 
 def from_tables(
-    manager: "TransactionManager", state_ids: list[str], key: Any
+    manager: "StreamManager", state_ids: list[str], key: Any
 ) -> dict[str, Any]:
     """Read one key from several states under a *single* snapshot.
 
@@ -53,7 +53,7 @@ class TableScanSource(Operator):
 
     def __init__(
         self,
-        manager: "TransactionManager",
+        manager: "StreamManager",
         state_id: str,
         name: str = "",
     ) -> None:

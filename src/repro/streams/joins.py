@@ -25,7 +25,7 @@ from .runtime import TransactionContext
 from .tuples import StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.manager import TransactionManager
+    from .runtime import StreamManager
 
 
 class TableLookupJoin(Operator):
@@ -33,7 +33,7 @@ class TableLookupJoin(Operator):
 
     def __init__(
         self,
-        manager: "TransactionManager",
+        manager: "StreamManager",
         state_id: str,
         key_fn: Callable[[Any], Any],
         combine: Callable[[Any, Any], Any] | None = None,

@@ -13,26 +13,31 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING
 
-from ..core.transactions import Transaction
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.manager import TransactionManager
+    from ..core.sharding import ShardedTransaction, ShardedTransactionManager
+    from ..core.transactions import Transaction
+
+    #: A topology runs on either manager: both take per-state votes
+    #: (``commit_state``/``abort_state``) and serve ``snapshot()`` reads.
+    StreamManager = TransactionManager | ShardedTransactionManager
+    StreamTransaction = Transaction | ShardedTransaction
 
 
 class TransactionContext:
     """Per-topology handle on the currently open stream transaction."""
 
-    def __init__(self, manager: "TransactionManager", state_ids: list[str]) -> None:
+    def __init__(self, manager: "StreamManager", state_ids: list[str]) -> None:
         self.manager = manager
         #: States this topology writes; pre-registered at BOT so an early
         #: per-state commit vote cannot prematurely complete the global
         #: commit before the other states voted.
         self.state_ids = list(state_ids)
-        self._current: Transaction | None = None
+        self._current: StreamTransaction | None = None
         self._mutex = threading.Lock()
         self.transactions_started = 0
 
-    def ensure_begun(self) -> Transaction:
+    def ensure_begun(self) -> "StreamTransaction":
         """Return the open transaction, starting one if necessary.
 
         Idempotent: the first TO_TABLE operator (or the BOT punctuation) to
@@ -44,7 +49,7 @@ class TransactionContext:
                 self.transactions_started += 1
             return self._current
 
-    def current(self) -> Transaction | None:
+    def current(self) -> "StreamTransaction | None":
         with self._mutex:
             return self._current
 

@@ -31,7 +31,7 @@ from .punctuations import Punctuation, PunctuationKind
 from .tuples import StreamTuple, TupleOp
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.manager import TransactionManager
+    from .runtime import StreamManager
 
 
 class TriggerPolicy(Enum):
@@ -46,7 +46,7 @@ class ToStream(Operator):
 
     def __init__(
         self,
-        manager: "TransactionManager",
+        manager: "StreamManager",
         state_id: str,
         trigger: TriggerPolicy = TriggerPolicy.ON_COMMIT,
         emit: str = "delta",

@@ -30,7 +30,7 @@ from .runtime import TransactionContext
 from .tuples import StreamTuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.manager import TransactionManager
+    from .runtime import StreamManager
 
 
 class ToTable(Operator):
@@ -38,7 +38,7 @@ class ToTable(Operator):
 
     def __init__(
         self,
-        manager: "TransactionManager",
+        manager: "StreamManager",
         state_id: str,
         txn_context: TransactionContext,
         key_fn: Callable[[Any], Any] | None = None,

@@ -46,7 +46,7 @@ from .to_table import ToTable
 from .windows import SlidingCountWindow, SlidingTimeWindow, TumblingCountWindow
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..core.manager import TransactionManager
+    from .runtime import StreamManager
 
 
 class StreamHandle:
@@ -193,7 +193,7 @@ class StreamHandle:
 class Topology:
     """One stream query: sources, an operator graph, one txn context."""
 
-    def __init__(self, manager: "TransactionManager", name: str) -> None:
+    def __init__(self, manager: "StreamManager", name: str) -> None:
         self.manager = manager
         self.name = name
         self.txn_context = TransactionContext(manager, [])

@@ -43,6 +43,22 @@ def run_crash_child(script: str, data_dir, *args: str) -> subprocess.CompletedPr
     )
 
 
+def preload(manager, state_id: str, rows: list) -> None:
+    """Bulk-load ``rows`` into ``state_id`` on either manager."""
+    if isinstance(manager, ShardedTransactionManager):
+        manager.bulk_load(state_id, rows)
+    else:
+        manager.table(state_id).bulk_load(rows)
+
+
+def context_of(manager):
+    """The state context holding ``manager``'s groups (a sharded manager
+    registers every group on each shard alike)."""
+    if isinstance(manager, ShardedTransactionManager):
+        return manager.shards[0].context
+    return manager.context
+
+
 def scan_all(smgr: ShardedTransactionManager, state_id: str) -> dict:
     """Full contents of ``state_id`` across every shard, via a snapshot."""
     with smgr.snapshot() as view:

@@ -12,6 +12,8 @@ import inspect
 from repro.core import ShardedTransactionManager, TransactionManager
 from repro.core.durability import GroupFsyncDaemon
 from repro.core.sharding import CheckpointDaemon
+from repro.errors import ABORT_USER
+from repro.recovery import ContextStore
 from repro.recovery.sharded import CoordinatorLog, recover_sharded
 from repro.sim import CostModel
 
@@ -76,6 +78,26 @@ def test_constructor_parameters_are_pinned():
         "manager",
         "max_workers",
     ]
+    # ContextStore appends without an fsync per publish; there is no
+    # write-through mode.
+    assert params(ContextStore) == ["path", "compact_after_records"]
+    # Every partition uses the one key and value encoding the catalog
+    # records: no per-state codec a reopen could not recreate.
+    assert list(
+        inspect.signature(ShardedTransactionManager.create_table).parameters
+    )[1:] == ["state_id", "backend_factory", "version_slots"]
+
+
+def test_vote_signatures_match_across_managers():
+    # A stream topology casts the same per-state votes on either manager.
+    for cls in (TransactionManager, ShardedTransactionManager):
+        assert list(inspect.signature(cls.commit_state).parameters)[1:] == [
+            "txn",
+            "state_id",
+        ]
+        abort = inspect.signature(cls.abort_state).parameters
+        assert list(abort)[1:] == ["txn", "state_id", "reason"]
+        assert abort["reason"].default == ABORT_USER
 
 
 def test_cost_model_fields_are_pinned():

@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.core import ShardedTransactionManager
 from repro.core.transactions import StateFlag, TxnStatus
-from repro.errors import TransactionAborted, WriteConflict
+from repro.errors import ABORT_GROUP, StateError, TransactionAborted, WriteConflict
+from repro.streams import Topology, TransactionalSource, from_tables
 
-from helpers import load_initial
+from helpers import load_initial, scan_all
 
 
 class TestVoting:
@@ -199,3 +201,147 @@ class TestTransactionAbortedPropagation:
                 mgr.write(txn, "A", 1, "mine")
                 with mgr.transaction() as other:
                     mgr.write(other, "A", 1, "theirs")
+
+
+# --------------------------------------------------------------- sharded
+
+
+@pytest.fixture()
+def smgr():
+    """Two shards, states A and B grouped as ``g``."""
+    manager = ShardedTransactionManager(num_shards=2)
+    manager.create_table("A")
+    manager.create_table("B")
+    manager.register_group("g", ["A", "B"])
+    yield manager
+    manager.close()
+
+
+def keys_on_two_shards(smgr):
+    """Two keys the slot map routes to different shards."""
+    first = 0
+    second = next(k for k in range(1, 1000) if smgr.shard_of(k) != smgr.shard_of(first))
+    return first, second
+
+
+class TestShardedVoting:
+    """The sharded manager's per-state votes match the single-site
+    coordinator's (``TestVoting`` above)."""
+
+    def test_last_vote_commits_single_shard_group(self, smgr):
+        txn = smgr.begin(states=["A", "B"])
+        smgr.write(txn, "A", 1, "a")
+        smgr.write(txn, "B", 1, "b")
+        assert smgr.commit_state(txn, "A") is False
+        assert txn.status is TxnStatus.ACTIVE
+        with smgr.snapshot() as view:
+            assert view.get("A", 1) is None
+        single = smgr.single_shard_commits
+        assert smgr.commit_state(txn, "B") is True
+        assert txn.status is TxnStatus.COMMITTED
+        assert smgr.single_shard_commits == single + 1
+        assert smgr.cross_shard_commits == 0
+        with smgr.snapshot() as view:
+            assert view.multi_get(["A", "B"], 1) == {"A": "a", "B": "b"}
+
+    def test_last_vote_commits_cross_shard_group(self, smgr):
+        ka, kb = keys_on_two_shards(smgr)
+        txn = smgr.begin(states=["A", "B"])
+        smgr.write(txn, "A", ka, "a")
+        smgr.write(txn, "B", kb, "b")
+        assert txn.is_cross_shard()
+        assert smgr.commit_state(txn, "B") is False
+        assert smgr.commit_state(txn, "A") is True
+        assert smgr.cross_shard_commits == 1
+        assert scan_all(smgr, "A") == {ka: "a"}
+        assert scan_all(smgr, "B") == {kb: "b"}
+
+    def test_written_undeclared_state_waits_for_its_vote(self, smgr):
+        txn = smgr.begin()
+        smgr.write(txn, "A", 1, "a")
+        smgr.write(txn, "B", 1, "b")
+        assert smgr.commit_state(txn, "A") is False
+        assert txn.state_flags == {"A": StateFlag.COMMIT, "B": StateFlag.ACTIVE}
+        assert smgr.commit_state(txn, "B") is True
+
+    def test_abort_vote_aborts_on_every_shard(self, smgr):
+        ka, kb = keys_on_two_shards(smgr)
+        txn = smgr.begin(states=["A", "B"])
+        smgr.write(txn, "A", ka, "a")
+        smgr.write(txn, "B", kb, "b")
+        assert smgr.commit_state(txn, "A") is False
+        smgr.abort_state(txn, "B")
+        assert txn.status is TxnStatus.ABORTED
+        assert all(child.status is TxnStatus.ABORTED for child in txn.children.values())
+        assert scan_all(smgr, "A") == {} and scan_all(smgr, "B") == {}
+        smgr.abort_state(txn, "A")  # a late abort vote is a no-op
+
+    def test_commit_vote_after_abort_raises(self, smgr):
+        txn = smgr.begin(states=["A", "B"])
+        smgr.write(txn, "A", 1, "a")
+        smgr.abort_state(txn, "B")
+        with pytest.raises(TransactionAborted) as info:
+            smgr.commit_state(txn, "A")
+        assert info.value.reason == ABORT_GROUP
+        assert scan_all(smgr, "A") == {}
+
+    def test_conflict_at_the_last_vote_aborts_the_group(self, smgr):
+        smgr.bulk_load("B", [(1, 100)])
+        txn = smgr.begin(states=["A", "B"])
+        smgr.write(txn, "A", 1, "t1a")
+        smgr.write(txn, "B", 1, "t1b")
+        with smgr.transaction() as interloper:
+            smgr.write(interloper, "B", 1, "stolen")
+        smgr.commit_state(txn, "A")
+        with pytest.raises(WriteConflict):
+            smgr.commit_state(txn, "B")
+        assert txn.status is TxnStatus.ABORTED
+        with smgr.snapshot() as view:
+            assert view.multi_get(["A", "B"], 1) == {"A": None, "B": "stolen"}
+
+    def test_repeat_group_registration(self, smgr):
+        smgr.register_group("g", ["B", "A"])  # same members: a no-op
+        with pytest.raises(StateError):
+            smgr.register_group("g", ["A"])
+
+
+class TestShardedTopologyRestart:
+    def test_topology_on_reopened_store_keeps_committing(self, tmp_path):
+        def run(manager, rows):
+            topo = Topology(manager, "q")
+            stream = topo.source(
+                TransactionalSource(rows, batch_size=2, key_fn=lambda r: r["k"])
+            )
+            stream.to_table("A")
+            stream.to_table("B")
+            topo.run()
+
+        smgr = ShardedTransactionManager(num_shards=2, data_dir=tmp_path)
+        smgr.create_table("A")
+        smgr.create_table("B")
+        run(smgr, [{"k": k, "v": 1} for k in range(4)])
+        smgr.close()
+
+        reopened = ShardedTransactionManager.open(tmp_path)
+        assert reopened.shards[0].context.group("q").state_ids == ["A", "B"]
+        run(reopened, [{"k": k, "v": 2} for k in range(2, 6)])
+        for k in range(6):
+            v = 1 if k < 2 else 2
+            assert from_tables(reopened, ["A", "B"], k) == {
+                "A": {"k": k, "v": v},
+                "B": {"k": k, "v": v},
+            }
+        reopened.close()
+
+    def test_regrouped_states_reopen_in_their_latest_group(self, tmp_path):
+        smgr = ShardedTransactionManager(num_shards=2, data_dir=tmp_path)
+        smgr.create_table("A")
+        smgr.create_table("B")
+        smgr.register_group("zz", ["A", "B"])
+        smgr.register_group("aa", ["A", "B"])  # takes both states over
+        smgr.close()
+        reopened = ShardedTransactionManager.open(tmp_path)
+        context = reopened.shards[0].context
+        assert context.group_ids() == ["aa"]
+        assert context.state("A").group_id == "aa"
+        reopened.close()

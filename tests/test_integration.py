@@ -8,11 +8,12 @@ benchmark scenario) and assert the cross-cutting guarantees.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.core import TransactionManager
+from repro.core import ShardedTransactionManager, TransactionManager
 from repro.core.codecs import INT4_CODEC, JSON_CODEC
-from repro.recovery import DurableSystem
 from repro.storage import LSMOptions, LSMStore
 from repro.streams import (
     Topology,
@@ -22,6 +23,8 @@ from repro.streams import (
     from_tables,
 )
 from repro.workload import SmartMeterScenario, WorkloadConfig, WorkloadGenerator
+
+from helpers import run_crash_child
 
 
 class TestStreamPipelineOverLSM:
@@ -164,33 +167,60 @@ class TestSection5Scenario:
         assert stats["global_commits"] == committed
 
 
+_STREAM_THEN_CRASH = r"""
+import json, os, sys
+from repro.core import ShardedTransactionManager
+from repro.streams import Topology, TransactionalSource, from_tables
+
+smgr = ShardedTransactionManager(num_shards=2, protocol="mvcc", data_dir=sys.argv[1])
+smgr.create_table("m1")
+smgr.create_table("m2")
+smgr.register_group("q", ["m1", "m2"])
+readings = [{"k": i % 3, "v": i} for i in range(12)]
+topo = Topology(smgr, "q_topo")
+handle = topo.source(
+    TransactionalSource(readings, batch_size=6, key_fn=lambda r: r["k"])
+)
+handle.to_table("m1")
+handle.to_table("m2")
+# the topology regroups m1+m2 under its own name; the catalog follows
+topo.build()
+topo.run()
+sys.stdout.write(json.dumps(from_tables(smgr, ["m1", "m2"], 1)))
+sys.stdout.flush()
+os._exit(42)  # crash: no close(), no checkpoint
+"""
+
+
 class TestDurableEndToEnd:
     def test_stream_commit_crash_recover_query(self, tmp_path):
-        """Full lifecycle: stream commits -> crash -> recover -> ad-hoc."""
-        system = DurableSystem(tmp_path, protocol="mvcc", sync=False)
-        system.create_table("m1")
-        system.create_table("m2")
-        system.register_group("q", ["m1", "m2"])
+        """Full lifecycle on the durable manager: stream commits -> crash
+        -> open() -> ad-hoc query -> the rebuilt topology commits more."""
+        proc = run_crash_child(_STREAM_THEN_CRASH, tmp_path)
+        assert proc.returncode == 42, proc.stderr
+        pre_crash = json.loads(proc.stdout)
+        assert pre_crash == {"m1": {"k": 1, "v": 10}, "m2": {"k": 1, "v": 10}}
 
-        readings = [{"k": i % 3, "v": i} for i in range(12)]
-        topo = Topology(system.manager, "q_topo")
+        restarted = ShardedTransactionManager.open(tmp_path)
+        report = restarted.last_recovery
+        assert report.rows_loaded == {"m1": 3, "m2": 3}
+        assert set(report.last_cts) == {"q_topo"}
+        assert from_tables(restarted, ["m1", "m2"], 1) == pre_crash
+
+        topo = Topology(restarted, "q_topo")
         handle = topo.source(
-            TransactionalSource(readings, batch_size=6, key_fn=lambda r: r["k"])
+            TransactionalSource(
+                [{"k": 1, "v": 100}, {"k": 5, "v": 101}],
+                batch_size=2,
+                key_fn=lambda r: r["k"],
+            )
         )
         handle.to_table("m1")
         handle.to_table("m2")
-        # the topology groups m1+m2 under its own name; that's fine —
-        # recovery restores whichever group ids were persisted
-        topo.build()
         topo.run()
-        pre_crash = from_tables(system.manager, ["m1", "m2"], 1)
-        system.close()
-
-        restarted = DurableSystem(tmp_path, protocol="mvcc", sync=False)
-        restarted.create_table("m1")
-        restarted.create_table("m2")
-        restarted.register_group("q_topo", ["m1", "m2"])
-        report = restarted.recover()
-        assert report.rows_recovered == {"m1": 3, "m2": 3}
-        assert from_tables(restarted.manager, ["m1", "m2"], 1) == pre_crash
+        assert from_tables(restarted, ["m1", "m2"], 1) == {
+            "m1": {"k": 1, "v": 100},
+            "m2": {"k": 1, "v": 100},
+        }
+        assert [k for k, _ in from_table(restarted, "m2")] == [0, 1, 2, 5]
         restarted.close()

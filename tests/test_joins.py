@@ -1,8 +1,13 @@
-"""Tests for stream-table lookup joins."""
+"""Tests for stream-table lookup joins.
+
+Both classes run on the single-site manager and, through a ``...Sharded``
+subclass that swaps the ``mgr`` fixture, on a two-shard
+:class:`~repro.core.sharding.ShardedTransactionManager`.
+"""
 
 import pytest
 
-from repro.core import TransactionManager
+from repro.core import ShardedTransactionManager, TransactionManager
 from repro.errors import StreamError
 from repro.streams import (
     MemorySource,
@@ -13,16 +18,31 @@ from repro.streams import (
     make_tuples,
 )
 
+from helpers import preload
+
+SPEC = [(1, {"limit": 10}), (2, {"limit": 20})]
+
 
 @pytest.fixture()
 def mgr() -> TransactionManager:
     manager = TransactionManager(protocol="mvcc")
     manager.create_table("spec")
     manager.create_table("out")
-    manager.table("spec").bulk_load(
-        [(1, {"limit": 10}), (2, {"limit": 20})]
-    )
+    preload(manager, "spec", SPEC)
     return manager
+
+
+class OnShardedManager:
+    """Mixin: run the inherited cases on a two-shard manager."""
+
+    @pytest.fixture()
+    def mgr(self):
+        manager = ShardedTransactionManager(num_shards=2, protocol="mvcc")
+        manager.create_table("spec")
+        manager.create_table("out")
+        preload(manager, "spec", SPEC)
+        yield manager
+        manager.close()
 
 
 class TestAdHocJoin:
@@ -126,3 +146,11 @@ class TestTransactionalJoin:
         topo.run()
         violations = from_table(mgr, "out")
         assert [k for k, _ in violations] == [(1, 15.0), (2, 25.0)]
+
+
+class TestAdHocJoinSharded(OnShardedManager, TestAdHocJoin):
+    test_invalid_how = None  # constructor check, no manager involved
+
+
+class TestTransactionalJoinSharded(OnShardedManager, TestTransactionalJoin):
+    pass

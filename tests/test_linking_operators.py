@@ -1,8 +1,14 @@
-"""Tests for TO_TABLE, TO_STREAM, FROM and the topology builder."""
+"""Tests for TO_TABLE, TO_STREAM, FROM and the topology builder.
+
+Every class runs on the single-site manager and, through a ``...Sharded``
+subclass that swaps the ``mgr`` fixture, on a two-shard
+:class:`~repro.core.sharding.ShardedTransactionManager`.  Cases that never
+touch the manager run once.
+"""
 
 import pytest
 
-from repro.core import TransactionManager
+from repro.core import ShardedTransactionManager, TransactionManager
 from repro.errors import StreamError, TopologyBuildError
 from repro.streams import (
     MemorySource,
@@ -22,6 +28,8 @@ from repro.streams import (
     rollback,
 )
 
+from helpers import context_of, preload
+
 
 @pytest.fixture()
 def mgr() -> TransactionManager:
@@ -29,6 +37,18 @@ def mgr() -> TransactionManager:
     manager.create_table("T1")
     manager.create_table("T2")
     return manager
+
+
+class OnShardedManager:
+    """Mixin: run the inherited cases on a two-shard manager."""
+
+    @pytest.fixture()
+    def mgr(self):
+        manager = ShardedTransactionManager(num_shards=2, protocol="mvcc")
+        manager.create_table("T1")
+        manager.create_table("T2")
+        yield manager
+        manager.close()
 
 
 def keyed(payloads):
@@ -83,7 +103,7 @@ class TestToTable:
         assert len(from_table(mgr, "T1")) == 1
 
     def test_delete_tuples_delete(self, mgr):
-        mgr.table("T1").bulk_load([(1, {"old": True})])
+        preload(mgr, "T1", [(1, {"old": True})])
         topo = Topology(mgr, "q")
         tup = StreamTuple({"k": 1}, key=1).as_delete()
         topo.source(MemorySource([bot(), tup, commit()])).to_table("T1")
@@ -120,7 +140,7 @@ class TestToTable:
         topo.build()
         topo.run()
         # group registered under the topology name, both states current
-        assert sorted(mgr.context.group("q").state_ids) == ["T1", "T2"]
+        assert sorted(context_of(mgr).group("q").state_ids) == ["T1", "T2"]
         joint = from_tables(mgr, ["T1", "T2"], 3)
         assert joint["T1"] == joint["T2"] == {"k": 3, "v": 3}
 
@@ -162,7 +182,7 @@ class TestToStream:
         assert len(sink.tuples) == 2  # both (uncommitted) modifications
 
     def test_full_emit_mode(self, mgr):
-        mgr.table("T1").bulk_load([(99, {"pre": True})])
+        preload(mgr, "T1", [(99, {"pre": True})])
         topo = Topology(mgr, "q")
         sink = (
             topo.source(
@@ -203,7 +223,7 @@ class TestToStream:
 
 class TestFrom:
     def test_from_table_snapshot(self, mgr):
-        mgr.table("T1").bulk_load([(i, i) for i in range(5)])
+        preload(mgr, "T1", [(i, i) for i in range(5)])
         assert from_table(mgr, "T1", low=1, high=3) == [(1, 1), (2, 2)]
 
     def test_from_tables_single_snapshot(self, mgr):
@@ -214,7 +234,7 @@ class TestFrom:
         assert from_tables(mgr, ["T1", "T2"], 1) == {"T1": "x", "T2": "y"}
 
     def test_table_scan_source(self, mgr):
-        mgr.table("T1").bulk_load([(i, {"v": i}) for i in range(3)])
+        preload(mgr, "T1", [(i, {"v": i}) for i in range(3)])
         source = TableScanSource(mgr, "T1")
         sink = SinkOp()
         source.subscribe(sink)
@@ -240,7 +260,7 @@ class TestTopologyBuilder:
         topo = Topology(mgr, "q")
         topo.source(MemorySource([])).to_table("T1")
         topo.build()
-        assert mgr.context.state("T1").group_id == "__singleton:T1"
+        assert context_of(mgr).state("T1").group_id == "__singleton:T1"
 
     def test_operator_chaining(self, mgr):
         topo = Topology(mgr, "q")
@@ -271,7 +291,7 @@ class TestTopologyBuilder:
         assert topo.written_states() == ["T1"]
 
     def test_run_with_retry_replays_on_conflict(self, mgr):
-        mgr.table("T1").bulk_load([(1, "initial")])
+        preload(mgr, "T1", [(1, "initial")])
         topo = Topology(mgr, "q")
         topo.source(MemorySource([])).to_table("T1")
         topo.build()
@@ -284,3 +304,23 @@ class TestTopologyBuilder:
         assert attempts == 0  # interloper committed before BOT: no conflict
         with mgr.snapshot() as view:
             assert view.get("T1", 1) == {"v": "stream"}
+
+
+class TestToTableSharded(OnShardedManager, TestToTable):
+    pass
+
+
+class TestToStreamSharded(OnShardedManager, TestToStream):
+    test_invalid_emit_mode = None  # constructor check, no manager involved
+
+
+class TestFromSharded(OnShardedManager, TestFrom):
+    test_stream_tap_from_attachment_point = None  # stream-only, no manager
+
+
+class TestTopologyBuilderSharded(OnShardedManager, TestTopologyBuilder):
+    # graph construction only: no table is read or written
+    test_build_requires_source = None
+    test_operator_chaining = None
+    test_union_in_builder = None
+    test_written_states_deduplicated = None

@@ -472,14 +472,14 @@ class TestRegressions:
             "fsync_dir",
             lambda d: (synced.append(Path(d)), real(d))[1],
         )
-        store = ContextStore(tmp_path / "ctx.log", sync=False)
+        store = ContextStore(tmp_path / "ctx.log")
         for i in range(5):
             store.record("g", i + 1)
         store.compact()
         store.close()
         assert (tmp_path / "ctx.log").parent in synced
         # And the compacted log still recovers the watermark.
-        assert ContextStore(tmp_path / "ctx.log", sync=False).last_cts("g") == 5
+        assert ContextStore(tmp_path / "ctx.log").last_cts("g") == 5
 
     def test_manifest_write_runs_outside_the_store_lock(
         self, tmp_path, monkeypatch
