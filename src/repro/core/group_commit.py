@@ -74,22 +74,21 @@ class GroupCommitCoordinator:
         caller was the coordinating operator), ``False`` when the
         transaction still waits for other states' votes.
 
-        Raises :class:`~repro.errors.TransactionAborted` when the global
-        outcome is (or becomes) an abort — including when this very vote
-        triggers a validation failure during the global commit.
+        Raises :class:`~repro.errors.TransactionAborted` (``ABORT_GROUP``)
+        when another state voted ``Abort`` — before this vote, or racing
+        it between the check below and the decision mutex — as the
+        sharded manager does, and when this very vote triggers a
+        validation failure during the global commit.
         """
+        if txn.any_flagged_abort():
+            raise self._group_aborted(txn)
         txn.ensure_active()
         txn.register_state(state_id)
         with self._decision_mutex:
             txn.flag(state_id, StateFlag.COMMIT)
             if txn.any_flagged_abort():
                 self._abort_locked(txn, ABORT_GROUP)
-                raise TransactionAborted(
-                    f"transaction {txn.txn_id} aborted globally (another state "
-                    "voted abort)",
-                    txn_id=txn.txn_id,
-                    reason=ABORT_GROUP,
-                )
+                raise self._group_aborted(txn)
             if not txn.all_flagged_commit():
                 return False
             # This operator set the last flag: it coordinates.
@@ -110,6 +109,15 @@ class GroupCommitCoordinator:
             self.global_commits += 1
         self.context.finish(txn)
         return True
+
+    @staticmethod
+    def _group_aborted(txn: Transaction) -> TransactionAborted:
+        return TransactionAborted(
+            f"transaction {txn.txn_id} aborted globally (another state "
+            "voted abort)",
+            txn_id=txn.txn_id,
+            reason=ABORT_GROUP,
+        )
 
     def _finish_failed_commit(self, txn: Transaction) -> None:
         """Finalise a transaction whose commit died on a non-protocol error

@@ -1614,10 +1614,10 @@ class ShardedTransactionManager:
                 decision_durable = True
                 self.faults.fire("decision", txn.txn_id)
             for idx, handle in prepared:
-                shard = self.shards[idx]
-                shard.coordinator.commit_prepared(txn.children[idx], handle, commit_ts)
+                self.shards[idx].coordinator.commit_prepared(
+                    txn.children[idx], handle, commit_ts
+                )
                 committed.add(idx)
-                shard.gc.notify_commit(shard.tables())
             # Every participant has published commit_ts into its LastCTS
             # (commit_prepared is synchronous through the publish), so the
             # commit is now atomically visible: release the snapshot
@@ -1672,6 +1672,12 @@ class ShardedTransactionManager:
             raise
         txn.mark_committed(commit_ts)
         self.cross_shard_commits += 1
+        # Sweeps take table commit latches, so they wait until phase two
+        # released every participant's: a sweep under a later shard's
+        # pinned latches would invert the ascending latch order.
+        for idx in participants:
+            shard = self.shards[idx]
+            shard.gc.notify_commit(shard.tables())
         self._maybe_checkpoint(participants)
         self._settle_replica_ack(txn)
         return commit_ts
@@ -2849,7 +2855,7 @@ class ShardedTransactionManager:
         )
         for (key, value, cts), vbytes in zip(rows, held):
             clean = vbytes == dst.value_codec.encode(value)
-            dst.mvcc_object(key, create=True).install(value, cts, cts, clean=clean)
+            dst.install_version(key, value, cts, clean=clean)
         return len(rows)
 
     def _purge_moved_rows(
@@ -2894,10 +2900,8 @@ class ShardedTransactionManager:
                     if slot_of_key(key, num_slots) not in moving_set:
                         continue
                     deletes.append(kbytes)
-                    src.mvcc_object(key, create=True).install(
-                        src.value_codec.decode(vbytes),
-                        src.bootstrap_cts,
-                        src.bootstrap_cts,
+                    src.install_version(
+                        key, src.value_codec.decode(vbytes), src.bootstrap_cts
                     )
             if deletes:
                 src.backend.write_batch([], deletes)

@@ -162,6 +162,12 @@ class StateTable:
         #: bumped under the index latch whenever a written array is
         #: evicted (see :meth:`_arrays_for`).
         self._written_evictions = 0
+        #: GC pending set: key -> array for every array that may hold a
+        #: superseded version (``dts`` below ``INF_TS``).  Every site that
+        #: sets a ``dts`` registers its key under :attr:`commit_latch`;
+        #: :meth:`collect_garbage` walks only this set.  Entries leave with
+        #: their index entry, so the set is a subset of the index.
+        self._gc_pending: dict[Any, MVCCObject] = {}
 
     # -------------------------------------------------------------- lookups
 
@@ -169,9 +175,15 @@ class StateTable:
         """The version array for ``key``; optionally created when missing.
 
         The lookup itself is lock-free — a single ``dict.get`` is atomic
-        under the GIL and objects are only ever *added* to the index (GC
-        prunes versions inside an object, never the mapping) — so the read
-        and validation hot paths skip the latch entirely.  Creation uses
+        under the GIL, and GC prunes versions inside an object, never the
+        mapping — so the read and validation hot paths skip the latch
+        entirely.  Residency eviction (:meth:`evict_cold_versions`) and
+        the recovery slot-ownership sweep (:meth:`evict_keys`, before the
+        manager serves anyone) do remove mappings, but only under the
+        commit latch, so no commit installs into a dropped array.  A
+        reader still holding an evicted array reads the one version every
+        live snapshot sees there — clean, so the base table holds it too
+        — and the next lookup faults the key back in.  Creation uses
         double-checked locking under the index latch.
         """
         obj = self._index.get(key)
@@ -247,6 +259,8 @@ class StateTable:
         obj = objects[0]
         if obj.install_bootstrap(self.value_codec.decode(vbytes), self.bootstrap_cts):
             self.hydrations += 1
+            if obj.last_write_ts > self.bootstrap_cts:
+                self._register_gc(key, obj)
             self._enforce_budget()
         return obj
 
@@ -277,11 +291,13 @@ class StateTable:
                 break
         self.hydration_misses += len(missing) - len(rows)
         installed = 0
-        for (_key, vbytes), obj in zip(rows, objects):
+        for (key, vbytes), obj in zip(rows, objects):
             if obj.install_bootstrap(
                 self.value_codec.decode(vbytes), self.bootstrap_cts
             ):
                 installed += 1
+                if obj.last_write_ts > self.bootstrap_cts:
+                    self._register_gc(key, obj)
         if installed:
             self.hydrations += installed
             self._enforce_budget()
@@ -396,6 +412,7 @@ class StateTable:
             return evicted
 
     def _drop(self, key: Any, written: bool = False) -> None:
+        self._gc_pending.pop(key, None)
         with self._index_latch:
             self._index.pop(key, None)
             self._key_epoch += 1
@@ -553,11 +570,14 @@ class StateTable:
         """Install a committed write set into the version index **and** push
         it to the base table as one atomic batch.
 
-        Every installed version is clean once the batch lands.  Caller
-        must hold :attr:`commit_latch` (the group-commit path does).
+        Every installed version is clean once the batch lands.  Every
+        written key joins the GC pending set: an upsert or delete
+        supersedes the key's live version, if it has one.  Caller must
+        hold :attr:`commit_latch` (the group-commit path does).
         """
         entries = write_set.entries
         objects = [self.mvcc_object(key, create=True) for key in entries]
+        self._gc_pending.update(zip(entries, objects))
         if self.residency == RESIDENCY_LAZY:
             self._install_underlays(entries, objects)
         puts: list[tuple[bytes, bytes]] = []
@@ -638,12 +658,18 @@ class StateTable:
         """Load initial data outside any transaction (commit ts = 0).
 
         Used to initialise benchmark tables; visible to every snapshot.
+        A key that already has an array may get a superseded version, so
+        it joins the GC pending set.
         """
         puts: list[tuple[bytes, bytes]] = []
         installed: list[VersionEntry] = []
         with self.commit_latch:
             for key, value in items:
-                obj = self.mvcc_object(key, create=True)
+                obj = self._index.get(key)
+                if obj is None:
+                    obj = self.mvcc_object(key, create=True)
+                else:
+                    self._gc_pending[key] = obj
                 installed.append(obj.install(value, ZERO_TS, ZERO_TS))
                 puts.append(
                     (self.key_codec.encode(key), self.value_codec.encode(value))
@@ -665,6 +691,7 @@ class StateTable:
         count = 0
         with self.commit_latch:
             self.bootstrap_cts = bootstrap_cts
+            self._gc_pending.clear()
             with self._index_latch:
                 self._index.clear()
                 self._key_epoch += 1
@@ -678,6 +705,18 @@ class StateTable:
                 count += 1
         return count
 
+    def install_version(
+        self, key: Any, value: Any, cts: int, clean: bool = False
+    ) -> None:
+        """Install ``value`` as ``key``'s live version committed at ``cts``
+        outside a transaction: a slot handover, a migration purge's frozen
+        copy or a recovered WAL-tail row.  Any version it supersedes is
+        registered for GC."""
+        with self.commit_latch:
+            obj = self.mvcc_object(key, create=True)
+            obj.install(value, cts, cts, clean=clean)
+            self._gc_pending[key] = obj
+
     def evict_keys(self, keys: list[Any]) -> int:
         """Drop keys this partition no longer owns (slot-migration purge).
 
@@ -690,9 +729,10 @@ class StateTable:
         actually existed here.
         """
         deletes: list[bytes] = []
-        with self._index_latch:
+        with self.commit_latch, self._index_latch:
             self._key_epoch += 1
             for key in keys:
+                self._gc_pending.pop(key, None)
                 resident = self._index.pop(key, None) is not None
                 # A lazy partition holds rows its index never faulted in;
                 # their backend rows must go too (callers pass keys they
@@ -735,16 +775,46 @@ class StateTable:
 
     # ------------------------------------------------------------------- GC
 
-    def collect_garbage(self, oldest_active: int) -> int:
-        """Table-wide GC sweep (versions + index postings)."""
-        reclaimed = 0
-        with self._index_latch:
-            objects = list(self._index.values())
-        for obj in objects:
-            reclaimed += obj.collect(oldest_active)
-        for index in self.indexes.all():
-            reclaimed += index.collect(oldest_active)
-        return reclaimed
+    def _register_gc(self, key: Any, obj: MVCCObject) -> None:
+        """Add a fault-in's array to the GC pending set, unless it was
+        evicted meanwhile (the commit latch orders this with evictions)."""
+        with self.commit_latch:
+            if self._index.get(key) is obj:
+                self._gc_pending[key] = obj
+
+    def collect_garbage(self, oldest_active: int) -> tuple[int, int]:
+        """GC sweep over the pending set (versions + index postings).
+
+        The pending set is swapped out under :attr:`commit_latch`, which
+        every registering site holds, so no registration is lost and no
+        writer inserts into the dict walked here; the walk itself runs
+        outside the latch.  An entry whose key no longer maps to its array
+        (evicted) is skipped; an array that still holds a superseded
+        version goes back.  Returns ``(arrays visited, versions
+        reclaimed)``.
+        """
+        with self.commit_latch:
+            pending, self._gc_pending = self._gc_pending, {}
+        index = self._index
+        visited = reclaimed = 0
+        survivors: list[tuple[Any, MVCCObject]] = []
+        for key, obj in pending.items():
+            if index.get(key) is not obj:
+                continue
+            visited += 1
+            count, still_pending = obj.sweep(oldest_active)
+            reclaimed += count
+            if still_pending:
+                survivors.append((key, obj))
+        if survivors:
+            with self.commit_latch:
+                restore = self._gc_pending
+                for key, obj in survivors:
+                    if index.get(key) is obj:
+                        restore[key] = obj
+        for secondary in self.indexes.all():
+            reclaimed += secondary.collect(oldest_active)
+        return visited, reclaimed
 
     def version_count(self) -> int:
         with self._index_latch:

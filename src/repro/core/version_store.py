@@ -10,8 +10,12 @@ Version lifetime follows the textbook MVCC encoding: a version is alive for
 snapshot timestamp ``ts`` iff ``cts <= ts < dts``; the live (most recent
 committed) version has ``dts == INF_TS``.  Garbage collection reclaims slots
 whose ``dts`` lies at or below the oldest snapshot any active transaction
-could still read (``OldestActiveVersion``), and runs *on demand* — only when
-an insert finds no free slot — matching the paper's design.
+could still read (``OldestActiveVersion``).  It runs *on demand* — when an
+insert finds no free slot, matching the paper's design — and in table
+sweeps (:mod:`repro.core.gc`), which visit only the arrays in their
+table's *GC pending set*: the arrays a commit, load or fault-in gave a
+superseded version.  :meth:`MVCCObject.sweep` is that visit — it collects
+and tells the sweep whether the array must stay pending.
 """
 
 from __future__ import annotations
@@ -57,12 +61,12 @@ class VersionEntry:
 class MVCCObject:
     """Fixed-capacity version array for a single key.
 
-    Mutations (install / supersede / GC) happen only inside the owning
-    table's commit critical section; reads are latch-free in the sense that
-    they never *wait* for a writer — they take a consistent point-in-time
-    copy of the slot references under a micro-latch that commit holds only
-    for pointer swings, mirroring the paper's "reads are generally not
-    blocked by writes" property.
+    Installs and supersedes happen only inside the owning table's commit
+    critical section; GC sweeps take only the object's micro-latch.  Reads
+    are latch-free in the sense that they never *wait* for a writer — they
+    take a consistent point-in-time copy of the slot references under a
+    micro-latch that commit holds only for pointer swings, mirroring the
+    paper's "reads are generally not blocked by writes" property.
 
     When demand GC cannot reclaim a slot (every version is still readable by
     some active snapshot) the object grows an *overflow list*; committed
@@ -279,24 +283,40 @@ class MVCCObject:
         target).
         """
         with self._latch:
+            return self._collect_locked(oldest_active)[0]
+
+    def sweep(self, oldest_active: int) -> tuple[int, bool]:
+        """One GC-sweep visit: :meth:`collect`, then say whether a
+        superseded version (``dts`` below ``INF_TS``) survived — the
+        array then stays in its table's GC pending set.  Returns
+        ``(reclaimed, still_pending)``."""
+        with self._latch:
             return self._collect_locked(oldest_active)
 
-    def _collect_locked(self, oldest_active: int) -> int:
+    def _collect_locked(self, oldest_active: int) -> tuple[int, bool]:
         # The version visible at oldest_active must be kept even if its
         # dts <= oldest_active can never happen (visibility needs dts > ts),
         # so dts <= oldest_active alone is the correct death test.
         reclaimed = 0
+        superseded = False
         for slot, version in enumerate(self._slots):
-            if version is not None and version.dts <= oldest_active:
+            if version is None:
+                continue
+            dts = version.dts
+            if dts <= oldest_active:
                 self._slots[slot] = None
                 self._used.release_slot(slot)
                 reclaimed += 1
+            elif dts != INF_TS:
+                superseded = True
         if self._overflow:
             survivors: list[VersionEntry] = []
             for version in self._overflow:
                 if version.dts <= oldest_active:
                     reclaimed += 1
                     continue
+                if version.dts != INF_TS:
+                    superseded = True
                 slot = self._used.claim_free_slot()
                 if slot is None:
                     survivors.append(version)
@@ -305,7 +325,7 @@ class MVCCObject:
             self._overflow = survivors
         if reclaimed:
             self.gc_count += 1
-        return reclaimed
+        return reclaimed, superseded
 
     def used_slots(self) -> int:
         return self._used.used_count()

@@ -750,9 +750,7 @@ def _recover_shard(
                     continue  # stale migration leftover; swept below
                 # the redo pass above already put this value in the base
                 # table, so the entry is clean (evictable once old enough)
-                table.mvcc_object(key, create=True).install(
-                    value, ts, ts, clean=True
-                )
+                table.install_version(key, value, ts, clean=True)
                 hydrated += 1
             info.rows_loaded[table.state_id] = hydrated
         else:

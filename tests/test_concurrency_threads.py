@@ -7,11 +7,13 @@ and consistency guarantees must hold under genuine thread interleavings.
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
 
 import pytest
 
-from repro.core import TransactionManager
+from repro.core import GCPolicy, TransactionManager
 from repro.errors import TransactionAborted
 
 
@@ -216,3 +218,52 @@ class TestReadersVersusWriter:
         obj = mgr.table("A").mvcc_object(0)
         # bounded: slots + whatever the last snapshots still pin
         assert obj.version_count() <= 16
+
+
+class TestGCPendingSet:
+    def test_concurrent_sweeps_lose_no_registration(self):
+        """Writers commit (every third commit runs a periodic sweep) while
+        a sweeper thread collects too: no sweep may iterate a set a writer
+        inserts into, and no registration may be lost — afterwards a walk
+        over every array finds nothing left to reclaim."""
+        mgr = TransactionManager(
+            protocol="mvcc", gc_policy=GCPolicy.PERIODIC, gc_interval=3
+        )
+        table = mgr.create_table("A", version_slots=4)
+        table.bulk_load([(k, 0) for k in range(64)])
+        stop = threading.Event()
+
+        def writer(seed):
+            rng = random.Random(seed)
+            for i in range(150):
+                try:
+                    with mgr.transaction() as txn:
+                        for key in rng.sample(range(64), 4):
+                            mgr.write(txn, "A", key, i)
+                except TransactionAborted:
+                    pass
+
+        def sweeper():
+            while not stop.is_set():
+                mgr.collect_garbage()
+
+        writers = [threading.Thread(target=writer, args=(s,)) for s in range(4)]
+        sweep_thread = threading.Thread(target=sweeper)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            sweep_thread.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+        finally:
+            stop.set()
+            sweep_thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers + [sweep_thread])
+        mgr.collect_garbage()
+        horizon = mgr.context.oldest_active_version()
+        assert sum(
+            table.mvcc_object(key).collect(horizon) for key in table.keys()
+        ) == 0

@@ -55,8 +55,10 @@ class TestVoting:
         txn = mgr.begin(states=["A", "B"])
         mgr.write(txn, "A", 1, "a")
         mgr.abort_state(txn, "B")
-        with pytest.raises(Exception):
+        with pytest.raises(TransactionAborted) as info:
             mgr.commit_state(txn, "A")
+        assert info.value.reason == ABORT_GROUP
+        assert scan_all(mgr, "A") == {}
 
     def test_flags_tracked_per_state(self, mgr):
         txn = mgr.begin(states=["A", "B"])

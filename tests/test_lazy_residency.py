@@ -239,6 +239,40 @@ class TestTableHydration:
         assert table.read_live(1).value == "v2"
         assert table.read_version_at(1, 9).value == "v2"
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["get", "multi_get"])
+    def test_fault_in_stamped_superseded_is_collected(self, monkeypatch, batched):
+        # The reader fetches "v1"; before it installs that, a commit
+        # deletes the key and a sweep reclaims every version, leaving an
+        # empty array that remembers the delete.  The fault-in then
+        # installs "v1" already superseded, so a sweep must visit it.
+        table = StateTable("A", residency="lazy")
+        table.backend.put(table.key_codec.encode(1), table.value_codec.encode("v1"))
+        table.bootstrap_cts = 1
+        name = "multi_get" if batched else "get"
+        real = getattr(table.backend, name)
+        raced: list[bool] = []
+
+        def racing(arg):
+            fetched = real(arg)
+            if not raced:
+                raced.append(True)
+                delete = WriteSet()
+                delete.delete(1)
+                with table.commit_latch:
+                    table.apply_write_set(delete, 5, 0)
+                assert table.collect_garbage(9) == (1, 1)
+                assert table.mvcc_object(1).version_count() == 0
+            return fetched
+
+        monkeypatch.setattr(table.backend, name, racing)
+        if batched:
+            assert table.hydrate_many([1]) == 1
+        else:
+            assert table.read_version_at(1, 4).value == "v1"
+        assert table.read_live(1) is None
+        assert table.collect_garbage(9) == (1, 1)
+        assert table.mvcc_object(1).version_count() == 0
+
     def test_lazy_scan_merges_cold_and_resident(self):
         table = StateTable("A", residency="lazy")
         for i in range(10):

@@ -113,6 +113,27 @@ class TestGC:
                 manager.write(txn, "A", 1, i)
         assert manager.gc.total_reclaimed > 0
 
+    def test_sweep_visits_only_the_arrays_commits_superseded(self):
+        manager = TransactionManager(protocol="mvcc")
+        table = manager.create_table("A")
+        table.bulk_load([(key, 0) for key in range(10_000)])
+        pinned = manager.begin()
+        assert manager.read(pinned, "A", 0) == 0
+        for key in range(10):
+            with manager.transaction() as txn:
+                manager.write(txn, "A", key, 1)
+        report = manager.gc.sweep(manager.tables())
+        # the pinned snapshot still reads key 0's bulk-loaded version
+        assert report.objects_scanned <= 10
+        assert report.versions_reclaimed == 0
+        manager.commit(pinned)
+        report = manager.gc.sweep(manager.tables())
+        assert report.objects_scanned <= 10
+        assert report.versions_reclaimed == 10
+        assert table.version_count() == 10_000
+        # nothing was superseded since: the next sweep visits nothing
+        assert manager.gc.sweep(manager.tables()).objects_scanned == 0
+
     def test_gc_preserves_active_snapshot(self, mgr):
         load_initial(mgr)
         reader = mgr.begin()

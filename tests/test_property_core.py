@@ -7,7 +7,10 @@ The central invariants under arbitrary interleavings of transactions:
   overlap, so at most one version is visible at any timestamp;
 * **serialisable history for FCW writers** — the final table state equals
   the result of applying committed transactions in commit-timestamp order;
-* **GC never touches reachable versions**.
+* **GC never touches reachable versions**;
+* **a GC sweep reclaims what a full walk would** — it visits only the
+  table's pending set, yet leaves no version a walk over every resident
+  array could still reclaim.
 """
 
 from __future__ import annotations
@@ -150,6 +153,80 @@ class TestSnapshotStability:
         for key in range(6):
             assert mgr.read(reader, "S", key) == baseline[key]
         mgr.commit(reader)
+
+
+#: One step of a GC interleaving; ``evict`` and ``fault`` act only on a
+#: lazy table.  A ``write`` with value ``None`` deletes the key.
+gc_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("write"), small_keys, st.none() | small_values),
+        st.tuples(st.just("bulk"), small_keys, small_values),
+        st.just(("hold",)),
+        st.just(("release",)),
+        st.just(("sweep",)),
+        st.just(("evict",)),
+        st.tuples(st.just("fault"), small_keys),
+    ),
+    max_size=40,
+)
+
+
+class TestPendingSetSweep:
+    @given(gc_steps, st.sampled_from(["full", "lazy"]))
+    @settings(max_examples=150, deadline=None)
+    def test_sweep_leaves_nothing_for_a_full_walk(self, steps, residency):
+        mgr = TransactionManager(protocol="mvcc")
+        table = mgr.create_table("S", version_slots=2, residency=residency)
+        table.bulk_load([(k, -1) for k in range(6)])
+        held = []
+
+        def views():
+            return [
+                {k: mgr.read(reader, "S", k) for k in range(6)} for reader in held
+            ]
+
+        # the closing steps let a sweep reach what the held snapshots pinned
+        for step in steps + [("sweep",), ("release_all",), ("sweep",)]:
+            op = step[0]
+            if op == "write":
+                _, key, value = step
+                with mgr.transaction() as txn:
+                    if value is None:
+                        mgr.delete(txn, "S", key)
+                    else:
+                        mgr.write(txn, "S", key, value)
+            elif op == "bulk":
+                table.bulk_load([step[1:]])
+            elif op == "hold":
+                held.append(mgr.begin())
+                views()
+            elif op == "release" and held:
+                mgr.commit(held.pop(0))
+            elif op == "release_all":
+                while held:
+                    mgr.commit(held.pop())
+            elif op == "evict" and residency == "lazy":
+                table.evict_cold_versions(
+                    limit=6,
+                    horizon=mgr.context.oldest_active_version(),
+                    strict=True,
+                )
+            elif op == "fault" and residency == "lazy":
+                with mgr.snapshot() as view:
+                    view.get("S", step[1])
+            elif op == "sweep":
+                before = views()
+                mgr.collect_garbage()
+                horizon = mgr.context.oldest_active_version()
+                leftover = sum(
+                    table.mvcc_object(key).collect(horizon)
+                    for key in table.keys()
+                )
+                assert leftover == 0
+                assert views() == before
+            # the pending set never outlives an evicted array
+            for key, obj in table._gc_pending.items():
+                assert table.mvcc_object(key) is obj
 
 
 class TestWriteSetSemantics:

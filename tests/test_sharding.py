@@ -233,6 +233,29 @@ class TestOnlineSplitVolatile:
         with smgr.snapshot() as view:
             assert dict(view.scan("acct")) == {k: 100 for k in range(64)}
 
+    def test_gc_sweep_covers_handover_installs(self):
+        # merging back installs handed-over versions over the source's
+        # frozen copies, superseding them: the sweep must find them
+        smgr = make_sharded("mvcc", rows=64)
+        for value in range(3):
+            with smgr.transaction() as txn:
+                for key in range(0, 64, 4):
+                    smgr.write(txn, "acct", key, value)
+        smgr.collect_garbage()  # empties every pending set
+        target = smgr.split_shard(0)
+        smgr.merge_shard(target, 0)
+        smgr.collect_garbage()
+        for shard in smgr.shards:
+            horizon = shard.context.oldest_active_version()
+            table = shard.table("acct")
+            assert sum(
+                table.mvcc_object(key).collect(horizon) for key in table.keys()
+            ) == 0
+        with smgr.snapshot() as view:
+            assert {k: view.get("acct", k) for k in range(0, 64, 4)} == {
+                k: 2 for k in range(0, 64, 4)
+            }
+
     def test_in_flight_writer_aborts_retryably_across_flip(self):
         smgr = make_sharded("mvcc", rows=64)
         txn = smgr.begin()

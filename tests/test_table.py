@@ -128,8 +128,8 @@ class TestGC:
             with table.commit_latch:
                 table.apply_write_set(ws, ts, 0)
         assert table.version_count() == 5
-        reclaimed = table.collect_garbage(oldest_active=5)
-        assert reclaimed == 4
+        visited, reclaimed = table.collect_garbage(oldest_active=5)
+        assert (visited, reclaimed) == (1, 4)
         assert table.read_live("hot").value == "v5"
 
     def test_version_count(self):
