@@ -14,8 +14,8 @@ A from-scratch Python reproduction of Götze & Sattler, EDBT 2019:
 * :mod:`repro.sim` — a single-site discrete-event simulator reproducing
   the Figure-4 concurrency study in virtual time (the sharded engine is
   measured on the wall clock by ``perfbench/`` instead);
-* :mod:`repro.recovery` — context persistence, checkpoints, restart
-  recovery;
+* :mod:`repro.recovery` — restart recovery from the commit WALs
+  (checkpoints, in-doubt 2PC resolution, ``LastCTS`` restoration);
 * :mod:`repro.bench` — the harness regenerating every figure.
 
 Quickstart::

@@ -7,8 +7,9 @@ consults:
   owning topology group.
 * **Topologies** — groups of states written together by one stream query;
   each group records ``LastCTS``, the commit timestamp of the last completed
-  group commit.  Readers derive their snapshots from it.  This mapping is
-  persisted (via an attachable context store) because recovery needs it.
+  group commit.  Readers derive their snapshots from it.  Recovery needs
+  it persistent: the durable sharded manager's commit WAL records it
+  (checkpoint markers plus the commit records of the tail).
 * **Active transactions** — id, accessed states + flags, pinned ``ReadCTS``
   per group; slots are managed by a bit vector like the paper's
   (:class:`~repro.core.timestamps.AtomicBitmask`).
@@ -69,9 +70,6 @@ class StateContext:
         self._slots = AtomicBitmask(txn_slots)
         self._slot_of: dict[int, int] = {}
         self._lock = threading.Lock()
-        #: Optional persistence hook: called as ``hook(group_id, last_cts)``
-        #: after every group commit (attached by the recovery layer).
-        self._persist_hook: Callable[[str, int], None] | None = None
         #: Optional override for the GC horizon (attached by the sharded
         #: manager when the global snapshot service is on): a cross-shard
         #: reader's capped pin can be *older* than anything this context
@@ -306,12 +304,6 @@ class StateContext:
         with self._lock:
             if commit_ts > group.last_cts:
                 group.last_cts = commit_ts
-        if self._persist_hook is not None:
-            self._persist_hook(group_id, commit_ts)
-
-    def attach_persistence(self, hook: Callable[[str, int], None]) -> None:
-        """Install a write-through hook persisting ``LastCTS`` per group."""
-        self._persist_hook = hook
 
     def restore_last_cts(self, values: dict[str, int]) -> None:
         """Recovery entry point: restore persisted ``LastCTS`` values and

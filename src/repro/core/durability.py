@@ -109,8 +109,8 @@ class CheckpointLogRecord:
     every commit record *before* the marker is fully reflected in the LSM
     SSTables, so recovery replays only the records after the last marker.
     ``last_cts`` snapshots the shard's per-group ``LastCTS`` at the cut —
-    the recovery floor for the group watermarks even when the context store
-    lags (it is written unsynced on the hot path).
+    the recovery floor for the group watermarks, which the replayed tail
+    records then raise.
     """
 
     #: Highest commit timestamp covered by this checkpoint.

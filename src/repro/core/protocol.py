@@ -257,11 +257,11 @@ class ConcurrencyControl(abc.ABC):
         tracking (checkpoints wait on that count — see
         :meth:`~repro.core.durability.GroupFsyncDaemon.wait_publishes_drained`).
 
-        A *failed* publish (e.g. the attached context store raised) must
-        not simply settle: the commit record may be durable while
-        ``LastCTS`` never advanced over it, so the daemon is poisoned —
-        checkpoints and later commits fail fast instead of truncating the
-        uncovered record, and the engine is recovered from the WAL.
+        A *failed* publish must not simply settle: the commit record may
+        be durable while ``LastCTS`` never advanced over it, so the daemon
+        is poisoned — checkpoints and later commits fail fast instead of
+        truncating the uncovered record, and the engine is recovered from
+        the WAL.
         """
         ticket = prepared.ticket
         try:

@@ -63,9 +63,9 @@ the flip are unaffected.
 
 Durable mode (``data_dir=``): every shard becomes durable end-to-end.  Each
 shard owns an :class:`~repro.storage.lsm.LSMStore` directory per state
-(the base tables), a commit WAL driven by the batched-fsync daemon, and a
-:class:`~repro.recovery.redo.ContextStore` persisting group ``LastCTS``;
-cross-shard commits additionally log their decision to a global
+(the base tables) and a commit WAL driven by the batched-fsync daemon,
+whose checkpoint markers and commit records also persist group
+``LastCTS``; cross-shard commits additionally log their decision to a global
 coordinator outcome log (batched: concurrent 2PC coordinators share one
 decision fsync) so recovery can resolve in-doubt prepares
 (presumed-abort).  Commit WALs stay bounded through checkpoints: before
@@ -771,8 +771,6 @@ class ShardedTransactionManager:
             gc_interval=gc_interval,
             **protocol_kwargs,
         )
-        #: Per-shard ``LastCTS`` stores (durable mode only).
-        self.context_stores: list[Any] = []
         self.shards: list[TransactionManager] = [
             self._build_shard(idx) for idx in range(num_shards)
         ]
@@ -900,8 +898,7 @@ class ShardedTransactionManager:
 
         The one construction path for the constructor and
         :meth:`_add_shard`.  Durable mode gives the shard its commit WAL +
-        batched-fsync daemon and its ``LastCTS`` store
-        (appended to :attr:`context_stores`).
+        batched-fsync daemon.
         """
         daemon: GroupFsyncDaemon | None = None
         if self.data_dir is not None:
@@ -930,13 +927,6 @@ class ShardedTransactionManager:
         # capped read still resolves (see :meth:`_global_horizon`).
         if self.snapshot_coordinator is not None:
             shard.context.horizon_hook = self._global_horizon
-        if self.data_dir is not None:
-            from ..recovery.redo import ContextStore
-            from ..recovery.sharded import context_store_path
-
-            store = ContextStore(context_store_path(self.data_dir, idx))
-            self.context_stores.append(store)
-            shard.context.attach_persistence(store.record)
         return shard
 
     def _save_slot_map(self) -> None:
@@ -1222,9 +1212,13 @@ class ShardedTransactionManager:
         shard's commit WAL (as a bootstrap commit record, ts 0) and the
         WALs are flushed, so bulk-loaded data survives a crash that hits
         before the first checkpoint — the LSM base tables buffer their own
-        WAL (``sync=False``) and cannot be relied on for the tail.
+        WAL (``sync=False``) and cannot be relied on for the tail.  Every
+        partition is checked (:meth:`StateTable.check_bulk_loadable`)
+        before any is loaded or logged.
         """
         self._ensure_not_fenced()
+        for shard in self.shards:
+            shard.table(state_id).check_bulk_loadable()
         parts: dict[int, list[tuple[Any, Any]]] = {}
         for key, value in rows:
             parts.setdefault(self.shard_of(key), []).append((key, value))
@@ -1998,9 +1992,9 @@ class ShardedTransactionManager:
            truncates — committers release the latches *before* their
            durability barrier and publish, so without this wait the
            marker's ``last_cts`` snapshot could miss a commit whose record
-           step 4 then truncates (after a crash that loses the unsynced
-           context store, recovery would restore ``LastCTS`` below an
-           acknowledged commit and the oracle could reissue its
+           step 4 then truncates (after a crash, recovery — which reads
+           ``LastCTS`` from the commit WAL alone — would restore it below
+           an acknowledged commit and the oracle could reissue its
            timestamp).  A full cut first drains the daemon and waits for
            every publish;
         3. a full cut re-flushes every LSM base table, so all applied
@@ -3059,8 +3053,6 @@ class ShardedTransactionManager:
         for daemon in self.daemons:
             if daemon is not None:
                 daemon.close()
-        for store in self.context_stores:
-            store.close()
         if self.coordinator_log is not None:
             self.coordinator_log.close()
         self._scan_pool.shutdown(wait=False)

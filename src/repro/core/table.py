@@ -131,6 +131,10 @@ class StateTable:
         #: monotonic counters for observability.
         self.commits_applied = 0
         self.versions_installed = 0
+        #: newest commit timestamp installed here (a commit, a handover or
+        #: a recovered tail row); with :attr:`bootstrap_cts` it tells
+        #: :meth:`bulk_load` whether any snapshot may have read history.
+        self.applied_cts = ZERO_TS
         #: snapshot-consistent secondary indexes (maintained at commit).
         self.indexes = IndexSet()
         #: commit timestamp stamped on faulted-in bootstrap versions — the
@@ -601,6 +605,7 @@ class StateTable:
         for version in installed:
             version.clean = True
         self.commits_applied += 1
+        self.applied_cts = max(self.applied_cts, commit_ts)
 
     def _install_underlays(
         self, keys: Iterable[Any], objects: list[MVCCObject]
@@ -658,12 +663,14 @@ class StateTable:
         """Load initial data outside any transaction (commit ts = 0).
 
         Used to initialise benchmark tables; visible to every snapshot.
-        A key that already has an array may get a superseded version, so
-        it joins the GC pending set.
+        Only allowed before the table holds anything above ts 0 (see
+        :meth:`check_bulk_loadable`); a key an earlier bulk load wrote
+        gets a superseded version, so it joins the GC pending set.
         """
         puts: list[tuple[bytes, bytes]] = []
         installed: list[VersionEntry] = []
         with self.commit_latch:
+            self.check_bulk_loadable()
             for key, value in items:
                 obj = self._index.get(key)
                 if obj is None:
@@ -680,6 +687,24 @@ class StateTable:
             for version in installed:
                 version.clean = True
         return len(installed)
+
+    def check_bulk_loadable(self) -> None:
+        """Raise :class:`ValueError` once the table has applied a commit
+        (or a handover, a redo or a recovery bootstrap above ts 0).
+
+        A bulk load stamps ts 0, which every snapshot sees: after a
+        commit it would rewrite history a held snapshot has already read,
+        and a new key would appear under snapshots that read it absent.
+        A table-level rule, so keys evicted from a lazy index count too.
+        A redo is base-table only; the bootstrap or handover that
+        follows it raises the timestamps checked here.
+        """
+        if self.applied_cts > ZERO_TS or self.bootstrap_cts > ZERO_TS:
+            raise ValueError(
+                f"bulk_load on state {self.state_id!r} after it applied "
+                "commits would change what held snapshots read; bulk-load "
+                "before the first commit"
+            )
 
     def load_from_backend(self, bootstrap_cts: int = ZERO_TS) -> int:
         """Rebuild the version index from the base table (recovery path).
@@ -716,6 +741,7 @@ class StateTable:
             obj = self.mvcc_object(key, create=True)
             obj.install(value, cts, cts, clean=clean)
             self._gc_pending[key] = obj
+            self.applied_cts = max(self.applied_cts, cts)
 
     def evict_keys(self, keys: list[Any]) -> int:
         """Drop keys this partition no longer owns (slot-migration purge).

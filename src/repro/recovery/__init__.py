@@ -7,8 +7,8 @@ process gets back to its exact committed state:
   redo       commit WAL per shard (batched fsync; repro.core.durability)
   authority  + LSM base table per state per shard (sync=False, flushed
              at checkpoints)
-  LastCTS    ContextStore per shard (buffered hint) + checkpoint marker
-             + replayed commit timestamps
+  LastCTS    commit WAL only: checkpoint marker + replayed commit
+             timestamps
   2PC        coordinator.log: durable commit decisions, presumed-abort
   create     ShardedTransactionManager(data_dir=...): new stores only;
              refuses an existing schema.json
@@ -23,9 +23,6 @@ the restored catalog.
 
 Module map:
 
-* :mod:`~repro.recovery.redo` — :class:`ContextStore`, the durable
-  group -> ``LastCTS`` map the paper requires ("the last committed
-  transaction (LastCTS) per group ... needs to be persistent", §4.1).
 * :mod:`~repro.recovery.sharded` — the restart procedure:
   per-shard commit-WAL tail replay on top of the LSM state, in-doubt 2PC
   resolution against the global :class:`CoordinatorLog` (presumed-abort),
@@ -39,15 +36,17 @@ Recovery invariants:
 1. every state table's content equals the last durable committed prefix —
    base tables only ever receive whole committed batches, and redo replay
    applies whole write sets in commit-timestamp order;
-2. ``LastCTS`` never moves backwards across a restart: it is restored from
-   the max of every durable source (context store, checkpoint marker,
-   replayed records);
+2. ``LastCTS`` restarts at the newest durable commit: the paper requires
+   it persistent ("the last committed transaction (LastCTS) per group ...
+   needs to be persistent", §4.1), and the commit WAL is its one durable
+   record — the checkpoint marker's snapshot raised by the replayed
+   records.  An ``async`` commit acknowledged before its flush may be
+   lost, and the watermark with it;
 3. the timestamp oracle restarts above every persisted timestamp;
 4. uncommitted work is gone (write sets were volatile; an in-doubt 2PC
    prepare without a durable commit decision is presumed aborted).
 """
 
-from .redo import ContextStore
 from .sharded import (
     CoordinatorLog,
     CoordinatorOutcome,
@@ -59,7 +58,6 @@ from .sharded import (
 )
 
 __all__ = [
-    "ContextStore",
     "CoordinatorLog",
     "CoordinatorOutcome",
     "ShardRecovery",

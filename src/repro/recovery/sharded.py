@@ -9,7 +9,6 @@ owns::
       coordinator.log        global 2PC commit decisions (presumed-abort)
       shard-00/
         commit.wal           the shard's commit redo log (+ checkpoint marker)
-        context.log          per-group LastCTS, appended per publish (ContextStore)
         tables/<state_id>/   one LSMStore directory per state partition
       shard-01/ ...
 
@@ -26,11 +25,11 @@ Recovery contract (the paper's Section 4 requirements, per shard):
    ``coordinator.log`` or as a commit record on *any* participant shard
    (each commit record doubles as decision evidence, covering the window
    between record enqueue and decision logging) — otherwise it is dropped;
-4. each group's ``LastCTS`` is restored to the max of the persisted
-   context-store value, the checkpoint marker's snapshot and the replayed
-   commit timestamps, and the shared timestamp oracle restarts above every
-   timestamp seen, so post-recovery transactions sort after everything
-   recovered;
+4. each group's ``LastCTS`` is restored from the commit WAL alone — the
+   max of the checkpoint marker's snapshot and the replayed and
+   rolled-forward commit timestamps — and the shared timestamp oracle
+   restarts above every timestamp seen, so post-recovery transactions
+   sort after everything recovered;
 5. the version indexes are bootstrapped from the (now exact) base tables,
    and a fresh checkpoint truncates the replayed tails so a second crash
    replays nothing twice.  Under ``state_residency="lazy"`` step 5 is
@@ -100,10 +99,6 @@ CATALOG_SETTINGS = (
 
 def shard_dir(data_dir: str | os.PathLike[str], shard: int) -> Path:
     return Path(data_dir) / f"shard-{shard:02d}"
-
-
-def context_store_path(data_dir: str | os.PathLike[str], shard: int) -> Path:
-    return shard_dir(data_dir, shard) / "context.log"
 
 
 def table_dir(data_dir: str | os.PathLike[str], shard: int, state_id: str) -> Path:
@@ -648,7 +643,7 @@ def _recover_shard(
     restore ``LastCTS``, bootstrap the version indexes.
 
     Touches only shard-local state (the shard manager, its tables and
-    context, its context store and commit-WAL daemon) plus the read-only
+    context and its commit-WAL daemon) plus the read-only
     ``decisions`` map, so shards can run concurrently.  Returns the
     per-shard report and the highest timestamp seen (merged
     deterministically by the caller — max is order-free).
@@ -717,17 +712,14 @@ def _recover_shard(
         info.prepares_rolled_forward += 1
         max_seen = max(max_seen, decided_ts)
 
-    # LastCTS: never below any durable evidence — persisted context
-    # appends (possibly unsynced), the checkpoint marker's snapshot,
-    # and the timestamps just replayed.
-    persisted = manager.context_stores[idx].values() if manager.context_stores else {}
-    merged: dict[str, int] = {}
-    for group_id in shard.context.group_ids():
-        merged[group_id] = max(
-            persisted.get(group_id, 0), group_cts.get(group_id, 0)
-        )
-    shard.context.restore_last_cts(merged)
-    info.last_cts = merged
+    # LastCTS: the commit WAL is its one durable record — the checkpoint
+    # marker's snapshot raised by the timestamps just replayed.
+    restored = {
+        group_id: group_cts.get(group_id, 0)
+        for group_id in shard.context.group_ids()
+    }
+    shard.context.restore_last_cts(restored)
+    info.last_cts = restored
 
     for table in shard.tables():
         group = shard.context.group_of(table.state_id)

@@ -13,7 +13,6 @@ from repro.core import ShardedTransactionManager, TransactionManager
 from repro.core.durability import GroupFsyncDaemon
 from repro.core.sharding import CheckpointDaemon
 from repro.errors import ABORT_USER
-from repro.recovery import ContextStore
 from repro.recovery.sharded import CoordinatorLog, recover_sharded
 from repro.sim import CostModel
 
@@ -78,9 +77,6 @@ def test_constructor_parameters_are_pinned():
         "manager",
         "max_workers",
     ]
-    # ContextStore appends without an fsync per publish; there is no
-    # write-through mode.
-    assert params(ContextStore) == ["path", "compact_after_records"]
     # Every partition uses the one key and value encoding the catalog
     # records: no per-state codec a reopen could not recreate.
     assert list(

@@ -131,13 +131,6 @@ class TestSnapshots:
         ctx.publish_group_commit("g", 5)  # stale publish ignored
         assert ctx.last_cts("g") == 10
 
-    def test_persistence_hook_called(self, ctx):
-        calls = []
-        ctx.attach_persistence(lambda gid, ts: calls.append((gid, ts)))
-        ctx.register_group("g", ["A"])
-        ctx.publish_group_commit("g", 9)
-        assert calls == [("g", 9)]
-
     def test_restore_last_cts_advances_oracle(self, ctx):
         ctx.register_group("g", ["A"])
         ctx.restore_last_cts({"g": 77})

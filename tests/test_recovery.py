@@ -1,56 +1,8 @@
-"""Tests for the recovery layer: context store and restart."""
+"""Tests for the recovery layer: restart of the durable manager."""
 
 from repro.core import ShardedTransactionManager
-from repro.recovery import ContextStore
 
 from helpers import run_crash_child, scan_all
-
-
-class TestContextStore:
-    def test_record_and_recover(self, tmp_path):
-        path = tmp_path / "ctx.log"
-        with ContextStore(path) as store:
-            store.record("g1", 5)
-            store.record("g2", 9)
-            store.record("g1", 12)
-        recovered = ContextStore(path)
-        assert recovered.values() == {"g1": 12, "g2": 9}
-        recovered.close()
-
-    def test_monotonic_per_group(self, tmp_path):
-        with ContextStore(tmp_path / "c.log") as store:
-            store.record("g", 10)
-            store.record("g", 3)  # stale publication ignored on read-back
-            assert store.last_cts("g") == 10
-
-    def test_torn_tail_tolerated(self, tmp_path):
-        path = tmp_path / "c.log"
-        with ContextStore(path) as store:
-            store.record("g", 7)
-        with open(path, "ab") as fh:
-            fh.write(b"\xff\xfe")  # torn frame
-        recovered = ContextStore(path)
-        assert recovered.values() == {"g": 7}
-        recovered.close()
-
-    def test_compaction_keeps_latest(self, tmp_path):
-        path = tmp_path / "c.log"
-        store = ContextStore(path, compact_after_records=10)
-        for i in range(25):
-            store.record("g", i + 1)
-        store.close()
-        size_after = path.stat().st_size
-        recovered = ContextStore(path)
-        assert recovered.last_cts("g") == 25
-        recovered.close()
-        # compaction bounded the log: far below 25 uncompacted records
-        assert size_after < 25 * 19 / 2
-
-    def test_empty_store(self, tmp_path):
-        store = ContextStore(tmp_path / "new.log")
-        assert store.values() == {}
-        assert store.last_cts("g") == 0
-        store.close()
 
 
 class TestDurableReopen:

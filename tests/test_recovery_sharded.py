@@ -22,8 +22,10 @@ The durable sharded storage contract (``data_dir=`` mode +
 from __future__ import annotations
 
 import json
+import struct
 import threading
 import time
+import zlib
 from pathlib import Path
 
 import pytest
@@ -32,7 +34,12 @@ from repro.core import ShardedTransactionManager, commit_wal_tail
 from repro.core.durability import CommitLogRecord, encode_checkpoint_record
 from repro.core.transactions import TxnStatus
 from repro.errors import StorageError, WALError
-from repro.recovery.sharded import CoordinatorLog, ShardedSchema, schema_path
+from repro.recovery.sharded import (
+    CoordinatorLog,
+    ShardedSchema,
+    schema_path,
+    shard_dir,
+)
 from repro.storage.lsm import LSMOptions, LSMStore
 from repro.storage.wal import KIND_CHECKPOINT, WriteAheadLog
 
@@ -58,18 +65,46 @@ class TestDurableRoundTrip:
             shard.context.last_cts("g") for shard in smgr.shards
         )
         smgr.close()
+        # the commit WAL is the only durable record of LastCTS
+        assert not list(tmp_path.rglob("context.log"))
 
         reopened = ShardedTransactionManager.open(tmp_path)
         report = reopened.last_recovery
         # clean shutdown checkpointed: nothing to replay
         assert report.commits_replayed == 0
-        assert report.last_cts["g"] >= pre_cts
+        assert report.last_cts["g"] == pre_cts
         assert scan_all(reopened, "A") == {i: {"v": i} for i in range(40)}
         assert scan_all(reopened, "B") == {-i: {"w": i} for i in range(40)}
         # the reopened manager keeps working transactionally
         with reopened.transaction() as txn:
             reopened.write(txn, "A", 1000, "post")
         assert txn.commit_ts > pre_cts
+        reopened.close()
+
+    def test_leftover_context_log_is_not_read(self, tmp_path):
+        """Stores written by older versions hold a per-shard
+        ``context.log`` of CRC-framed ``group -> LastCTS`` records.  The
+        commit WAL alone restores ``LastCTS``: a leftover file claiming a
+        far-future watermark must not leak into it."""
+        smgr = ShardedTransactionManager(num_shards=2, data_dir=tmp_path)
+        smgr.create_table("A")
+        smgr.register_group("g", ["A"])
+        for i in range(6):
+            with smgr.transaction() as txn:
+                smgr.write(txn, "A", i, i)
+        pre_cts = max(shard.context.last_cts("g") for shard in smgr.shards)
+        smgr.close()
+        payload = (1).to_bytes(2, "little") + b"g" + (10**9).to_bytes(8, "little")
+        frame = struct.pack("<II", zlib.crc32(payload), len(payload)) + payload
+        for shard in range(2):
+            (shard_dir(tmp_path, shard) / "context.log").write_bytes(frame)
+
+        reopened = ShardedTransactionManager.open(tmp_path)
+        assert reopened.last_recovery.last_cts["g"] == pre_cts < 10**9
+        assert scan_all(reopened, "A") == {i: i for i in range(6)}
+        with reopened.transaction() as txn:
+            reopened.write(txn, "A", 100, "post")
+        assert txn.commit_ts < 10**9
         reopened.close()
 
     def test_open_reads_schema_num_shards_and_protocol(self, tmp_path):
@@ -485,9 +520,9 @@ class TestCheckpointPublishRace:
         """A committer releases its table latches *before* the durability
         barrier and the LastCTS publish.  A checkpoint sneaking into that
         window used to flush the record durable, snapshot a stale last_cts
-        and truncate the record — after a crash (the unsynced context
-        store lost) recovery would restore LastCTS below an acknowledged
-        commit.  The checkpoint must refuse to cut instead."""
+        and truncate the record — after a crash recovery, which restores
+        LastCTS from the commit WAL alone, would restore it below an
+        acknowledged commit.  The checkpoint must refuse to cut instead."""
         smgr = ShardedTransactionManager(
             num_shards=2, data_dir=tmp_path, checkpoint_interval=0
         )

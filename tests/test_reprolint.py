@@ -3,8 +3,8 @@
 Each rule gets a violating, a clean and a suppressed fixture, exercised
 through :func:`tools.reprolint.analyze_source` on synthetic snippets; the
 regression class at the bottom pins the real findings this pass surfaced
-and we fixed (RL003 fsync-discipline on the context-compaction path, and
-the manifest write moved off the LSM store lock).
+and we fixed (the manifest write moved off the LSM store lock).  RL003
+fsync discipline keeps its synthetic cases in ``TestRL003FsyncDiscipline``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from tools import reprolint  # noqa: E402
 
-from repro.recovery.redo import ContextStore  # noqa: E402
 from repro.storage.lsm import LSMOptions, LSMStore  # noqa: E402
 from repro.storage.manifest import Manifest  # noqa: E402
 
@@ -457,29 +456,6 @@ class TestBaselineAndCLI:
 
 class TestRegressions:
     """Pins for real findings the pass surfaced (and we fixed)."""
-
-    def test_context_store_compaction_syncs_directory(
-        self, tmp_path, monkeypatch
-    ):
-        """RL003 fix: ContextStore log compaction publishes by rename and
-        must flush the parent directory in the same operation."""
-        import repro.recovery.redo as redo_mod
-
-        synced: list[Path] = []
-        real = redo_mod.fsync_dir
-        monkeypatch.setattr(
-            redo_mod,
-            "fsync_dir",
-            lambda d: (synced.append(Path(d)), real(d))[1],
-        )
-        store = ContextStore(tmp_path / "ctx.log")
-        for i in range(5):
-            store.record("g", i + 1)
-        store.compact()
-        store.close()
-        assert (tmp_path / "ctx.log").parent in synced
-        # And the compacted log still recovers the watermark.
-        assert ContextStore(tmp_path / "ctx.log").last_cts("g") == 5
 
     def test_manifest_write_runs_outside_the_store_lock(
         self, tmp_path, monkeypatch

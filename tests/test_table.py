@@ -1,6 +1,8 @@
 """Tests for the transactional table wrapper (StateTable)."""
 
+import pytest
 
+from repro.core import ShardedTransactionManager, TransactionManager
 from repro.core.codecs import INT4_CODEC, JSON_CODEC
 from repro.core.table import StateTable
 from repro.core.write_set import WriteSet
@@ -20,6 +22,36 @@ class TestBulkLoadAndRead:
                            value_codec=JSON_CODEC)
         table.bulk_load([(1, {"v": 1})])
         assert backend.get(INT4_CODEC.encode(1)) == JSON_CODEC.encode({"v": 1})
+
+    def test_bulk_load_after_a_commit_is_refused(self):
+        """A ts-0 bulk load after a commit would change what a held
+        snapshot already read."""
+        mgr = TransactionManager(protocol="mvcc")
+        table = mgr.create_table("A")
+        table.bulk_load([(1, "a")])
+        with mgr.transaction() as txn:
+            mgr.write(txn, "A", 1, "b")
+        held = mgr.begin()
+        assert mgr.read(held, "A", 1) == "b"
+        with pytest.raises(ValueError):
+            table.bulk_load([(1, "c")])
+        with pytest.raises(ValueError):
+            table.bulk_load([(2, "new")])  # a new key: no resident array
+        assert mgr.read(held, "A", 1) == "b"
+        assert mgr.read(held, "A", 2) is None
+        mgr.commit(held)
+
+    def test_sharded_bulk_load_checks_every_partition_first(self):
+        smgr = ShardedTransactionManager(num_shards=2)
+        smgr.create_table("A")
+        with smgr.transaction() as txn:
+            smgr.write(txn, "A", 1, "b")  # commits on one shard only
+        with pytest.raises(ValueError):
+            smgr.bulk_load("A", [(k, "c") for k in range(4)])
+        with smgr.snapshot() as view:
+            assert {k: view.get("A", k) for k in range(4)} == {
+                0: None, 1: "b", 2: None, 3: None
+            }
 
     def test_read_live_and_latest_cts(self):
         table = StateTable("t")
