@@ -106,7 +106,7 @@ def _attach_device_model(smgr: ShardedTransactionManager, extra_s: float) -> Non
         return
 
     def wrap_wal(wal) -> None:
-        orig_many, orig_append = wal.append_many, wal.append
+        orig_many = wal.append_many
         orig_sync, orig_reset = wal.sync, wal.reset_to
 
         def append_many(records, sync=None):
@@ -114,11 +114,6 @@ def _attach_device_model(smgr: ShardedTransactionManager, extra_s: float) -> Non
             if count and (wal.sync_on_append if sync is None else sync):
                 time.sleep(extra_s)
             return count
-
-        def append(kind, payload):
-            orig_append(kind, payload)
-            if wal.sync_on_append:
-                time.sleep(extra_s)
 
         def sync_():
             orig_sync()
@@ -129,7 +124,7 @@ def _attach_device_model(smgr: ShardedTransactionManager, extra_s: float) -> Non
             time.sleep(extra_s)
             return count
 
-        wal.append_many, wal.append = append_many, append
+        wal.append_many = append_many
         wal.sync, wal.reset_to = sync_, reset_to
 
     def wrap_flush(backend) -> None:

@@ -23,6 +23,8 @@ as the consistency protocol of the paper prescribes.
 
 from __future__ import annotations
 
+import random
+import time
 from contextlib import contextmanager
 from collections.abc import Iterator
 from typing import Any
@@ -48,8 +50,94 @@ from . import s2pl as _s2pl  # noqa: F401
 from . import bocc as _bocc  # noqa: F401
 
 
-class TransactionManager:
-    """Facade over context + protocol + coordinator + GC."""
+class TransactionFacade:
+    """The client helpers both managers share, written once over the
+    manager's own ``begin`` / ``commit`` / ``abort``: each manager
+    supplies only its snapshot view (:meth:`_snapshot_view`)."""
+
+    def _snapshot_view(self, txn: Any) -> Any:
+        raise NotImplementedError
+
+    @contextmanager
+    def transaction(self, states: list[str] | None = None) -> Iterator[Any]:
+        """``with mgr.transaction() as txn:`` — commit on success, abort on
+        error (including protocol-initiated aborts, which re-raise)."""
+        txn = self.begin(states)
+        try:
+            yield txn
+        except BaseException:
+            if not txn.is_finished():
+                self.abort(txn)
+            raise
+        else:
+            if not txn.is_finished():
+                self.commit(txn)
+
+    @contextmanager
+    def snapshot(self, isolation: IsolationLevel | None = None) -> Iterator[Any]:
+        """Read-only view (auto-committed on exit).
+
+        With the default isolation this is a stable snapshot; pass
+        ``IsolationLevel.READ_COMMITTED`` / ``READ_UNCOMMITTED`` for the
+        weaker FROM visibility levels of paper Section 3.
+        """
+        txn = self.begin(isolation=isolation)
+        try:
+            yield self._snapshot_view(txn)
+        finally:
+            if not txn.is_finished():
+                self.commit(txn)
+
+    def run_transaction(
+        self,
+        work: Any,
+        states: list[str] | None = None,
+        max_restarts: int = 100,
+    ) -> Any:
+        """Run ``work(txn)`` with automatic restart on conflict aborts.
+
+        This is the standard OCC/MVCC client loop: conflict and validation
+        aborts are transient, so the logical unit of work retries with a
+        fresh transaction (and thus a fresh snapshot) until it commits.
+        Returns ``work``'s result.
+        """
+        restarts = 0
+        while True:
+            txn = self.begin(states)
+            try:
+                result = work(txn)
+                if not txn.is_finished():
+                    self.commit(txn)
+                return result
+            except TransactionAborted:
+                if not txn.is_finished():
+                    self.abort(txn)
+                restarts += 1
+                if restarts > max_restarts:
+                    raise
+                if restarts >= 3:
+                    # Jittered backoff: symmetric contenders (e.g. two S2PL
+                    # upgrade-deadlock victims retrying in lock-step) can
+                    # otherwise phase-lock into a livelock and burn the
+                    # whole restart budget without progress.
+                    time.sleep(random.uniform(0.0, min(5e-5 * restarts, 2e-3)))
+            except BaseException:
+                # Bug in work() (or KeyboardInterrupt): not retryable, but
+                # the transaction must still release its locks/snapshots.
+                if not txn.is_finished():
+                    self.abort(txn)
+                raise
+            finally:
+                txn.restarts = restarts
+
+
+class TransactionManager(TransactionFacade):
+    """Single-site facade over context + protocol + coordinator + GC.
+
+    The client helpers ``transaction()``, ``snapshot()`` and
+    ``run_transaction()`` come from :class:`TransactionFacade`, shared
+    with :class:`~repro.core.sharding.ShardedTransactionManager`.
+    """
 
     def __init__(
         self,
@@ -174,77 +262,8 @@ class TransactionManager:
     def abort_state(self, txn: Transaction, state_id: str, reason: str = ABORT_USER) -> None:
         self.coordinator.abort_state(txn, state_id, reason)
 
-    # convenience ---------------------------------------------------------
-
-    @contextmanager
-    def transaction(self, states: list[str] | None = None) -> Iterator[Transaction]:
-        """``with mgr.transaction() as txn:`` — commit on success, abort on
-        error (including protocol-initiated aborts, which re-raise)."""
-        txn = self.begin(states)
-        try:
-            yield txn
-        except TransactionAborted:
-            if not txn.is_finished():
-                self.abort(txn)
-            raise
-        except BaseException:
-            if not txn.is_finished():
-                self.abort(txn)
-            raise
-        else:
-            if not txn.is_finished():
-                self.commit(txn)
-
-    @contextmanager
-    def snapshot(self, isolation: IsolationLevel | None = None) -> Iterator[SnapshotView]:
-        """Read-only view (auto-committed on exit).
-
-        With the default isolation this is a stable snapshot; pass
-        ``IsolationLevel.READ_COMMITTED`` / ``READ_UNCOMMITTED`` for the
-        weaker FROM visibility levels of paper Section 3.
-        """
-        txn = self.begin(isolation=isolation)
-        try:
-            yield SnapshotView(self.protocol, txn)
-        finally:
-            if not txn.is_finished():
-                self.commit(txn)
-
-    def run_transaction(
-        self,
-        work: Any,
-        states: list[str] | None = None,
-        max_restarts: int = 100,
-    ) -> Any:
-        """Run ``work(txn)`` with automatic restart on conflict aborts.
-
-        This is the standard OCC/MVCC client loop: conflict and validation
-        aborts are transient, so the logical unit of work retries with a
-        fresh transaction (and thus a fresh snapshot) until it commits.
-        Returns ``work``'s result.
-        """
-        restarts = 0
-        while True:
-            txn = self.begin(states)
-            try:
-                result = work(txn)
-                if not txn.is_finished():
-                    self.commit(txn)
-                return result
-            except TransactionAborted:
-                if not txn.is_finished():
-                    self.abort(txn)
-                restarts += 1
-                if restarts > max_restarts:
-                    raise
-            except BaseException:
-                # Bug in work() (or KeyboardInterrupt): not retryable, but
-                # the transaction must still release its locks/snapshots.
-                if not txn.is_finished():
-                    self.abort(txn)
-                raise
-            finally:
-                txn.restarts = restarts
+    def _snapshot_view(self, txn: Transaction) -> SnapshotView:
+        return SnapshotView(self.protocol, txn)
 
     # maintenance ---------------------------------------------------------
 

@@ -121,7 +121,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import os
-import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -137,7 +136,6 @@ from ..errors import (
     ABORT_GROUP,
     ABORT_REBALANCE,
     ABORT_USER,
-    InvalidTransactionState,
     ReplicaAckTimeout,
     StorageError,
     TransactionAborted,
@@ -161,14 +159,14 @@ from .durability import (
 )
 from .gc import GCPolicy
 from .isolation import IsolationLevel
-from .manager import TransactionManager
+from .manager import TransactionFacade, TransactionManager
 from .protocol import PreparedCommit
 from .replication import ReplicationDaemon, ShardReplica
 from .slots import SlotFlip, SlotMap, slot_of_key
 from .snapshot import GlobalSnapshot, SnapshotCoordinator
 from .table import RESIDENCY_FULL, RESIDENCY_LAZY, RESIDENCY_MODES, StateTable
 from .timestamps import TimestampOracle
-from .transactions import StateFlag, Transaction, TxnStatus
+from .transactions import StateFlag, Transaction, TransactionHandle, TxnStatus
 from .version_store import DEFAULT_SLOTS
 from .write_set import WriteSet
 
@@ -200,7 +198,7 @@ def shard_of_key(key: Any, num_shards: int) -> int:
     return slot_of_key(key) % num_shards
 
 
-class ShardedTransaction:
+class ShardedTransaction(TransactionHandle):
     """Handle for a transaction that may span several shards.
 
     Child transactions on the individual shards are begun lazily on first
@@ -211,15 +209,10 @@ class ShardedTransaction:
     """
 
     __slots__ = (
-        "txn_id",
-        "status",
-        "commit_ts",
-        "abort_reason",
         "children",
         "declared_states",
         "state_flags",
         "isolation",
-        "restarts",
         "snapshot_cap",
     )
 
@@ -229,10 +222,7 @@ class ShardedTransaction:
         declared_states: list[str] | None = None,
         isolation: IsolationLevel = IsolationLevel.SNAPSHOT,
     ) -> None:
-        self.txn_id = txn_id
-        self.status = TxnStatus.ACTIVE
-        self.commit_ts: int | None = None
-        self.abort_reason: str | None = None
+        TransactionHandle.__init__(self, txn_id)
         #: shard index -> child transaction handle (lazily created).
         self.children: dict[int, Transaction] = {}
         self.declared_states = list(declared_states or [])
@@ -240,7 +230,6 @@ class ShardedTransaction:
         #: commit_state`); every declared state starts ``ACTIVE``.
         self.state_flags = dict.fromkeys(self.declared_states, StateFlag.ACTIVE)
         self.isolation = isolation
-        self.restarts = 0
         #: Frozen global-snapshot cap, acquired lazily on first touch of a
         #: second shard (``None`` while the transaction is single-shard).
         self.snapshot_cap: int | None = None
@@ -251,36 +240,6 @@ class ShardedTransaction:
 
     def is_cross_shard(self) -> bool:
         return len(self.children) > 1
-
-    def ensure_active(self) -> None:
-        if self.status is not TxnStatus.ACTIVE:
-            raise InvalidTransactionState(
-                f"sharded transaction {self.txn_id} is {self.status.value}, "
-                "not active",
-                txn_id=self.txn_id,
-            )
-
-    def is_finished(self) -> bool:
-        return self.status in (
-            TxnStatus.COMMITTED,
-            TxnStatus.ABORTED,
-            TxnStatus.IN_DOUBT,
-        )
-
-    def mark_committed(self, commit_ts: int) -> None:
-        self.status = TxnStatus.COMMITTED
-        self.commit_ts = commit_ts
-
-    def mark_aborted(self, reason: str) -> None:
-        self.status = TxnStatus.ABORTED
-        self.abort_reason = reason
-
-    def mark_in_doubt(self, reason: str) -> None:
-        """Terminal: a phase-two failure left the durable outcome
-        unconfirmable either way (see :class:`~repro.core.transactions.
-        TxnStatus`); restart recovery resolves it conclusively."""
-        self.status = TxnStatus.IN_DOUBT
-        self.abort_reason = reason
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -569,13 +528,15 @@ class CheckpointDaemon:
             }
 
 
-class ShardedTransactionManager:
+class ShardedTransactionManager(TransactionFacade):
     """N independent shard managers behind one transaction facade.
 
-    Mirrors the :class:`TransactionManager` API (``create_table`` /
-    ``begin`` / ``read`` / ``write`` / ``commit`` / ``snapshot`` /
-    ``run_transaction``), routing each key to its home shard and upgrading
-    the commit to two-phase only when a transaction actually spans shards.
+    Offers the :class:`TransactionManager` API (``create_table`` /
+    ``begin`` / ``read`` / ``write`` / ``commit``), routing each key to its
+    home shard and upgrading the commit to two-phase only when a
+    transaction actually spans shards.  ``transaction()``, ``snapshot()``
+    and ``run_transaction()`` are the shared :class:`TransactionFacade`
+    helpers over a :class:`ShardedSnapshotView`.
 
     Two entry points, one job each: the constructor builds a volatile
     manager or, with ``data_dir=``, *creates* a durable store — it raises
@@ -808,12 +769,6 @@ class ShardedTransactionManager:
         #: outermost rank: a migration quiesces shards by taking their
         #: checkpoint locks (one at a time) while holding this.
         self._migration_lock = make_lock(lockranks.MIGRATION, name="migration")
-        #: Worker pool for scatter-gather scans of lazy partitions (threads
-        #: spawn on first use, so constructing it is cheap for managers
-        #: that never scan one).
-        self._scan_pool = ThreadPoolExecutor(
-            max_workers=_SHARD_POOL_LIMIT, thread_name_prefix="scatter-scan"
-        )
         if self.data_dir is not None:
             from ..recovery.sharded import CoordinatorLog, coordinator_log_path
 
@@ -1406,34 +1361,32 @@ class ShardedTransactionManager:
         Scatter-gather: touching every shard acquires the global snapshot
         vector (see :meth:`_child`), then each shard's partition is
         materialised at that vector and the sorted runs are heap-merged —
-        a consistent cross-shard analytics read.  Lazy partitions, which
-        may read their base tables, are materialised on the scan worker
-        pool; fully resident ones on the caller's thread, because their
-        scan is interpreter-bound and every hand-off to a pool thread lets
-        a busy background daemon hold the interpreter lock for a whole
+        a consistent cross-shard analytics read.  Every partition, lazy
+        or fully resident, is materialised on the caller's thread: the
+        scan is interpreter-bound (a lazy partition's base-table reads are
+        one ``pread`` per block, from the page cache when warm), so a
+        worker pool bought no overlap, and every hand-off to a pool thread
+        let a busy background daemon hold the interpreter lock for a whole
         switch interval, which made scan latency swing between runs.
         """
         txn.ensure_active()
         smap = self.slot_map
-        # Children are created sequentially on the caller's thread (the
-        # children dict and the lazy vector acquisition are not
-        # thread-safe); only the per-shard scan+filter work fans out.
+        # The children dict and the lazy vector acquisition are not
+        # thread-safe: the scan stays on the transaction's own thread.
         children = [
             self._child(txn, idx, smap.epoch) for idx in range(self.num_shards)
         ]
         # Gather over the shards opened above, not ``self.num_shards``
         # again: a concurrent split may have added a shard since, and the
         # snapshotted map routes no key to it.
-        opened = range(len(children))
-
-        def materialise(idx: int) -> list[tuple[Any, Any]]:
-            part = self.shards[idx].scan(children[idx], state_id, low, high)
-            return [kv for kv in part if smap.shard_of(kv[0]) == idx]
-
-        if len(children) == 1 or self.state_residency != RESIDENCY_LAZY:
-            filtered = [materialise(idx) for idx in opened]
-        else:
-            filtered = list(self._scan_pool.map(materialise, opened))
+        filtered = [
+            [
+                kv
+                for kv in self.shards[idx].scan(child, state_id, low, high)
+                if smap.shard_of(kv[0]) == idx
+            ]
+            for idx, child in enumerate(children)
+        ]
         return _heap_merge(*filtered, key=lambda kv: kv[0])
 
     # txn ending ----------------------------------------------------------
@@ -1848,67 +1801,8 @@ class ShardedTransactionManager:
         txn.state_flags[state_id] = StateFlag.ABORT
         self.abort(txn, reason)
 
-    # convenience ---------------------------------------------------------
-
-    @contextmanager
-    def transaction(self, states: list[str] | None = None) -> Iterator[ShardedTransaction]:
-        """``with smgr.transaction() as txn:`` — commit/abort bracketing."""
-        txn = self.begin(states)
-        try:
-            yield txn
-        except BaseException:
-            if not txn.is_finished():
-                self.abort(txn)
-            raise
-        else:
-            if not txn.is_finished():
-                self.commit(txn)
-
-    @contextmanager
-    def snapshot(self, isolation: IsolationLevel | None = None) -> Iterator[ShardedSnapshotView]:
-        """Read-only view over all shards (auto-committed on exit)."""
-        txn = self.begin(isolation=isolation)
-        try:
-            yield ShardedSnapshotView(self, txn)
-        finally:
-            if not txn.is_finished():
-                self.commit(txn)
-
-    def run_transaction(
-        self,
-        work: Any,
-        states: list[str] | None = None,
-        max_restarts: int = 100,
-    ) -> Any:
-        """Run ``work(txn)`` with automatic restart on conflict aborts."""
-        restarts = 0
-        while True:
-            txn = self.begin(states)
-            try:
-                result = work(txn)
-                if not txn.is_finished():
-                    self.commit(txn)
-                return result
-            except TransactionAborted:
-                if not txn.is_finished():
-                    self.abort(txn)
-                restarts += 1
-                if restarts > max_restarts:
-                    raise
-                if restarts >= 3:
-                    # Jittered backoff: symmetric contenders (e.g. two S2PL
-                    # upgrade-deadlock victims retrying in lock-step) can
-                    # otherwise phase-lock into a livelock and burn the
-                    # whole restart budget without progress.
-                    time.sleep(random.uniform(0.0, min(5e-5 * restarts, 2e-3)))
-            except BaseException:
-                # Bug in work() (or KeyboardInterrupt): not retryable, but
-                # the children must still release locks/snapshots.
-                if not txn.is_finished():
-                    self.abort(txn)
-                raise
-            finally:
-                txn.restarts = restarts
+    def _snapshot_view(self, txn: ShardedTransaction) -> ShardedSnapshotView:
+        return ShardedSnapshotView(self, txn)
 
     # checkpoints ---------------------------------------------------------
 
@@ -3055,7 +2949,6 @@ class ShardedTransactionManager:
                 daemon.close()
         if self.coordinator_log is not None:
             self.coordinator_log.close()
-        self._scan_pool.shutdown(wait=False)
 
     def stats(self) -> dict[str, Any]:
         """Protocol counters summed over shards + sharded-commit counters."""

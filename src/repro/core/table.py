@@ -29,7 +29,8 @@ starts (nearly) empty and each key moves through a small state machine:
 
 * **cold** — no index entry; the authoritative newest-committed value
   lives only in the base table.  A point read that misses the index
-  *faults the row in*: one bloom-gated ``backend.get`` (true misses are
+  *faults the row in*: one bloom-gated ``backend.multi_get`` (a batch
+  read faults in all its cold keys with the same call; true misses are
   absorbed by the LSM's negative cache), then
   :meth:`MVCCObject.install_bootstrap` under the key's latch installs the
   value as a bootstrap version stamped with the table's
@@ -242,60 +243,57 @@ class StateTable:
         return len(self._index)
 
     def _hydrate(self, key: Any) -> MVCCObject | None:
-        """Fault a cold key in from the base table (lazy residency).
+        """Fault one cold key in from the base table (lazy residency).
 
-        One bloom-gated backend point read; repeated reads of a truly
-        absent key cost one LSM negative-cache hit.  The install is
-        delegated to :meth:`MVCCObject.install_bootstrap`, which makes it
-        idempotent and safe against racing committers (see there).
+        A one-key :meth:`_fault_in`.  Returns the array the row was
+        installed into, never a second index lookup: the strict budget
+        backstop may already have evicted that array again, and a lookup
+        would read a present row as absent.  When the base table holds no
+        row, returns whatever array a racing commit created meanwhile.
         """
-        kbytes = self.key_codec.encode(key)
-        while True:
-            evictions = self._written_evictions
-            vbytes = self.backend.get(kbytes)
-            if vbytes is None:
-                self.hydration_misses += 1
-                # a racing commit may have created the object meanwhile
-                return self._index.get(key)
-            objects = self._arrays_for([key], evictions)
-            if objects is not None:
-                break
-        obj = objects[0]
-        if obj.install_bootstrap(self.value_codec.decode(vbytes), self.bootstrap_cts):
-            self.hydrations += 1
-            if obj.last_write_ts > self.bootstrap_cts:
-                self._register_gc(key, obj)
-            self._enforce_budget()
-        return obj
+        objects, _installed = self._fault_in([key])
+        return objects[0] if objects else self._index.get(key)
 
     def hydrate_many(self, keys: list[Any]) -> int:
         """Batched fault-in for a set of keys (the ``read_many`` path).
 
-        One ``backend.multi_get`` covers every cold key: one store-lock
-        acquisition and one walk of the runs for the whole batch, one
-        bloom probe per (key, table) and, where the bloom passes, one
-        ``pread`` of one block on the table's held descriptor.  Returns
-        the number of keys installed.
+        Faults in the keys without an index entry with one
+        :meth:`_fault_in`.  Returns the number of keys installed.
         """
         if self.residency != RESIDENCY_LAZY:
             return 0
         missing = [key for key in keys if key not in self._index]
         if not missing:
             return 0
-        encoded = [self.key_codec.encode(key) for key in missing]
+        return self._fault_in(missing)[1]
+
+    def _fault_in(self, keys: list[Any]) -> tuple[list[MVCCObject], int]:
+        """Read cold ``keys`` from the base table and install their rows.
+
+        One ``backend.multi_get`` covers the batch: one store-lock
+        acquisition, one bloom probe per (key, table) and, where the bloom
+        passes, one ``pread`` of one block on the table's held descriptor;
+        a truly absent key costs one LSM negative-cache hit on its next
+        read.  Each install is delegated to
+        :meth:`MVCCObject.install_bootstrap`, which makes it idempotent and
+        safe against racing committers (see there).  Returns the arrays of
+        the rows found, in key order, and the number of rows installed.
+        """
+        encoded = [self.key_codec.encode(key) for key in keys]
         while True:
             evictions = self._written_evictions
-            rows = [
-                (key, vbytes)
-                for key, vbytes in zip(missing, self.backend.multi_get(encoded))
-                if vbytes is not None
-            ]
-            objects = self._arrays_for([key for key, _ in rows], evictions)
+            found: list[Any] = []
+            payloads: list[bytes] = []
+            for key, vbytes in zip(keys, self.backend.multi_get(encoded)):
+                if vbytes is not None:
+                    found.append(key)
+                    payloads.append(vbytes)
+            objects = self._arrays_for(found, evictions)
             if objects is not None:
                 break
-        self.hydration_misses += len(missing) - len(rows)
+        self.hydration_misses += len(keys) - len(found)
         installed = 0
-        for (key, vbytes), obj in zip(rows, objects):
+        for key, vbytes, obj in zip(found, payloads, objects):
             if obj.install_bootstrap(
                 self.value_codec.decode(vbytes), self.bootstrap_cts
             ):
@@ -305,7 +303,7 @@ class StateTable:
         if installed:
             self.hydrations += installed
             self._enforce_budget()
-        return installed
+        return objects, installed
 
     def _arrays_for(
         self, keys: list[Any], evictions: int

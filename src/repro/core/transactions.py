@@ -45,15 +45,61 @@ class StateFlag(Enum):
     ABORT = "abort"
 
 
-class Transaction:
+#: The terminal statuses: :meth:`TransactionHandle.is_finished`.
+_FINISHED = (TxnStatus.COMMITTED, TxnStatus.ABORTED, TxnStatus.IN_DOUBT)
+
+
+class TransactionHandle:
+    """The status lifecycle every transaction handle shares.
+
+    :class:`Transaction` and the sharded manager's
+    :class:`~repro.core.sharding.ShardedTransaction` both take their
+    status guard and terminal transitions from here.
+    """
+
+    __slots__ = ("txn_id", "status", "commit_ts", "abort_reason", "restarts")
+
+    def __init__(self, txn_id: int) -> None:
+        self.txn_id = txn_id
+        self.status = TxnStatus.ACTIVE
+        self.commit_ts: int | None = None
+        self.abort_reason: str | None = None
+        #: number of times ``run_transaction`` restarted this logical work
+        #: unit (BOCC/MVCC conflict aborts); informational.
+        self.restarts = 0
+
+    def ensure_active(self) -> None:
+        if self.status is not TxnStatus.ACTIVE:
+            raise InvalidTransactionState(
+                f"transaction {self.txn_id} is {self.status.value}, not active",
+                txn_id=self.txn_id,
+            )
+
+    def is_finished(self) -> bool:
+        return self.status in _FINISHED
+
+    def mark_committed(self, commit_ts: int) -> None:
+        self.status = TxnStatus.COMMITTED
+        self.commit_ts = commit_ts
+
+    def mark_aborted(self, reason: str) -> None:
+        self.status = TxnStatus.ABORTED
+        self.abort_reason = reason
+
+    def mark_in_doubt(self, reason: str) -> None:
+        """Terminal: the commit's durable outcome could not be confirmed
+        either way — its record was enqueued and may already sit in a
+        flushed batch, so recovery may roll it forward.  Never reported as
+        a clean abort; restart recovery resolves it conclusively."""
+        self.status = TxnStatus.IN_DOUBT
+        self.abort_reason = reason
+
+
+class Transaction(TransactionHandle):
     """Handle for one running transaction."""
 
     __slots__ = (
-        "txn_id",
         "start_ts",
-        "status",
-        "commit_ts",
-        "abort_reason",
         "state_flags",
         "read_cts",
         "write_sets",
@@ -61,7 +107,6 @@ class Transaction:
         "locks",
         "slot",
         "_mutex",
-        "restarts",
         "isolation",
         "wal_txn_id",
         "route_epoch",
@@ -76,15 +121,12 @@ class Transaction:
         slot: int | None = None,
         isolation: IsolationLevel = IsolationLevel.SNAPSHOT,
     ) -> None:
-        self.txn_id = txn_id
+        TransactionHandle.__init__(self, txn_id)
         #: visibility level of this transaction's reads (paper Section 3).
         self.isolation = isolation
         #: Begin timestamp; shares the counter domain with commit timestamps
         #: (the paper draws *all* timestamps from one global atomic counter).
         self.start_ts = txn_id
-        self.status = TxnStatus.ACTIVE
-        self.commit_ts: int | None = None
-        self.abort_reason: str | None = None
         #: state id -> StateFlag, for every state this transaction touched.
         self.state_flags: dict[str, StateFlag] = {}
         #: topology/group id -> pinned snapshot timestamp (ReadCTS).
@@ -96,9 +138,6 @@ class Transaction:
         #: slot index in the context's active-transaction bit vector.
         self.slot = slot
         self._mutex = threading.Lock()
-        #: number of times workload drivers restarted this logical work unit
-        #: (BOCC/MVCC conflict aborts); informational.
-        self.restarts = 0
         #: Transaction id stamped into commit-WAL records.  Defaults to the
         #: local id; the sharded manager overrides it on child transactions
         #: with the *global* sharded transaction id so a cross-shard
@@ -168,38 +207,6 @@ class Transaction:
     def any_flagged_abort(self) -> bool:
         with self._mutex:
             return any(f is StateFlag.ABORT for f in self.state_flags.values())
-
-    # --------------------------------------------------------- status guard
-
-    def ensure_active(self) -> None:
-        if self.status is not TxnStatus.ACTIVE:
-            raise InvalidTransactionState(
-                f"transaction {self.txn_id} is {self.status.value}, not active",
-                txn_id=self.txn_id,
-            )
-
-    def is_finished(self) -> bool:
-        return self.status in (
-            TxnStatus.COMMITTED,
-            TxnStatus.ABORTED,
-            TxnStatus.IN_DOUBT,
-        )
-
-    def mark_committed(self, commit_ts: int) -> None:
-        self.status = TxnStatus.COMMITTED
-        self.commit_ts = commit_ts
-
-    def mark_aborted(self, reason: str) -> None:
-        self.status = TxnStatus.ABORTED
-        self.abort_reason = reason
-
-    def mark_in_doubt(self, reason: str) -> None:
-        """Terminal: the commit's durable outcome could not be confirmed
-        either way — its record was enqueued and may already sit in a
-        flushed batch, so recovery may roll it forward.  Never reported as
-        a clean abort; restart recovery resolves it conclusively."""
-        self.status = TxnStatus.IN_DOUBT
-        self.abort_reason = reason
 
     # ------------------------------------------------------------ snapshots
 

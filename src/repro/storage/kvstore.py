@@ -6,6 +6,11 @@ module defines that contract (:class:`KVStore`) plus a trivial in-memory
 implementation used for fast tests and volatile states; the durable
 implementation is :class:`repro.storage.lsm.LSMStore`.
 
+The contract is batched: a backend implements a point-lookup batch
+(:meth:`KVStore.multi_get`) and a mutation batch
+(:meth:`KVStore.write_batch`); single-key reads and writes are
+one-element batches defined once in the base class.
+
 Keys and values are ``bytes`` at this layer; the transactional table handles
 object (de)serialisation above it.
 """
@@ -19,19 +24,24 @@ from collections.abc import Iterator
 
 
 class KVStore(abc.ABC):
-    """Minimal ordered key-value contract the transactional layer needs."""
+    """Minimal ordered key-value contract the transactional layer needs.
+
+    Batches are the contract: a backend implements :meth:`multi_get` and
+    :meth:`write_batch`, and :meth:`get`, :meth:`put` and :meth:`delete`
+    are one-element batches (RocksDB's ``Put`` and ``Delete`` are
+    one-entry ``WriteBatch``es the same way).
+    """
 
     @abc.abstractmethod
-    def get(self, key: bytes) -> bytes | None:
-        """Return the value for ``key`` or ``None`` when absent."""
+    def multi_get(self, keys: list[bytes]) -> list[bytes | None]:
+        """Batched point lookup: the value (or ``None``) per key, aligned
+        with ``keys``."""
 
     @abc.abstractmethod
-    def put(self, key: bytes, value: bytes) -> None:
-        """Insert or overwrite ``key``."""
-
-    @abc.abstractmethod
-    def delete(self, key: bytes) -> None:
-        """Remove ``key`` (no-op when absent)."""
+    def write_batch(self, puts: list[tuple[bytes, bytes]], deletes: list[bytes]) -> None:
+        """Apply a batch of mutations as one unit: a durable backend makes
+        it one atomic, synced unit, which is what the commit protocol's
+        "populated atomically ... into the base table" step relies on."""
 
     @abc.abstractmethod
     def scan(
@@ -43,31 +53,20 @@ class KVStore(abc.ABC):
     def close(self) -> None:
         """Release resources; the store must not be used afterwards."""
 
+    def get(self, key: bytes) -> bytes | None:
+        """Return the value for ``key`` or ``None`` when absent."""
+        return self.multi_get([key])[0]
+
+    def put(self, key: bytes, value: bytes) -> None:
+        """Insert or overwrite ``key``."""
+        self.write_batch([(key, value)], [])
+
+    def delete(self, key: bytes) -> None:
+        """Remove ``key`` (no-op when absent)."""
+        self.write_batch([], [key])
+
     def __contains__(self, key: bytes) -> bool:
         return self.get(key) is not None
-
-    def multi_get(self, keys: list[bytes]) -> list[bytes | None]:
-        """Batched point lookup, aligned with ``keys``.
-
-        The default implementation loops :meth:`get`; structured backends
-        override it to amortise shared work across the batch (the LSM
-        store probes each level once with the sorted batch instead of
-        walking the whole chain per key).
-        """
-        return [self.get(key) for key in keys]
-
-    def write_batch(self, puts: list[tuple[bytes, bytes]], deletes: list[bytes]) -> None:
-        """Apply a batch of mutations.
-
-        The default implementation applies them one by one; durable backends
-        override this to make the batch a single atomic, synced unit (that
-        atomicity is what the commit protocol's "populated atomically ...
-        into the base table" step relies on).
-        """
-        for key, value in puts:
-            self.put(key, value)
-        for key in deletes:
-            self.delete(key)
 
     def __enter__(self) -> "KVStore":
         return self
@@ -87,20 +86,9 @@ class MemoryKVStore(KVStore):
         #: removed (overwrites keep it), rebuilt by the next scan.
         self._sorted: list[bytes] | None = None
 
-    def get(self, key: bytes) -> bytes | None:
+    def multi_get(self, keys: list[bytes]) -> list[bytes | None]:
         with self._lock:
-            return self._data.get(key)
-
-    def put(self, key: bytes, value: bytes) -> None:
-        with self._lock:
-            if key not in self._data:
-                self._sorted = None
-            self._data[key] = value
-
-    def delete(self, key: bytes) -> None:
-        with self._lock:
-            if self._data.pop(key, None) is not None:
-                self._sorted = None
+            return [self._data.get(key) for key in keys]
 
     def scan(
         self, low: bytes | None = None, high: bytes | None = None

@@ -3,8 +3,11 @@
 Architecture (mirroring the log-structured merge design the paper's base
 table, RocksDB, uses):
 
-* writes go to the :class:`~repro.storage.wal.WriteAheadLog` first (durable
-  when ``sync=True``, the paper's configuration), then into the memtable;
+* writes are batches (:meth:`LSMStore.write_batch`; a ``put`` or
+  ``delete`` is a one-record batch, as in RocksDB): each batch goes to the
+  :class:`~repro.storage.wal.WriteAheadLog` first in one append (durable
+  with one fsync when ``sync=True``, the paper's configuration), then
+  into the memtable;
 * when the memtable exceeds ``memtable_bytes`` it is *sealed* (an immutable
   memtable, still consulted by reads) and built into a level-0
   :class:`~repro.storage.sstable.SSTable`;
@@ -12,10 +15,11 @@ table, RocksDB, uses):
   compaction) into one table at the next level, dropping shadowed versions
   and — at the bottom level, when no table outside the merge can hold an
   older version — tombstones;
-* reads consult memtable → sealed memtables (newest first) → L0 tables
-  (newest first) → deeper levels, with bloom filters short-circuiting
-  tables that cannot contain the key, and an LRU cache making hot keys
-  memory-resident.
+* reads are batches too (:meth:`LSMStore.multi_get`; a ``get`` is a
+  one-key batch) and consult memtable → sealed memtables (newest first) →
+  L0 tables (newest first) → deeper levels, with bloom filters
+  short-circuiting tables that cannot contain the key, and an LRU cache
+  making hot keys memory-resident.
 
 Maintenance modes (``LSMOptions.maintenance``):
 
@@ -321,60 +325,36 @@ class LSMStore(KVStore):
 
     # ------------------------------------------------------------ mutations
 
-    def put(self, key: bytes, value: bytes) -> None:
-        self._ensure_open()
-        with self._lock:
-            self._wal.append(KIND_PUT, encode_kv(key, value))
-            self._memtable.put(key, value)
-            self._cache.put(key, value)
-            self.stats.puts += 1
-        # Outside the store lock: an inline flush acquires _flush_lock
-        # before _lock, and triggering it while holding _lock would invert
-        # that order.
-        self._maybe_flush()
-        self._backpressure()
-
-    def delete(self, key: bytes) -> None:
-        self._ensure_open()
-        with self._lock:
-            self._wal.append(KIND_DELETE, key)
-            self._memtable.delete(key)
-            # A delete *is* a confirmed absence: negative-cache it instead
-            # of just evicting, so post-delete reads stay cache hits.
-            self._cache.put(key, _ABSENT)
-            self.stats.deletes += 1
-        self._maybe_flush()
-        self._backpressure()
-
     def write_batch(self, puts: list[tuple[bytes, bytes]], deletes: list[bytes]) -> None:
         """Apply a batch atomically w.r.t. crash recovery.
 
-        All records are appended to the WAL before the single sync, so a
-        crash either replays the whole batch prefix or none of its tail —
-        and since the transactional layer only marks a transaction committed
-        *after* this returns, partial batches are invisible.
+        Every record goes to the WAL in one :meth:`WriteAheadLog.append_many`
+        call — one write and, with ``sync`` on, one fsync for the batch —
+        so a crash either replays the whole batch prefix or none of its
+        tail; and since the transactional layer only marks a transaction
+        committed *after* this returns, partial batches are invisible.
+        A single :meth:`put` or :meth:`delete` is a one-record batch.
         """
         self._ensure_open()
+        records = [(KIND_PUT, encode_kv(key, value)) for key, value in puts]
+        records += [(KIND_DELETE, key) for key in deletes]
         with self._lock:
-            sync = self._wal.sync_on_append
-            self._wal.sync_on_append = False
-            try:
-                for key, value in puts:
-                    self._wal.append(KIND_PUT, encode_kv(key, value))
-                for key in deletes:
-                    self._wal.append(KIND_DELETE, key)
-            finally:
-                self._wal.sync_on_append = sync
-            if sync:
-                self._wal.sync()
+            # The store lock keeps WAL order equal to memtable order, so a
+            # synced batch pays its one fsync under it.
+            self._wal.append_many(records)  # reprolint: allow[RL002] reason=WAL order must equal memtable order
             for key, value in puts:
                 self._memtable.put(key, value)
                 self._cache.put(key, value)
-                self.stats.puts += 1
             for key in deletes:
                 self._memtable.delete(key)
+                # A delete *is* a confirmed absence: negative-cache it
+                # instead of just evicting, so post-delete reads stay hits.
                 self._cache.put(key, _ABSENT)
-                self.stats.deletes += 1
+            self.stats.puts += len(puts)
+            self.stats.deletes += len(deletes)
+        # Outside the store lock: an inline flush acquires _flush_lock
+        # before _lock, and triggering it while holding _lock would invert
+        # that order.
         self._maybe_flush()
         self._backpressure()
 
@@ -384,120 +364,74 @@ class LSMStore(KVStore):
         extra = self.stats.extra
         extra[counter] = extra.get(counter, 0) + 1
 
-    def get(self, key: bytes) -> bytes | None:
-        self._ensure_open()
-        self.stats.gets += 1
-        cached = self._cache.get(key, _MISS)
-        if cached is not _MISS:
-            if cached is _ABSENT:
-                # Negative-cache hit: the key's absence (tombstone or full
-                # miss) was confirmed earlier and nothing has written it
-                # since — skip the whole probe chain.
-                self._bump("negative_hits")
-                return None
-            return cached
-        with self._lock:
-            self._ensure_open()
-            value, found = self._memtable.get(key)
-            if found:
-                self._cache.put(key, value if value is not None else _ABSENT)
-                return value
-            # Sealed memtables: newer than every SSTable, older than the
-            # live memtable — newest seal first.
-            for _counter, sealed in reversed(self._immutables):
-                value, found = sealed.get(key)
-                if found:
-                    self._cache.put(key, value if value is not None else _ABSENT)
-                    return value
-            for level in sorted(self._tables):
-                # newest table first within a level
-                for table in reversed(self._tables[level]):
-                    if not table.might_contain(key):
-                        self.stats.bloom_skips += 1
-                        continue
-                    self.stats.sstable_reads += 1
-                    value, found = table.get(key)
-                    if found:
-                        self._cache.put(
-                            key, value if value is not None else _ABSENT
-                        )
-                        return value
-            # Full miss (every bloom filter said no, or every probe came
-            # back empty): remember the absence so the next read of this
-            # key is one cache hit instead of the same walk.
-            self._cache.put(key, _ABSENT)
-            self._bump("negative_inserts")
-        return None
-
     def multi_get(self, keys: list[bytes]) -> list[bytes | None]:
-        """Batched point lookup: one cache pass per key, one walk of the
-        run hierarchy for the whole batch.
+        """Batched point lookup (a single :meth:`get` is a one-key batch).
 
-        Unlike ``len(keys)`` calls to :meth:`get`, the store lock is taken
-        once and every level is visited once with the still-unresolved
-        keys in sorted order.  Each (key, table) pair costs one bloom probe
-        here (a miss counts a ``bloom_skips``); a pass costs one
+        Keys the cache answers never take the store lock; a cached
+        absence (a tombstone or full miss confirmed earlier that nothing
+        has written since) counts a ``negative_hits``.  The rest share one
+        store-lock acquisition, and each walks memtable → sealed memtables
+        (newest first) → every level's tables (newest first within a
+        level) until one holds it.  Each (key, table) pair costs one bloom
+        probe (a miss counts a ``bloom_skips``); a pass costs one
         :meth:`SSTable.get` — one ``pread`` of the single block that can
-        hold the key, on the descriptor the table keeps open.  Results are
-        aligned with ``keys``; cache contents, counters and negative
-        inserts end up exactly as the equivalent ``get`` loop would leave
-        them.
+        hold the key, on the descriptor the table keeps open.  Every
+        resolved key is cached, and a full miss is cached as an absence
+        (``negative_inserts``).  Results are aligned with ``keys``.
         """
         self._ensure_open()
-        self.stats.gets += len(keys)
+        stats = self.stats
+        stats.gets += len(keys)
+        cache = self._cache
         results: list[bytes | None] = [None] * len(keys)
-        pending: list[tuple[int, bytes]] = []
+        pending: list[int] = []
         for pos, key in enumerate(keys):
-            cached = self._cache.get(key, _MISS)
+            cached = cache.get(key, _MISS)
             if cached is _MISS:
-                pending.append((pos, key))
+                pending.append(pos)
             elif cached is _ABSENT:
                 self._bump("negative_hits")
             else:
                 results[pos] = cached
         if not pending:
             return results
-
-        def resolve(pos: int, key: bytes, value: bytes | None) -> None:
-            self._cache.put(key, value if value is not None else _ABSENT)
-            results[pos] = value
-
         with self._lock:
             self._ensure_open()
-            remaining: list[tuple[int, bytes]] = []
-            for pos, key in pending:
+            # The probe order below the memtables: level by level, newest
+            # table first within a level.
+            tables = [
+                table
+                for level in sorted(self._tables)
+                for table in reversed(self._tables[level])
+            ]
+            for pos in pending:
+                key = keys[pos]
                 value, found = self._memtable.get(key)
-                if found:
-                    resolve(pos, key, value)
-                    continue
-                for _counter, sealed in reversed(self._immutables):
-                    value, found = sealed.get(key)
-                    if found:
-                        resolve(pos, key, value)
-                        break
-                else:
-                    remaining.append((pos, key))
-            remaining.sort(key=lambda item: item[1])
-            for level in sorted(self._tables):
-                if not remaining:
-                    break
-                unresolved: list[tuple[int, bytes]] = []
-                for pos, key in remaining:
-                    for table in reversed(self._tables[level]):
-                        if not table.might_contain(key):
-                            self.stats.bloom_skips += 1
-                            continue
-                        self.stats.sstable_reads += 1
-                        value, found = table.get(key)
+                if not found:
+                    # Sealed memtables: newer than every SSTable, older
+                    # than the live memtable — newest seal first.
+                    for _counter, sealed in reversed(self._immutables):
+                        value, found = sealed.get(key)
                         if found:
-                            resolve(pos, key, value)
                             break
                     else:
-                        unresolved.append((pos, key))
-                remaining = unresolved
-            for _pos, key in remaining:
-                self._cache.put(key, _ABSENT)
-                self._bump("negative_inserts")
+                        for table in tables:
+                            if not table.might_contain(key):
+                                stats.bloom_skips += 1
+                                continue
+                            stats.sstable_reads += 1
+                            value, found = table.get(key)
+                            if found:
+                                break
+                if found:
+                    cache.put(key, _ABSENT if value is None else value)
+                    results[pos] = value
+                else:
+                    # Full miss (every bloom filter said no, or every probe
+                    # came back empty): remember the absence so the next
+                    # read of the key is one cache hit, not the same walk.
+                    cache.put(key, _ABSENT)
+                    self._bump("negative_inserts")
         return results
 
     def scan(
@@ -678,17 +612,23 @@ class LSMStore(KVStore):
             self._kick_maintenance()
 
     def maintenance_flush(self) -> int:
-        """Daemon entry point: build every pending seal; returns installs.
+        """Daemon entry point: build the seals pending at the call; returns
+        installs.
 
-        Never raises on a closed store (the daemon may hold a stale
-        reference across ``close``); build failures propagate to the
+        Seals that arrive during the drain are left to the next job: their
+        writers already re-requested a flush, and a drain that chased them
+        would hold a daemon worker on this store for as long as its
+        writers keep sealing, starving other stores' flushes and every
+        merge.  Never raises on a closed store (the daemon may hold a
+        stale reference across ``close``); build failures propagate to the
         daemon's error accounting.
         """
         built = 0
         with self._flush_lock:
             if self._closed:
                 return 0
-            while self._build_oldest():
+            pending = len(self._immutables)
+            while built < pending and self._build_oldest():
                 built += 1
         return built
 

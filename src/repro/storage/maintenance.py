@@ -256,7 +256,15 @@ class StorageMaintenanceDaemon:
             with self._cond:
                 while job is None:
                     # Flushes first: sealed memtables stall writers (they
-                    # count toward L0 debt) *and* pin WAL sidecars.
+                    # count toward L0 debt) *and* pin WAL sidecars.  But a
+                    # flush only turns a seal into an L0 table, and only a
+                    # merge lowers the L0 debt: once another worker is
+                    # flushing, a due merge goes before more flushes.
+                    merge = self._pick_merge() if self._flush_active else None
+                    if merge is not None:
+                        self._merge_active.add(merge)
+                        job = ("merge", merge)
+                        break
                     flushable = [
                         s
                         for s in self._flush_pending

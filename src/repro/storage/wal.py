@@ -95,14 +95,9 @@ class WriteAheadLog:
         return _HEADER.pack(crc, len(payload), kind) + payload
 
     def append(self, kind: int, payload: bytes) -> None:
-        """Append one record; durable on return when ``sync`` is on."""
-        with self._lock:
-            if self._closed:
-                raise WALError(f"append on closed WAL {self.path}")
-            self._file.write(self._frame(kind, payload))
-            if self.sync_on_append:
-                self._file.flush()
-                os.fsync(self._file.fileno())
+        """Append one record: a one-record :meth:`append_many`, so it is
+        durable on return when ``sync`` is on."""
+        self.append_many(((kind, payload),))
 
     def append_many(
         self, records: Iterable[tuple[int, bytes]], sync: bool | None = None
@@ -113,8 +108,9 @@ class WriteAheadLog:
         from individual appends), but the whole batch is written with a
         single buffered write and — when ``sync`` is on — costs exactly one
         ``fsync``.  This is the amortisation the group-commit daemon
-        (:mod:`repro.core.durability`) builds on.  ``sync=None`` follows the
-        instance-level ``sync_on_append`` knob.  Returns the record count.
+        (:mod:`repro.core.durability`) and the LSM store's write batches
+        build on.  ``sync=None`` follows the instance-level
+        ``sync_on_append`` knob.  Returns the record count.
         """
         do_sync = self.sync_on_append if sync is None else sync
         buffer = bytearray()
@@ -124,22 +120,13 @@ class WriteAheadLog:
             count += 1
         with self._lock:
             if self._closed:
-                raise WALError(f"append_many on closed WAL {self.path}")
+                raise WALError(f"append on closed WAL {self.path}")
             if count:
                 self._file.write(buffer)
                 if do_sync:
                     self._file.flush()
                     os.fsync(self._file.fileno())
         return count
-
-    def append_put(self, key: bytes, value: bytes) -> None:
-        self.append(KIND_PUT, encode_kv(key, value))
-
-    def append_delete(self, key: bytes) -> None:
-        self.append(KIND_DELETE, key)
-
-    def append_commit(self, txn_id: int) -> None:
-        self.append(KIND_COMMIT, txn_id.to_bytes(8, "little"))
 
     def sync(self) -> None:
         with self._lock:

@@ -218,8 +218,8 @@ class TestTableHydration:
         table = StateTable("A", residency="lazy")
         table.backend.put(table.key_codec.encode(1), table.value_codec.encode("v1"))
         table.bootstrap_cts = 1
-        name = "multi_get" if batched else "get"
-        real = getattr(table.backend, name)
+        # Both fault-in paths read the base table through one multi_get.
+        real = table.backend.multi_get
         raced: list[bool] = []
 
         def racing(arg):
@@ -233,7 +233,7 @@ class TestTableHydration:
                 assert table.evict_cold_versions(limit=1, horizon=9, strict=True) == 1
             return fetched
 
-        monkeypatch.setattr(table.backend, name, racing)
+        monkeypatch.setattr(table.backend, "multi_get", racing)
         if batched:
             assert table.hydrate_many([1]) == 1
         assert table.read_live(1).value == "v2"
@@ -248,8 +248,8 @@ class TestTableHydration:
         table = StateTable("A", residency="lazy")
         table.backend.put(table.key_codec.encode(1), table.value_codec.encode("v1"))
         table.bootstrap_cts = 1
-        name = "multi_get" if batched else "get"
-        real = getattr(table.backend, name)
+        # Both fault-in paths read the base table through one multi_get.
+        real = table.backend.multi_get
         raced: list[bool] = []
 
         def racing(arg):
@@ -264,7 +264,7 @@ class TestTableHydration:
                 assert table.mvcc_object(1).version_count() == 0
             return fetched
 
-        monkeypatch.setattr(table.backend, name, racing)
+        monkeypatch.setattr(table.backend, "multi_get", racing)
         if batched:
             assert table.hydrate_many([1]) == 1
         else:
@@ -309,7 +309,9 @@ class TestMultiGet:
                 store.put(f"k{i:03d}".encode(), f"v{i}".encode())
             probe = [f"k{i:03d}".encode() for i in (3, 57, 0, 41, 9)]
             probe.append(b"missing")
-            assert store.multi_get(probe) == [store.get(k) for k in probe]
+            expected = [b"v3", b"v57", b"v0", b"v41", b"v9", None]
+            assert store.multi_get(probe) == expected
+            assert [store.get(k) for k in probe] == expected
             # result order follows the request order, duplicates included
             twice = [b"k005", b"k005"]
             assert store.multi_get(twice) == [store.get(b"k005")] * 2

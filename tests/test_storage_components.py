@@ -8,7 +8,14 @@ from repro.storage.cache import LRUCache
 from repro.storage.manifest import Manifest
 from repro.storage.memtable import TOMBSTONE, MemTable
 from repro.storage.sstable import SSTable, SSTableWriter
-from repro.storage.wal import KIND_DELETE, KIND_PUT, WriteAheadLog, decode_kv, encode_kv
+from repro.storage.wal import (
+    KIND_COMMIT,
+    KIND_DELETE,
+    KIND_PUT,
+    WriteAheadLog,
+    decode_kv,
+    encode_kv,
+)
 
 
 class TestBloomFilter:
@@ -54,9 +61,9 @@ class TestWAL:
     def test_append_replay(self, tmp_path):
         path = tmp_path / "wal.log"
         with WriteAheadLog(path, sync=False) as wal:
-            wal.append_put(b"k1", b"v1")
-            wal.append_delete(b"k2")
-            wal.append_commit(42)
+            wal.append(KIND_PUT, encode_kv(b"k1", b"v1"))
+            wal.append(KIND_DELETE, b"k2")
+            wal.append(KIND_COMMIT, (42).to_bytes(8, "little"))
         records = list(WriteAheadLog.replay(path))
         assert len(records) == 3
         assert records[0][0] == KIND_PUT
@@ -69,7 +76,7 @@ class TestWAL:
     def test_torn_tail_tolerated(self, tmp_path):
         path = tmp_path / "wal.log"
         with WriteAheadLog(path, sync=False) as wal:
-            wal.append_put(b"good", b"record")
+            wal.append(KIND_PUT, encode_kv(b"good", b"record"))
         with open(path, "ab") as fh:
             fh.write(b"\x01\x02\x03")  # torn partial frame
         records = list(WriteAheadLog.replay(path))
@@ -78,8 +85,8 @@ class TestWAL:
     def test_corrupt_tail_stops_replay(self, tmp_path):
         path = tmp_path / "wal.log"
         with WriteAheadLog(path, sync=False) as wal:
-            wal.append_put(b"a", b"1")
-            wal.append_put(b"b", b"2")
+            wal.append(KIND_PUT, encode_kv(b"a", b"1"))
+            wal.append(KIND_PUT, encode_kv(b"b", b"2"))
         data = bytearray(path.read_bytes())
         data[-1] ^= 0xFF  # flip a payload byte of the last record
         path.write_bytes(bytes(data))
@@ -88,7 +95,7 @@ class TestWAL:
 
     def test_sync_mode_append(self, tmp_path):
         with WriteAheadLog(tmp_path / "wal.log", sync=True) as wal:
-            wal.append_put(b"k", b"v")
+            wal.append(KIND_PUT, encode_kv(b"k", b"v"))
             assert wal.size_bytes() > 0
 
     def test_append_after_close_raises(self, tmp_path):
@@ -97,12 +104,12 @@ class TestWAL:
         from repro.errors import WALError
 
         with pytest.raises(WALError):
-            wal.append_put(b"k", b"v")
+            wal.append(KIND_PUT, encode_kv(b"k", b"v"))
 
     def test_truncate(self, tmp_path):
         path = tmp_path / "wal.log"
         with WriteAheadLog(path, sync=False) as wal:
-            wal.append_put(b"k", b"v")
+            wal.append(KIND_PUT, encode_kv(b"k", b"v"))
         WriteAheadLog.truncate(path)
         assert not path.exists()
         WriteAheadLog.truncate(path)  # idempotent

@@ -128,6 +128,91 @@ class TestBackgroundMode:
         reopened.close()
         daemon.close()
 
+    def test_flush_job_builds_only_the_seals_pending_at_its_start(self, tmp_path):
+        """A drain that chased seals arriving meanwhile would hold a daemon
+        worker on one store for as long as its writers keep sealing."""
+        store = LSMStore(tmp_path / "db", background_options())
+
+        def seal(key: bytes) -> None:
+            store.put(key, b"v")
+            assert store._seal()
+
+        seal(b"a")
+        seal(b"b")
+        build, raced = store._build_oldest, []
+
+        def build_while_a_writer_seals() -> bool:
+            if not raced:
+                raced.append(True)
+                seal(b"c")
+            return build()
+
+        store._build_oldest = build_while_a_writer_seals
+        assert store.maintenance_flush() == 2
+        assert store.flush_debt() == 1
+        assert store.multi_get([b"a", b"b", b"c"]) == [b"v"] * 3
+        store.close()
+
+    def test_due_merge_goes_before_a_flush_while_another_worker_flushes(
+        self, tmp_path
+    ):
+        """A flush never lowers L0 debt; only a merge does.  With one
+        worker flushing, the other takes a due merge before a flush."""
+        opts = background_options(auto_compact=False)
+        held, other, busy = (
+            LSMStore(tmp_path / name, opts) for name in ("held", "other", "busy")
+        )
+        for r in range(busy.options.fanout):
+            busy.put(f"k{r}".encode(), b"v")
+            busy.flush()
+        assert busy.compaction_debt()
+        daemon = StorageMaintenanceDaemon(workers=2)
+        started = {held: threading.Event(), other: threading.Event()}
+        release = {held: threading.Event(), other: threading.Event()}
+        order: list[str] = []
+
+        def blocking_flush(store):
+            def flush() -> int:
+                started[store].set()
+                release[store].wait(10.0)
+                return 0
+            return flush
+
+        for store in (held, other):
+            store.maintenance_flush = blocking_flush(store)
+        picked = threading.Event()
+
+        def recorded(kind: str, fn):
+            def run(*args):
+                order.append(kind)
+                picked.set()
+                return fn(*args)
+            return run
+
+        busy.compact_level = recorded("merge", busy.compact_level)
+        busy.maintenance_flush = recorded("flush", busy.maintenance_flush)
+        for store in (held, other, busy):
+            daemon.register(store)
+        daemon.request_flush(held)
+        daemon.request_flush(other)
+        assert started[held].wait(10.0) and started[other].wait(10.0)
+        # both workers are flushing; queue a seal and a due merge on busy
+        busy.put(b"sealed", b"v")
+        assert busy._seal()
+        daemon.request_flush(busy)
+        daemon.request_compaction(busy)
+        release[other].set()  # one worker frees up while held still flushes
+        try:
+            assert picked.wait(10.0)
+            assert order[0] == "merge"
+        finally:
+            release[held].set()
+        assert daemon.wait_idle(timeout=10.0)
+        assert order == ["merge", "flush"]
+        for store in (held, other, busy):
+            store.close()
+        assert daemon.close()
+
 
 class TestBackpressure:
     def test_stall_counters_and_bounded_l0(self, tmp_path):
