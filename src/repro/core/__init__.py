@@ -58,13 +58,12 @@ from .sharding import (
 from .slots import NUM_SLOTS, SlotFlip, SlotMap, integral_key, slot_of_key
 from .snapshot import GlobalSnapshot, SnapshotCoordinator, SnapshotView
 from .table import RESIDENCY_FULL, RESIDENCY_LAZY, RESIDENCY_MODES, StateTable
-from .timestamps import INF_TS, ZERO_TS, AtomicBitmask, TimestampOracle
+from .timestamps import INF_TS, ZERO_TS, TimestampOracle
 from .transactions import StateFlag, Transaction, TxnStatus
 from .version_store import DEFAULT_SLOTS, MVCCObject, VersionEntry
 from .write_set import ReadSet, WriteEntry, WriteKind, WriteSet
 
 __all__ = [
-    "AtomicBitmask",
     "BOCCProtocol",
     "BYTES_CODEC",
     "BytesCodec",

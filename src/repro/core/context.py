@@ -11,8 +11,9 @@ consults:
   it persistent: the durable sharded manager's commit WAL records it
   (checkpoint markers plus the commit records of the tail).
 * **Active transactions** — id, accessed states + flags, pinned ``ReadCTS``
-  per group; slots are managed by a bit vector like the paper's
-  (:class:`~repro.core.timestamps.AtomicBitmask`).
+  per group, keyed by transaction id.  The paper keeps them in slots
+  claimed through a CAS-updated bit vector; a dict under the context lock
+  is the CPython equivalent.
 
 The paper's context is latch-free using atomic instructions; in CPython the
 same interface is provided with fine-grained mutexes whose critical sections
@@ -27,12 +28,8 @@ from typing import Callable
 
 from ..errors import StateError, UnknownState, UnknownTopology
 from .isolation import IsolationLevel
-from .timestamps import AtomicBitmask, TimestampOracle
+from .timestamps import TimestampOracle
 from .transactions import Transaction
-
-#: Default capacity of the active-transaction slot vector.  The paper uses a
-#: 64-bit integer; we default to 256 to accommodate bigger simulated fleets.
-DEFAULT_TXN_SLOTS = 256
 
 
 @dataclass
@@ -58,17 +55,11 @@ class GroupInfo:
 class StateContext:
     """Shared runtime directory of states, topologies and transactions."""
 
-    def __init__(
-        self,
-        oracle: TimestampOracle | None = None,
-        txn_slots: int = DEFAULT_TXN_SLOTS,
-    ) -> None:
+    def __init__(self, oracle: TimestampOracle | None = None) -> None:
         self.oracle = oracle or TimestampOracle()
         self._states: dict[str, StateInfo] = {}
         self._groups: dict[str, GroupInfo] = {}
         self._active: dict[int, Transaction] = {}
-        self._slots = AtomicBitmask(txn_slots)
-        self._slot_of: dict[int, int] = {}
         self._lock = threading.Lock()
         #: Optional override for the GC horizon (attached by the sharded
         #: manager when the global snapshot service is on): a cross-shard
@@ -156,29 +147,23 @@ class StateContext:
     # --------------------------------------------------------- transactions
 
     def begin(self, isolation: "IsolationLevel | None" = None) -> Transaction:
-        """Create and register a transaction (fresh timestamp + slot).
+        """Create and register a transaction (fresh timestamp).
 
         Timestamp draw and registration happen atomically under the
         context lock so no concurrent horizon computation (GC, BOCC log
         pruning) can slip between them and treat the new timestamp as
         already-inactive.
         """
-        slot = self._slots.claim_free_slot()
         with self._lock:
             txn_id = self.oracle.next()
-            txn = Transaction(txn_id, slot, isolation or IsolationLevel.SNAPSHOT)
+            txn = Transaction(txn_id, isolation or IsolationLevel.SNAPSHOT)
             self._active[txn_id] = txn
-            if slot is not None:
-                self._slot_of[txn_id] = slot
         return txn
 
     def finish(self, txn: Transaction) -> None:
-        """Deregister a finished transaction and release its slot."""
+        """Deregister a finished transaction."""
         with self._lock:
             self._active.pop(txn.txn_id, None)
-            slot = self._slot_of.pop(txn.txn_id, None)
-        if slot is not None:
-            self._slots.release_slot(slot)
 
     def active_transactions(self) -> list[Transaction]:
         with self._lock:

@@ -1,9 +1,10 @@
 """Garbage collection of obsolete versions (paper Section 4.1).
 
 The paper cleans up old versions **on demand**: only when a new version
-must be installed and the version array has no free slot
-(:meth:`repro.core.version_store.MVCCObject.install` does exactly that,
-scoped to the single object involved).  This module adds the complementary
+must be installed and the version array has no free slot.
+:meth:`repro.core.version_store.MVCCObject.install` does that when a
+key's version list already holds ``capacity`` versions, scoped to the
+single object involved.  This module adds the complementary
 maintenance sweep — a table- or context-wide collection pass — plus a
 small policy object so benchmarks can compare on-demand with periodic
 collection.
@@ -52,7 +53,8 @@ from .table import StateTable
 class GCPolicy(Enum):
     """When version garbage is collected."""
 
-    #: Only inside ``install`` when an object runs out of slots (the paper).
+    #: Only inside ``install`` when a key's version list is at capacity
+    #: (the paper's "no free slot").
     ON_DEMAND = "on-demand"
     #: On-demand plus explicit sweeps every ``interval`` commits.
     PERIODIC = "periodic"

@@ -13,8 +13,6 @@ a transaction does.
 
 from __future__ import annotations
 
-import threading
-
 from ..analysis import lockranks
 from ..analysis.lockcheck import make_lock
 
@@ -73,74 +71,3 @@ class TimestampOracle:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TimestampOracle(current={self.current()})"
-
-
-class AtomicBitmask:
-    """A fixed-width bitmask updated under CAS-like semantics.
-
-    Models the paper's ``UsedSlots`` 64-bit integer (footnote 2: "updated by
-    CAS operations").  CPython cannot express a true CAS on an int, so the
-    compare-and-swap loop is emulated with a tiny mutex; the public interface
-    (claim a free slot, release a slot, test a slot) is exactly what a CAS
-    implementation would offer, which keeps the port to a lock-free language
-    mechanical.
-    """
-
-    __slots__ = ("_lock", "_mask", "width")
-
-    def __init__(self, width: int = 64) -> None:
-        if width <= 0:
-            raise ValueError(f"bitmask width must be positive: {width}")
-        self.width = width
-        self._mask = 0
-        self._lock = threading.Lock()
-
-    def claim_free_slot(self) -> int | None:
-        """Atomically find and set the lowest clear bit.
-
-        Returns the claimed slot index or ``None`` when the mask is full.
-        """
-        with self._lock:
-            if self._mask == (1 << self.width) - 1:
-                return None
-            free = ~self._mask & ((1 << self.width) - 1)
-            slot = (free & -free).bit_length() - 1
-            self._mask |= 1 << slot
-            return slot
-
-    def claim_slot(self, slot: int) -> bool:
-        """Atomically set a specific bit; ``False`` if it was already set."""
-        self._check(slot)
-        with self._lock:
-            bit = 1 << slot
-            if self._mask & bit:
-                return False
-            self._mask |= bit
-            return True
-
-    def release_slot(self, slot: int) -> None:
-        """Atomically clear a bit (idempotent)."""
-        self._check(slot)
-        with self._lock:
-            self._mask &= ~(1 << slot)
-
-    def is_set(self, slot: int) -> bool:
-        self._check(slot)
-        with self._lock:
-            return bool(self._mask & (1 << slot))
-
-    def used_count(self) -> int:
-        with self._lock:
-            return bin(self._mask).count("1")
-
-    def snapshot(self) -> int:
-        """Return the raw mask value (for diagnostics and tests)."""
-        with self._lock:
-            return self._mask
-
-    def _check(self, slot: int) -> None:
-        if not 0 <= slot < self.width:
-            raise IndexError(f"slot {slot} out of range for width {self.width}")
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"AtomicBitmask(width={self.width}, mask={self.snapshot():#x})"

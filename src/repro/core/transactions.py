@@ -105,7 +105,6 @@ class Transaction(TransactionHandle):
         "write_sets",
         "read_sets",
         "locks",
-        "slot",
         "_mutex",
         "isolation",
         "wal_txn_id",
@@ -118,7 +117,6 @@ class Transaction(TransactionHandle):
     def __init__(
         self,
         txn_id: int,
-        slot: int | None = None,
         isolation: IsolationLevel = IsolationLevel.SNAPSHOT,
     ) -> None:
         TransactionHandle.__init__(self, txn_id)
@@ -135,8 +133,6 @@ class Transaction(TransactionHandle):
         self.read_sets: dict[str, ReadSet] = {}
         #: lock tokens held (S2PL); released on commit/abort.
         self.locks: list[Any] = []
-        #: slot index in the context's active-transaction bit vector.
-        self.slot = slot
         self._mutex = threading.Lock()
         #: Transaction id stamped into commit-WAL records.  Defaults to the
         #: local id; the sharded manager overrides it on child transactions

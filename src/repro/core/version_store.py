@@ -1,39 +1,42 @@
 """Multi-version storage for queryable states (paper Section 4.1).
 
-Each key of a transactional table maps to an :class:`MVCCObject`: a small,
-fixed-capacity array of version entries ``<[cts, dts], value>`` whose free
-slots are tracked by a ``UsedSlots`` bitmask (the paper implements it as a
-64-bit integer updated with CAS; see
-:class:`repro.core.timestamps.AtomicBitmask`).
+Each key of a transactional table maps to an :class:`MVCCObject`: a list
+of version entries ``<[cts, dts], value>`` ordered by commit timestamp.
+The paper stores them in a fixed-capacity array whose free slots a 64-bit
+``UsedSlots`` word tracks with CAS; that layout suits lock-free C++, while
+in CPython one plain list under the object's latch does the same job.  The
+array width survives as ``capacity``, the version count that triggers
+on-demand GC.
 
 Version lifetime follows the textbook MVCC encoding: a version is alive for
 snapshot timestamp ``ts`` iff ``cts <= ts < dts``; the live (most recent
-committed) version has ``dts == INF_TS``.  Garbage collection reclaims slots
-whose ``dts`` lies at or below the oldest snapshot any active transaction
-could still read (``OldestActiveVersion``).  It runs *on demand* — when an
-insert finds no free slot, matching the paper's design — and in table
-sweeps (:mod:`repro.core.gc`), which visit only the arrays in their
-table's *GC pending set*: the arrays a commit, load or fault-in gave a
-superseded version.  :meth:`MVCCObject.sweep` is that visit — it collects
-and tells the sweep whether the array must stay pending.
+committed) version has ``dts == INF_TS``.  Garbage collection reclaims
+versions whose ``dts`` lies at or below the oldest snapshot any active
+transaction could still read (``OldestActiveVersion``).  It runs *on
+demand* — when an install finds the list at capacity, matching the paper's
+"no free slot" trigger — and in table sweeps (:mod:`repro.core.gc`), which
+visit only the arrays in their table's *GC pending set*: the arrays a
+commit, load or fault-in gave a superseded version.
+:meth:`MVCCObject.sweep` is that visit — it collects and tells the sweep
+whether the array must stay pending.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any
 
-from .timestamps import INF_TS, AtomicBitmask
+from .timestamps import INF_TS
 
-#: Default number of version slots per MVCC object.  The paper's Figure 3
-#: bounds slots by the 64-bit ``UsedSlots`` integer; eight is plenty for the
-#: benchmark workloads and keeps the per-key footprint small.
+#: Default version count at which an install runs on-demand GC.  The
+#: paper's Figure 3 bounds its version array by the 64-bit ``UsedSlots``
+#: integer; eight is plenty for the benchmark workloads and keeps the
+#: per-key footprint small.
 DEFAULT_SLOTS = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class VersionEntry:
     """One committed version: ``value`` valid during ``[cts, dts)``.
 
@@ -59,27 +62,36 @@ class VersionEntry:
 
 
 class MVCCObject:
-    """Fixed-capacity version array for a single key.
+    """The version list of a single key, oldest first.
 
     Installs and supersedes happen only inside the owning table's commit
     critical section; GC sweeps take only the object's micro-latch.  Reads
     are latch-free in the sense that they never *wait* for a writer — they
-    take a consistent point-in-time copy of the slot references under a
-    micro-latch that commit holds only for pointer swings, mirroring the
-    paper's "reads are generally not blocked by writes" property.
+    take the micro-latch, which commit holds only for a pointer swing and
+    an append, mirroring the paper's "reads are generally not blocked by
+    writes" property.
 
-    When demand GC cannot reclaim a slot (every version is still readable by
-    some active snapshot) the object grows an *overflow list*; committed
-    data is never dropped.  The overflow drains back into slots on later GC
-    passes.  The paper leaves this corner unspecified — RocksDB as the base
-    table always retains the newest committed value — so growth-over-loss is
-    the faithful conservative choice.
+    The list is ordered by ``cts`` with the newest version last, so the
+    live version, if any, is the last entry.  That rests on one
+    invariant: installs to one key arrive in ``cts`` order.  Commit
+    timestamps are drawn while the written tables' commit latches are
+    held (after prepare, in two-phase commit too), and every install
+    outside a commit — a bulk load at ts 0, a recovery bootstrap, a
+    handover, a migration purge's copy, a WAL-tail row — lands on a key
+    with no newer version.
+
+    ``capacity`` is the paper's fixed version-array width (Figure 3),
+    kept as the count that triggers on-demand GC: an install into a full
+    list first reclaims what no snapshot can read.  When that frees
+    nothing (every version is still readable by some active snapshot) the
+    list simply grows; committed data is never dropped.  The paper leaves
+    this corner unspecified — RocksDB as the base table always retains
+    the newest committed value — so growth-over-loss is the faithful
+    conservative choice.
     """
 
     __slots__ = (
-        "_slots",
-        "_used",
-        "_overflow",
+        "_versions",
         "_latch",
         "capacity",
         "gc_count",
@@ -91,9 +103,7 @@ class MVCCObject:
         if capacity <= 0:
             raise ValueError(f"version capacity must be positive: {capacity}")
         self.capacity = capacity
-        self._slots: list[VersionEntry | None] = [None] * capacity
-        self._used = AtomicBitmask(capacity)
-        self._overflow: list[VersionEntry] = []
+        self._versions: list[VersionEntry] = []
         self._latch = threading.Lock()
         self.gc_count = 0
         #: Newest commit timestamp ever installed or deleted through this
@@ -109,56 +119,47 @@ class MVCCObject:
         """Return the version visible at snapshot ``ts`` (or ``None``).
 
         At most one version can be visible at any timestamp because version
-        intervals ``[cts, dts)`` of one key never overlap.
+        intervals ``[cts, dts)`` of one key never overlap: it is the newest
+        version committed at or before ``ts``, if that one is not yet
+        superseded at ``ts``.
         """
         self.referenced = True
         with self._latch:
-            candidates = [v for v in self._slots if v is not None]
-            candidates.extend(self._overflow)
-        for version in candidates:
-            if version.visible_at(ts):
-                return version
+            for version in reversed(self._versions):
+                if version.cts <= ts:
+                    return version if ts < version.dts else None
         return None
 
     def live_version(self) -> VersionEntry | None:
         """Return the newest committed version (``dts == INF``)."""
         self.referenced = True
         with self._latch:
-            for version in self._slots:
-                if version is not None and version.is_live():
-                    return version
-            for version in self._overflow:
-                if version.is_live():
-                    return version
+            if self._versions and self._versions[-1].dts == INF_TS:
+                return self._versions[-1]
         return None
 
     def latest_cts(self) -> int:
-        """Commit timestamp of the newest version ever installed (0 if none).
+        """Timestamp of the newest commit that wrote this key (0 if none).
 
         Used by the First-Committer-Wins check: a writer whose snapshot is
-        older than this must abort.
+        older than this must abort.  A committed delete counts as a write
+        (``last_write_ts``), as does a version GC has since reclaimed.
         """
         with self._latch:
-            best = 0
-            for version in self._slots:
-                if version is not None and version.cts > best:
-                    best = version.cts
-            for version in self._overflow:
-                if version.cts > best:
-                    best = version.cts
-            return best
+            if self._versions and self._versions[-1].cts > self.last_write_ts:
+                return self._versions[-1].cts
+            return self.last_write_ts
 
     def versions(self) -> list[VersionEntry]:
         """All stored versions, newest first (diagnostics and tests)."""
         with self._latch:
-            out = [v for v in self._slots if v is not None]
-            out.extend(self._overflow)
+            out = list(self._versions)
         out.sort(key=lambda v: v.cts, reverse=True)
         return out
 
     def version_count(self) -> int:
         with self._latch:
-            return sum(1 for v in self._slots if v is not None) + len(self._overflow)
+            return len(self._versions)
 
     # ----------------------------------------------------------- write side
 
@@ -168,24 +169,19 @@ class MVCCObject:
         """Install a new live version committed at ``commit_ts``.
 
         The previous live version (if any) is superseded: its ``dts`` becomes
-        ``commit_ts``.  When no free slot exists, on-demand GC reclaims every
-        slot dead to ``oldest_active``; if that frees nothing the new version
-        goes to the overflow list.  ``clean`` says the base table already
-        holds ``value`` (see :class:`VersionEntry`).  Returns the entry.
+        ``commit_ts``.  When the list already holds ``capacity`` versions,
+        on-demand GC first reclaims every version dead to ``oldest_active``.
+        ``clean`` says the base table already holds ``value`` (see
+        :class:`VersionEntry`).  Returns the entry.
         """
         entry = VersionEntry(commit_ts, INF_TS, value, clean)
         with self._latch:
             if commit_ts > self.last_write_ts:
                 self.last_write_ts = commit_ts
             self._supersede_live(commit_ts)
-            slot = self._used.claim_free_slot()
-            if slot is None:
+            if len(self._versions) >= self.capacity:
                 self._collect_locked(oldest_active)
-                slot = self._used.claim_free_slot()
-            if slot is None:
-                self._overflow.append(entry)
-            else:
-                self._slots[slot] = entry
+            self._versions.append(entry)
         return entry
 
     def mark_deleted(self, commit_ts: int) -> None:
@@ -212,13 +208,10 @@ class MVCCObject:
         Returns ``True`` iff a version was installed.
         """
         with self._latch:
-            if self._overflow or any(v is not None for v in self._slots):
+            if self._versions:
                 return False
             dts = self.last_write_ts if self.last_write_ts > cts else INF_TS
-            slot = self._used.claim_free_slot()
-            if slot is None:  # pragma: no cover - fresh objects have slots
-                return False
-            self._slots[slot] = VersionEntry(cts, dts, value, clean=True)
+            self._versions.append(VersionEntry(cts, dts, value, clean=True))
             return True
 
     def mark_dirty(self) -> None:
@@ -226,9 +219,8 @@ class MVCCObject:
         holds them (a migration purged the rows), so the array must stay
         resident until the process ends."""
         with self._latch:
-            for version in chain(self._slots, self._overflow):
-                if version is not None:
-                    version.clean = False
+            for version in self._versions:
+                version.clean = False
 
     def evictable(self, horizon: int, strict: bool = False) -> bool:
         """Residency-eviction eligibility test (clock/second-chance).
@@ -244,8 +236,8 @@ class MVCCObject:
         """
         with self._latch:
             survivor: VersionEntry | None = None
-            for version in chain(self._slots, self._overflow):
-                if version is None or version.dts <= horizon:
+            for version in self._versions:
+                if version.dts <= horizon:
                     continue
                 if survivor is not None:
                     return False
@@ -263,14 +255,8 @@ class MVCCObject:
             return True
 
     def _supersede_live(self, commit_ts: int) -> None:
-        for version in self._slots:
-            if version is not None and version.is_live():
-                version.dts = commit_ts
-                return
-        for version in self._overflow:
-            if version.is_live():
-                version.dts = commit_ts
-                return
+        if self._versions and self._versions[-1].dts == INF_TS:
+            self._versions[-1].dts = commit_ts
 
     # ------------------------------------------------------------------- GC
 
@@ -294,48 +280,18 @@ class MVCCObject:
             return self._collect_locked(oldest_active)
 
     def _collect_locked(self, oldest_active: int) -> tuple[int, bool]:
-        # The version visible at oldest_active must be kept even if its
-        # dts <= oldest_active can never happen (visibility needs dts > ts),
-        # so dts <= oldest_active alone is the correct death test.
-        reclaimed = 0
-        superseded = False
-        for slot, version in enumerate(self._slots):
-            if version is None:
-                continue
-            dts = version.dts
-            if dts <= oldest_active:
-                self._slots[slot] = None
-                self._used.release_slot(slot)
-                reclaimed += 1
-            elif dts != INF_TS:
-                superseded = True
-        if self._overflow:
-            survivors: list[VersionEntry] = []
-            for version in self._overflow:
-                if version.dts <= oldest_active:
-                    reclaimed += 1
-                    continue
-                if version.dts != INF_TS:
-                    superseded = True
-                slot = self._used.claim_free_slot()
-                if slot is None:
-                    survivors.append(version)
-                else:
-                    self._slots[slot] = version
-            self._overflow = survivors
+        # The version visible at oldest_active has dts > oldest_active, so
+        # dts <= oldest_active alone is the correct death test.
+        survivors = [v for v in self._versions if v.dts > oldest_active]
+        reclaimed = len(self._versions) - len(survivors)
         if reclaimed:
+            self._versions = survivors
             self.gc_count += 1
+        superseded = any(v.dts != INF_TS for v in survivors)
         return reclaimed, superseded
-
-    def used_slots(self) -> int:
-        return self._used.used_count()
-
-    def overflow_len(self) -> int:
-        with self._latch:
-            return len(self._overflow)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"MVCCObject(capacity={self.capacity}, used={self.used_slots()}, "
-            f"overflow={self.overflow_len()})"
+            f"MVCCObject(capacity={self.capacity}, "
+            f"versions={self.version_count()})"
         )

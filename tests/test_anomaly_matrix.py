@@ -7,8 +7,16 @@ anomaly        mvcc    s2pl    bocc
 =============  ======  ======  ======
 dirty read     no      no      no
 lost update    no      no      no
+lost delete    no      --      no
 write skew     **yes** no      no
 =============  ======  ======  ======
+
+A *lost delete* is a lost update whose first committer deleted the key: a
+writer that read the key before the delete committed must abort, on
+:class:`TransactionManager` and on a two-shard
+:class:`ShardedTransactionManager` alike.  Under S2PL the interleaving
+cannot arise (the delete waits for the reader's lock), so that cell is
+not tested.
 
 MVCC implements *snapshot isolation*: disjoint write sets pass
 First-Committer-Wins, so the classic write-skew interleaving commits on
@@ -24,9 +32,9 @@ import time
 
 import pytest
 
-from helpers import PROTOCOLS
+from helpers import PROTOCOLS, preload
 
-from repro.core import TransactionManager
+from repro.core import ShardedTransactionManager, TransactionManager
 from repro.errors import TransactionAborted
 
 
@@ -114,6 +122,35 @@ class TestLostUpdate:
         for t in threads:
             t.join()
         assert read_committed(manager, "x") == 3 * per_thread
+
+
+class TestLostDelete:
+    """A committed delete is a write First-Committer-Wins must see."""
+
+    @pytest.mark.parametrize("protocol", ["mvcc", "bocc"])
+    @pytest.mark.parametrize("sharded", [False, True], ids=["single", "sharded"])
+    def test_write_after_concurrent_delete_aborts(self, protocol, sharded):
+        """t1 reads the key, t2 deletes it and commits, then t1 writes it:
+        t1's commit must die, or t2's delete is silently undone."""
+        manager = (
+            ShardedTransactionManager(num_shards=2, protocol=protocol)
+            if sharded
+            else TransactionManager(protocol=protocol)
+        )
+        manager.create_table("S")
+        try:
+            preload(manager, "S", [(1, "a")])
+            t1 = manager.begin()
+            assert manager.read(t1, "S", 1) == "a"
+            t2 = manager.begin()
+            manager.delete(t2, "S", 1)
+            manager.commit(t2)
+            manager.write(t1, "S", 1, "b")
+            with pytest.raises(TransactionAborted):
+                manager.commit(t1)
+            assert read_committed(manager, 1) is None
+        finally:
+            manager.close()
 
 
 class TestWriteSkew:

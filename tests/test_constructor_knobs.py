@@ -9,7 +9,12 @@ from __future__ import annotations
 import dataclasses
 import inspect
 
-from repro.core import ShardedTransactionManager, TransactionManager
+from repro.core import (
+    MVCCObject,
+    ShardedTransactionManager,
+    StateContext,
+    TransactionManager,
+)
 from repro.core.durability import GroupFsyncDaemon
 from repro.core.sharding import CheckpointDaemon
 from repro.errors import ABORT_USER
@@ -59,6 +64,10 @@ def test_constructor_parameters_are_pinned():
         "wait_in_latch",
         "lock_index",
     ]
+    # The active set is a dict keyed by transaction id: no slot vector to
+    # size.  ``capacity`` is the version count that triggers on-demand GC.
+    assert params(StateContext) == ["oracle"]
+    assert params(MVCCObject) == ["capacity"]
     assert params(CoordinatorLog) == ["path", "batch_window"]
     assert params(CheckpointDaemon) == ["manager"]
     # One switch picks how a checkpoint is cut: the daemon's best-effort

@@ -82,15 +82,6 @@ class TestTransactions:
         ctx.finish(txn)
         assert ctx.active_count() == 0
 
-    def test_slots_recycle(self, ctx):
-        txns = [ctx.begin() for _ in range(5)]
-        slots = {t.slot for t in txns}
-        assert len(slots) == 5
-        for t in txns:
-            ctx.finish(t)
-        reused = ctx.begin()
-        assert reused.slot in slots
-
     def test_oldest_active_version_no_transactions(self, ctx):
         ctx.oracle.advance_to(100)
         assert ctx.oldest_active_version() == 100

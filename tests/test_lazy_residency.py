@@ -30,6 +30,7 @@ The larger-than-memory read path (``state_residency="lazy"``):
 
 from __future__ import annotations
 
+import gc
 import random
 import threading
 
@@ -296,6 +297,33 @@ class TestTableHydration:
         table = StateTable("A", residency="lazy")
         with pytest.raises(ValueError, match="residency"):
             table.create_index("by_value", lambda v: v)
+
+    def test_resident_row_costs_four_gc_tracked_objects(self):
+        # Every GC-tracked object a fault-in leaves behind counts toward
+        # the collector's generation-0 threshold, so it sets how often
+        # young-generation passes land in reads and scans.  A resident
+        # row is its MVCCObject, the version list, the latch and one
+        # VersionEntry; the allowance covers one-off allocations.
+        rows = 1000
+        table = StateTable("A", residency="lazy")
+        table.backend.write_batch(
+            [
+                (table.key_codec.encode(k), table.value_codec.encode(k * 3))
+                for k in range(rows)
+            ],
+            [],
+        )
+        gc.disable()
+        try:
+            gc.collect()
+            before = gc.get_count()[0]
+            for key in range(rows):
+                assert table.read_version_at(key, 0).value == key * 3
+            grown = gc.get_count()[0] - before
+        finally:
+            gc.enable()
+        assert table.resident_keys() == rows
+        assert grown <= 4 * rows + 50
 
 
 # ----------------------------------------------------------- batched reads

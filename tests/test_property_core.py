@@ -59,6 +59,69 @@ class TestVersionIntervals:
         visible = [v for v in obj.versions() if v.visible_at(probe)]
         assert len(visible) <= 1
 
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["install", "delete", "collect", "bootstrap"]),
+                st.integers(min_value=1, max_value=4),  # timestamp gap
+                st.integers(min_value=0, max_value=12),  # horizon lag
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_history_model(self, capacity, ops):
+        """Random installs, deletes, collections and fault-ins against a
+        dict of every write (``cts -> value``, ``None`` for a delete).
+
+        Reads are checked at and above the highest GC horizon used so far
+        (on-demand GC inside ``install`` included): below it, collected
+        history may be gone.  A small ``capacity`` makes the list grow
+        past it whenever GC cannot reclaim.
+        """
+        obj = MVCCObject(capacity=capacity)
+        history: dict[int, str | None] = {}
+        ts = floor = 0
+        for step, (kind, gap, lag) in enumerate(ops):
+            ts += gap
+            horizon = max(0, ts - lag)
+            value = f"v{step}"
+            if kind == "install":
+                obj.install(value, ts, horizon)
+                history[ts] = value
+                floor = max(floor, horizon)
+            elif kind == "delete":
+                obj.mark_deleted(ts)
+                history[ts] = None
+            elif kind == "collect":
+                obj.collect(horizon)
+                floor = max(floor, horizon)
+            elif obj.version_count():
+                assert not obj.install_bootstrap(value, horizon)
+            else:
+                # A fault-in may fetch a row older than the key's last
+                # write (a delete it raced), but never one older than the
+                # write before that.
+                writes = sorted(history)
+                lowest = writes[-2] + 1 if len(writes) > 1 else 0
+                cts = max(floor, lowest, horizon)
+                if writes and cts == writes[-1]:
+                    cts = ts
+                assert obj.install_bootstrap(value, cts)
+                history[cts] = value
+
+            for probe in range(floor, ts + 2):
+                older = [cts for cts in history if cts <= probe]
+                expected = history[max(older)] if older else None
+                version = obj.read_at(probe)
+                assert (version.value if version else None) == expected
+            newest = max(history, default=0)
+            live = obj.live_version()
+            assert (live.value if live else None) == history.get(newest)
+            assert obj.latest_cts() == newest
+
 
 class TestSerialisedCommits:
     @given(st.lists(txn_scripts, min_size=1, max_size=8))

@@ -1,10 +1,10 @@
-"""Tests for the timestamp oracle and the atomic slot bitmask."""
+"""Tests for the timestamp oracle."""
 
 import threading
 
 import pytest
 
-from repro.core.timestamps import INF_TS, ZERO_TS, AtomicBitmask, TimestampOracle
+from repro.core.timestamps import INF_TS, ZERO_TS, TimestampOracle
 
 
 class TestTimestampOracle:
@@ -63,70 +63,3 @@ class TestTimestampOracle:
         for _ in range(1000):
             assert oracle.next() < INF_TS
         assert ZERO_TS < 1
-
-
-class TestAtomicBitmask:
-    def test_claims_lowest_free_slot(self):
-        mask = AtomicBitmask(8)
-        assert mask.claim_free_slot() == 0
-        assert mask.claim_free_slot() == 1
-        mask.release_slot(0)
-        assert mask.claim_free_slot() == 0
-
-    def test_full_mask_returns_none(self):
-        mask = AtomicBitmask(4)
-        for _ in range(4):
-            assert mask.claim_free_slot() is not None
-        assert mask.claim_free_slot() is None
-
-    def test_claim_specific_slot(self):
-        mask = AtomicBitmask(8)
-        assert mask.claim_slot(5)
-        assert not mask.claim_slot(5)
-        assert mask.is_set(5)
-
-    def test_release_is_idempotent(self):
-        mask = AtomicBitmask(8)
-        mask.claim_slot(3)
-        mask.release_slot(3)
-        mask.release_slot(3)
-        assert not mask.is_set(3)
-
-    def test_used_count(self):
-        mask = AtomicBitmask(16)
-        for _ in range(5):
-            mask.claim_free_slot()
-        assert mask.used_count() == 5
-
-    def test_out_of_range_raises(self):
-        mask = AtomicBitmask(8)
-        with pytest.raises(IndexError):
-            mask.claim_slot(8)
-        with pytest.raises(IndexError):
-            mask.release_slot(-1)
-
-    def test_invalid_width_rejected(self):
-        with pytest.raises(ValueError):
-            AtomicBitmask(0)
-
-    def test_concurrent_claims_unique(self):
-        mask = AtomicBitmask(64)
-        claimed: list[int] = []
-        lock = threading.Lock()
-
-        def worker():
-            local = []
-            for _ in range(8):
-                slot = mask.claim_free_slot()
-                if slot is not None:
-                    local.append(slot)
-            with lock:
-                claimed.extend(local)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(claimed) == 64
-        assert len(set(claimed)) == 64

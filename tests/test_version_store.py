@@ -61,37 +61,36 @@ class TestMVCCObject:
 
     def test_gc_on_demand_when_full(self):
         obj = MVCCObject(capacity=4)
-        # Fill all slots; old versions dead to oldest_active=100.
+        # Fill to capacity; old versions dead to oldest_active=100.
         for i in range(1, 5):
             obj.install(f"v{i}", i, oldest_active=0)
-        assert obj.used_slots() == 4
+        assert obj.version_count() == 4
         # Next install triggers GC: versions with dts <= 100 are reclaimed.
         obj.install("v5", 200, oldest_active=100)
-        assert obj.overflow_len() == 0
-        assert obj.used_slots() <= 4
+        assert obj.version_count() == 2  # v4 (dts=200) and v5
         assert obj.live_version().value == "v5"
 
-    def test_overflow_when_nothing_collectable(self):
+    def test_grows_past_capacity_when_nothing_collectable(self):
         obj = MVCCObject(capacity=2)
         # oldest_active=0 pins everything: GC cannot reclaim.
         obj.install("v1", 1, 0)
         obj.install("v2", 2, 0)
         obj.install("v3", 3, 0)
-        assert obj.overflow_len() == 1
+        assert obj.version_count() == obj.capacity + 1
         # committed data is never lost:
         assert obj.read_at(1).value == "v1"
         assert obj.read_at(2).value == "v2"
         assert obj.read_at(3).value == "v3"
 
-    def test_overflow_drains_back_on_collect(self):
+    def test_collect_shrinks_back_below_capacity(self):
         obj = MVCCObject(capacity=2)
         obj.install("v1", 1, 0)
         obj.install("v2", 2, 0)
         obj.install("v3", 3, 0)
-        assert obj.overflow_len() == 1
+        assert obj.version_count() > obj.capacity
         reclaimed = obj.collect(oldest_active=10)
         assert reclaimed == 2  # v1 (dts=2) and v2 (dts=3)
-        assert obj.overflow_len() == 0
+        assert obj.version_count() == 1
         assert obj.live_version().value == "v3"
 
     def test_collect_keeps_visible_version(self):
