@@ -40,8 +40,8 @@ ORACLE = 10
 #: :class:`~repro.core.snapshot.SnapshotCoordinator` ledger — documented
 #: leaf below the daemon mutexes; takes the oracle inside ``begin_commit``.
 SNAPSHOT_LEDGER = 20
-#: :class:`~repro.core.replication.ShardReplica` — pure in-memory version
-#: store of one replica; never takes anything while held.
+#: :class:`~repro.core.replication.ShardReplica` — in-memory version lists
+#: of one replica; takes only their unranked per-key latches while held.
 REPLICA = 30
 #: :class:`~repro.storage.wal.WriteAheadLog` — serialises appends/fsyncs;
 #: nested inside the store lock (LSM appends) and the daemon mutex (the

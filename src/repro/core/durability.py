@@ -703,10 +703,6 @@ class GroupFsyncDaemon:
             self._replica_durable_seq = mark
             self._replica_cv.notify_all()
 
-    def lagging_replicas(self) -> int:
-        with self._lock:
-            return len(self._replica_lagging)
-
     def await_replica_quorum(self, seq: int, timeout: float | None = None) -> bool:
         """Bounded wait for ``seq`` to reach the replica-durable watermark.
 

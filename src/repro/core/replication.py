@@ -8,10 +8,10 @@ copy/catch-up pipeline as replica bootstrap — into hot standby replicas a
 * :class:`ShardReplica` — one standby copy of a shard.  Bootstrapped from
   an image of the primary's committed state (exactly migration's copy
   phase) written durably into its own replica WAL, then caught up from
-  shipped commit-WAL deltas.  Maintains an in-memory multi-version store
-  so follower reads serve snapshot reads at the applied watermark, and
-  can be cold-loaded from its WAL after a primary crash (the promotion
-  source).
+  shipped commit-WAL deltas.  Each key is one
+  :class:`~repro.core.version_store.MVCCObject` trimmed at the replica's
+  floor.  Can be cold-loaded from its WAL after a primary crash (the
+  promotion source).
 * :class:`ReplicationDaemon` — the per-primary-shard shipping loop.  It
   consumes the :class:`~repro.core.durability.GroupFsyncDaemon`'s
   exactly-once durable-record feed (``set_on_durable``), buffers records
@@ -44,20 +44,24 @@ from __future__ import annotations
 import pickle
 import threading
 import time
-from bisect import bisect_right, insort
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..analysis import lockranks
 from ..analysis.lockcheck import make_lock
 from ..faults import FaultInjector, retry_with_backoff
 from ..storage.wal import KIND_CHECKPOINT, KIND_TXN_COMMIT, WriteAheadLog
 from .durability import GroupFsyncDaemon, decode_commit_record
+from .timestamps import INF_TS
+from .version_store import MVCCObject
 from .write_set import WriteKind
 
 #: Replica-WAL frame kind wrapping one shipped primary commit-WAL record
 #: (``seq || kind || payload``); private to this module's WAL files.
 REPLICA_KIND_SHIPPED = 9
+
+#: A bootstrap image: state id -> ``[(key, value)]`` at the image cut.
+Image = dict[str, list[tuple[Any, Any]]]
 
 
 def _encode_shipped(seq: int, kind: int, payload: bytes) -> bytes:
@@ -65,11 +69,21 @@ def _encode_shipped(seq: int, kind: int, payload: bytes) -> bytes:
 
 
 def _decode_shipped(frame: bytes) -> tuple[int, int, bytes]:
-    return (
-        int.from_bytes(frame[:8], "little"),
-        frame[8],
-        frame[9:],
-    )
+    return int.from_bytes(frame[:8], "little"), frame[8], frame[9:]
+
+
+class FollowerReadTs(int):
+    """A follower-read timestamp that pins every replica floor at or
+    below itself while referenced; arithmetic on it yields a plain
+    ``int``."""
+
+    def __new__(cls, ts: int, unpin: Callable[[], object]) -> "FollowerReadTs":
+        pinned = super().__new__(cls, ts)
+        pinned.unpin = unpin
+        return pinned
+
+    def __del__(self) -> None:
+        self.unpin()
 
 
 class ShardReplica:
@@ -77,16 +91,20 @@ class ShardReplica:
 
     The WAL layout is ``[bootstrap marker, shipped frame, ...]``: the
     marker (kind ``KIND_CHECKPOINT``) carries the bootstrap image — the
-    primary's committed state at ``bootstrap_cts`` — plus the per-group
-    ``LastCTS`` floors and the primary-WAL sequence floor the image
-    covers; every later frame is one shipped commit-WAL record.  Identical
-    shape to the primary's own ``[checkpoint marker, tail...]`` WAL, so
-    promotion replays it with the same idempotent-redo reasoning.
+    primary's committed state at one cut — plus the per-group ``LastCTS``
+    floors and the primary-WAL sequence floor the image covers; every
+    later frame is one shipped commit-WAL record.  Identical shape to the
+    primary's own ``[checkpoint marker, tail...]`` WAL, so promotion
+    replays it with the same idempotent-redo reasoning.
 
-    The in-memory store is a per-state ``key -> [(cts, value, deleted)]``
-    multi-version map: :meth:`read_at` serves follower snapshot reads,
-    :meth:`live_items` feeds promotion (newest live version per key, at
-    its true commit timestamp — migration's version handover).
+    Each key's versions are one :class:`MVCCObject` list.  Its on-demand
+    GC trims at the *floor*: the image cut, raised before each applied
+    batch to ``min(floor_hook(), applied_cts)`` — the follower-read
+    horizon and every held :class:`FollowerReadTs`.  :meth:`read_at`
+    serves ``floor <= ts <= applied_cts``.  :meth:`apply_batch` skips
+    records at or below ``confirmed_seq``: a rebase racing a ship round
+    leaves older frames after the new marker, and an install out of cts
+    order would make a stale value live.
     """
 
     def __init__(self, path: str | Path, replica_id: int) -> None:
@@ -94,7 +112,11 @@ class ShardReplica:
         self.replica_id = replica_id
         self.path.mkdir(parents=True, exist_ok=True)
         self.wal = WriteAheadLog(self.path / "replica.wal", sync=True)
-        self.bootstrap_cts = 0
+        #: Oldest timestamp reads are served at (the GC trim point).
+        self.floor = 0
+        #: The manager's follower-read floor; ``None`` on a cold-loaded
+        #: replica, which serves no follower reads.
+        self.floor_hook: Callable[[], int] | None = None
         #: group id -> LastCTS floor at the bootstrap cut.
         self.last_cts: dict[str, int] = {}
         #: Highest primary-WAL seq durable on this replica's WAL.
@@ -107,23 +129,18 @@ class ShardReplica:
         #: Retry budget exhausted — excluded from quorum and follower
         #: reads until re-bootstrapped.
         self.lagging = False
-        #: state id -> key -> sorted [(cts, value, deleted)].
-        self._versions: dict[str, dict[Any, list[tuple[int, Any, bool]]]] = {}
+        #: state id -> key -> version list.
+        self._objects: dict[str, dict[Any, MVCCObject]] = {}
         # Leaf below the replication daemon's own mutex (the ship loop
         # holds neither while appending to the replica WAL).
         self._lock = make_lock(
             lockranks.REPLICA, index=replica_id, name=f"replica[{replica_id}]"
         )
-        self.records_applied = 0
 
     # ------------------------------------------------------------ bootstrap
 
     def bootstrap(
-        self,
-        bootstrap_cts: int,
-        last_cts: dict[str, int],
-        image: dict[str, list[tuple[Any, Any]]],
-        confirmed_seq: int,
+        self, bootstrap_cts: int, last_cts: dict[str, int], image: Image, confirmed_seq: int
     ) -> None:
         """(Re)base this replica on a primary image (migration copy phase).
 
@@ -132,32 +149,25 @@ class ShardReplica:
         (cold rows of a lazy primary arrive the same way migration hands
         them over: frozen at the bootstrap cut).
         """
-        payload = pickle.dumps(
-            (bootstrap_cts, dict(last_cts), confirmed_seq, image),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        self.wal.reset_to([(KIND_CHECKPOINT, payload)])
-        self._install_image(bootstrap_cts, last_cts, image, confirmed_seq)
+        marker = (bootstrap_cts, dict(last_cts), confirmed_seq, image)
+        self.wal.reset_to([(KIND_CHECKPOINT, pickle.dumps(marker, pickle.HIGHEST_PROTOCOL))])
+        self._install_image(*marker)
 
     def _install_image(
-        self,
-        bootstrap_cts: int,
-        last_cts: dict[str, int],
-        image: dict[str, list[tuple[Any, Any]]],
-        confirmed_seq: int,
+        self, bootstrap_cts: int, last_cts: dict[str, int], confirmed_seq: int, image: Image
     ) -> None:
+        objects: dict[str, dict[Any, MVCCObject]] = {}
+        for state_id, rows in image.items():
+            table = objects[state_id] = {key: MVCCObject() for key, _ in rows}
+            for key, value in rows:
+                table[key].install(value, bootstrap_cts, bootstrap_cts)
         with self._lock:
-            self.bootstrap_cts = bootstrap_cts
-            self.last_cts = dict(last_cts)
+            self.floor = bootstrap_cts
+            self.last_cts = last_cts
             self.confirmed_seq = confirmed_seq
             self.applied_cts = bootstrap_cts
             self.lagging = False
-            self._versions = {
-                state_id: {
-                    key: [(bootstrap_cts, value, False)] for key, value in rows
-                }
-                for state_id, rows in image.items()
-            }
+            self._objects = objects
 
     @classmethod
     def load(cls, path: str | Path, replica_id: int) -> "ShardReplica":
@@ -167,11 +177,9 @@ class ShardReplica:
         replica = cls(path, replica_id)
         for kind, frame in WriteAheadLog.replay(replica.wal.path):
             if kind == KIND_CHECKPOINT:
-                bootstrap_cts, last_cts, confirmed_seq, image = pickle.loads(frame)
-                replica._install_image(bootstrap_cts, last_cts, image, confirmed_seq)
+                replica._install_image(*pickle.loads(frame))
             elif kind == REPLICA_KIND_SHIPPED:
-                seq, rec_kind, payload = _decode_shipped(frame)
-                replica._apply_one(seq, rec_kind, payload)
+                replica.apply_batch([_decode_shipped(frame)])
         return replica
 
     # ----------------------------------------------------------- replication
@@ -192,64 +200,58 @@ class ShardReplica:
         )
 
     def apply_batch(self, records: list[tuple[int, int, bytes]]) -> None:
-        """Fold appended records into the in-memory multi-version store."""
-        for seq, kind, payload in records:
-            self._apply_one(seq, kind, payload)
-
-    def _apply_one(self, seq: int, kind: int, payload: bytes) -> None:
+        """Fold appended records into the version lists, skipping those
+        at or below ``confirmed_seq``.  Prepare votes stay unapplied: an
+        undecided 2PC commit is resolved presumed-abort at promotion, like
+        restart recovery (its decision ships as a regular commit record)."""
+        # Outside the leaf lock: the hook reads the snapshot barrier.
+        horizon = INF_TS if self.floor_hook is None else self.floor_hook()
         with self._lock:
-            self.confirmed_seq = max(self.confirmed_seq, seq)
-            if kind != KIND_TXN_COMMIT:
-                # Prepare votes stay unapplied: an undecided 2PC commit is
-                # resolved presumed-abort at promotion, matching restart
-                # recovery (the decision record, once durable and acked,
-                # ships as a regular commit record).
-                return
-            record = decode_commit_record(payload)
-            for state_id, entries in record.writes.items():
-                table = self._versions.setdefault(state_id, {})
-                for key, wkind, value in entries:
-                    chain = table.setdefault(key, [])
-                    insort(
-                        chain,
-                        (
-                            record.commit_ts,
-                            value,
-                            WriteKind(wkind) is WriteKind.DELETE,
-                        ),
-                        key=lambda v: v[0],
-                    )
-            self.applied_cts = max(self.applied_cts, record.commit_ts)
-            self.records_applied += 1
+            self.floor = max(self.floor, min(horizon, self.applied_cts))
+            for seq, kind, payload in records:
+                if seq <= self.confirmed_seq:
+                    continue
+                self.confirmed_seq = seq
+                if kind != KIND_TXN_COMMIT:
+                    continue
+                record = decode_commit_record(payload)
+                for state_id, entries in record.writes.items():
+                    table = self._objects.setdefault(state_id, {})
+                    for key, wkind, value in entries:
+                        obj = table.get(key)
+                        if WriteKind(wkind) is not WriteKind.DELETE:
+                            if obj is None:
+                                obj = table[key] = MVCCObject()
+                            obj.install(value, record.commit_ts, self.floor)
+                        elif obj is not None:
+                            obj.mark_deleted(record.commit_ts)
+                self.applied_cts = max(self.applied_cts, record.commit_ts)
 
     # ----------------------------------------------------------------- reads
 
-    def read_at(self, state_id: str, key: Any, ts: int) -> Any | None:
-        """Snapshot point read: newest value with ``cts <= ts`` (``None``
-        when absent or deleted)."""
+    def read_at(self, state_id: str, key: Any, ts: int) -> tuple[bool, Any]:
+        """Snapshot point read: ``(covered, value)``.  ``covered`` is
+        ``False`` on a lagging replica or unless ``floor <= ts <=
+        applied_cts``; ``value`` is ``None`` when absent or deleted."""
         with self._lock:
-            chain = self._versions.get(state_id, {}).get(key)
-            if not chain:
-                return None
-            pos = bisect_right(chain, ts, key=lambda v: v[0])
-            if pos == 0:
-                return None
-            cts, value, deleted = chain[pos - 1]
-            return None if deleted else value
+            if self.lagging or not self.floor <= ts <= self.applied_cts:
+                return False, None
+            obj = self._objects.get(state_id, {}).get(key)
+            entry = None if obj is None else obj.read_at(ts)
+            return True, None if entry is None else entry.value
 
     def live_items(self) -> dict[str, list[tuple[Any, Any, int]]]:
         """Promotion handover: per state, ``(key, value, cts)`` of the
         newest live (non-deleted) version of every key."""
         with self._lock:
-            out: dict[str, list[tuple[Any, Any, int]]] = {}
-            for state_id, table in self._versions.items():
-                rows = []
-                for key, chain in table.items():
-                    cts, value, deleted = chain[-1]
-                    if not deleted:
-                        rows.append((key, value, cts))
-                out[state_id] = rows
-            return out
+            return {
+                state_id: [
+                    (key, entry.value, entry.cts)
+                    for key, obj in table.items()
+                    if (entry := obj.live_version()) is not None
+                ]
+                for state_id, table in self._objects.items()
+            }
 
     def close(self) -> None:
         self.wal.close()
@@ -370,28 +372,17 @@ class ReplicationDaemon:
         a real WAL append failure is terminal for the replica (torn-frame
         hazard — see :meth:`ShardReplica.append_batch`).
         """
-        try:
+        def fire(point: str) -> None:
             retry_with_backoff(
-                lambda: self.faults.fire("ship", self.shard_idx, replica.replica_id),
+                lambda: self.faults.fire(point, self.shard_idx, replica.replica_id),
                 attempts=self.retry_attempts,
                 deadline=self.retry_deadline,
             )
-        except Exception:
-            self._mark_lagging(replica)
-            return False
+
         try:
+            fire("ship")
             replica.append_batch(run)
-        except Exception:
-            self._mark_lagging(replica)
-            return False
-        try:
-            retry_with_backoff(
-                lambda: self.faults.fire(
-                    "replica_apply", self.shard_idx, replica.replica_id
-                ),
-                attempts=self.retry_attempts,
-                deadline=self.retry_deadline,
-            )
+            fire("replica_apply")
         except Exception:
             self._mark_lagging(replica)
             return False
@@ -408,14 +399,12 @@ class ReplicationDaemon:
         """Drop buffered records every healthy replica confirmed.  Lagging
         replicas do not hold the buffer hostage — they re-bootstrap."""
         with self._lock:
-            healthy = [r.confirmed_seq for r in self.replicas if not r.lagging]
-            if not healthy:
-                self._buffer.clear()
-                return
-            floor = min(healthy)
-            if self._buffer:
-                for seq in [s for s in self._buffer if s <= floor]:
-                    del self._buffer[seq]
+            floor = min(
+                (r.confirmed_seq for r in self.replicas if not r.lagging),
+                default=INF_TS,
+            )
+            for seq in [s for s in self._buffer if s <= floor]:
+                del self._buffer[seq]
 
     # ------------------------------------------------------------- control
 
@@ -427,23 +416,20 @@ class ReplicationDaemon:
         lagging.  Used by live failover's catch-up drain."""
         deadline = time.monotonic() + timeout
         targets = [replica] if replica is not None else self.replicas
-        while time.monotonic() < deadline:
-            candidates = [r for r in targets if not r.lagging]
-            if not candidates:
-                return False
-            if any(r.confirmed_seq >= seq for r in candidates):
+        while True:
+            healthy = [r for r in targets if not r.lagging]
+            if any(r.confirmed_seq >= seq for r in healthy):
                 return True
+            if not healthy or time.monotonic() >= deadline:
+                return False
             time.sleep(0.002)
-        return any(r.confirmed_seq >= seq for r in targets if not r.lagging)
 
     def best_replica(self) -> ShardReplica | None:
         """Most-caught-up healthy replica (the promotion candidate)."""
-        candidates = [r for r in self.replicas if not r.lagging]
-        if not candidates:
-            candidates = list(self.replicas)
-        if not candidates:
-            return None
-        return max(candidates, key=lambda r: r.confirmed_seq)
+        healthy = [r for r in self.replicas if not r.lagging]
+        return max(
+            healthy or self.replicas, key=lambda r: r.confirmed_seq, default=None
+        )
 
     def stop(self) -> None:
         with self._lock:
@@ -468,6 +454,7 @@ class ReplicationDaemon:
 
 
 __all__ = [
+    "FollowerReadTs",
     "ReplicationDaemon",
     "ShardReplica",
     "REPLICA_KIND_SHIPPED",

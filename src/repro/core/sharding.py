@@ -137,6 +137,7 @@ from ..errors import (
     ABORT_REBALANCE,
     ABORT_USER,
     ReplicaAckTimeout,
+    SnapshotTooOld,
     StorageError,
     TransactionAborted,
     WALError,
@@ -161,7 +162,7 @@ from .gc import GCPolicy
 from .isolation import IsolationLevel
 from .manager import TransactionFacade, TransactionManager
 from .protocol import PreparedCommit
-from .replication import ReplicationDaemon, ShardReplica
+from .replication import FollowerReadTs, ReplicationDaemon, ShardReplica
 from .slots import SlotFlip, SlotMap, slot_of_key
 from .snapshot import GlobalSnapshot, SnapshotCoordinator
 from .table import RESIDENCY_FULL, RESIDENCY_LAZY, RESIDENCY_MODES, StateTable
@@ -832,6 +833,9 @@ class ShardedTransactionManager(TransactionFacade):
         ]
         #: Round-robin cursor for :meth:`read_follower` replica choice.
         self._follower_rr = 0
+        #: Timestamps :meth:`follower_read_ts` handed out that callers
+        #: still hold (token -> ts); no replica floor passes them.
+        self._follower_pins: dict[object, int] = {}
         #: Report of the :meth:`open` that built this manager (``None``
         #: for a new store).
         self.last_recovery: Any | None = None
@@ -2069,11 +2073,10 @@ class ShardedTransactionManager(TransactionFacade):
             return
         repl = self._replication[idx]
         if repl is None:
-            replicas = [
-                ShardReplica(self._replica_dir(idx, r), r)
-                for r in range(self.replication_factor)
-            ]
+            dirs = [self._replica_dir(idx, r) for r in range(self.replication_factor)]
+            replicas = [ShardReplica(path, r) for r, path in enumerate(dirs)]
             for replica in replicas:
+                replica.floor_hook = self._follower_floor
                 daemon.register_replica(replica.replica_id)
             repl = ReplicationDaemon(idx, daemon, replicas, faults=self.faults)
             self._replication[idx] = repl
@@ -2091,10 +2094,7 @@ class ShardedTransactionManager(TransactionFacade):
         with self._commit_latches(idx):
             daemon.flush(timeout=CHECKPOINT_FLUSH_TIMEOUT)
             daemon.wait_publishes_drained()
-            last_cts = {
-                gid: shard.context.last_cts(gid)
-                for gid in shard.context.group_ids()
-            }
+            last_cts = {gid: shard.context.last_cts(gid) for gid in shard.context.group_ids()}
             bootstrap_cts = max(last_cts.values(), default=0)
             # Filtered to owned slots: post-migration frozen husk rows
             # must not leak into the image (a promoted replica would
@@ -2113,24 +2113,35 @@ class ShardedTransactionManager(TransactionFacade):
                 daemon.register_replica(replica.replica_id)
                 daemon.confirm_replica_durable(replica.replica_id, floor)
 
-    def follower_read_ts(self) -> int:
+    def follower_read_ts(self) -> FollowerReadTs:
         """Newest timestamp follower reads can serve consistently: the
         cross-shard barrier (no cross-shard commit mid-apply — PR 6's
         global snapshot guarantee) capped by every replicated shard's best
         healthy applied watermark.  ``0`` when some replicated shard has
-        no healthy replica at all."""
-        ts = (
-            self.snapshot_coordinator.barrier()
-            if self.snapshot_coordinator is not None
-            else self.oracle.current()
-        )
-        for repl in self._replication:
-            if repl is None:
+        no healthy replica at all.  While the caller holds the returned
+        :class:`~repro.core.replication.FollowerReadTs`, no replica trims
+        the versions visible at it."""
+        token = object()
+        # Holds every floor down while ts is drawn: a floor that misses it
+        # read its horizon (first) before ts was drawn.
+        self._follower_pins[token] = 0
+        ts = self._follower_pins[token] = self._follower_horizon()
+        return FollowerReadTs(ts, functools.partial(self._follower_pins.pop, token, None))
+
+    def _follower_floor(self) -> int:
+        """Every replica's ``floor_hook``: ``min(horizon, oldest pin)``."""
+        horizon = self._follower_horizon()
+        while True:
+            try:
+                return min([horizon, *self._follower_pins.values()])
+            except RuntimeError:  # a pin came or went mid-scan
                 continue
-            healthy = [r.applied_cts for r in repl.replicas if not r.lagging]
-            if not healthy:
-                return 0
-            ts = min(ts, max(healthy))
+
+    def _follower_horizon(self) -> int:
+        coordinator = self.snapshot_coordinator
+        ts = coordinator.barrier() if coordinator is not None else self.oracle.current()
+        for repl in filter(None, self._replication):
+            ts = min(ts, max((r.applied_cts for r in repl.replicas if not r.lagging), default=0))
         return ts
 
     def read_follower(self, state_id: str, key: Any, ts: int | None = None) -> Any:
@@ -2138,23 +2149,28 @@ class ShardedTransactionManager(TransactionFacade):
         replicas at ``ts`` (default :meth:`follower_read_ts`), falling
         back to the primary when no healthy replica covers the timestamp.
         Composes with global snapshots: reads at one ``follower_read_ts``
-        across shards never observe a fractured cross-shard commit."""
+        across shards never observe a fractured cross-shard commit.
+
+        Raises :class:`~repro.errors.SnapshotTooOld` when the primary finds
+        no version at a ``ts`` below its GC horizon (it may be collected):
+        never under a held snapshot, nor at a held :meth:`follower_read_ts`
+        unless a re-bootstrap rebased the replicas past it."""
         if ts is None:
             ts = self.follower_read_ts()
         shard = self.shard_of(key)
         repl = self._replication[shard]
         if repl is not None:
-            candidates = [
-                r
-                for r in repl.replicas
-                if not r.lagging and r.bootstrap_cts <= ts <= r.applied_cts
-            ]
-            if candidates:
-                self._follower_rr += 1
-                replica = candidates[self._follower_rr % len(candidates)]
-                self.follower_reads += 1
-                return replica.read_at(state_id, key, ts)
-        entry = self.shards[shard].table(state_id).read_version_at(key, ts)
+            self._follower_rr += 1
+            rr = self._follower_rr % len(repl.replicas)
+            for replica in repl.replicas[rr:] + repl.replicas[:rr]:
+                covered, value = replica.read_at(state_id, key, ts)
+                if covered:
+                    self.follower_reads += 1
+                    return value
+        primary = self.shards[shard]
+        entry = primary.table(state_id).read_version_at(key, ts)
+        if entry is None and ts < primary.context.oldest_active_version():
+            raise SnapshotTooOld(f"no replica covers ts {ts}; shard {shard} may have collected it")
         return None if entry is None else entry.value
 
     def replication_stats(self) -> dict[str, Any]:
@@ -2169,11 +2185,8 @@ class ShardedTransactionManager(TransactionFacade):
             daemon = self.daemons[idx]
             if daemon is not None:
                 dstats = daemon.stats()
-                entry["replica_durable_watermark"] = dstats[
-                    "replica_durable_watermark"
-                ]
-                entry["quorum_acks"] = dstats["quorum_acks"]
-                entry["replica_ack_timeouts"] = dstats["replica_ack_timeouts"]
+                for name in ("replica_durable_watermark", "quorum_acks", "replica_ack_timeouts"):
+                    entry[name] = dstats[name]
             shards.append(entry)
         return {
             "replication_factor": self.replication_factor,

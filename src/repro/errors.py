@@ -122,6 +122,10 @@ class ReplicaAckTimeout(StorageError):
     transaction that already committed."""
 
 
+class SnapshotTooOld(ReproError):
+    """A read found no version at a timestamp GC may already have passed."""
+
+
 class StreamError(ReproError):
     """Base class for stream-framework errors."""
 
