@@ -27,7 +27,10 @@ The residency study, on the real engine and real files:
   sampled after *every* read and may never exceed the budget (the
   strict inline backstop makes it a hard cap, not a high-water mark);
   the clock sweep's evictions and the LSM value-cache hit ratio after
-  warm-up are recorded.
+  warm-up are recorded.  A written pool as large as the budget and
+  ``read_many`` batches of 16 keys follow; each cold key a batch reads
+  must be faulted in at most once on average (hydrations per cold key
+  read <= 1.0), so the backstop does not evict a batch before its reads.
 
 Results land in ``BENCH_coldstart.json`` (smoke: the ``.smoke.json``
 sidecar; the open-time and read-ratio assertions relax — smoke stores
@@ -73,6 +76,9 @@ BUDGET_ROWS = 20_000
 SMOKE_BUDGET_ROWS = 2_000
 #: The larger-than-memory configuration: room for 10% of the rows.
 BUDGET_FRACTION = 10
+#: Keys per ``read_many`` batch in the bounded-residency run (about four
+#: per shard, well inside each partition's share of the budget).
+BATCH_KEYS = 16
 
 
 def _build_store(data_dir, rows: int, tail_commits: int, crash: bool = True):
@@ -293,6 +299,32 @@ def test_bounded_residency_under_budget(benchmark, tmp_path, smoke):
             max_resident = max(max_resident, resident)
             # the acceptance invariant, checked after EVERY sample
             assert resident <= budget, (resident, budget)
+        # batched reads over a written pool as large as the budget: the
+        # batch's arrays are the partitions' never-written ones, yet each
+        # cold key of a batch is faulted in once
+        pool = rng.sample(range(rows), budget)
+        for start in range(0, budget, BATCH_KEYS):
+            with reopened.transaction() as txn:
+                for key in pool[start : start + BATCH_KEYS]:
+                    reopened.write(txn, "A", key, {"w": key})
+        tables = [shard.table("A") for shard in reopened.shards]
+        cold_read = 0
+        faulted = reopened.stats()["hydrations"]
+        for _ in range(budget // BATCH_KEYS):
+            batch = rng.sample(range(rows), BATCH_KEYS)
+            cold_read += sum(
+                1
+                for key in batch
+                if tables[reopened.slot_map.shard_of(key)].mvcc_object(key)
+                is None
+            )
+            with reopened.transaction() as txn:
+                out = reopened.read_many(txn, "A", batch)
+            assert all(out[key] is not None for key in batch)
+            resident = _resident_total(reopened)
+            max_resident = max(max_resident, resident)
+            assert resident <= budget, (resident, budget)
+        faulted = reopened.stats()["hydrations"] - faulted
         # warm-up done: a hot working set inside the budget should now
         # hit the value cache and the version index
         hot_keys = rng.sample(range(rows), budget // 2)
@@ -303,6 +335,7 @@ def test_bounded_residency_under_budget(benchmark, tmp_path, smoke):
         out = {
             "max_resident": max_resident,
             "hydrations": stats["hydrations"],
+            "batch_hydrations_per_cold_key": round(faulted / cold_read, 3),
             "evictions": stats["residency_evictions"],
             "cache_hit_ratio": round(stats["lsm_cache_hit_ratio"], 3),
         }
@@ -316,6 +349,8 @@ def test_bounded_residency_under_budget(benchmark, tmp_path, smoke):
             f"max resident {results['max_resident']:6d} / budget {budget}",
             f"hydrations {results['hydrations']:6d}  "
             f"evictions {results['evictions']:6d}",
+            "read_many hydrations per cold key "
+            f"{results['batch_hydrations_per_cold_key']:.3f}",
             f"LSM cache hit ratio {results['cache_hit_ratio']:.3f}",
         ],
     )
@@ -327,6 +362,8 @@ def test_bounded_residency_under_budget(benchmark, tmp_path, smoke):
                 "rows": rows,
                 "memory_budget": budget,
                 "reads": 3 * budget,
+                "batch_reads": budget // BATCH_KEYS,
+                "batch_keys": BATCH_KEYS,
                 "smoke": smoke,
             },
             **results,
@@ -337,3 +374,6 @@ def test_bounded_residency_under_budget(benchmark, tmp_path, smoke):
     # eviction must actually have run
     assert results["evictions"] > 0
     assert results["hydrations"] > budget
+    # a batch read faults each of its cold keys in once: the backstop
+    # takes the arrays the batch just installed last
+    assert results["batch_hydrations_per_cold_key"] <= 1.0, results

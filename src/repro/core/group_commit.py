@@ -47,7 +47,13 @@ from ..storage.wal import KIND_TXN_PREPARE
 from .context import StateContext
 from .durability import encode_prepare_record
 from .protocol import ConcurrencyControl, PreparedCommit
-from .transactions import StateFlag, Transaction, TxnStatus
+from .transactions import (
+    FLAG_ABORT,
+    FLAG_COMMIT,
+    TXN_COMMITTED,
+    TXN_COMMITTING,
+    Transaction,
+)
 
 
 class GroupCommitCoordinator:
@@ -85,14 +91,14 @@ class GroupCommitCoordinator:
         txn.ensure_active()
         txn.register_state(state_id)
         with self._decision_mutex:
-            txn.flag(state_id, StateFlag.COMMIT)
+            txn.flag(state_id, FLAG_COMMIT)
             if txn.any_flagged_abort():
                 self._abort_locked(txn, ABORT_GROUP)
                 raise self._group_aborted(txn)
             if not txn.all_flagged_commit():
                 return False
             # This operator set the last flag: it coordinates.
-            txn.status = TxnStatus.COMMITTING
+            txn.status = TXN_COMMITTING
         try:
             commit_ts = self.protocol.commit_transaction(txn)
         except TransactionAborted as exc:
@@ -139,7 +145,7 @@ class GroupCommitCoordinator:
         if txn.is_finished():
             return
         with self._decision_mutex:
-            txn.flag(state_id, StateFlag.ABORT)
+            txn.flag(state_id, FLAG_ABORT)
             self._abort_locked(txn, reason)
 
     def abort_transaction(self, txn: Transaction, reason: str = ABORT_USER) -> None:
@@ -186,8 +192,8 @@ class GroupCommitCoordinator:
         txn.ensure_active()
         with self._decision_mutex:
             for state_id in txn.registered_states():
-                txn.flag(state_id, StateFlag.COMMIT)
-            txn.status = TxnStatus.COMMITTING
+                txn.flag(state_id, FLAG_COMMIT)
+            txn.status = TXN_COMMITTING
         try:
             prepared = self.protocol.prepare_transaction(txn)
         except TransactionAborted as exc:
@@ -286,7 +292,7 @@ class GroupCommitCoordinator:
             return commit_ts
         for state_id in states:
             self.commit_state(txn, state_id)
-        if txn.status is not TxnStatus.COMMITTED:  # pragma: no cover - guard
+        if txn.status is not TXN_COMMITTED:  # pragma: no cover - guard
             raise TransactionAborted(
                 f"transaction {txn.txn_id} did not reach a committed state",
                 txn_id=txn.txn_id,

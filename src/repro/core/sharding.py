@@ -167,7 +167,15 @@ from .slots import SlotFlip, SlotMap, slot_of_key
 from .snapshot import GlobalSnapshot, SnapshotCoordinator
 from .table import RESIDENCY_FULL, RESIDENCY_LAZY, RESIDENCY_MODES, StateTable
 from .timestamps import TimestampOracle
-from .transactions import StateFlag, Transaction, TransactionHandle, TxnStatus
+from .transactions import (
+    FLAG_ABORT,
+    FLAG_ACTIVE,
+    FLAG_COMMIT,
+    TXN_ABORTED,
+    TXN_IN_DOUBT,
+    Transaction,
+    TransactionHandle,
+)
 from .version_store import DEFAULT_SLOTS
 from .write_set import WriteSet
 
@@ -229,7 +237,7 @@ class ShardedTransaction(TransactionHandle):
         self.declared_states = list(declared_states or [])
         #: state id -> per-state vote (:meth:`ShardedTransactionManager.
         #: commit_state`); every declared state starts ``ACTIVE``.
-        self.state_flags = dict.fromkeys(self.declared_states, StateFlag.ACTIVE)
+        self.state_flags = dict.fromkeys(self.declared_states, FLAG_ACTIVE)
         self.isolation = isolation
         #: Frozen global-snapshot cap, acquired lazily on first touch of a
         #: second shard (``None`` while the transaction is single-shard).
@@ -1468,9 +1476,9 @@ class ShardedTransactionManager(TransactionFacade):
             # a clean abort report would be a lie the restart could
             # contradict.
             child = txn.children[shard]
-            if child.status is TxnStatus.ABORTED:
+            if child.status is TXN_ABORTED:
                 txn.mark_aborted(ABORT_GROUP)
-            elif child.status is TxnStatus.IN_DOUBT:
+            elif child.status is TXN_IN_DOUBT:
                 txn.mark_in_doubt(ABORT_GROUP)
             raise
         txn.mark_committed(commit_ts)
@@ -1779,7 +1787,7 @@ class ShardedTransactionManager(TransactionFacade):
         :class:`~repro.errors.TransactionAborted` (``ABORT_GROUP``).
         """
         flags = txn.state_flags
-        if StateFlag.ABORT in flags.values():
+        if FLAG_ABORT in flags.values():
             raise TransactionAborted(
                 f"sharded transaction {txn.txn_id} aborted globally (another "
                 "state voted abort)",
@@ -1787,11 +1795,11 @@ class ShardedTransactionManager(TransactionFacade):
                 reason=ABORT_GROUP,
             )
         txn.ensure_active()
-        flags[state_id] = StateFlag.COMMIT
+        flags[state_id] = FLAG_COMMIT
         for child in txn.children.values():
             for written in child.write_sets:
-                flags.setdefault(written, StateFlag.ACTIVE)
-        if StateFlag.ACTIVE in flags.values():
+                flags.setdefault(written, FLAG_ACTIVE)
+        if FLAG_ACTIVE in flags.values():
             return False
         self.commit(txn)
         return True
@@ -1802,7 +1810,7 @@ class ShardedTransactionManager(TransactionFacade):
         """Per-state ``Abort`` vote: aborts the transaction on every shard."""
         if txn.is_finished():
             return
-        txn.state_flags[state_id] = StateFlag.ABORT
+        txn.state_flags[state_id] = FLAG_ABORT
         self.abort(txn, reason)
 
     def _snapshot_view(self, txn: ShardedTransaction) -> ShardedSnapshotView:

@@ -59,7 +59,10 @@ starts (nearly) empty and each key moves through a small state machine:
   :class:`~repro.storage.maintenance.StorageMaintenanceDaemon`; the
   faulting reader only pays a bounded inline backstop that keeps the
   resident count at the budget plus the keys written since the last
-  fault-in.
+  fault-in.  The backstop is strict (it ignores reference bits), so it
+  visits each resident array once, and it takes the arrays of the
+  faulting read's own keys last: a read faults each cold key in once,
+  unless its batch alone outgrows the budget.
 
 Range scans in lazy mode merge the resident index with a base-table scan
 (cold rows are visible iff the snapshot is at or above
@@ -84,7 +87,7 @@ from collections.abc import Iterator
 from itertools import chain
 from typing import Any
 
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Callable, Hashable, Iterable, Sequence
 
 from ..storage.kvstore import KVStore, MemoryKVStore
 from .codecs import ORDERED_KEY_CODEC, PICKLE_CODEC, Codec
@@ -246,28 +249,32 @@ class StateTable:
         """Fault one cold key in from the base table (lazy residency).
 
         A one-key :meth:`_fault_in`.  Returns the array the row was
-        installed into, never a second index lookup: the strict budget
-        backstop may already have evicted that array again, and a lookup
-        would read a present row as absent.  When the base table holds no
-        row, returns whatever array a racing commit created meanwhile.
+        installed into, never a second index lookup: the backstop takes
+        that array last, but a concurrent fault-in's backstop may already
+        have evicted it again, and a lookup would read a present row as
+        absent.  When the base table holds no row, returns whatever array
+        a racing commit created meanwhile.
         """
-        objects, _installed = self._fault_in([key])
+        objects, _installed = self._fault_in([key], [key])
         return objects[0] if objects else self._index.get(key)
 
     def hydrate_many(self, keys: list[Any]) -> int:
         """Batched fault-in for a set of keys (the ``read_many`` path).
 
         Faults in the keys without an index entry with one
-        :meth:`_fault_in`.  Returns the number of keys installed.
+        :meth:`_fault_in`, which spares the whole batch.  Returns the
+        number of keys installed.
         """
         if self.residency != RESIDENCY_LAZY:
             return 0
         missing = [key for key in keys if key not in self._index]
         if not missing:
             return 0
-        return self._fault_in(missing)[1]
+        return self._fault_in(missing, keys)[1]
 
-    def _fault_in(self, keys: list[Any]) -> tuple[list[MVCCObject], int]:
+    def _fault_in(
+        self, keys: list[Any], read: list[Any]
+    ) -> tuple[list[MVCCObject], int]:
         """Read cold ``keys`` from the base table and install their rows.
 
         One ``backend.multi_get`` covers the batch: one store-lock
@@ -276,8 +283,10 @@ class StateTable:
         a truly absent key costs one LSM negative-cache hit on its next
         read.  Each install is delegated to
         :meth:`MVCCObject.install_bootstrap`, which makes it idempotent and
-        safe against racing committers (see there).  Returns the arrays of
-        the rows found, in key order, and the number of rows installed.
+        safe against racing committers (see there).  The budget backstop
+        that follows takes the arrays of ``read``, the keys the caller is
+        about to read, last.  Returns the arrays of the rows found, in key
+        order, and the number of rows installed.
         """
         encoded = [self.key_codec.encode(key) for key in keys]
         while True:
@@ -302,7 +311,7 @@ class StateTable:
                     self._register_gc(key, obj)
         if installed:
             self.hydrations += installed
-            self._enforce_budget()
+            self._enforce_budget(read)
         return objects, installed
 
     def _arrays_for(
@@ -321,29 +330,31 @@ class StateTable:
                 return None
             return [self.mvcc_object(key, create=True) for key in keys]
 
-    def _enforce_budget(self) -> None:
+    def _enforce_budget(self, spare: list[Any]) -> None:
         """Keep the resident count at or below the residency budget.
 
-        Runs on every fault-in.  The maintenance daemon owns bulk sweeps
-        (requested through :attr:`eviction_trigger`, so eviction never
-        rides the commit path); the faulting reader additionally pays a
-        small strict backstop, so between fault-ins the index exceeds the
-        budget by at most the keys written since the last one (commits
-        add arrays but never sweep).
+        Runs on every fault-in, with the keys of the read that faulted as
+        ``spare``.  The maintenance daemon owns bulk sweeps (requested
+        through :attr:`eviction_trigger`, so eviction never rides the
+        commit path); the faulting reader additionally pays a small strict
+        backstop, so between fault-ins the index exceeds the budget by at
+        most the keys written since the last one (commits add arrays but
+        never sweep).  The backstop takes ``spare`` last, so a batch is not
+        evicted before the reads it was faulted in for.
         """
         budget = self.residency_budget
         if budget is None or len(self._index) <= budget:
             return
         if self.eviction_trigger is not None:
             self.eviction_trigger()
-        self.evict_cold_versions(strict=True)
+        self.evict_cold_versions(strict=True, spare=spare)
 
     def evict_cold_versions(
         self,
         limit: int | None = None,
         horizon: int | None = None,
         strict: bool = False,
-        max_steps: int | None = None,
+        spare: Sequence[Any] = (),
     ) -> int:
         """Clock/second-chance sweep demoting cold keys to backend-resident.
 
@@ -353,13 +364,20 @@ class StateTable:
         never-written arrays only; a written array (``last_write_ts``,
         read without its latch) whose newest commit is at or below the
         horizon is set aside and tried after the pass, only if the pass
-        fell short.  Nothing is evicted while :attr:`bootstrap_cts` is
-        above the horizon, because a re-fault is stamped with it.  Only
-        the index entry is removed — the backend row is untouched, so the
-        key simply becomes cold again.  Holds the commit latch so no
-        commit is concurrently installing into an array being dropped;
-        the hold is bounded by ``max_steps`` clock positions.  Returns
-        the number of arrays evicted.
+        fell short.  The ``spare`` keys (a faulting read's own keys) come
+        last, in reverse order: the read visits them in order, so a batch
+        too large for the budget keeps its head.  Nothing is evicted while
+        :attr:`bootstrap_cts` is above the horizon, because a re-fault is
+        stamped with it.  Only the index entry is removed — the backend
+        row is untouched, so the key simply becomes cold again.  Holds the
+        commit latch so no commit is concurrently installing into an array
+        being dropped; the hold is bounded by the walk.  A ``strict``
+        sweep ignores reference bits, so a second visit could not evict
+        what the first left: it visits each resident array once (the rest
+        of the clock snapshot, then one fresh snapshot minus the keys
+        already seen).  A second-chance sweep may rotate twice, up to
+        ``2 * resident + 64`` clock positions.  Returns the number of
+        arrays evicted.
         """
         if self.residency != RESIDENCY_LAZY:
             return 0
@@ -377,13 +395,21 @@ class StateTable:
                 horizon = hook() if hook is not None else self.bootstrap_cts
             if self.bootstrap_cts > horizon:
                 return 0
-            if max_steps is None:
-                max_steps = 2 * resident + 64
+            max_steps = 2 * resident + 64
             evicted = 0
             steps = 0
+            start = self._clock_hand
+            # a strict sweep's visits before its one fresh snapshot, which
+            # skips them; a second wrap ends the sweep
+            seen: set[Any] | None = None
+            spared = set(spare)
             written: dict[Any, None] = {}
             while evicted < limit and steps < max_steps:
                 if self._clock_hand >= len(self._clock_keys):
+                    if strict:
+                        if seen is not None:
+                            break
+                        seen = set(self._clock_keys[start:])
                     with self._index_latch:
                         self._clock_keys = list(self._index)
                     self._clock_hand = 0
@@ -392,8 +418,10 @@ class StateTable:
                 key = self._clock_keys[self._clock_hand]
                 self._clock_hand += 1
                 steps += 1
+                if seen and key in seen:
+                    continue
                 obj = self._index.get(key)
-                if obj is None:
+                if obj is None or key in spared:
                     continue
                 if obj.last_write_ts:
                     if obj.last_write_ts <= horizon:
@@ -402,12 +430,12 @@ class StateTable:
                 if obj.evictable(horizon, strict=strict):
                     self._drop(key)
                     evicted += 1
-            for key in written:
+            for key in chain(written, reversed(spare)):
                 if evicted >= limit:
                     break
                 obj = self._index.get(key)
                 if obj is not None and obj.evictable(horizon, strict=strict):
-                    self._drop(key, written=True)
+                    self._drop(key, written=bool(obj.last_write_ts))
                     evicted += 1
             if evicted:
                 self.residency_evictions += evicted

@@ -45,8 +45,21 @@ class StateFlag(Enum):
     ABORT = "abort"
 
 
+#: Module-level aliases of the members the hot paths read.  Loading an
+#: Enum member goes through ``EnumType``'s class attribute lookup (about
+#: 120 ns on CPython 3.11); a module global is one dict hit.  Each alias
+#: *is* its member, so ``is``/``in`` comparisons are unchanged.
+TXN_ACTIVE = TxnStatus.ACTIVE
+TXN_COMMITTING = TxnStatus.COMMITTING
+TXN_COMMITTED = TxnStatus.COMMITTED
+TXN_ABORTED = TxnStatus.ABORTED
+TXN_IN_DOUBT = TxnStatus.IN_DOUBT
+FLAG_ACTIVE = StateFlag.ACTIVE
+FLAG_COMMIT = StateFlag.COMMIT
+FLAG_ABORT = StateFlag.ABORT
+
 #: The terminal statuses: :meth:`TransactionHandle.is_finished`.
-_FINISHED = (TxnStatus.COMMITTED, TxnStatus.ABORTED, TxnStatus.IN_DOUBT)
+_FINISHED = (TXN_COMMITTED, TXN_ABORTED, TXN_IN_DOUBT)
 
 
 class TransactionHandle:
@@ -61,7 +74,7 @@ class TransactionHandle:
 
     def __init__(self, txn_id: int) -> None:
         self.txn_id = txn_id
-        self.status = TxnStatus.ACTIVE
+        self.status = TXN_ACTIVE
         self.commit_ts: int | None = None
         self.abort_reason: str | None = None
         #: number of times ``run_transaction`` restarted this logical work
@@ -69,7 +82,7 @@ class TransactionHandle:
         self.restarts = 0
 
     def ensure_active(self) -> None:
-        if self.status is not TxnStatus.ACTIVE:
+        if self.status is not TXN_ACTIVE:
             raise InvalidTransactionState(
                 f"transaction {self.txn_id} is {self.status.value}, not active",
                 txn_id=self.txn_id,
@@ -79,11 +92,11 @@ class TransactionHandle:
         return self.status in _FINISHED
 
     def mark_committed(self, commit_ts: int) -> None:
-        self.status = TxnStatus.COMMITTED
+        self.status = TXN_COMMITTED
         self.commit_ts = commit_ts
 
     def mark_aborted(self, reason: str) -> None:
-        self.status = TxnStatus.ABORTED
+        self.status = TXN_ABORTED
         self.abort_reason = reason
 
     def mark_in_doubt(self, reason: str) -> None:
@@ -91,7 +104,7 @@ class TransactionHandle:
         either way — its record was enqueued and may already sit in a
         flushed batch, so recovery may roll it forward.  Never reported as
         a clean abort; restart recovery resolves it conclusively."""
-        self.status = TxnStatus.IN_DOUBT
+        self.status = TXN_IN_DOUBT
         self.abort_reason = reason
 
 
@@ -165,7 +178,7 @@ class Transaction(TransactionHandle):
     def register_state(self, state_id: str) -> None:
         """Add ``state_id`` to the accessed-state list (flag = Active)."""
         with self._mutex:
-            self.state_flags.setdefault(state_id, StateFlag.ACTIVE)
+            self.state_flags.setdefault(state_id, FLAG_ACTIVE)
 
     def registered_states(self) -> list[str]:
         with self._mutex:
@@ -197,12 +210,12 @@ class Transaction(TransactionHandle):
     def all_flagged_commit(self) -> bool:
         with self._mutex:
             return bool(self.state_flags) and all(
-                f is StateFlag.COMMIT for f in self.state_flags.values()
+                f is FLAG_COMMIT for f in self.state_flags.values()
             )
 
     def any_flagged_abort(self) -> bool:
         with self._mutex:
-            return any(f is StateFlag.ABORT for f in self.state_flags.values())
+            return any(f is FLAG_ABORT for f in self.state_flags.values())
 
     # ------------------------------------------------------------ snapshots
 

@@ -13,6 +13,9 @@ The larger-than-memory read path (``state_residency="lazy"``):
   arrays whose newest version is clean (the base table holds it) and at
   or below the GC horizon — never-written arrays first, written ones
   when those do not suffice — and the next read faults them back in;
+* the inline backstop takes the faulting read's own keys last, so a
+  read faults each cold key in once, and a strict sweep visits each
+  resident array once;
 * a write to a cold key needs no fault-in for First-Committer-Wins,
   carries its backend pre-image for barrier-capped readers, and aborts
   exactly when full residency would;
@@ -747,6 +750,89 @@ os._exit(42)
         assert managers["lazy"].stats()["residency_evictions"] > 0
         for smgr in managers.values():
             smgr.close()
+
+
+def lazy_on_shard_zero(tmp_path, budget_per_table: int):
+    """A reopened 4-shard lazy manager with inline maintenance (no
+    daemon sweeps race the counts), the 400 keys homed on shard 0, and
+    that shard's table."""
+    make_lazy(tmp_path, rows=400).close()
+    smgr = ShardedTransactionManager.open(
+        tmp_path, memory_budget=4 * budget_per_table, storage_maintenance="inline"
+    )
+    homed = [key for key in range(400) if smgr.slot_map.shard_of(key) == 0]
+    return smgr, homed, smgr.shards[0].table("A")
+
+
+class TestFaultOnce:
+    """An over-budget partition faults each cold key of a read in once:
+    the inline backstop takes the arrays its own fault-in just installed
+    last, and a strict sweep visits each resident array once."""
+
+    def test_read_many_over_budget_faults_each_key_once(self, tmp_path):
+        budget = 10
+        smgr, homed, table = lazy_on_shard_zero(tmp_path, budget)
+        # written arrays fill the partition to its budget, as on
+        # ``adhoc_pinned``: the batch's arrays are the only never-written ones
+        written, cold = homed[:budget], homed[budget : budget + 8]
+        with smgr.transaction() as txn:
+            for key in written:
+                smgr.write(txn, "A", key, -key)
+        assert table.resident_keys() == budget
+        before = table.hydrations
+        with smgr.transaction() as txn:
+            out = smgr.read_many(txn, "A", cold)
+        assert out == {key: key * 3 for key in cold}
+        assert table.hydrations - before == len(cold)
+        assert table.resident_keys() <= budget
+        with smgr.transaction() as txn:
+            assert smgr.read_many(txn, "A", written) == {k: -k for k in written}
+        smgr.close()
+
+    def test_batch_larger_than_budget_stays_capped(self, tmp_path):
+        budget = 8
+        smgr, homed, table = lazy_on_shard_zero(tmp_path, budget)
+        batch = homed[: 3 * budget]
+        before = table.hydrations
+        with smgr.transaction() as txn:
+            out = smgr.read_many(txn, "A", batch)
+        assert out == {key: key * 3 for key in batch}
+        assert table.resident_keys() <= budget
+        # the batch's tail is evicted and re-faulted once each, its head
+        # is read where it was installed
+        assert table.hydrations - before <= 2 * len(batch) - budget
+        smgr.close()
+
+    def test_strict_sweep_visits_each_array_once(self, monkeypatch):
+        table = StateTable("A", residency="lazy")
+        for i in range(60):
+            table.backend.put(
+                table.key_codec.encode(i), table.value_codec.encode(i)
+            )
+        table.bootstrap_cts = 1
+        for i in range(40):
+            table.read_live(i)
+        # park the clock hand mid-snapshot, then add arrays it has not seen
+        assert table.evict_cold_versions(limit=5, horizon=10, strict=True) == 5
+        for i in range(40, 60):
+            table.read_live(i)
+        for i in range(10, 20):
+            table.mvcc_object(i).mark_dirty()  # never evictable
+        for i in range(20, 25):
+            table.mvcc_object(i).install(i, 5, 0, clean=True)  # written
+        visits: dict[int, int] = {}
+        real = MVCCObject.evictable
+
+        def counting(self, horizon, strict=False):
+            visits[id(self)] = visits.get(id(self), 0) + 1
+            return real(self, horizon, strict=strict)
+
+        monkeypatch.setattr(MVCCObject, "evictable", counting)
+        resident = table.resident_keys()
+        evicted = table.evict_cold_versions(limit=resident, horizon=10, strict=True)
+        assert evicted == resident - 10  # every array but the dirty ones
+        assert len(visits) == resident
+        assert max(visits.values()) == 1
 
 
 class TestSplitSourcePurge:
