@@ -26,8 +26,9 @@ The residency study, on the real engine and real files:
   stream three times the budget.  The resident-version-array count is
   sampled after *every* read and may never exceed the budget (the
   strict inline backstop makes it a hard cap, not a high-water mark);
-  the clock sweep's evictions and the LSM value-cache hit ratio after
-  warm-up are recorded.  A written pool as large as the budget and
+  the sweep's evictions, the queue entries it visited per eviction
+  (asserted <= 3) and the LSM value-cache hit ratio after warm-up are
+  recorded.  A written pool as large as the budget and
   ``read_many`` batches of 16 keys follow; each cold key a batch reads
   must be faulted in at most once on average (hydrations per cold key
   read <= 1.0), so the backstop does not evict a batch before its reads.
@@ -337,6 +338,9 @@ def test_bounded_residency_under_budget(benchmark, tmp_path, smoke):
             "hydrations": stats["hydrations"],
             "batch_hydrations_per_cold_key": round(faulted / cold_read, 3),
             "evictions": stats["residency_evictions"],
+            "sweep_visits_per_eviction": round(
+                stats["residency_sweep_visits"] / stats["residency_evictions"], 3
+            ),
             "cache_hit_ratio": round(stats["lsm_cache_hit_ratio"], 3),
         }
         reopened.close()
@@ -349,6 +353,7 @@ def test_bounded_residency_under_budget(benchmark, tmp_path, smoke):
             f"max resident {results['max_resident']:6d} / budget {budget}",
             f"hydrations {results['hydrations']:6d}  "
             f"evictions {results['evictions']:6d}",
+            f"sweep visits per eviction {results['sweep_visits_per_eviction']:.3f}",
             "read_many hydrations per cold key "
             f"{results['batch_hydrations_per_cold_key']:.3f}",
             f"LSM cache hit ratio {results['cache_hit_ratio']:.3f}",
@@ -377,3 +382,6 @@ def test_bounded_residency_under_budget(benchmark, tmp_path, smoke):
     # a batch read faults each of its cold keys in once: the backstop
     # takes the arrays the batch just installed last
     assert results["batch_hydrations_per_cold_key"] <= 1.0, results
+    # the backstop pops its candidates off the eviction queues: a visit
+    # evicts, moves a written array to its queue once, or spares a key
+    assert results["sweep_visits_per_eviction"] <= 3.0, results

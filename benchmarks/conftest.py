@@ -71,12 +71,16 @@ def _result_path(module_file: str) -> Path:
     return RESULTS_DIR / f"BENCH_{name}{suffix}"
 
 
-def record_bench(module_file: str, section: str, payload: dict) -> None:
+def record_bench(
+    module_file: str, section: str, payload: dict, merge: bool = False
+) -> None:
     """Merge one section of machine-readable results into the module's
     ``BENCH_<name>.json``.  Called as ``record_bench(__file__, "...", {...})``;
     written incrementally so partial runs still leave a file behind.  A
     ``--smoke`` session writes to ``BENCH_<name>.smoke.json`` instead —
     the committed full-run results are never clobbered by a CI smoke run.
+    With ``merge`` the payload's entries update the stored section
+    instead of replacing it.
     """
     path = _result_path(module_file)
     data: dict = {}
@@ -85,6 +89,8 @@ def record_bench(module_file: str, section: str, payload: dict) -> None:
             data = json.loads(path.read_text())
         except json.JSONDecodeError:
             data = {}
+    if merge and isinstance(data.get(section), dict):
+        payload = {**data[section], **payload}
     data[section] = payload
     path.write_text(json.dumps(data, indent=2, sort_keys=True, default=str) + "\n")
 
@@ -115,7 +121,12 @@ def latency_stats(samples: list[float], scale: float = 1.0) -> dict:
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Dump per-test timing stats for every pytest-benchmark measurement."""
+    """Dump per-test timing stats for every pytest-benchmark measurement.
+
+    Each test's entry replaces its own in the module's ``timings``
+    section, so a partial run (``-k``) keeps the timings of the tests it
+    did not run.
+    """
     bench_session = getattr(session.config, "_benchmarksession", None)
     if bench_session is None or not bench_session.benchmarks:
         return
@@ -132,4 +143,4 @@ def pytest_sessionfinish(session, exitstatus):
             "p99_s": _percentile(data, 0.99),
         }
     for module_file, timings in by_module.items():
-        record_bench(module_file, "timings", timings)
+        record_bench(module_file, "timings", timings, merge=True)

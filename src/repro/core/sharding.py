@@ -2982,16 +2982,18 @@ class ShardedTransactionManager(TransactionFacade):
         totals["cross_shard_commits"] = self.cross_shard_commits
         totals["cross_shard_aborts"] = self.cross_shard_aborts
         totals["cross_shard_in_doubt"] = self.cross_shard_in_doubt
-        hydrations = hydration_misses = evictions = resident = 0
+        hydrations = hydration_misses = evictions = visits = resident = 0
         for shard in self.shards:
             for table in shard.tables():
                 hydrations += table.hydrations
                 hydration_misses += table.hydration_misses
                 evictions += table.residency_evictions
+                visits += table.residency_sweep_visits
                 resident += table.resident_keys()
         totals["hydrations"] = hydrations
         totals["hydration_misses"] = hydration_misses
         totals["residency_evictions"] = evictions
+        totals["residency_sweep_visits"] = visits
         totals["resident_keys"] = resident
         totals["slot_epoch"] = self.slot_map.epoch
         totals["slot_migrations"] = self.slot_migrations

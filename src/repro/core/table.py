@@ -44,23 +44,27 @@ starts (nearly) empty and each key moves through a small state machine:
   so each committed version is *clean* (the base table holds exactly
   it) from the moment it is installed.
 * **evicted (cold again)** — when the index exceeds the residency budget,
-  a clock/second-chance sweep drops arrays whose only version not yet
-  dead at the GC horizon is clean, live and itself at or below the
-  horizon — a bootstrap entry or a written-through commit alike.  Every
-  snapshot that can still read the key then reads that value, which is
-  what the base table holds.  Eviction removes the index entry only —
-  never the backend row — so the next read faults the value back in,
-  stamped with ``bootstrap_cts`` (hence no sweep while ``bootstrap_cts``
-  is above the horizon).  The sweep frees never-written arrays first
-  and falls back to written ones only when that cannot reach the
-  budget.  A write to a cold key needs no fault-in for
-  First-Committer-Wins: its newest commit is at or below the horizon,
-  so no live snapshot can have missed it.  Bulk sweeps run on the
+  a sweep drops arrays whose only version not yet dead at the GC horizon
+  is clean, live and itself at or below the horizon — a bootstrap entry
+  or a written-through commit alike.  Every snapshot that can still read
+  the key then reads that value, which is what the base table holds.
+  Eviction removes the index entry only — never the backend row — so
+  the next read faults the value back in, stamped with
+  ``bootstrap_cts`` (hence no sweep while ``bootstrap_cts`` is above the
+  horizon).  The sweep takes its candidates off two FIFO queues: a key
+  joins the never-written queue when its array is created and moves to
+  the written queue when a sweep finds it written, so never-written
+  arrays go first and a sweep costs O(arrays evicted), not O(resident
+  arrays).  It reads the GC horizon only when a written candidate's
+  newest commit is above the last horizon it read.  A write to a cold
+  key needs no fault-in for First-Committer-Wins: its newest commit is
+  at or below the horizon, so no live snapshot can have missed it.
+  Bulk sweeps run on the
   :class:`~repro.storage.maintenance.StorageMaintenanceDaemon`; the
   faulting reader only pays a bounded inline backstop that keeps the
   resident count at the budget plus the keys written since the last
   fault-in.  The backstop is strict (it ignores reference bits), so it
-  visits each resident array once, and it takes the arrays of the
+  visits each queue entry once, and it takes the arrays of the
   faulting read's own keys last: a read faults each cold key in once,
   unless its batch alone outgrows the budget.
 
@@ -83,6 +87,7 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from collections import OrderedDict
 from collections.abc import Iterator
 from itertools import chain
 from typing import Any
@@ -148,20 +153,25 @@ class StateTable:
         #: lazy-residency cap on index entries (``None`` = unbounded); the
         #: sharded manager divides its fleet-wide ``memory_budget`` here.
         self.residency_budget: int | None = None
-        #: supplies the GC horizon at or below which clean arrays may be
-        #: evicted; the sharded manager wires the shard context's
-        #: ``oldest_active_version`` (which folds in the global barrier).
-        self.gc_horizon_hook: Callable[[], int] | None = None
+        #: see :attr:`gc_horizon_hook`; setting it clears
+        #: :attr:`_gc_horizon`, the newest value the hook returned.
+        self.gc_horizon_hook = None
         #: called when a fault-in pushes the index over budget; the sharded
         #: manager wires the maintenance daemon's eviction request here.
         self.eviction_trigger: Callable[[], None] | None = None
-        #: lazy-residency observability counters.
+        #: lazy-residency observability counters; a sweep's visits are the
+        #: queue entries it examined.
         self.hydrations = 0
         self.hydration_misses = 0
         self.residency_evictions = 0
-        #: clock/second-chance sweep state over a cached key snapshot.
-        self._clock_keys: list[Any] = []
-        self._clock_hand = 0
+        self.residency_sweep_visits = 0
+        #: eviction queues of a lazy table, oldest first: a key joins
+        #: ``_unwritten`` when its array is created and moves to
+        #: ``_written`` when a sweep finds the array written.  The index
+        #: latch guards ``_unwritten`` (fault-ins create arrays under it
+        #: alone); the commit latch guards ``_written``.
+        self._unwritten: OrderedDict[Any, None] = OrderedDict()
+        self._written: OrderedDict[Any, None] = OrderedDict()
         #: bumped under the index latch whenever a key enters or leaves
         #: the index; ``_key_cache`` is ``(epoch, keys, sorted)`` and only
         #: valid while its epoch is current (see :meth:`_sorted_keys`).
@@ -197,10 +207,21 @@ class StateTable:
         obj = self._index.get(key)
         if obj is None and create:
             with self._index_latch:
-                obj = self._index.get(key)
-                if obj is None:
-                    obj = self._index[key] = MVCCObject(self.version_slots)
-                    self._key_epoch += 1
+                obj = self._publish(key, MVCCObject(self.version_slots))
+        return obj
+
+    def _publish(self, key: Any, obj: MVCCObject) -> MVCCObject:
+        """Make ``obj`` the array of ``key`` unless the index already has
+        one, and return the array the index holds.  A lazy table queues a
+        new key as never-written.  Caller holds the index latch.
+        """
+        current = self._index.get(key)
+        if current is not None:
+            return current
+        self._index[key] = obj
+        self._key_epoch += 1
+        if self.residency == RESIDENCY_LAZY:
+            self._unwritten[key] = None
         return obj
 
     def read_version_at(self, key: Any, ts: int) -> VersionEntry | None:
@@ -245,6 +266,36 @@ class StateTable:
         """Number of keys currently holding an in-memory version array."""
         return len(self._index)
 
+    @property
+    def gc_horizon_hook(self) -> Callable[[], int] | None:
+        """Supplies the GC horizon at or below which clean arrays may be
+        evicted; the sharded manager wires the shard context's
+        ``oldest_active_version`` (which folds in the global barrier).
+
+        The table records the newest value the hook returned and starts
+        each sweep from it (see :meth:`evict_cold_versions`).  Setting the
+        hook clears that value: a horizon of another hook bounds nothing.
+        """
+        return self._gc_horizon_hook
+
+    @gc_horizon_hook.setter
+    def gc_horizon_hook(self, hook: Callable[[], int] | None) -> None:
+        # under the commit latch, which every sweep holds, so no sweep
+        # records the old hook's value over the cleared one
+        with self.commit_latch:
+            self._gc_horizon_hook = hook
+            self._gc_horizon = ZERO_TS
+
+    def _read_gc_horizon(self) -> int:
+        """Call the GC-horizon hook and record its value; without a hook
+        the horizon is :attr:`bootstrap_cts`, which is not recorded.
+        Caller holds the commit latch."""
+        hook = self._gc_horizon_hook
+        if hook is None:
+            return self.bootstrap_cts
+        self._gc_horizon = hook()
+        return self._gc_horizon
+
     def _hydrate(self, key: Any) -> MVCCObject | None:
         """Fault one cold key in from the base table (lazy residency).
 
@@ -281,29 +332,33 @@ class StateTable:
         acquisition, one bloom probe per (key, table) and, where the bloom
         passes, one ``pread`` of one block on the table's held descriptor;
         a truly absent key costs one LSM negative-cache hit on its next
-        read.  Each install is delegated to
-        :meth:`MVCCObject.install_bootstrap`, which makes it idempotent and
-        safe against racing committers (see there).  The budget backstop
-        that follows takes the arrays of ``read``, the keys the caller is
-        about to read, last.  Returns the arrays of the rows found, in key
-        order, and the number of rows installed.
+        read.  A key still cold gets a new array that holds its row before
+        the index publishes it, so a lock-free reader never finds it
+        empty.  A row for a key that has an array meanwhile is delegated
+        to :meth:`MVCCObject.install_bootstrap`, which makes it idempotent
+        and safe against racing committers (see there).  The budget
+        backstop that follows takes the arrays of ``read``, the keys the
+        caller is about to read, last.  Returns the arrays of the rows
+        found, in key order, and the number of rows installed.
         """
         encoded = [self.key_codec.encode(key) for key in keys]
         while True:
             evictions = self._written_evictions
-            found: list[Any] = []
-            payloads: list[bytes] = []
-            for key, vbytes in zip(keys, self.backend.multi_get(encoded)):
-                if vbytes is not None:
-                    found.append(key)
-                    payloads.append(vbytes)
-            objects = self._arrays_for(found, evictions)
+            rows = [
+                (key, vbytes)
+                for key, vbytes in zip(keys, self.backend.multi_get(encoded))
+                if vbytes is not None
+            ]
+            fresh = [self._new_array(vbytes) for _key, vbytes in rows]
+            objects = self._arrays_for(rows, fresh, evictions)
             if objects is not None:
                 break
-        self.hydration_misses += len(keys) - len(found)
+        self.hydration_misses += len(keys) - len(rows)
         installed = 0
-        for key, vbytes, obj in zip(found, payloads, objects):
-            if obj.install_bootstrap(
+        for (key, vbytes), new, obj in zip(rows, fresh, objects):
+            if obj is new:
+                installed += 1
+            elif obj.install_bootstrap(
                 self.value_codec.decode(vbytes), self.bootstrap_cts
             ):
                 installed += 1
@@ -314,21 +369,30 @@ class StateTable:
             self._enforce_budget(read)
         return objects, installed
 
+    def _new_array(self, vbytes: bytes | None) -> MVCCObject:
+        """A new, unpublished array holding the backend row ``vbytes``, if
+        any, as its bootstrap version."""
+        obj = MVCCObject(self.version_slots)
+        if vbytes is not None:
+            obj.install_bootstrap(self.value_codec.decode(vbytes), self.bootstrap_cts)
+        return obj
+
     def _arrays_for(
-        self, keys: list[Any], evictions: int
+        self, rows: list[tuple[Any, bytes]], fresh: list[MVCCObject], evictions: int
     ) -> list[MVCCObject] | None:
         """The arrays a fault-in installs rows just read from the base
-        table into, created where missing — or ``None`` when a written
-        array was evicted since :attr:`_written_evictions` read
-        ``evictions``: the read may predate that write, and installing it
-        into a fresh array would resurrect the overwritten value, so the
-        caller reads again.  Any write after this check lands in these
-        arrays, where the bootstrap install loses to it.
+        table into: the index's own, or for a key still cold its ``fresh``
+        array, published here — or ``None`` when a written array was
+        evicted since :attr:`_written_evictions` read ``evictions``: the
+        read may predate that write, and installing it into a fresh array
+        would resurrect the overwritten value, so the caller reads again.
+        Any write after this check lands in these arrays, where the
+        bootstrap install loses to it.
         """
         with self._index_latch:
             if self._written_evictions != evictions:
                 return None
-            return [self.mvcc_object(key, create=True) for key in keys]
+            return [self._publish(key, obj) for (key, _row), obj in zip(rows, fresh)]
 
     def _enforce_budget(self, spare: list[Any]) -> None:
         """Keep the resident count at or below the residency budget.
@@ -339,8 +403,10 @@ class StateTable:
         commit path); the faulting reader additionally pays a small strict
         backstop, so between fault-ins the index exceeds the budget by at
         most the keys written since the last one (commits add arrays but
-        never sweep).  The backstop takes ``spare`` last, so a batch is not
-        evicted before the reads it was faulted in for.
+        never sweep).  The backstop costs O(arrays evicted), not
+        O(resident arrays): it pops its candidates off the eviction
+        queues.  It takes ``spare`` last, so a batch is not evicted before
+        the reads it was faulted in for.
         """
         budget = self.residency_budget
         if budget is None or len(self._index) <= budget:
@@ -356,28 +422,41 @@ class StateTable:
         strict: bool = False,
         spare: Sequence[Any] = (),
     ) -> int:
-        """Clock/second-chance sweep demoting cold keys to backend-resident.
+        """FIFO sweep demoting cold keys to backend-resident.
 
         Drops version arrays that :meth:`MVCCObject.evictable` admits at
         the GC ``horizon`` until the index is back under the residency
-        budget (or ``limit`` keys are evicted).  The clock pass frees
-        never-written arrays only; a written array (``last_write_ts``,
-        read without its latch) whose newest commit is at or below the
-        horizon is set aside and tried after the pass, only if the pass
-        fell short.  The ``spare`` keys (a faulting read's own keys) come
+        budget (or ``limit`` keys are evicted).  Candidates come off the
+        front of two queues, never-written arrays first: an entry whose
+        array left the index is discarded, a written array (``last_write_ts``,
+        read without its latch) found in ``_unwritten`` moves to
+        ``_written``, a ``spare`` key is held back at the tail, an
+        admitted array is dropped and anything else goes back to the
+        tail.  The ``spare`` keys (a faulting read's own keys) are tried
         last, in reverse order: the read visits them in order, so a batch
-        too large for the budget keeps its head.  Nothing is evicted while
+        too large for the budget keeps its head.  A ``strict`` sweep
+        ignores reference bits, so a second visit could not evict what
+        the first left: each pass is bounded by its queue's length when
+        it starts, and visits each entry once.  A second-chance sweep
+        clears a set reference bit and re-queues the array, up to
+        ``2 * len + 64`` visits per queue.
+
+        Without an explicit ``horizon`` the sweep starts from the newest
+        value :attr:`gc_horizon_hook` returned, and calls the hook at most
+        once: when :attr:`bootstrap_cts` is above that value, or when a
+        written candidate's newest commit is (at or below it, every older
+        version of the array is dead, so a newer horizon admits nothing
+        more).  That is safe because every later pin is at or above a
+        horizon the hook returned (see
+        ``ShardedTransactionManager._global_horizon``), and a lower
+        horizon never admits more.  A caller's ``horizon`` is used as
+        given and never recorded.  Nothing is evicted while
         :attr:`bootstrap_cts` is above the horizon, because a re-fault is
         stamped with it.  Only the index entry is removed — the backend
         row is untouched, so the key simply becomes cold again.  Holds the
         commit latch so no commit is concurrently installing into an array
-        being dropped; the hold is bounded by the walk.  A ``strict``
-        sweep ignores reference bits, so a second visit could not evict
-        what the first left: it visits each resident array once (the rest
-        of the clock snapshot, then one fresh snapshot minus the keys
-        already seen).  A second-chance sweep may rotate twice, up to
-        ``2 * resident + 64`` clock positions.  Returns the number of
-        arrays evicted.
+        being dropped, and the index latch over the never-written pass.
+        Returns the number of arrays evicted.
         """
         if self.residency != RESIDENCY_LAZY:
             return 0
@@ -390,61 +469,79 @@ class StateTable:
                 limit = resident - budget
             if limit <= 0 or resident == 0:
                 return 0
+            known = horizon is not None
             if horizon is None:
-                hook = self.gc_horizon_hook
-                horizon = hook() if hook is not None else self.bootstrap_cts
+                horizon = self._gc_horizon
+                if self.bootstrap_cts > horizon:
+                    horizon = self._read_gc_horizon()
+                    known = True
             if self.bootstrap_cts > horizon:
                 return 0
-            max_steps = 2 * resident + 64
-            evicted = 0
-            steps = 0
-            start = self._clock_hand
-            # a strict sweep's visits before its one fresh snapshot, which
-            # skips them; a second wrap ends the sweep
-            seen: set[Any] | None = None
+
+            def admits(obj: MVCCObject) -> bool:
+                nonlocal horizon, known
+                if obj.last_write_ts > horizon and not known:
+                    known = True
+                    horizon = max(horizon, self._read_gc_horizon())
+                return obj.last_write_ts <= horizon and obj.evictable(
+                    horizon, strict
+                )
+
+            index = self._index
             spared = set(spare)
-            written: dict[Any, None] = {}
-            while evicted < limit and steps < max_steps:
-                if self._clock_hand >= len(self._clock_keys):
-                    if strict:
-                        if seen is not None:
-                            break
-                        seen = set(self._clock_keys[start:])
-                    with self._index_latch:
-                        self._clock_keys = list(self._index)
-                    self._clock_hand = 0
-                    if not self._clock_keys:
-                        break
-                key = self._clock_keys[self._clock_hand]
-                self._clock_hand += 1
-                steps += 1
-                if seen and key in seen:
+            evicted = visits = 0
+            with self._index_latch:
+                # a never-written array holds only versions at or below
+                # bootstrap_cts, which the horizon covers: no hook call here
+                queue = self._unwritten
+                steps = len(queue) if strict else 2 * len(queue) + 64
+                while evicted < limit and steps > 0 and queue:
+                    steps -= 1
+                    visits += 1
+                    key = queue.popitem(last=False)[0]
+                    obj = index.get(key)
+                    if obj is None:
+                        continue
+                    if obj.last_write_ts:
+                        self._written[key] = None
+                    elif key not in spared and obj.evictable(horizon, strict):
+                        self._drop(key)
+                        evicted += 1
+                    else:
+                        queue[key] = None
+            queue = self._written
+            steps = len(queue) if strict else 2 * len(queue) + 64
+            while evicted < limit and steps > 0 and queue:
+                steps -= 1
+                visits += 1
+                key = queue.popitem(last=False)[0]
+                obj = index.get(key)
+                if obj is None:
                     continue
-                obj = self._index.get(key)
-                if obj is None or key in spared:
-                    continue
-                if obj.last_write_ts:
-                    if obj.last_write_ts <= horizon:
-                        written[key] = None
-                    continue
-                if obj.evictable(horizon, strict=strict):
-                    self._drop(key)
+                if key not in spared and admits(obj):
+                    self._drop(key, written=True)
                     evicted += 1
-            for key in chain(written, reversed(spare)):
+                else:
+                    queue[key] = None
+            for key in reversed(spare):
                 if evicted >= limit:
                     break
-                obj = self._index.get(key)
-                if obj is not None and obj.evictable(horizon, strict=strict):
+                obj = index.get(key)
+                if obj is not None and admits(obj):
                     self._drop(key, written=bool(obj.last_write_ts))
                     evicted += 1
-            if evicted:
-                self.residency_evictions += evicted
+            self.residency_sweep_visits += visits
+            self.residency_evictions += evicted
             return evicted
 
     def _drop(self, key: Any, written: bool = False) -> None:
+        """Remove ``key``'s array from the index and both eviction queues.
+        Caller holds the commit latch."""
         self._gc_pending.pop(key, None)
+        self._written.pop(key, None)
         with self._index_latch:
             self._index.pop(key, None)
+            self._unwritten.pop(key, None)
             self._key_epoch += 1
             if written:
                 self._written_evictions += 1
@@ -606,10 +703,11 @@ class StateTable:
         hold :attr:`commit_latch` (the group-commit path does).
         """
         entries = write_set.entries
-        objects = [self.mvcc_object(key, create=True) for key in entries]
-        self._gc_pending.update(zip(entries, objects))
         if self.residency == RESIDENCY_LAZY:
-            self._install_underlays(entries, objects)
+            objects = self._arrays_with_underlays(entries)
+        else:
+            objects = [self.mvcc_object(key, create=True) for key in entries]
+        self._gc_pending.update(zip(entries, objects))
         puts: list[tuple[bytes, bytes]] = []
         deletes: list[bytes] = []
         installed: list[VersionEntry] = []
@@ -633,33 +731,32 @@ class StateTable:
         self.commits_applied += 1
         self.applied_cts = max(self.applied_cts, commit_ts)
 
-    def _install_underlays(
-        self, keys: Iterable[Any], objects: list[MVCCObject]
-    ) -> None:
-        """Give each *cold* key of a commit its backend pre-image.
+    def _arrays_with_underlays(self, keys: Iterable[Any]) -> list[MVCCObject]:
+        """The arrays a commit installs into, on a lazy table.
 
         A commit to a cold key (blind write, an evicted write, or the
         writer's fault-in was evicted before this commit latched) starts
         a fresh array, which must carry the backend pre-image as its
         bootstrap underlay, or the interval below the commit would vanish
         from history while a barrier-capped reader can still pin a
-        snapshot inside it.  One ``multi_get`` fetches every pre-image.
+        snapshot inside it.  One ``multi_get`` fetches every pre-image,
+        and each is installed before the index publishes its array: a
+        lock-free reader never finds a key that exists as an empty array.
+        A fault-in that published the key meanwhile installed the same
+        row (the commit latch, which the caller holds, keeps the base
+        table still), so its array is used as it is.
         """
-        cold = [
-            (key, obj)
-            for key, obj in zip(keys, objects)
-            if obj.last_write_ts == 0 and obj.version_count() == 0
-        ]
-        if not cold:
-            return
-        values = self.backend.multi_get(
-            [self.key_codec.encode(key) for key, _ in cold]
-        )
-        for (_key, obj), vbytes in zip(cold, values):
-            if vbytes is not None:
-                obj.install_bootstrap(
-                    self.value_codec.decode(vbytes), self.bootstrap_cts
-                )
+        index = self._index
+        cold = [key for key in keys if key not in index]
+        if cold:
+            rows = self.backend.multi_get(
+                [self.key_codec.encode(key) for key in cold]
+            )
+            fresh = [self._new_array(vbytes) for vbytes in rows]
+            with self._index_latch:
+                for key, obj in zip(cold, fresh):
+                    self._publish(key, obj)
+        return [index[key] for key in keys]
 
     def redo_write_set(self, write_set: WriteSet) -> int:
         """Apply a recovered commit's write set to the **base table only**.
@@ -743,8 +840,10 @@ class StateTable:
         with self.commit_latch:
             self.bootstrap_cts = bootstrap_cts
             self._gc_pending.clear()
+            self._written.clear()
             with self._index_latch:
                 self._index.clear()
+                self._unwritten.clear()
                 self._key_epoch += 1
             for kbytes, vbytes in self.backend.scan():
                 key = self.key_codec.decode(kbytes)
@@ -785,6 +884,8 @@ class StateTable:
             self._key_epoch += 1
             for key in keys:
                 self._gc_pending.pop(key, None)
+                self._unwritten.pop(key, None)
+                self._written.pop(key, None)
                 resident = self._index.pop(key, None) is not None
                 # A lazy partition holds rows its index never faulted in;
                 # their backend rows must go too (callers pass keys they

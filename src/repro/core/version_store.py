@@ -110,7 +110,8 @@ class MVCCObject:
         #: object — survives GC, so a lazy fault-in can tell "this key was
         #: written and the versions aged out" apart from "never touched".
         self.last_write_ts = 0
-        #: Clock/second-chance reference bit for residency eviction.
+        #: Second-chance reference bit for residency eviction: a
+        #: non-strict sweep clears it and re-queues the array at the tail.
         self.referenced = False
 
     # ------------------------------------------------------------ read side
@@ -223,7 +224,7 @@ class MVCCObject:
                 version.clean = False
 
     def evictable(self, horizon: int, strict: bool = False) -> bool:
-        """Residency-eviction eligibility test (clock/second-chance).
+        """Residency-eviction eligibility test (second chance).
 
         Versions dead at the GC ``horizon`` (``dts <= horizon``) are
         ignored: no active or future snapshot reads below the horizon.
@@ -231,8 +232,9 @@ class MVCCObject:
         version survives and it is live, clean and no newer than the
         horizon — then every snapshot that can still read the key reads
         that value, and a re-fault reads it back from the base table.
-        Unless ``strict``, a set reference bit buys the array one more
-        clock sweep.
+        Unless ``strict``, a set reference bit is cleared and buys the
+        array one more visit: the sweep re-queues it at the tail of its
+        eviction queue.
         """
         with self._latch:
             survivor: VersionEntry | None = None

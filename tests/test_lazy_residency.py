@@ -9,10 +9,11 @@ The larger-than-memory read path (``state_residency="lazy"``):
 * scans merge the resident index with a base-table sweep, so a lazy
   manager answers exactly what a full-residency manager would;
 * the residency budget holds up to the keys written since the last
-  fault-in: the clock sweep (and the strict inline backstop) demotes
-  arrays whose newest version is clean (the base table holds it) and at
-  or below the GC horizon — never-written arrays first, written ones
-  when those do not suffice — and the next read faults them back in;
+  fault-in: the sweep (and the strict inline backstop) demotes arrays
+  whose newest version is clean (the base table holds it) and at or
+  below the GC horizon — never-written arrays first, written ones when
+  those do not suffice, each popped off its FIFO queue — and the next
+  read faults them back in;
 * the inline backstop takes the faulting read's own keys last, so a
   read faults each cold key in once, and a strict sweep visits each
   resident array once;
@@ -35,7 +36,9 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -63,6 +66,23 @@ def resident_total(smgr: ShardedTransactionManager, state_id: str = "A") -> int:
     return sum(
         shard.table(state_id).resident_keys() for shard in smgr.shards
     )
+
+
+def lazy_table(rows: int) -> StateTable:
+    """A standalone lazy table over ``rows`` backend rows (value ``i``)
+    with ``bootstrap_cts`` 1."""
+    table = StateTable("A", residency="lazy")
+    for i in range(rows):
+        table.backend.put(table.key_codec.encode(i), table.value_codec.encode(i))
+    table.bootstrap_cts = 1
+    return table
+
+
+def commit(table: StateTable, key, value, ts: int) -> None:
+    write = WriteSet()
+    write.upsert(key, value)
+    with table.commit_latch:
+        table.apply_write_set(write, ts, 0)
 
 
 # ---------------------------------------------------------- version arrays
@@ -242,6 +262,44 @@ class TestTableHydration:
             assert table.hydrate_many([1]) == 1
         assert table.read_live(1).value == "v2"
         assert table.read_version_at(1, 9).value == "v2"
+
+    def test_commit_publishes_cold_key_with_its_preimage(self, monkeypatch):
+        # A lock-free reader looks the key up while a commit at ts 10
+        # fetches its pre-image: the key exists at ts 5 and must read so.
+        table = lazy_table(0)
+        table.backend.put(table.key_codec.encode(1), table.value_codec.encode("v1"))
+        real = table.backend.multi_get
+        seen: list = []
+
+        def reading(arg):
+            if not seen:
+                seen.append(None)
+                seen[0] = table.read_version_at(1, 5)
+            return real(arg)
+
+        monkeypatch.setattr(table.backend, "multi_get", reading)
+        commit(table, 1, "v2", 10)
+        assert seen[0] is not None and seen[0].value == "v1"
+        assert table.read_version_at(1, 5).value == "v1"
+        assert table.read_version_at(1, 10).value == "v2"
+
+    def test_fault_in_publishes_array_with_its_row(self, monkeypatch):
+        # A second reader looks the key up while the first installs the
+        # row it faulted in: it must not find the array empty.
+        table = lazy_table(3)
+        real = MVCCObject.install_bootstrap
+        seen: list = []
+
+        def reading(obj, value, cts):
+            if not seen:
+                seen.append(None)
+                seen[0] = table.read_version_at(2, 5)
+            return real(obj, value, cts)
+
+        monkeypatch.setattr(MVCCObject, "install_bootstrap", reading)
+        assert table.read_live(2).value == 2
+        assert seen[0] is not None and seen[0].value == 2
+        assert table.hydrations == 1
 
     @pytest.mark.parametrize("batched", [False, True], ids=["get", "multi_get"])
     def test_fault_in_stamped_superseded_is_collected(self, monkeypatch, batched):
@@ -833,6 +891,183 @@ class TestFaultOnce:
         assert evicted == resident - 10  # every array but the dirty ones
         assert len(visits) == resident
         assert max(visits.values()) == 1
+
+
+class TestEvictionQueues:
+    """The backstop pops its candidates off two FIFO queues (never-written
+    arrays, then written ones), so it costs O(arrays evicted), and it reads
+    the GC horizon only when a written candidate needs a newer one."""
+
+    def test_backstop_visits_scale_with_evictions(self, monkeypatch):
+        table = lazy_table(260)
+        for i in range(200):
+            commit(table, i, -i, 5 + i)  # cold writes: 200 written arrays
+        for i in range(200, 204):
+            table.read_live(i)  # a few never-written ones
+        hooked: list[int] = []
+        table.gc_horizon_hook = lambda: hooked.append(1) or 10**6
+        table.residency_budget = table.resident_keys()
+        calls = [0]
+        real = MVCCObject.evictable
+
+        def counting(self, horizon, strict=False):
+            calls[0] += 1
+            return real(self, horizon, strict=strict)
+
+        monkeypatch.setattr(MVCCObject, "evictable", counting)
+        for key in range(204, 260):
+            calls[0] = 0
+            evicted = table.residency_evictions
+            assert table.read_live(key).value == key
+            evicted = table.residency_evictions - evicted
+            assert evicted == 1 and table.resident_keys() == 204
+            assert calls[0] <= evicted + 1 + 2  # spare is the read's one key
+            if key == 204:
+                # the first sweep moves the 200 written arrays to their
+                # queue, once; from then on a visit evicts, moves or spares
+                visits = table.residency_sweep_visits
+            commit(table, key, -key, 300 + key)  # the written pool grows
+        visits = table.residency_sweep_visits - visits
+        assert visits <= 3 * (table.residency_evictions - 1)
+        # the never-written arrays went first, then the oldest written
+        assert all(table.mvcc_object(i) is None for i in range(200, 204))
+        assert all(table.mvcc_object(i) is None for i in range(52))
+        assert all(table.mvcc_object(i) is not None for i in range(52, 200))
+        assert len(hooked) == 1  # recorded by the first written candidate
+
+    def test_hook_called_at_most_once_per_sweep(self):
+        table = lazy_table(120)
+        now = [0]
+        hooked: list[int] = []
+
+        def hook() -> int:
+            hooked.append(now[0])
+            return now[0]
+
+        table.gc_horizon_hook = hook
+        for i in range(60):
+            now[0] = 10 + i
+            commit(table, i, "w", now[0])
+        now[0] += 1
+        for i in range(60, 120):
+            table.read_live(i)
+        # never-written arrays pass on the recorded horizon alone
+        assert table.evict_cold_versions(limit=30, strict=True) == 30
+        assert hooked == [now[0]]  # recorded once: it started below bootstrap
+        assert table.evict_cold_versions(limit=30, strict=True) == 30
+        assert len(hooked) == 1
+        for i in range(60):
+            now[0] += 1
+            commit(table, i, "v", now[0])
+        now[0] += 1
+        # every written candidate is above the recorded horizon
+        for _ in range(6):
+            before = len(hooked)
+            assert table.evict_cold_versions(limit=10, strict=True) == 10
+            assert len(hooked) - before <= 1
+        assert table.resident_keys() == 0
+
+    def test_held_snapshot_blocks_written_eviction_from_old_horizon(self, tmp_path):
+        make_lazy(tmp_path, rows=40).close()
+        smgr = ShardedTransactionManager.open(tmp_path)
+        table = home_table(smgr, 9)
+        wired = table.gc_horizon_hook
+        returned: list[int] = []
+
+        def hook() -> int:
+            returned.append(wired())
+            return returned[-1]
+
+        table.gc_horizon_hook = hook
+        with smgr.transaction() as txn:
+            smgr.write(txn, "A", 9, "old")
+        # a sweep records a horizon at or above that write
+        assert table.evict_cold_versions(limit=10, strict=True) == 1
+        assert len(returned) == 1
+        with smgr.snapshot() as view:
+            assert view.get("A", 9) == "old"
+            with smgr.transaction() as txn:
+                smgr.write(txn, "A", 9, "new")
+            assert table.mvcc_object(9).last_write_ts > returned[0]
+            assert table.evict_cold_versions(limit=10, strict=True) == 0
+            assert len(returned) == 2  # the old horizon was not trusted
+            assert table.mvcc_object(9) is not None
+            assert view.get("A", 9) == "old"
+        assert table.evict_cold_versions(limit=10, strict=True) == 1
+        with smgr.transaction() as txn:
+            assert smgr.read(txn, "A", 9) == "new"
+        smgr.close()
+
+    def test_rewiring_the_hook_clears_the_recorded_horizon(self):
+        table = lazy_table(10)
+        table.gc_horizon_hook = lambda: 100
+        for i in range(5):
+            table.read_live(i)
+        assert table.evict_cold_versions(limit=5, strict=True) == 5  # records 100
+        commit(table, 7, "w", 50)
+        lower: list[int] = []
+        table.gc_horizon_hook = lambda: lower.append(2) or 2
+        # from the cleared value the sweep asks the new hook, whose
+        # horizon is below the write
+        assert table.evict_cold_versions(limit=5, strict=True) == 0
+        assert lower == [2]
+        assert table.mvcc_object(7) is not None
+        # a caller's horizon is used as given and never recorded
+        assert table.evict_cold_versions(limit=5, horizon=60, strict=True) == 1
+        commit(table, 8, "w", 55)
+        assert table.evict_cold_versions(limit=5, strict=True) == 0
+        assert lower == [2, 2]
+
+    def test_queues_hold_each_resident_key_once_under_threads(self):
+        table = lazy_table(300)
+        table.residency_budget = 40
+        table.gc_horizon_hook = lambda: 10**9
+        errors: list[BaseException] = []
+        deadline = time.monotonic() + 1.5
+
+        def guarded(body):
+            def run():
+                try:
+                    while time.monotonic() < deadline:
+                        body()
+                except BaseException as exc:  # reported by the main thread
+                    errors.append(exc)
+            return run
+
+        rng = random.Random(11)
+        seq = iter(range(1, 10**9))
+
+        def read() -> None:
+            key = rng.randrange(300)
+            entry = table.read_live(key)
+            assert entry is not None  # no key is ever deleted
+            assert entry.value == key or entry.value[0] == key
+
+        def write() -> None:
+            ts = next(seq)
+            commit(table, ts % 300, (ts % 300, ts), ts)
+
+        def sweep() -> None:
+            table.evict_cold_versions()
+
+        threads = [threading.Thread(target=guarded(read)) for _ in range(4)]
+        threads += [threading.Thread(target=guarded(f)) for f in (write, sweep)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        unwritten, written = set(table._unwritten), set(table._written)
+        assert not unwritten & written
+        assert unwritten | written == set(table._index)
+        table.evict_cold_versions(strict=True)
+        assert table.resident_keys() <= 40
 
 
 class TestSplitSourcePurge:
