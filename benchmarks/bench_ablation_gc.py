@@ -6,7 +6,10 @@ ablation compares that policy against periodic sweeping on a hot-key
 update workload with a lagging reader, measuring both update cost and the
 retained version footprint.  A second case churns a small hot set of a
 large table under the periodic policy: a sweep visits only the arrays
-commits superseded, so its cost follows the hot set, not the table.
+commits superseded, so its cost follows the hot set, not the table.  A
+third holds a snapshot through that churn: a sweep visits only arrays
+holding a version dead at the horizon, so the pinned sweeps visit nothing
+and the first one after the release catches up on the hot set.
 
 Run:  pytest benchmarks/bench_ablation_gc.py --benchmark-only -s
 """
@@ -137,3 +140,64 @@ def test_periodic_sweep_visits_the_hot_set(benchmark):
     )
     assert reports
     assert scanned <= HOT_SET
+
+
+@pytest.mark.benchmark(group="ablation-gc")
+def test_lagging_reader_sweeps_visit_nothing(benchmark):
+    """Hold a snapshot through the hot-set churn: every sweep it pins
+    must visit 0 arrays; the first sweep after the release visits at most
+    ``HOT_SET`` arrays and leaves nothing for a walk over every array."""
+    manager = TransactionManager(
+        protocol="mvcc", gc_policy=GCPolicy.PERIODIC, gc_interval=SWEEP_INTERVAL
+    )
+    table = manager.create_table("S", version_slots=8)
+    table.bulk_load((key, 0) for key in range(TABLE_KEYS))
+    sweep = manager.gc.sweep
+    reports: list[GCReport] = []
+
+    def recorded_sweep(tables):
+        reports.append(sweep(tables))
+        return reports[-1]
+
+    manager.gc.sweep = recorded_sweep
+    pinned = manager.begin()
+    assert manager.read(pinned, "S", 0) == 0
+
+    def churn_hot_set():
+        for i in range(UPDATES):
+            with manager.transaction() as txn:
+                manager.write(txn, "S", i % HOT_SET, i)
+
+    benchmark.pedantic(churn_hot_set, rounds=1, iterations=1)
+    idle_visits = sum(report.objects_scanned for report in reports)
+    idle_sweeps = len(reports)
+    manager.commit(pinned)
+    catch_up = sweep(manager.tables())
+    horizon = manager.context.oldest_active_version()
+    leftover = sum(table.mvcc_object(key).collect(horizon) for key in table.keys())
+    report_lines(
+        f"sweeps under a held snapshot, {TABLE_KEYS}-key table, hot set {HOT_SET}",
+        [
+            f"pinned sweeps: {idle_sweeps}, arrays visited: {idle_visits}",
+            f"first sweep after release: {catch_up.objects_scanned} arrays, "
+            f"{catch_up.versions_reclaimed} versions reclaimed",
+        ],
+    )
+    record_bench(
+        __file__,
+        "lagging_reader_sweep",
+        {
+            "table_keys": TABLE_KEYS,
+            "hot_set": HOT_SET,
+            "sweep_interval": SWEEP_INTERVAL,
+            "idle_sweeps": idle_sweeps,
+            "idle_sweep_visits": idle_visits,
+            "release_sweep_visits": catch_up.objects_scanned,
+            "release_sweep_reclaimed": catch_up.versions_reclaimed,
+        },
+    )
+    assert idle_sweeps >= 3
+    assert idle_visits == 0
+    assert catch_up.objects_scanned <= HOT_SET
+    assert catch_up.versions_reclaimed == UPDATES
+    assert leftover == 0

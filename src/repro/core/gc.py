@@ -9,16 +9,21 @@ maintenance sweep — a table- or context-wide collection pass — plus a
 small policy object so benchmarks can compare on-demand with periodic
 collection.
 
-A sweep's work is proportional to what commits superseded, not to table
-size.  Each table keeps a *GC pending set* of the arrays that may hold a
-superseded version (``dts`` below ``INF_TS``): every site that sets a
-``dts`` — a commit's upserts and deletes, a bulk load over an existing
-key, a slot handover or purge install, a recovered WAL-tail row, a
-fault-in stamped already-superseded — registers its key under the
-table's commit latch.  :meth:`repro.core.table.StateTable.collect_garbage`
-swaps the set out under that latch, collects each array outside it and
-puts back only arrays that still hold a superseded version, so it
-reclaims exactly what a walk over every resident array would.
+A sweep's work is proportional to the arrays it can reclaim from, not
+to table size nor to the versions a held snapshot still pins.  Each table
+keeps a *GC pending set* of the arrays that may hold a superseded version
+(``dts`` below ``INF_TS``): every site that sets a ``dts`` — a commit's
+upserts and deletes, a bulk load over an existing key, a slot handover or
+purge install, a recovered WAL-tail row, a fault-in stamped
+already-superseded — registers its key under the table's commit latch,
+with a lower bound on that ``dts`` (a commit's own timestamp, else
+``ZERO_TS``).  The registrations sit in a heap ordered by that bound, so
+:meth:`repro.core.table.StateTable.collect_garbage` takes only the arrays
+whose bound is at or below the horizon and stops at the first above it;
+a sweep under a long-held snapshot visits nothing.  It collects each
+array outside the latch and registers a survivor again at the exact
+``dts`` of its oldest superseded version, so it reclaims exactly what a
+walk over every resident array would.
 
 Interplay with lazy residency (``StateTable(residency="lazy")``): a
 *clean* version — the base table holds exactly its value, e.g. the copy
@@ -76,6 +81,8 @@ class GarbageCollector:
     The collection horizon is ``OldestActiveVersion`` — the oldest snapshot
     any active transaction may still read (see
     :meth:`repro.core.context.StateContext.oldest_active_version`).
+    ``sweeps``, ``arrays_visited`` and ``total_reclaimed`` count every
+    sweep's work (the managers' ``stats()`` report them).
     """
 
     def __init__(self, context: StateContext, policy: GCPolicy = GCPolicy.ON_DEMAND,
@@ -84,6 +91,8 @@ class GarbageCollector:
         self.policy = policy
         self.interval = max(1, interval)
         self._commits_since_sweep = 0
+        self.sweeps = 0
+        self.arrays_visited = 0
         self.total_reclaimed = 0
 
     def sweep(self, tables: list[StateTable]) -> GCReport:
@@ -95,6 +104,8 @@ class GarbageCollector:
             report.tables += 1
             report.objects_scanned += visited
             report.versions_reclaimed += reclaimed
+        self.sweeps += 1
+        self.arrays_visited += report.objects_scanned
         self.total_reclaimed += report.versions_reclaimed
         self._commits_since_sweep = 0
         return report

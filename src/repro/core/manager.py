@@ -294,6 +294,9 @@ class TransactionManager(TransactionFacade):
         data = self.protocol.stats.snapshot()
         data["global_commits"] = self.coordinator.global_commits
         data["global_aborts"] = self.coordinator.global_aborts
+        data["gc_sweeps"] = self.gc.sweeps
+        data["gc_arrays_visited"] = self.gc.arrays_visited
+        data["gc_versions_reclaimed"] = self.gc.total_reclaimed
         if self.durability is not None:
             data.update(self.durability.stats())
         return data

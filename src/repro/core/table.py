@@ -85,11 +85,12 @@ the table caches and rebuilds only when the index's key set changes.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Iterator
-from itertools import chain
+from itertools import chain, count
 from typing import Any
 
 from collections.abc import Callable, Hashable, Iterable, Sequence
@@ -97,7 +98,7 @@ from collections.abc import Callable, Hashable, Iterable, Sequence
 from ..storage.kvstore import KVStore, MemoryKVStore
 from .codecs import ORDERED_KEY_CODEC, PICKLE_CODEC, Codec
 from .indexes import IndexSet, SecondaryIndex
-from .timestamps import ZERO_TS
+from .timestamps import INF_TS, ZERO_TS
 from .version_store import DEFAULT_SLOTS, MVCCObject, VersionEntry
 from .write_set import WriteKind, WriteSet
 
@@ -182,10 +183,21 @@ class StateTable:
         self._written_evictions = 0
         #: GC pending set: key -> array for every array that may hold a
         #: superseded version (``dts`` below ``INF_TS``).  Every site that
-        #: sets a ``dts`` registers its key under :attr:`commit_latch`;
-        #: :meth:`collect_garbage` walks only this set.  Entries leave with
-        #: their index entry, so the set is a subset of the index.
+        #: sets a ``dts`` registers its key under :attr:`commit_latch`.
+        #: Entries leave with their index entry, so the set is a subset of
+        #: the index.
         self._gc_pending: dict[Any, MVCCObject] = {}
+        #: min-heap of ``(bound, seq, keys)`` beside the pending set: a key
+        #: is queued when it joins the set, in an entry whose ``bound`` is
+        #: at most its array's oldest superseded ``dts``, so
+        #: :meth:`collect_garbage` pops only the entries at or below its
+        #: horizon.  An entry whose key left the set, or was popped through
+        #: another entry, is stale and harmless; ``_gc_heap_keys`` counts
+        #: the keys the heap holds, which :meth:`_push_gc` keeps within
+        #: twice the set.
+        self._gc_heap: list[tuple[int, int, tuple[Any, ...]]] = []
+        self._gc_heap_keys = 0
+        self._gc_seq = count()
 
     # -------------------------------------------------------------- lookups
 
@@ -707,7 +719,13 @@ class StateTable:
             objects = self._arrays_with_underlays(entries)
         else:
             objects = [self.mvcc_object(key, create=True) for key in entries]
-        self._gc_pending.update(zip(entries, objects))
+        pending = self._gc_pending
+        # a pending key is queued at a bound at most its oldest dts, and
+        # this commit's dts are newer than any the key holds
+        fresh = [key for key in entries if key not in pending]
+        pending.update(zip(entries, objects))
+        if fresh:
+            self._push_gc(commit_ts, tuple(fresh))
         puts: list[tuple[bytes, bytes]] = []
         deletes: list[bytes] = []
         installed: list[VersionEntry] = []
@@ -799,7 +817,7 @@ class StateTable:
                 if obj is None:
                     obj = self.mvcc_object(key, create=True)
                 else:
-                    self._gc_pending[key] = obj
+                    self._pend_gc(key, obj)
                 installed.append(obj.install(value, ZERO_TS, ZERO_TS))
                 puts.append(
                     (self.key_codec.encode(key), self.value_codec.encode(value))
@@ -840,6 +858,8 @@ class StateTable:
         with self.commit_latch:
             self.bootstrap_cts = bootstrap_cts
             self._gc_pending.clear()
+            self._gc_heap.clear()
+            self._gc_heap_keys = 0
             self._written.clear()
             with self._index_latch:
                 self._index.clear()
@@ -865,7 +885,7 @@ class StateTable:
         with self.commit_latch:
             obj = self.mvcc_object(key, create=True)
             obj.install(value, cts, cts, clean=clean)
-            self._gc_pending[key] = obj
+            self._pend_gc(key, obj)
             self.applied_cts = max(self.applied_cts, cts)
 
     def evict_keys(self, keys: list[Any]) -> int:
@@ -933,38 +953,86 @@ class StateTable:
         evicted meanwhile (the commit latch orders this with evictions)."""
         with self.commit_latch:
             if self._index.get(key) is obj:
-                self._gc_pending[key] = obj
+                self._pend_gc(key, obj)
+
+    def _pend_gc(self, key: Any, obj: MVCCObject) -> None:
+        """Add ``key``'s array to the GC pending set, queued at
+        ``ZERO_TS``, a lower bound on any ``dts``.  Queued even when the
+        key is pending already: a fault-in stamps the ``dts`` of a commit
+        older than the bound a later commit may have queued meanwhile.
+        Caller holds :attr:`commit_latch`."""
+        self._gc_pending[key] = obj
+        self._push_gc(ZERO_TS, (key,))
+
+    def _push_gc(self, bound: int, keys: tuple[Any, ...]) -> None:
+        """Queue ``keys`` for the first sweep whose horizon reaches
+        ``bound``, a lower bound on each one's oldest superseded ``dts``
+        (``ZERO_TS`` always is one).  Caller holds :attr:`commit_latch`
+        and has put ``keys`` in the pending set, which a rebuild keeps.
+
+        A table that is never swept would grow the heap by every commit,
+        so once it holds more than ``2 * len(pending) + 64`` keys it is
+        rebuilt with one entry per pending key at that key's smallest
+        bound: amortised O(1) per registered key.
+        """
+        heapq.heappush(self._gc_heap, (bound, next(self._gc_seq), keys))
+        self._gc_heap_keys += len(keys)
+        pending = self._gc_pending
+        if self._gc_heap_keys <= 2 * len(pending) + 64:
+            return
+        smallest: dict[Any, int] = {}
+        for entry_bound, _seq, entry_keys in self._gc_heap:
+            for key in entry_keys:
+                if key in pending and entry_bound < smallest.get(key, INF_TS):
+                    smallest[key] = entry_bound
+        self._gc_heap = [
+            (low, next(self._gc_seq), (key,)) for key, low in smallest.items()
+        ]
+        heapq.heapify(self._gc_heap)
+        self._gc_heap_keys = len(self._gc_heap)
 
     def collect_garbage(self, oldest_active: int) -> tuple[int, int]:
-        """GC sweep over the pending set (versions + index postings).
+        """GC sweep over the pending arrays that can hold a version dead
+        at ``oldest_active`` (versions + index postings).
 
-        The pending set is swapped out under :attr:`commit_latch`, which
-        every registering site holds, so no registration is lost and no
-        writer inserts into the dict walked here; the walk itself runs
-        outside the latch.  An entry whose key no longer maps to its array
-        (evicted) is skipped; an array that still holds a superseded
-        version goes back.  Returns ``(arrays visited, versions
-        reclaimed)``.
+        Under :attr:`commit_latch`, which every registering site holds,
+        the sweep pops the heap entries whose bound is at or below the
+        horizon and takes their keys out of the pending set; it stops at
+        the first entry above it, so a sweep costs O(arrays it can
+        reclaim from), and one under a pinned horizon costs nothing.  The
+        arrays are collected outside the latch.  An array that still
+        holds a superseded version is registered again with the exact
+        ``dts`` of the oldest one, even when a commit registered it
+        meanwhile: that commit's bound is its own, newer timestamp.
+        Returns ``(arrays visited, versions reclaimed)``.
         """
+        taken: list[tuple[Any, MVCCObject]] = []
         with self.commit_latch:
-            pending, self._gc_pending = self._gc_pending, {}
+            heap, pending = self._gc_heap, self._gc_pending
+            while heap and heap[0][0] <= oldest_active:
+                keys = heapq.heappop(heap)[2]
+                self._gc_heap_keys -= len(keys)
+                for key in keys:
+                    obj = pending.pop(key, None)
+                    if obj is not None:
+                        taken.append((key, obj))
         index = self._index
         visited = reclaimed = 0
-        survivors: list[tuple[Any, MVCCObject]] = []
-        for key, obj in pending.items():
+        survivors: list[tuple[Any, MVCCObject, int]] = []
+        for key, obj in taken:
             if index.get(key) is not obj:
                 continue
             visited += 1
-            count, still_pending = obj.sweep(oldest_active)
-            reclaimed += count
-            if still_pending:
-                survivors.append((key, obj))
+            freed, oldest_dts = obj.sweep(oldest_active)
+            reclaimed += freed
+            if oldest_dts is not None:
+                survivors.append((key, obj, oldest_dts))
         if survivors:
             with self.commit_latch:
-                restore = self._gc_pending
-                for key, obj in survivors:
+                for key, obj, oldest_dts in survivors:
                     if index.get(key) is obj:
-                        restore[key] = obj
+                        self._gc_pending[key] = obj
+                        self._push_gc(oldest_dts, (key,))
         for secondary in self.indexes.all():
             reclaimed += secondary.collect(oldest_active)
         return visited, reclaimed

@@ -15,10 +15,11 @@ versions whose ``dts`` lies at or below the oldest snapshot any active
 transaction could still read (``OldestActiveVersion``).  It runs *on
 demand* — when an install finds the list at capacity, matching the paper's
 "no free slot" trigger — and in table sweeps (:mod:`repro.core.gc`), which
-visit only the arrays in their table's *GC pending set*: the arrays a
-commit, load or fault-in gave a superseded version.
+visit only the arrays in their table's *GC pending set* (the arrays a
+commit, load or fault-in gave a superseded version) whose oldest
+superseded ``dts`` the sweep's horizon has reached.
 :meth:`MVCCObject.sweep` is that visit — it collects and tells the sweep
-whether the array must stay pending.
+the ``dts`` at which the array must be visited again.
 """
 
 from __future__ import annotations
@@ -271,17 +272,22 @@ class MVCCObject:
         target).
         """
         with self._latch:
-            return self._collect_locked(oldest_active)[0]
-
-    def sweep(self, oldest_active: int) -> tuple[int, bool]:
-        """One GC-sweep visit: :meth:`collect`, then say whether a
-        superseded version (``dts`` below ``INF_TS``) survived — the
-        array then stays in its table's GC pending set.  Returns
-        ``(reclaimed, still_pending)``."""
-        with self._latch:
             return self._collect_locked(oldest_active)
 
-    def _collect_locked(self, oldest_active: int) -> tuple[int, bool]:
+    def sweep(self, oldest_active: int) -> tuple[int, int | None]:
+        """One GC-sweep visit: :meth:`collect`, then report the ``dts`` of
+        the oldest superseded version that survived (``None`` if none) —
+        the array stays in its table's GC pending set until a sweep's
+        horizon reaches it.  Returns ``(reclaimed, oldest dts)``."""
+        with self._latch:
+            reclaimed = self._collect_locked(oldest_active)
+            # Versions are in cts order and their intervals do not
+            # overlap, so the first one has the smallest dts.
+            if self._versions and self._versions[0].dts != INF_TS:
+                return reclaimed, self._versions[0].dts
+            return reclaimed, None
+
+    def _collect_locked(self, oldest_active: int) -> int:
         # The version visible at oldest_active has dts > oldest_active, so
         # dts <= oldest_active alone is the correct death test.
         survivors = [v for v in self._versions if v.dts > oldest_active]
@@ -289,8 +295,7 @@ class MVCCObject:
         if reclaimed:
             self._versions = survivors
             self.gc_count += 1
-        superseded = any(v.dts != INF_TS for v in survivors)
-        return reclaimed, superseded
+        return reclaimed
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -556,6 +556,7 @@ class LSMStore(KVStore):
         try:
             writer = SSTableWriter(
                 self._manifest.table_path(name),
+                len(entries),
                 index_interval=self.options.index_interval,
                 bits_per_key=self.options.bloom_bits_per_key,
             )
@@ -706,6 +707,7 @@ class LSMStore(KVStore):
             if first is not None:
                 writer = SSTableWriter(
                     self._manifest.table_path(name),
+                    sum(len(table) for table in inputs),
                     index_interval=self.options.index_interval,
                     bits_per_key=self.options.bloom_bits_per_key,
                 )

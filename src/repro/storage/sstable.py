@@ -47,15 +47,25 @@ _TOMBSTONE = 1
 
 
 class SSTableWriter:
-    """Builds an SSTable from an iterator of sorted, unique keys."""
+    """Builds an SSTable from an iterator of sorted, unique keys.
+
+    ``capacity`` is an upper bound on the records :meth:`write` receives —
+    a flush knows its memtable's length, a merge its inputs' summed
+    counts — and sizes the bloom filter, so each key goes into the
+    filter as its record is written and no key is held until the end.  A
+    merge that drops shadowed records writes fewer keys than it sized
+    for, which only lowers the false-positive rate.
+    """
 
     def __init__(
         self,
         path: str | os.PathLike[str],
+        capacity: int,
         index_interval: int = 16,
         bits_per_key: int = 10,
     ) -> None:
         self.path = Path(path)
+        self.capacity = capacity
         self.index_interval = max(1, index_interval)
         self.bits_per_key = bits_per_key
 
@@ -67,7 +77,7 @@ class SSTableWriter:
         """
         self.path.parent.mkdir(parents=True, exist_ok=True)
         index: list[tuple[bytes, int]] = []
-        keys: list[bytes] = []
+        bloom = BloomFilter.for_capacity(self.capacity, self.bits_per_key)
         count = 0
         last_key: bytes | None = None
         with open(self.path, "wb") as fh:
@@ -84,7 +94,7 @@ class SSTableWriter:
                 fh.write(_REC_HEADER.pack(len(key), len(body), tomb))
                 fh.write(key)
                 fh.write(body)
-                keys.append(key)
+                bloom.add(key)
                 count += 1
 
             index_off = fh.tell()
@@ -94,9 +104,6 @@ class SSTableWriter:
                 fh.write(offset.to_bytes(8, "little"))
             index_len = fh.tell() - index_off
 
-            bloom = BloomFilter.for_capacity(max(count, 1), self.bits_per_key)
-            for key in keys:
-                bloom.add(key)
             bloom_blob = bloom.to_bytes()
             bloom_off = fh.tell()
             fh.write(bloom_blob)

@@ -335,6 +335,52 @@ class TestTableHydration:
         assert table.collect_garbage(9) == (1, 1)
         assert table.mvcc_object(1).version_count() == 0
 
+    def test_fault_in_racing_a_commit_is_collected_below_its_bound(
+        self, monkeypatch
+    ):
+        # As above, and a commit at 7 writes the key between the fault-in's
+        # install (superseded at 5) and its registration, queueing the key
+        # at 7: a sweep at 6 must still reclaim the version dead at 5.
+        table = StateTable("A", residency="lazy")
+        table.backend.put(table.key_codec.encode(1), table.value_codec.encode("v1"))
+        table.bootstrap_cts = 1
+        real_get = table.backend.multi_get
+        real_install = MVCCObject.install_bootstrap
+        raced: list[MVCCObject | None] = []
+
+        def racing_get(arg):
+            fetched = real_get(arg)
+            if not raced:
+                raced.append(None)
+                delete = WriteSet()
+                delete.delete(1)
+                with table.commit_latch:
+                    table.apply_write_set(delete, 5, 0)
+                table.collect_garbage(9)
+                raced[0] = table.mvcc_object(1)
+                assert raced[0].version_count() == 0
+            return fetched
+
+        def racing_install(obj, value, cts):
+            installed = real_install(obj, value, cts)
+            if raced and obj is raced[0]:
+                raced[0] = None
+                write = WriteSet()
+                write.upsert(1, "w")
+                with table.commit_latch:
+                    table.apply_write_set(write, 7, 0)
+            return installed
+
+        monkeypatch.setattr(table.backend, "multi_get", racing_get)
+        monkeypatch.setattr(MVCCObject, "install_bootstrap", racing_install)
+        assert table.hydrate_many([1]) == 1
+        monkeypatch.undo()
+        obj = table.mvcc_object(1)
+        assert [(v.value, v.dts) for v in obj.versions()][-1] == ("v1", 5)
+        assert table.collect_garbage(6) == (1, 1)
+        assert obj.collect(6) == 0
+        assert table.read_live(1).value == "w"
+
     def test_lazy_scan_merges_cold_and_resident(self):
         table = StateTable("A", residency="lazy")
         for i in range(10):

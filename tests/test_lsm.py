@@ -126,6 +126,23 @@ class TestFlushCompaction:
             assert store.table_count() == 1
             assert store.get(b"k010") == b"b3"  # newest survives
 
+    def test_merged_table_bloom_has_no_false_negatives(self, tmp_path):
+        """A merge sizes its bloom for the inputs' summed counts, an
+        upper bound on what it writes: every written key is in it."""
+        with LSMStore(tmp_path, small_options(auto_compact=False)) as store:
+            for batch in range(4):
+                for i in range(batch * 30, batch * 30 + 60):
+                    store.put(f"k{i:04d}".encode(), f"b{batch}".encode())
+                store.delete(f"k{batch:04d}".encode())
+                store.flush()
+            inputs = sum(len(t) for t in store._tables[0])
+            store.compact_all()
+            (merged,) = [t for tables in store._tables.values() for t in tables]
+            keys = [key for key, _value in merged.items()]
+            assert 0 < len(keys) < inputs
+            assert all(merged.might_contain(key) for key in keys)
+            assert store.get(b"k0100") == b"b3"
+
     def test_tombstones_dropped_at_bottom_level(self, tmp_path):
         with LSMStore(tmp_path, small_options(auto_compact=False)) as store:
             store.put(b"dead", b"v")

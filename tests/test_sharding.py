@@ -687,3 +687,16 @@ class TestLifecycle:
                 for k in range(8):
                     smgr.write(txn, "acct", k, round_no)
         assert smgr.collect_garbage() >= 0
+
+    def test_stats_sum_gc_counters_over_shards(self):
+        smgr = make_sharded("mvcc")
+        for round_no in range(3):
+            with smgr.transaction() as txn:
+                for k in range(8):
+                    smgr.write(txn, "acct", k, round_no)
+        reclaimed = smgr.collect_garbage()
+        stats = smgr.stats()
+        assert stats["gc_sweeps"] == smgr.num_shards
+        assert stats["gc_arrays_visited"] == 8
+        # each key's bulk-loaded version and the first two writes
+        assert stats["gc_versions_reclaimed"] == reclaimed == 3 * 8

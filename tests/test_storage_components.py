@@ -121,7 +121,7 @@ class TestWAL:
 
 class TestSSTable:
     def _write(self, tmp_path, records, **kwargs):
-        writer = SSTableWriter(tmp_path / "t.sst", **kwargs)
+        writer = SSTableWriter(tmp_path / "t.sst", len(records), **kwargs)
         return writer.write(iter(records))
 
     def test_point_lookup(self, tmp_path):
@@ -161,7 +161,7 @@ class TestSSTable:
         assert list(table.range(b"a", b"k000")) == []
 
     def test_out_of_order_keys_rejected(self, tmp_path):
-        writer = SSTableWriter(tmp_path / "bad.sst")
+        writer = SSTableWriter(tmp_path / "bad.sst", 2)
         with pytest.raises(CorruptionError):
             writer.write(iter([(b"b", b"1"), (b"a", b"2")]))
 

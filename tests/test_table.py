@@ -5,6 +5,7 @@ import pytest
 from repro.core import ShardedTransactionManager, TransactionManager
 from repro.core.codecs import INT4_CODEC, JSON_CODEC
 from repro.core.table import StateTable
+from repro.core.version_store import MVCCObject
 from repro.core.write_set import WriteSet
 from repro.storage import LSMOptions, LSMStore, MemoryKVStore
 
@@ -163,6 +164,89 @@ class TestGC:
         visited, reclaimed = table.collect_garbage(oldest_active=5)
         assert (visited, reclaimed) == (1, 4)
         assert table.read_live("hot").value == "v5"
+
+    def test_sweep_stops_at_the_first_bound_above_the_horizon(self):
+        table = StateTable("t")
+        table.bulk_load([(key, "v") for key in range(1000)])
+        for ts in range(1, 11):
+            ws = WriteSet()
+            ws.upsert(ts - 1, "w")
+            with table.commit_latch:
+                table.apply_write_set(ws, ts, 0)
+        # commit ts superseded key ts-1's loaded version, so a sweep at
+        # horizon h visits keys 0..h-1 only
+        assert table.collect_garbage(0) == (0, 0)
+        assert table.collect_garbage(4) == (4, 4)
+        assert table.collect_garbage(4) == (0, 0)
+        assert table.collect_garbage(10) == (6, 6)
+
+    def test_survivor_is_registered_at_its_own_dts(self, monkeypatch):
+        """A commit that registers a key while a sweep collects it must
+        not hide the survivor's older ``dts`` behind its own, newer
+        bound: a sweep between the two still reclaims the survivor."""
+        table = StateTable("t")
+        table.install_version(1, "a", 1)
+        table.install_version(1, "b", 3)  # "a" is superseded at 3
+        target = table.mvcc_object(1)
+        real_sweep = MVCCObject.sweep
+
+        def racing_sweep(obj, oldest_active):
+            if obj is target:
+                ws = WriteSet()
+                ws.upsert(1, "c")  # "b" is superseded at 5
+                with table.commit_latch:
+                    table.apply_write_set(ws, 5, 0)
+            return real_sweep(obj, oldest_active)
+
+        monkeypatch.setattr(MVCCObject, "sweep", racing_sweep)
+        assert table.collect_garbage(2) == (1, 0)
+        monkeypatch.undo()
+        assert table.collect_garbage(4) == (1, 1)
+        assert target.collect(4) == 0
+        assert [v.value for v in target.versions()] == ["c", "b"]
+
+    def test_rebuild_keeps_the_key_being_registered(self):
+        """A single-key registration that triggers the heap rebuild must
+        keep its own key queued, or a later commit to it (which queues
+        nothing for a pending key) leaves a version no sweep visits."""
+        table = StateTable("t")
+        for ts in range(1, 67):  # 66 queued entries of key 0: no rebuild
+            table.install_version(0, ts, ts)
+        assert table._gc_heap_keys == 66
+        table.install_version(1, "a", 67)
+        ws = WriteSet()
+        ws.upsert(1, "b")  # "a" is superseded at 68
+        with table.commit_latch:
+            table.apply_write_set(ws, 68, 0)
+        assert table.collect_garbage(100)[0] == 2
+        assert table.mvcc_object(0).collect(100) == 0
+        assert table.mvcc_object(1).collect(100) == 0
+
+    def test_registrations_stay_bounded_on_a_table_never_swept(self):
+        mgr = TransactionManager(protocol="mvcc")  # ON_DEMAND: no sweeps
+        table = mgr.create_table("A", residency="lazy")
+
+        largest = 0
+        for cycle in range(300):
+            with mgr.transaction() as txn:
+                for key in range(cycle % 7, cycle % 7 + 5):
+                    mgr.write(txn, "A", key, cycle)
+            # checked where keys are registered; evictions only shrink
+            # the pending set and leave stale keys in the heap
+            held = sum(len(keys) for _bound, _seq, keys in table._gc_heap)
+            assert held == table._gc_heap_keys
+            assert held <= 2 * len(table._gc_pending) + 64
+            largest = max(largest, held)
+            table.evict_cold_versions(
+                limit=100,
+                horizon=mgr.context.oldest_active_version(),
+                strict=True,
+            )
+            with mgr.snapshot() as view:
+                for key in range(12):
+                    view.get("A", key)
+        assert table.residency_evictions > 0
+        assert largest <= 2 * 12 + 64
 
     def test_version_count(self):
         table = StateTable("t")
