@@ -18,8 +18,10 @@ The residency study, on the real engine and real files:
   point read pays one bloom-gated LSM probe + bootstrap install; the
   second touch is a plain version-array hit.  Measured: cold vs hot
   p50/p99 on the lazy store, and warm reads against a full-residency
-  open of the same store.  Asserted (full run): the lazy *hot* p50 is
-  within 1.2× of full residency — once resident, laziness costs nothing.
+  open of a copy of the same store, in alternating rounds.  Asserted
+  (full run): the median over rounds of the lazy *hot* p50 is within
+  1.2× of the median of the full-residency p50s — once resident,
+  laziness costs nothing.
 
 * **bounded residency** — a lazy store reopened under a fleet-wide
   ``memory_budget`` of 10% of the rows serves a uniform random read
@@ -72,6 +74,10 @@ SMOKE_READ_SAMPLES = 400
 #: Full-run acceptance: once a key is resident, a lazy read must cost
 #: what a full-residency read costs (same version-array hit).
 HOT_READ_RATIO_CEIL = 1.2
+#: Lazy-hot and full-warm passes alternate this many times each; the gate
+#: compares the medians of the passes' p50s, so one pass slowed by a
+#: neighbour on a shared machine cannot decide it.
+READ_ROUNDS = 3
 
 BUDGET_ROWS = 20_000
 SMOKE_BUDGET_ROWS = 2_000
@@ -231,41 +237,62 @@ def test_point_read_latency_cold_vs_hot(benchmark, tmp_path, smoke):
         return times
 
     def sweep() -> dict:
+        # The two residency modes read two copies of one store, both open,
+        # so their passes can alternate.
+        full_dir = tmp_path / "store-full"
+        shutil.copytree(data_dir, full_dir)
         lazy = ShardedTransactionManager.open(data_dir, state_residency="lazy")
-        cold = measure(lazy)
-        hot = measure(lazy)
-        hydrations = lazy.stats()["hydrations"]
-        lazy.close()
-        full = ShardedTransactionManager.open(data_dir, state_residency="full")
-        warm_full = measure(full)
-        full.close()
+        full = ShardedTransactionManager.open(full_dir, state_residency="full")
+        try:
+            cold = measure(lazy)
+            hot_rounds, full_rounds = [], []
+            for _ in range(READ_ROUNDS):
+                hot_rounds.append(measure(lazy))
+                full_rounds.append(measure(full))
+            hydrations = lazy.stats()["hydrations"]
+        finally:
+            lazy.close()
+            full.close()
         return {
             "cold": latency_stats(cold, scale=1e6),
-            "hot": latency_stats(hot, scale=1e6),
-            "full": latency_stats(warm_full, scale=1e6),
+            "hot": latency_stats(sum(hot_rounds, []), scale=1e6),
+            "full": latency_stats(sum(full_rounds, []), scale=1e6),
+            "hot_round_p50s": [statistics.median(r) * 1e6 for r in hot_rounds],
+            "full_round_p50s": [statistics.median(r) * 1e6 for r in full_rounds],
             "hydrations": hydrations,
         }
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     cold, hot, full = results["cold"], results["hot"], results["full"]
-    ratio = hot["p50"] / max(full["p50"], 1e-9)
+    hot_p50s, full_p50s = results["hot_round_p50s"], results["full_round_p50s"]
+    ratio = statistics.median(hot_p50s) / max(statistics.median(full_p50s), 1e-9)
     report_lines(
-        f"Point reads, {rows} rows, {samples} samples (us)",
+        f"Point reads, {rows} rows, {samples} samples, "
+        f"{READ_ROUNDS} alternating hot/full rounds (us)",
         [
             f"lazy cold: p50 {cold['p50']:7.1f}  p99 {cold['p99']:7.1f}",
-            f"lazy hot : p50 {hot['p50']:7.1f}  p99 {hot['p99']:7.1f}",
-            f"full warm: p50 {full['p50']:7.1f}  p99 {full['p99']:7.1f}",
-            f"hot/full p50 ratio {ratio:.2f}",
+            f"lazy hot : p50 {hot['p50']:7.1f}  p99 {hot['p99']:7.1f}  "
+            f"round p50s {', '.join(f'{p:.2f}' for p in hot_p50s)}",
+            f"full warm: p50 {full['p50']:7.1f}  p99 {full['p99']:7.1f}  "
+            f"round p50s {', '.join(f'{p:.2f}' for p in full_p50s)}",
+            f"hot/full ratio of round-p50 medians {ratio:.2f}",
         ],
     )
     record_bench(
         __file__,
         "read_latency",
         {
-            "config": {"rows": rows, "samples": samples, "smoke": smoke},
+            "config": {
+                "rows": rows,
+                "samples": samples,
+                "rounds": READ_ROUNDS,
+                "smoke": smoke,
+            },
             "lazy_cold_us": cold,
             "lazy_hot_us": hot,
             "full_warm_us": full,
+            "lazy_hot_round_p50_us": hot_p50s,
+            "full_warm_round_p50_us": full_p50s,
             "hot_over_full_p50": round(ratio, 2),
             "hydrations": results["hydrations"],
         },

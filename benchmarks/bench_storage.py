@@ -3,7 +3,9 @@
 The paper configures RocksDB with ``sync = true`` "to guarantee failure
 atomicity" and attributes the writers' low throughput share to it.  These
 benchmarks quantify that knob on our LSM store, plus the point-read path
-(bloom filters + cache) the ad-hoc readers depend on.
+(bloom filters + cache) the ad-hoc readers depend on, and the memtable's
+per-operation cost (every committed row is a memtable put under the store
+lock).
 
 Run:  pytest benchmarks/bench_storage.py --benchmark-only -s
 """
@@ -11,10 +13,13 @@ Run:  pytest benchmarks/bench_storage.py --benchmark-only -s
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
-from repro.storage import LSMOptions, LSMStore
+from repro.storage import LSMOptions, LSMStore, MemTable
+
+from conftest import record_bench, report_lines
 
 ROWS = 500
 # the paper's record shape: 4-byte keys, 20-byte values
@@ -157,3 +162,68 @@ def test_compaction_cost(benchmark, tmp_path):
     counter = iter(range(10_000))
     shape = benchmark.pedantic(build_and_compact, rounds=3, iterations=1)
     assert sum(shape.values()) == 1  # fully compacted into one run
+
+
+#: Memtable fills: ``perfbench``'s ``ingest_replicated`` 128 KiB budget
+#: (about 2.6k entries of 8-byte keys and 18-byte values) and the
+#: ``LSMOptions`` default of 4 MiB (about 84k entries).
+MEMTABLE_FILLS = {"128KiB": 128 * 1024, "4MiB": LSMOptions().memtable_bytes}
+#: Keys per timed memtable range and ranges timed per case.
+RANGE_WIDTH = 100
+RANGES = 1000
+
+
+@pytest.mark.benchmark(group="storage-memtable")
+@pytest.mark.parametrize("order", ["random", "ascending"])
+@pytest.mark.parametrize("fill", list(MEMTABLE_FILLS))
+def test_memtable_op_costs(benchmark, fill, order):
+    """Real-clock µs per memtable put, get and ``RANGE_WIDTH``-key range,
+    filling one memtable to a flush budget with random or ascending
+    8-byte keys (ascending is the append-only case a sorted structure
+    handles best; random keys land anywhere in the key order)."""
+    budget = MEMTABLE_FILLS[fill]
+    rng = random.Random(11)
+    value = b"v" * 18
+    count = budget // (8 + len(value) + 24)
+    if order == "random":
+        keys = [rng.getrandbits(64).to_bytes(8, "big") for _ in range(count)]
+    else:
+        keys = [i.to_bytes(8, "big") for i in range(count)]
+    probes = list(keys)
+    rng.shuffle(probes)
+    ordered = sorted(keys)
+    starts = [rng.randrange(len(ordered) - RANGE_WIDTH) for _ in range(RANGES)]
+    bounds = [(ordered[i], ordered[i + RANGE_WIDTH]) for i in starts]
+
+    def measure() -> dict[str, float]:
+        memtable = MemTable()
+        put, get, scan = memtable.put, memtable.get, memtable.range
+        t0 = time.perf_counter()
+        for key in keys:
+            put(key, value)
+        t1 = time.perf_counter()
+        for key in probes:
+            get(key)
+        t2 = time.perf_counter()
+        for low, high in bounds:
+            for _entry in scan(low, high):
+                pass
+        t3 = time.perf_counter()
+        assert memtable.approximate_bytes() <= budget
+        return {
+            "entries": len(memtable),
+            "put_us": (t1 - t0) / len(keys) * 1e6,
+            "get_us": (t2 - t1) / len(probes) * 1e6,
+            "range_us": (t3 - t2) / len(bounds) * 1e6,
+        }
+
+    result = benchmark.pedantic(measure, rounds=1, iterations=1)
+    report_lines(
+        f"memtable {fill} {order}",
+        [
+            f"entries {result['entries']}: put {result['put_us']:.2f} µs, "
+            f"get {result['get_us']:.2f} µs, "
+            f"{RANGE_WIDTH}-key range {result['range_us']:.2f} µs"
+        ],
+    )
+    record_bench(__file__, "memtable_ops", {f"{fill}-{order}": result}, merge=True)

@@ -14,7 +14,6 @@ from .lsm import LSMOptions, LSMStats, LSMStore
 from .maintenance import StorageMaintenanceDaemon
 from .memtable import TOMBSTONE, MemTable, Tombstone
 from .manifest import Manifest
-from .skiplist import SkipList
 from .sstable import SSTable, SSTableWriter
 from .wal import WriteAheadLog
 
@@ -30,7 +29,6 @@ __all__ = [
     "MemoryKVStore",
     "SSTable",
     "SSTableWriter",
-    "SkipList",
     "StorageMaintenanceDaemon",
     "TOMBSTONE",
     "Tombstone",

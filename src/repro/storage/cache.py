@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Iterable
 from typing import Any
 
 
@@ -42,6 +43,19 @@ class LRUCache:
             self._data[key] = value
             if len(self._data) > self.capacity:
                 self._data.popitem(last=False)
+
+    def put_many(self, items: Iterable[tuple[Any, Any]]) -> None:
+        """:meth:`put` each ``(key, value)`` in order under one lock
+        acquisition (a store's write batch updates the cache at once)."""
+        with self._lock:
+            data = self._data
+            capacity = self.capacity
+            for key, value in items:
+                if key in data:
+                    data.move_to_end(key)
+                data[key] = value
+                if len(data) > capacity:
+                    data.popitem(last=False)
 
     def resize(self, capacity: int) -> None:
         """Change the capacity, evicting LRU entries if shrinking (the

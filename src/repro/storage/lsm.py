@@ -35,8 +35,12 @@ Maintenance modes (``LSMOptions.maintenance``):
   outrun the daemon: they briefly sleep (slowdown) or park until the
   debt drains (stop), with the stall time counted in :class:`LSMStats`.
 
-Concurrency: compactions are serialised **per level pair** (a merge holds
-its source and target level locks), not store-wide — merges of disjoint
+Concurrency: the store lock guards the live memtable, which has no latch
+of its own (a ``dict`` plus a sorted key list — every insert already holds
+the store lock, so a lock-free skip list would buy nothing); a sealed
+memtable is never mutated again, so a flush build walks it without the
+lock.  Compactions are serialised **per level pair** (a merge holds its
+source and target level locks), not store-wide — merges of disjoint
 levels, and of different stores sharing one daemon, overlap.  Flush builds
 are serialised by ``_flush_lock`` (installs must stay oldest-first so the
 newest-wins read order is preserved).
@@ -188,8 +192,9 @@ class LSMStore(KVStore):
             self._memtable = MemTable()  #: guarded_by(_lock)
             #: Sealed memtables of in-flight flush builds, oldest first: still
             #: consulted by reads (between the live memtable and the SSTables)
-            #: until their SSTable is installed.  Each entry carries the seal
-            #: counter of its ``wal.log.imm-N`` sidecar.
+            #: until their SSTable is installed, and never mutated after the
+            #: seal.  Each entry carries the seal counter of its
+            #: ``wal.log.imm-N`` sidecar.
             self._immutables: list[tuple[int, MemTable]] = []
             self._cache = LRUCache(self.options.cache_capacity)
 
@@ -342,14 +347,16 @@ class LSMStore(KVStore):
             # The store lock keeps WAL order equal to memtable order, so a
             # synced batch pays its one fsync under it.
             self._wal.append_many(records)  # reprolint: allow[RL002] reason=WAL order must equal memtable order
+            memtable = self._memtable
             for key, value in puts:
-                self._memtable.put(key, value)
-                self._cache.put(key, value)
+                memtable.put(key, value)
             for key in deletes:
-                self._memtable.delete(key)
-                # A delete *is* a confirmed absence: negative-cache it
-                # instead of just evicting, so post-delete reads stay hits.
-                self._cache.put(key, _ABSENT)
+                memtable.delete(key)
+            # A delete *is* a confirmed absence: negative-cache it instead
+            # of just evicting, so post-delete reads stay hits.
+            self._cache.put_many(
+                chain(puts, [(key, _ABSENT) for key in deletes])
+            )
             self.stats.puts += len(puts)
             self.stats.deletes += len(deletes)
         # Outside the store lock: an inline flush acquires _flush_lock
@@ -440,11 +447,12 @@ class LSMStore(KVStore):
         """Merged, shadow-resolved range scan across memtable and all runs."""
         with self._lock:
             self._ensure_open()
+            # Memtable ranges are already snapshot lists.
             sources: list[list[tuple[bytes, bytes | Tombstone | None]]] = [
-                list(self._memtable.range(low, high))
+                self._memtable.range(low, high)
             ]
             for _counter, sealed in reversed(self._immutables):
-                sources.append(list(sealed.range(low, high)))
+                sources.append(sealed.range(low, high))
             for level in sorted(self._tables):
                 for table in reversed(self._tables[level]):
                     sources.append(list(table.range(low, high)))
@@ -485,6 +493,9 @@ class LSMStore(KVStore):
     # ------------------------------------------------------------- flushing
 
     def _maybe_flush(self) -> None:
+        # Read without the store lock (one int, atomic under the GIL): a
+        # concurrent seal at worst shows this writer the fresh memtable's
+        # count.
         if self._memtable.approximate_bytes() < self.options.memtable_bytes:
             return
         if self._background:
@@ -551,8 +562,9 @@ class LSMStore(KVStore):
             if not self._immutables:
                 return False
             seal_counter, sealed = self._immutables[0]
-            entries = sealed.items()
             name = f"{self._manifest.allocate_file_number():08d}.sst"
+        # A sealed memtable is never mutated: walk it outside the lock.
+        entries = sealed.items()
         try:
             writer = SSTableWriter(
                 self._manifest.table_path(name),

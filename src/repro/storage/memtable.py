@@ -1,15 +1,23 @@
 """The mutable in-memory component of the LSM store.
 
-A memtable is a skip list of the most recent writes, guarded by a
-read-write latch.  Deletes are recorded as tombstones (not removals) so
-that flushing the memtable produces a run that correctly shadows older
-values of the key in lower levels.
+A memtable is a ``dict`` of the most recent writes plus the same keys in
+a list kept sorted with :func:`bisect.insort` on each key's first
+insert: a point read is one dict lookup and a range is a bisect plus a
+slice.  Deletes are recorded as tombstones (not removals) so that
+flushing the memtable produces a run that correctly shadows older values
+of the key in lower levels.
+
+The memtable has no latch of its own.  :class:`~repro.storage.lsm.LSMStore`
+mutates and reads the live memtable only under its store lock, and a
+sealed memtable is never mutated again.  LevelDB and RocksDB keep the
+memtable in a skip list because it admits concurrent inserts without a
+lock; here every insert already holds the store lock (and the GIL), so a
+skip list would only be a slower sorted map.
 """
 
 from __future__ import annotations
 
-import threading
-from collections.abc import Iterator
+from bisect import bisect_left, insort
 
 
 class Tombstone:
@@ -28,44 +36,46 @@ class Tombstone:
 
 TOMBSTONE = Tombstone()
 
+_MISSING = object()
+
 
 class MemTable:
-    """Latched skip-list memtable with approximate size accounting."""
+    """Sorted in-memory map with approximate size accounting."""
 
-    def __init__(self, seed: int | None = None) -> None:
-        # Import here keeps the storage package import-order flexible.
-        from .skiplist import MISSING, SkipList
-
-        self._list = SkipList(seed=seed)
-        self._missing = MISSING
-        self._latch = threading.RLock()
+    def __init__(self) -> None:
+        self._data: dict[bytes, bytes | Tombstone] = {}
+        #: ``_data``'s keys in ascending order (tombstoned keys included).
+        self._keys: list[bytes] = []
         self._approx_bytes = 0
-        # Entries that are live values (not tombstones): the skip list's
-        # len() counts tombstoned keys, so the LSM's approximate live-key
-        # count needs this maintained alongside each insert.
+        # Entries that are live values (not tombstones): len() counts
+        # tombstoned keys, so the LSM's approximate live-key count needs
+        # this maintained alongside each insert.
         self._live = 0
 
     def put(self, key: bytes, value: bytes) -> None:
-        with self._latch:
-            old = self._list.insert(key, value)
-            if old is self._missing or old is TOMBSTONE:
-                self._live += 1
-            self._approx_bytes += len(key) + len(value) + 24
+        old = self._data.get(key, _MISSING)
+        if old is _MISSING:
+            insort(self._keys, key)
+            self._live += 1
+        elif old is TOMBSTONE:
+            self._live += 1
+        self._data[key] = value
+        self._approx_bytes += len(key) + len(value) + 24
 
     def delete(self, key: bytes) -> None:
         """Record a tombstone for ``key``."""
-        with self._latch:
-            old = self._list.insert(key, TOMBSTONE)
-            if old is not self._missing and old is not TOMBSTONE:
-                self._live -= 1
-            self._approx_bytes += len(key) + 24
+        old = self._data.get(key, _MISSING)
+        if old is _MISSING:
+            insort(self._keys, key)
+        elif old is not TOMBSTONE:
+            self._live -= 1
+        self._data[key] = TOMBSTONE
+        self._approx_bytes += len(key) + 24
 
     def get(self, key: bytes) -> tuple[bytes | None, bool]:
         """Return ``(value, found)``; tombstones yield ``(None, True)``."""
-        with self._latch:
-            sentinel = object()
-            value = self._list.get(key, sentinel)
-        if value is sentinel:
+        value = self._data.get(key, _MISSING)
+        if value is _MISSING:
             return None, False
         if value is TOMBSTONE:
             return None, True
@@ -73,26 +83,29 @@ class MemTable:
 
     def items(self) -> list[tuple[bytes, bytes | Tombstone]]:
         """Snapshot of all entries in key order (tombstones included)."""
-        with self._latch:
-            return list(self._list.items())
+        data = self._data
+        return [(key, data[key]) for key in self._keys]
 
-    def range(self, low: bytes | None, high: bytes | None) -> Iterator[tuple[bytes, bytes | Tombstone]]:
-        with self._latch:
-            snapshot = list(self._list.range(low, high))
-        yield from snapshot
+    def range(
+        self, low: bytes | None, high: bytes | None
+    ) -> list[tuple[bytes, bytes | Tombstone]]:
+        """Snapshot of the entries with ``low <= key < high`` in key order;
+        a ``None`` bound is open on that side."""
+        keys = self._keys
+        start = 0 if low is None else bisect_left(keys, low)
+        stop = len(keys) if high is None else bisect_left(keys, high, start)
+        data = self._data
+        return [(key, data[key]) for key in keys[start:stop]]
 
     def approximate_bytes(self) -> int:
-        with self._latch:
-            return self._approx_bytes
+        return self._approx_bytes
 
     def __len__(self) -> int:
-        with self._latch:
-            return len(self._list)
+        return len(self._data)
 
     def live_count(self) -> int:
         """Entries holding live values (tombstoned keys excluded)."""
-        with self._latch:
-            return self._live
+        return self._live
 
     def is_empty(self) -> bool:
-        return len(self) == 0
+        return not self._data

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.storage import LSMOptions, LSMStore, MemoryKVStore
 from repro.storage.bloom import BloomFilter
-from repro.storage.skiplist import SkipList
+from repro.storage.memtable import TOMBSTONE, MemTable, Tombstone
 
 keys = st.binary(min_size=1, max_size=8)
 values = st.binary(min_size=0, max_size=16)
@@ -23,44 +23,69 @@ ops = st.lists(
 )
 
 
-class TestSkipListProperties:
-    @given(ops)
-    @settings(max_examples=120, deadline=None)
+#: Memtable operations: (op, key, value, low, high) with op 0 = put,
+#: 1 = delete, 2 = get, 3 = range, 4 = items; a ``None`` bound is open.
+memtable_ops = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=4),
+        keys,
+        values,
+        st.none() | keys,
+        st.none() | keys,
+    ),
+    max_size=80,
+)
+
+
+class TestMemTableProperties:
+    @given(memtable_ops)
+    @settings(max_examples=150, deadline=None)
     def test_matches_dict_model(self, operations):
-        sl = SkipList(seed=1)
-        model: dict[bytes, bytes] = {}
-        for op, key, value in operations:
+        """A memtable ≡ a dict that keeps tombstones, with the size and
+        live-count accounting replayed beside it."""
+        mt = MemTable()
+        model: dict[bytes, bytes | Tombstone] = {}
+        approx = 0
+        for op, key, value, low, high in operations:
             if op == 0:
-                sl.insert(key, value)
+                mt.put(key, value)
                 model[key] = value
+                approx += len(key) + len(value) + 24
             elif op == 1:
-                assert sl.delete(key) == (key in model)
-                model.pop(key, None)
+                mt.delete(key)
+                model[key] = TOMBSTONE
+                approx += len(key) + 24
+            elif op == 2:
+                expected = model.get(key)
+                if expected is None:
+                    assert mt.get(key) == (None, False)
+                elif expected is TOMBSTONE:
+                    assert mt.get(key) == (None, True)
+                else:
+                    assert mt.get(key) == (expected, True)
+            elif op == 3:
+                assert mt.range(low, high) == [
+                    (k, v) for k, v in sorted(model.items())
+                    if (low is None or k >= low) and (high is None or k < high)
+                ]
             else:
-                assert sl.get(key) == model.get(key)
-        assert list(sl.items()) == sorted(model.items())
+                assert mt.items() == sorted(model.items())
+            assert len(mt) == len(model)
+            assert mt.is_empty() == (not model)
+            assert mt.live_count() == sum(
+                1 for v in model.values() if v is not TOMBSTONE
+            )
+            assert mt.approximate_bytes() == approx
 
-    @given(st.lists(keys, min_size=1, unique=True))
+    @given(st.lists(keys, min_size=1, unique=True), st.lists(keys))
     @settings(max_examples=100, deadline=None)
-    def test_iteration_always_sorted(self, key_list):
-        sl = SkipList(seed=2)
+    def test_items_always_sorted(self, key_list, deleted):
+        mt = MemTable()
         for key in key_list:
-            sl.insert(key, None)
-        out = list(sl.keys())
-        assert out == sorted(key_list)
-
-    @given(st.lists(keys, min_size=1, unique=True), keys)
-    @settings(max_examples=100, deadline=None)
-    def test_floor_ceiling_consistent(self, key_list, probe):
-        sl = SkipList(seed=3)
-        for key in key_list:
-            sl.insert(key, True)
-        floor = sl.floor(probe)
-        ceiling = sl.ceiling(probe)
-        below = [k for k in key_list if k <= probe]
-        above = [k for k in key_list if k >= probe]
-        assert (floor[0] if floor else None) == (max(below) if below else None)
-        assert (ceiling[0] if ceiling else None) == (min(above) if above else None)
+            mt.put(key, b"")
+        for key in deleted:
+            mt.delete(key)
+        assert [k for k, _v in mt.items()] == sorted(set(key_list) | set(deleted))
 
 
 class TestMemoryKVStoreProperties:

@@ -1,8 +1,11 @@
 """Tests for bloom filters, WAL, SSTables, memtable, manifest, cache."""
 
+import random
+
 import pytest
 
 from repro.errors import CorruptionError
+from repro.storage import LSMOptions, LSMStore
 from repro.storage.bloom import BloomFilter
 from repro.storage.cache import LRUCache
 from repro.storage.manifest import Manifest
@@ -261,6 +264,84 @@ class TestMemTable:
         mt.put(b"k", b"v")
         assert not mt.is_empty()
 
+    def test_overwrite_keeps_one_entry(self):
+        mt = MemTable()
+        mt.put(b"k", b"1")
+        mt.put(b"k", b"22")
+        assert mt.get(b"k") == (b"22", True)
+        assert len(mt) == 1
+        assert mt.live_count() == 1
+        # every write is charged, overwrites included
+        assert mt.approximate_bytes() == (1 + 1 + 24) + (1 + 2 + 24)
+
+    def test_items_sorted(self):
+        mt = MemTable()
+        keys = [i.to_bytes(2, "big") for i in range(200)]
+        random.Random(7).shuffle(keys)
+        for key in keys:
+            mt.put(key, key)
+        assert [k for k, _v in mt.items()] == sorted(keys)
+
+    def test_range_bounds(self):
+        mt = MemTable()
+        for i in (0, 10, 20, 30):
+            mt.put(bytes([i]), b"v")
+
+        def keys(low, high):
+            return [k for k, _v in mt.range(low, high)]
+
+        assert keys(bytes([10]), bytes([30])) == [bytes([10]), bytes([20])]
+        assert keys(bytes([5]), bytes([15])) == [bytes([10])]
+        assert keys(None, bytes([20])) == [bytes([0]), bytes([10])]
+        assert keys(bytes([20]), None) == [bytes([20]), bytes([30])]
+        assert len(keys(None, None)) == 4
+        assert keys(bytes([30]), bytes([10])) == []
+
+    def test_delete_keeps_order_and_live_count(self):
+        mt = MemTable()
+        for i in range(100):
+            mt.put(bytes([i]), b"v")
+        for i in range(0, 100, 2):
+            mt.delete(bytes([i]))
+        mt.delete(bytes([0]))  # a second tombstone is no second deletion
+        mt.delete(bytes([200]))  # a blind delete adds a tombstoned key
+        assert [k for k, _v in mt.items()] == [bytes([i]) for i in range(100)] + [bytes([200])]
+        assert mt.live_count() == 50
+        mt.put(bytes([0]), b"back")
+        assert mt.live_count() == 51
+
+    def test_ten_thousand_puts(self):
+        mt = MemTable()
+        for i in range(10_000):
+            mt.put(i.to_bytes(4, "big"), b"v")
+        assert len(mt) == mt.live_count() == 10_000
+        for probe in (0, 1, 4999, 9999):
+            assert mt.get(probe.to_bytes(4, "big")) == (b"v", True)
+
+    def test_sealed_memtable_does_not_change_under_live_writes(self, tmp_path):
+        """A seal freezes its memtable: its ``items()`` and ``range()``
+        answer the same while the store's fresh live memtable takes
+        overwrites, deletes and new keys."""
+        store = LSMStore(tmp_path, LSMOptions(sync=False, memtable_bytes=1 << 20))
+        try:
+            store.write_batch([(b"a", b"1"), (b"c", b"3")], [b"b"])
+            assert store._seal()
+            _counter, sealed = store._immutables[-1]
+            items = sealed.items()
+            frozen_items = list(items)
+            frozen_range = sealed.range(b"b", None)
+            live_range = store._memtable.range(None, None)
+            store.write_batch([(b"a", b"x"), (b"b", b"2"), (b"d", b"4")], [b"c"])
+            assert store._memtable is not sealed
+            assert sealed.items() == items == frozen_items
+            assert sealed.range(b"b", None) == frozen_range == [
+                (b"b", TOMBSTONE), (b"c", b"3")
+            ]
+            assert live_range == []  # a returned range is a snapshot too
+            assert dict(store.scan()) == {b"a": b"x", b"b": b"2", b"d": b"4"}
+        finally:
+            store.close()
+
 
 class TestManifest:
     def test_roundtrip(self, tmp_path):
@@ -338,3 +419,26 @@ class TestLRUCache:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             LRUCache(0)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_put_many_matches_put_loop(self, seed):
+        """``put_many`` leaves the same contents, LRU order and hit/miss
+        counters as one ``put`` per pair, over random batches interleaved
+        with reads."""
+        rng = random.Random(seed)
+        capacity = rng.randint(1, 8)
+        batched, looped = LRUCache(capacity), LRUCache(capacity)
+        for _ in range(60):
+            if rng.random() < 0.5:
+                batch = [
+                    (rng.randrange(12), rng.randrange(100))
+                    for _ in range(rng.randint(0, 10))
+                ]
+                batched.put_many(iter(batch))
+                for key, value in batch:
+                    looped.put(key, value)
+            else:
+                key = rng.randrange(12)
+                assert batched.get(key) == looped.get(key)
+            assert list(batched._data.items()) == list(looped._data.items())
+            assert (batched.hits, batched.misses) == (looped.hits, looped.misses)
