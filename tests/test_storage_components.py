@@ -264,6 +264,28 @@ class TestMemTable:
         mt.put(b"k", b"v")
         assert not mt.is_empty()
 
+    def test_insert_get(self):
+        mt = MemTable()
+        mt.put(b"b", b"1")
+        mt.put(b"a", b"2")
+        assert mt.get(b"a") == (b"2", True)
+        assert mt.get(b"b") == (b"1", True)
+        assert mt.get(b"c") == (None, False)
+
+    def test_contains(self):
+        mt = MemTable()
+        mt.put(b"k", b"")  # an empty value is a live value, not an absence
+        assert mt.get(b"k") == (b"", True)
+        assert mt.get(b"x") == (None, False)
+
+    def test_len(self):
+        mt = MemTable()
+        for i in range(100):
+            mt.put(bytes([i]), b"v")
+        assert len(mt) == 100
+        mt.delete(bytes([0]))  # a tombstone still occupies its entry
+        assert len(mt) == 100
+
     def test_overwrite_keeps_one_entry(self):
         mt = MemTable()
         mt.put(b"k", b"1")
@@ -282,22 +304,45 @@ class TestMemTable:
             mt.put(key, key)
         assert [k for k, _v in mt.items()] == sorted(keys)
 
-    def test_range_bounds(self):
+    @staticmethod
+    def _range_keys(mt, low, high):
+        return [k for k, _v in mt.range(low, high)]
+
+    def test_range_half_open(self):
         mt = MemTable()
         for i in (0, 10, 20, 30):
             mt.put(bytes([i]), b"v")
+        assert self._range_keys(mt, bytes([10]), bytes([30])) == [bytes([10]), bytes([20])]
+        assert self._range_keys(mt, bytes([30]), bytes([10])) == []
 
-        def keys(low, high):
-            return [k for k, _v in mt.range(low, high)]
+    def test_range_open_bounds(self):
+        mt = MemTable()
+        for i in (0, 10, 20, 30):
+            mt.put(bytes([i]), b"v")
+        assert self._range_keys(mt, None, bytes([20])) == [bytes([0]), bytes([10])]
+        assert self._range_keys(mt, bytes([20]), None) == [bytes([20]), bytes([30])]
+        assert len(self._range_keys(mt, None, None)) == 4
 
-        assert keys(bytes([10]), bytes([30])) == [bytes([10]), bytes([20])]
-        assert keys(bytes([5]), bytes([15])) == [bytes([10])]
-        assert keys(None, bytes([20])) == [bytes([0]), bytes([10])]
-        assert keys(bytes([20]), None) == [bytes([20]), bytes([30])]
-        assert len(keys(None, None)) == 4
-        assert keys(bytes([30]), bytes([10])) == []
+    def test_range_between_keys(self):
+        mt = MemTable()
+        for i in (0, 10, 20, 30):
+            mt.put(bytes([i]), b"v")
+        assert self._range_keys(mt, bytes([5]), bytes([15])) == [bytes([10])]
 
-    def test_delete_keeps_order_and_live_count(self):
+    def test_delete(self):
+        mt = MemTable()
+        mt.put(bytes([0]), b"v")
+        mt.delete(bytes([0]))
+        mt.delete(bytes([0]))  # a second tombstone is no second deletion
+        assert mt.get(bytes([0])) == (None, True)
+        assert len(mt) == 1 and mt.live_count() == 0
+        mt.delete(bytes([200]))  # a blind delete adds a tombstoned key
+        assert mt.get(bytes([200])) == (None, True)
+        assert len(mt) == 2 and mt.live_count() == 0
+        mt.put(bytes([0]), b"back")
+        assert mt.live_count() == 1
+
+    def test_delete_maintains_order(self):
         mt = MemTable()
         for i in range(100):
             mt.put(bytes([i]), b"v")
