@@ -27,13 +27,16 @@ The residency study, on the real engine and real files:
   ``memory_budget`` of 10% of the rows serves a uniform random read
   stream three times the budget.  The resident-version-array count is
   sampled after *every* read and may never exceed the budget (the
-  strict inline backstop makes it a hard cap, not a high-water mark);
-  the sweep's evictions, the queue entries it visited per eviction
+  faulting reader's inline backstop makes it a hard cap, not a
+  high-water mark); the stream's read p50 and p99 (not gated), the
+  sweep's evictions, the queue entries it visited per eviction
   (asserted <= 3) and the LSM value-cache hit ratio after warm-up are
-  recorded.  A written pool as large as the budget and
-  ``read_many`` batches of 16 keys follow; each cold key a batch reads
-  must be faulted in at most once on average (hydrations per cold key
-  read <= 1.0), so the backstop does not evict a batch before its reads.
+  recorded.  The store runs the default background maintenance daemon,
+  which flushes and compacts but never evicts.  A written pool as large
+  as the budget and ``read_many`` batches of 16 keys follow; each cold
+  key a batch reads must be faulted in at most once on average
+  (hydrations per cold key read <= 1.0), so the backstop does not evict
+  a batch before its reads.
 
 Results land in ``BENCH_coldstart.json`` (smoke: the ``.smoke.json``
 sidecar; the open-time and read-ratio assertions relax — smoke stores
@@ -319,10 +322,14 @@ def test_bounded_residency_under_budget(benchmark, tmp_path, smoke):
             data_dir, state_residency="lazy", memory_budget=budget
         )
         max_resident = 0
+        read_s: list[float] = []
         for _ in range(3 * budget):
             key = rng.randrange(rows)
+            t0 = time.perf_counter()
             with reopened.transaction() as txn:
-                assert reopened.read(txn, "A", key) is not None
+                value = reopened.read(txn, "A", key)
+            read_s.append(time.perf_counter() - t0)
+            assert value is not None
             resident = _resident_total(reopened)
             max_resident = max(max_resident, resident)
             # the acceptance invariant, checked after EVERY sample
@@ -360,8 +367,11 @@ def test_bounded_residency_under_budget(benchmark, tmp_path, smoke):
             with reopened.transaction() as txn:
                 reopened.read(txn, "A", key)
         stats = reopened.stats()
+        latency = latency_stats(read_s, scale=1e6)
         out = {
             "max_resident": max_resident,
+            "read_p50_us": round(latency["p50"], 1),
+            "read_p99_us": round(latency["p99"], 1),
             "hydrations": stats["hydrations"],
             "batch_hydrations_per_cold_key": round(faulted / cold_read, 3),
             "evictions": stats["residency_evictions"],
@@ -378,6 +388,8 @@ def test_bounded_residency_under_budget(benchmark, tmp_path, smoke):
         f"Bounded residency, {rows} rows, budget {budget}",
         [
             f"max resident {results['max_resident']:6d} / budget {budget}",
+            f"3x-budget read stream p50 {results['read_p50_us']:.1f} us  "
+            f"p99 {results['read_p99_us']:.1f} us",
             f"hydrations {results['hydrations']:6d}  "
             f"evictions {results['evictions']:6d}",
             f"sweep visits per eviction {results['sweep_visits_per_eviction']:.3f}",

@@ -254,6 +254,9 @@ class ShardReplica:
             }
 
     def close(self) -> None:
+        # a closed replica serves no follower reads; the hook is bound to
+        # the manager that holds this replica
+        self.floor_hook = None
         self.wal.close()
 
 
@@ -437,6 +440,9 @@ class ReplicationDaemon:
                 return
             self._stopped = True
             self._work.notify_all()
+        # a stopped loop ships nothing; the feed was also the fsync
+        # daemon's only reference back to this daemon
+        self.daemon.set_on_durable(None)
         self._thread.join(timeout=5.0)
         for replica in self.replicas:
             replica.close()

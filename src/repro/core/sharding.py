@@ -413,16 +413,17 @@ class CheckpointDaemon:
         failed pipeline — the commit surfaces those failures itself — and
         after ``throttle_timeout`` on a cut that never completes.
         """
-        daemon = self._manager.daemons[idx]
+        manager = self._manager  # None once closed
+        daemon = None if manager is None else manager.daemons[idx]
         if daemon is None:
             return
         deadline = time.monotonic() + self.throttle_timeout
         with self._cond:
             failures_seen = self._shard_cut_failures.get(idx, 0)
             while not self._closed:
-                if self._manager.fenced or daemon.failed:
+                if manager.fenced or daemon.failed:
                     return
-                if idx in self._manager._migrating:
+                if idx in manager._migrating:
                     # Checkpoints of this shard are suspended for a slot
                     # migration, so no cut can bring the tail back under
                     # the bound — parking here would stall every writer on
@@ -525,7 +526,12 @@ class CheckpointDaemon:
         deadline = time.monotonic() + self.join_timeout
         for thread in self._threads:
             thread.join(max(0.0, deadline - time.monotonic()))
-        return not any(thread.is_alive() for thread in self._threads)
+        if any(thread.is_alive() for thread in self._threads):
+            return False
+        # the manager holds this daemon: drop the back reference so a
+        # closed manager is freed without the cyclic collector
+        self._manager = None
+        return True
 
     def stats(self) -> dict[str, int]:
         with self._cond:
@@ -1071,21 +1077,16 @@ class ShardedTransactionManager(TransactionFacade):
         ]
 
     def _wire_residency(self, idx: int, table: StateTable) -> None:
-        """Hook one lazy partition into the manager's shared services.
+        """Hook one lazy partition to its shard's GC horizon.
 
-        The GC-horizon hook keeps eviction snapshot-safe: an array may
-        only be dropped once no reader (local or capped cross-shard — the
+        The hook keeps eviction snapshot-safe: an array may only be
+        dropped once no reader (local or capped cross-shard — the
         context's ``horizon_hook`` folds the global barrier in) could
-        still resolve any version but its clean live one.  The eviction
-        trigger routes over-budget sweeps to the maintenance daemon so the
-        commit path never pays them.
+        still resolve any version but its clean live one.  The table's
+        own fault-in backstop does the evicting.
         """
-        if table.residency != RESIDENCY_LAZY:
-            return
-        table.gc_horizon_hook = self.shards[idx].context.oldest_active_version
-        daemon = self.maintenance_daemon
-        if daemon is not None:
-            table.eviction_trigger = lambda t=table: daemon.request_eviction(t)
+        if table.residency == RESIDENCY_LAZY:
+            table.gc_horizon_hook = self.shards[idx].context.oldest_active_version
 
     def _active_shards(self) -> list[int]:
         """Shards that still own slots.  A merged-away shard keeps its
@@ -2965,6 +2966,10 @@ class ShardedTransactionManager(TransactionFacade):
                 pass
         for shard in self.shards:
             shard.close()
+            # the shard's hooks are bound to this manager: drop them so a
+            # closed manager is freed by reference counting alone
+            shard.protocol.commit_gate = None
+            shard.context.horizon_hook = None
         for daemon in self.daemons:
             if daemon is not None:
                 daemon.close()

@@ -59,14 +59,14 @@ starts (nearly) empty and each key moves through a small state machine:
   newest commit is above the last horizon it read.  A write to a cold
   key needs no fault-in for First-Committer-Wins: its newest commit is
   at or below the horizon, so no live snapshot can have missed it.
-  Bulk sweeps run on the
-  :class:`~repro.storage.maintenance.StorageMaintenanceDaemon`; the
-  faulting reader only pays a bounded inline backstop that keeps the
-  resident count at the budget plus the keys written since the last
-  fault-in.  The backstop is strict (it ignores reference bits), so it
-  visits each queue entry once, and it takes the arrays of the
-  faulting read's own keys last: a read faults each cold key in once,
-  unless its batch alone outgrows the budget.
+  The faulting reader runs the only sweep: an inline backstop that
+  brings the resident count back to the budget, so between fault-ins it
+  exceeds the budget by at most the keys written since the last one.
+  The backstop visits each queue entry once, and it takes the arrays of
+  the faulting read's own keys last: a read faults each cold key in
+  once, unless its batch alone outgrows the budget.  The base table
+  already holds every evicted value, so a sweep is pure index work and
+  needs no background thread.
 
 Range scans in lazy mode merge the resident index with a base-table scan
 (cold rows are visible iff the snapshot is at or above
@@ -157,9 +157,6 @@ class StateTable:
         #: see :attr:`gc_horizon_hook`; setting it clears
         #: :attr:`_gc_horizon`, the newest value the hook returned.
         self.gc_horizon_hook = None
-        #: called when a fault-in pushes the index over budget; the sharded
-        #: manager wires the maintenance daemon's eviction request here.
-        self.eviction_trigger: Callable[[], None] | None = None
         #: lazy-residency observability counters; a sweep's visits are the
         #: queue entries it examined.
         self.hydrations = 0
@@ -348,10 +345,17 @@ class StateTable:
         the index publishes it, so a lock-free reader never finds it
         empty.  A row for a key that has an array meanwhile is delegated
         to :meth:`MVCCObject.install_bootstrap`, which makes it idempotent
-        and safe against racing committers (see there).  The budget
-        backstop that follows takes the arrays of ``read``, the keys the
-        caller is about to read, last.  Returns the arrays of the rows
-        found, in key order, and the number of rows installed.
+        and safe against racing committers (see there).
+
+        A fault-in that leaves the index over the residency budget runs
+        the budget backstop, :meth:`evict_cold_versions`, which costs
+        O(arrays evicted): it pops its candidates off the eviction
+        queues.  Commits add arrays but never sweep, so between fault-ins
+        the index exceeds the budget by at most the keys written since
+        the last one.  The backstop takes the arrays of ``read``, the
+        keys the caller is about to read, last, so a batch is not evicted
+        before the reads it was faulted in for.  Returns the arrays of
+        the rows found, in key order, and the number of rows installed.
         """
         encoded = [self.key_codec.encode(key) for key in keys]
         while True:
@@ -378,7 +382,9 @@ class StateTable:
                     self._register_gc(key, obj)
         if installed:
             self.hydrations += installed
-            self._enforce_budget(read)
+            budget = self.residency_budget
+            if budget is not None and len(self._index) > budget:
+                self.evict_cold_versions(spare=read)
         return objects, installed
 
     def _new_array(self, vbytes: bytes | None) -> MVCCObject:
@@ -406,32 +412,10 @@ class StateTable:
                 return None
             return [self._publish(key, obj) for (key, _row), obj in zip(rows, fresh)]
 
-    def _enforce_budget(self, spare: list[Any]) -> None:
-        """Keep the resident count at or below the residency budget.
-
-        Runs on every fault-in, with the keys of the read that faulted as
-        ``spare``.  The maintenance daemon owns bulk sweeps (requested
-        through :attr:`eviction_trigger`, so eviction never rides the
-        commit path); the faulting reader additionally pays a small strict
-        backstop, so between fault-ins the index exceeds the budget by at
-        most the keys written since the last one (commits add arrays but
-        never sweep).  The backstop costs O(arrays evicted), not
-        O(resident arrays): it pops its candidates off the eviction
-        queues.  It takes ``spare`` last, so a batch is not evicted before
-        the reads it was faulted in for.
-        """
-        budget = self.residency_budget
-        if budget is None or len(self._index) <= budget:
-            return
-        if self.eviction_trigger is not None:
-            self.eviction_trigger()
-        self.evict_cold_versions(strict=True, spare=spare)
-
     def evict_cold_versions(
         self,
         limit: int | None = None,
         horizon: int | None = None,
-        strict: bool = False,
         spare: Sequence[Any] = (),
     ) -> int:
         """FIFO sweep demoting cold keys to backend-resident.
@@ -446,12 +430,9 @@ class StateTable:
         admitted array is dropped and anything else goes back to the
         tail.  The ``spare`` keys (a faulting read's own keys) are tried
         last, in reverse order: the read visits them in order, so a batch
-        too large for the budget keeps its head.  A ``strict`` sweep
-        ignores reference bits, so a second visit could not evict what
-        the first left: each pass is bounded by its queue's length when
-        it starts, and visits each entry once.  A second-chance sweep
-        clears a set reference bit and re-queues the array, up to
-        ``2 * len + 64`` visits per queue.
+        too large for the budget keeps its head.  A second visit could not
+        evict what the first left, so each pass is bounded by its queue's
+        length when it starts, and visits each entry once.
 
         Without an explicit ``horizon`` the sweep starts from the newest
         value :attr:`gc_horizon_hook` returned, and calls the hook at most
@@ -495,9 +476,7 @@ class StateTable:
                 if obj.last_write_ts > horizon and not known:
                     known = True
                     horizon = max(horizon, self._read_gc_horizon())
-                return obj.last_write_ts <= horizon and obj.evictable(
-                    horizon, strict
-                )
+                return obj.last_write_ts <= horizon and obj.evictable(horizon)
 
             index = self._index
             spared = set(spare)
@@ -506,7 +485,7 @@ class StateTable:
                 # a never-written array holds only versions at or below
                 # bootstrap_cts, which the horizon covers: no hook call here
                 queue = self._unwritten
-                steps = len(queue) if strict else 2 * len(queue) + 64
+                steps = len(queue)
                 while evicted < limit and steps > 0 and queue:
                     steps -= 1
                     visits += 1
@@ -516,13 +495,13 @@ class StateTable:
                         continue
                     if obj.last_write_ts:
                         self._written[key] = None
-                    elif key not in spared and obj.evictable(horizon, strict):
+                    elif key not in spared and obj.evictable(horizon):
                         self._drop(key)
                         evicted += 1
                     else:
                         queue[key] = None
             queue = self._written
-            steps = len(queue) if strict else 2 * len(queue) + 64
+            steps = len(queue)
             while evicted < limit and steps > 0 and queue:
                 steps -= 1
                 visits += 1

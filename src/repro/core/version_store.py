@@ -97,7 +97,6 @@ class MVCCObject:
         "capacity",
         "gc_count",
         "last_write_ts",
-        "referenced",
     )
 
     def __init__(self, capacity: int = DEFAULT_SLOTS) -> None:
@@ -111,9 +110,6 @@ class MVCCObject:
         #: object — survives GC, so a lazy fault-in can tell "this key was
         #: written and the versions aged out" apart from "never touched".
         self.last_write_ts = 0
-        #: Second-chance reference bit for residency eviction: a
-        #: non-strict sweep clears it and re-queues the array at the tail.
-        self.referenced = False
 
     # ------------------------------------------------------------ read side
 
@@ -125,7 +121,6 @@ class MVCCObject:
         version committed at or before ``ts``, if that one is not yet
         superseded at ``ts``.
         """
-        self.referenced = True
         with self._latch:
             for version in reversed(self._versions):
                 if version.cts <= ts:
@@ -134,7 +129,6 @@ class MVCCObject:
 
     def live_version(self) -> VersionEntry | None:
         """Return the newest committed version (``dts == INF``)."""
-        self.referenced = True
         with self._latch:
             if self._versions and self._versions[-1].dts == INF_TS:
                 return self._versions[-1]
@@ -224,8 +218,8 @@ class MVCCObject:
             for version in self._versions:
                 version.clean = False
 
-    def evictable(self, horizon: int, strict: bool = False) -> bool:
-        """Residency-eviction eligibility test (second chance).
+    def evictable(self, horizon: int) -> bool:
+        """Residency-eviction eligibility test.
 
         Versions dead at the GC ``horizon`` (``dts <= horizon``) are
         ignored: no active or future snapshot reads below the horizon.
@@ -233,9 +227,6 @@ class MVCCObject:
         version survives and it is live, clean and no newer than the
         horizon — then every snapshot that can still read the key reads
         that value, and a re-fault reads it back from the base table.
-        Unless ``strict``, a set reference bit is cleared and buys the
-        array one more visit: the sweep re-queues it at the tail of its
-        eviction queue.
         """
         with self._latch:
             survivor: VersionEntry | None = None
@@ -245,17 +236,12 @@ class MVCCObject:
                 if survivor is not None:
                     return False
                 survivor = version
-            if (
-                survivor is None
-                or not survivor.clean
-                or not survivor.is_live()
-                or survivor.cts > horizon
-            ):
-                return False
-            if self.referenced and not strict:
-                self.referenced = False
-                return False
-            return True
+            return (
+                survivor is not None
+                and survivor.clean
+                and survivor.is_live()
+                and survivor.cts <= horizon
+            )
 
     def _supersede_live(self, commit_ts: int) -> None:
         if self._versions and self._versions[-1].dts == INF_TS:

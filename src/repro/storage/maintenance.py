@@ -21,6 +21,11 @@ to the storage engine — takes both over for every LSM store in a fleet:
   tombstone decision needs); the dispatcher never double-books a
   ``(store, level)`` pair, so workers don't queue up on one lock.
 
+The daemon does flushes and compactions only.  A lazy table's residency
+eviction is not its work: the base table already holds every evicted
+value, so eviction is an index operation, and the faulting reader's
+inline backstop (``StateTable.evict_cold_versions``) is its one path.
+
 Requests coalesce (a trigger storm on one store collapses into one queue
 entry).  Failures are counted, not fatal: a transient build error leaves
 the sealed memtable and its WAL sidecar in place for a retry, and writers
@@ -45,7 +50,6 @@ from ..analysis import lockranks
 from ..analysis.lockcheck import make_condition
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from ..core.table import StateTable
     from .lsm import LSMStore
 
 #: Upper bound on maintenance workers — beyond this, merges just queue on
@@ -73,11 +77,6 @@ class StorageMaintenanceDaemon:
         #: ``(store, level)`` merges in flight — the dispatcher never
         #: double-books a pair, so workers don't pile onto one level lock.
         self._merge_active: set[tuple[LSMStore, int]] = set()
-        #: Lazy-residency tables whose index ran over budget; the sweep
-        #: (:meth:`StateTable.evict_cold_versions`) demotes clean cold
-        #: arrays back to backend-resident off the commit path.
-        self._evict_pending: set[StateTable] = set()
-        self._evict_active: set[StateTable] = set()
         #: Stores quiesced for a shard migration.
         self._suspended: set[LSMStore] = set()
         self._closed = False
@@ -88,9 +87,6 @@ class StorageMaintenanceDaemon:
         self.compactions = 0
         self.flush_failures = 0
         self.compaction_failures = 0
-        self.evictions = 0
-        self.keys_evicted = 0
-        self.eviction_failures = 0
         self.last_error: BaseException | None = None  #: guarded_by(_cond)
         self._threads = [
             threading.Thread(target=self._run, name=f"{name}-{i}", daemon=True)
@@ -123,19 +119,6 @@ class StorageMaintenanceDaemon:
                 return
             if store not in self._compact_pending:
                 self._compact_pending.add(store)
-                self._cond.notify_all()
-
-    def request_eviction(self, table: "StateTable") -> None:
-        """Ask for a residency sweep over ``table``; coalesced, never
-        blocks — the faulting reader's enqueue when the index runs over
-        its budget.  The sweep itself is pure in-memory work (the backend
-        rows already hold the evicted values), so unlike flushes it can
-        always be dropped at close."""
-        with self._cond:
-            if self._closed:
-                return
-            if table not in self._evict_pending:
-                self._evict_pending.add(table)
                 self._cond.notify_all()
 
     # ------------------------------------------------------------ lifecycle
@@ -182,8 +165,6 @@ class StorageMaintenanceDaemon:
                 or self._compact_pending
                 or self._flush_active
                 or self._merge_active
-                or self._evict_pending
-                or self._evict_active
             ):
                 wait_s = 0.1
                 if deadline is not None:
@@ -209,8 +190,6 @@ class StorageMaintenanceDaemon:
             # unflushed data and the manager's final checkpoint should not
             # have to rebuild them serially on the caller's thread.
             self._compact_pending.clear()
-            # Evictions only drop re-faultable in-memory arrays.
-            self._evict_pending.clear()
             self._cond.notify_all()
         deadline = time.monotonic() + self.join_timeout
         for thread in self._threads:
@@ -276,17 +255,6 @@ class StorageMaintenanceDaemon:
                         self._flush_active.add(store)
                         job = ("flush", store)
                         break
-                    # Evictions next: cheap in-memory sweeps that release
-                    # budget headroom readers are actively waiting on.
-                    evictable = [
-                        t for t in self._evict_pending if t not in self._evict_active
-                    ]
-                    if evictable:
-                        table = evictable[0]
-                        self._evict_pending.discard(table)
-                        self._evict_active.add(table)
-                        job = ("evict", table)
-                        break
                     merge = self._pick_merge()
                     if merge is not None:
                         self._merge_active.add(merge)
@@ -317,21 +285,6 @@ class StorageMaintenanceDaemon:
                 # The flush may have pushed L0 to its fanout trigger.
                 if store.options.auto_compact:
                     self.request_compaction(store)
-            elif kind == "evict":
-                table = payload
-                try:
-                    dropped = table.evict_cold_versions()
-                    with self._cond:
-                        self.evictions += 1
-                        self.keys_evicted += dropped
-                except Exception as exc:
-                    with self._cond:
-                        self.eviction_failures += 1
-                        self.last_error = exc
-                finally:
-                    with self._cond:
-                        self._evict_active.discard(table)
-                        self._cond.notify_all()
             else:
                 store, level = payload
                 try:
@@ -362,8 +315,4 @@ class StorageMaintenanceDaemon:
                 + len(self._flush_active),
                 "maintenance_compact_queue": len(self._compact_pending)
                 + len(self._merge_active),
-                "maintenance_evictions": self.evictions,
-                "maintenance_keys_evicted": self.keys_evicted,
-                "maintenance_evict_queue": len(self._evict_pending)
-                + len(self._evict_active),
             }

@@ -13,6 +13,7 @@ from repro.core import (
     MVCCObject,
     ShardedTransactionManager,
     StateContext,
+    StateTable,
     TransactionManager,
 )
 from repro.core.durability import GroupFsyncDaemon
@@ -91,6 +92,14 @@ def test_constructor_parameters_are_pinned():
     assert list(
         inspect.signature(ShardedTransactionManager.create_table).parameters
     )[1:] == ["state_id", "backend_factory", "version_slots"]
+    # One residency eviction path: the faulting reader's backstop.  No
+    # second-chance mode, so no switch between sweeps.
+    assert list(inspect.signature(StateTable.evict_cold_versions).parameters)[1:] == [
+        "limit",
+        "horizon",
+        "spare",
+    ]
+    assert list(inspect.signature(MVCCObject.evictable).parameters)[1:] == ["horizon"]
 
 
 def test_vote_signatures_match_across_managers():

@@ -9,14 +9,14 @@ The larger-than-memory read path (``state_residency="lazy"``):
 * scans merge the resident index with a base-table sweep, so a lazy
   manager answers exactly what a full-residency manager would;
 * the residency budget holds up to the keys written since the last
-  fault-in: the sweep (and the strict inline backstop) demotes arrays
+  fault-in: the faulting reader's inline backstop demotes arrays
   whose newest version is clean (the base table holds it) and at or
   below the GC horizon — never-written arrays first, written ones when
   those do not suffice, each popped off its FIFO queue — and the next
   read faults them back in;
 * the inline backstop takes the faulting read's own keys last, so a
-  read faults each cold key in once, and a strict sweep visits each
-  resident array once;
+  read faults each cold key in once, and a sweep visits each resident
+  array once;
 * a write to a cold key needs no fault-in for First-Committer-Wins,
   carries its backend pre-image for barrier-capped readers, and aborts
   exactly when full residency would;
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import gc
 import random
+import shutil
 import sys
 import threading
 import time
@@ -117,34 +118,30 @@ class TestBootstrapInstall:
     def test_evictable_only_clean_single_bootstrap(self):
         obj = MVCCObject()
         obj.install_bootstrap("row", 5)
-        assert not obj.evictable(horizon=4, strict=True)  # above horizon
-        assert obj.evictable(horizon=5, strict=True)
-        # second chance: a referenced array survives one non-strict sweep
-        obj.referenced = True
-        assert not obj.evictable(horizon=5)
+        assert not obj.evictable(horizon=4)  # above horizon
         assert obj.evictable(horizon=5)
         # a bare install is not known to be in the base table: resident
         written = MVCCObject()
         written.install("v", 7, 0)
-        assert not written.evictable(horizon=100, strict=True)
+        assert not written.evictable(horizon=100)
 
     def test_evictable_written_once_sole_survivor_is_clean_and_old(self):
         obj = MVCCObject()
         obj.install_bootstrap("row", 5)
         obj.install("v", 9, 0, clean=True)
         # the superseded bootstrap is still readable below 9
-        assert not obj.evictable(horizon=8, strict=True)
+        assert not obj.evictable(horizon=8)
         # dead at the horizon it no longer counts; the written version is
         # the sole clean live survivor at or below the horizon
-        assert obj.evictable(horizon=9, strict=True)
+        assert obj.evictable(horizon=9)
         # a delete leaves no live survivor
         obj.mark_deleted(12)
-        assert not obj.evictable(horizon=20, strict=True)
+        assert not obj.evictable(horizon=20)
         # a purge clears the clean bit
         moved = MVCCObject()
         moved.install_bootstrap("row", 5)
         moved.mark_dirty()
-        assert not moved.evictable(horizon=20, strict=True)
+        assert not moved.evictable(horizon=20)
 
 
 # ----------------------------------------------------------- table hydration
@@ -195,7 +192,7 @@ class TestTableHydration:
         for i in range(20):
             table.read_live(i)
         assert table.resident_keys() == 20
-        evicted = table.evict_cold_versions(limit=20, horizon=3, strict=True)
+        evicted = table.evict_cold_versions(limit=20, horizon=3)
         assert evicted == 20
         assert table.resident_keys() == 0
         assert table.residency_evictions == 20
@@ -228,7 +225,7 @@ class TestTableHydration:
             table.read_live(i)
         # a version the base table does not hold pins key 3 resident
         table.mvcc_object(3).install("written", 50, 0)
-        table.evict_cold_versions(limit=10, horizon=10**9, strict=True)
+        table.evict_cold_versions(limit=10, horizon=10**9)
         assert table.resident_keys() == 1
         assert table.read_live(3).value == "written"
 
@@ -254,7 +251,7 @@ class TestTableHydration:
                 write.upsert(1, "v2")
                 with table.commit_latch:
                     table.apply_write_set(write, 5, 0)
-                assert table.evict_cold_versions(limit=1, horizon=9, strict=True) == 1
+                assert table.evict_cold_versions(limit=1, horizon=9) == 1
             return fetched
 
         monkeypatch.setattr(table.backend, "multi_get", racing)
@@ -661,7 +658,7 @@ def home_table(smgr: ShardedTransactionManager, key, state_id: str = "A"):
 
 def evict_all(smgr: ShardedTransactionManager, state_id: str = "A") -> int:
     return sum(
-        shard.table(state_id).evict_cold_versions(limit=10**6, strict=True)
+        shard.table(state_id).evict_cold_versions(limit=10**6)
         for shard in smgr.shards
     )
 
@@ -871,7 +868,7 @@ def lazy_on_shard_zero(tmp_path, budget_per_table: int):
 class TestFaultOnce:
     """An over-budget partition faults each cold key of a read in once:
     the inline backstop takes the arrays its own fault-in just installed
-    last, and a strict sweep visits each resident array once."""
+    last, and a sweep visits each resident array once."""
 
     def test_read_many_over_budget_faults_each_key_once(self, tmp_path):
         budget = 10
@@ -917,7 +914,7 @@ class TestFaultOnce:
         for i in range(40):
             table.read_live(i)
         # park the clock hand mid-snapshot, then add arrays it has not seen
-        assert table.evict_cold_versions(limit=5, horizon=10, strict=True) == 5
+        assert table.evict_cold_versions(limit=5, horizon=10) == 5
         for i in range(40, 60):
             table.read_live(i)
         for i in range(10, 20):
@@ -927,13 +924,13 @@ class TestFaultOnce:
         visits: dict[int, int] = {}
         real = MVCCObject.evictable
 
-        def counting(self, horizon, strict=False):
+        def counting(self, horizon):
             visits[id(self)] = visits.get(id(self), 0) + 1
-            return real(self, horizon, strict=strict)
+            return real(self, horizon)
 
         monkeypatch.setattr(MVCCObject, "evictable", counting)
         resident = table.resident_keys()
-        evicted = table.evict_cold_versions(limit=resident, horizon=10, strict=True)
+        evicted = table.evict_cold_versions(limit=resident, horizon=10)
         assert evicted == resident - 10  # every array but the dirty ones
         assert len(visits) == resident
         assert max(visits.values()) == 1
@@ -956,9 +953,9 @@ class TestEvictionQueues:
         calls = [0]
         real = MVCCObject.evictable
 
-        def counting(self, horizon, strict=False):
+        def counting(self, horizon):
             calls[0] += 1
-            return real(self, horizon, strict=strict)
+            return real(self, horizon)
 
         monkeypatch.setattr(MVCCObject, "evictable", counting)
         for key in range(204, 260):
@@ -998,9 +995,9 @@ class TestEvictionQueues:
         for i in range(60, 120):
             table.read_live(i)
         # never-written arrays pass on the recorded horizon alone
-        assert table.evict_cold_versions(limit=30, strict=True) == 30
+        assert table.evict_cold_versions(limit=30) == 30
         assert hooked == [now[0]]  # recorded once: it started below bootstrap
-        assert table.evict_cold_versions(limit=30, strict=True) == 30
+        assert table.evict_cold_versions(limit=30) == 30
         assert len(hooked) == 1
         for i in range(60):
             now[0] += 1
@@ -1009,7 +1006,7 @@ class TestEvictionQueues:
         # every written candidate is above the recorded horizon
         for _ in range(6):
             before = len(hooked)
-            assert table.evict_cold_versions(limit=10, strict=True) == 10
+            assert table.evict_cold_versions(limit=10) == 10
             assert len(hooked) - before <= 1
         assert table.resident_keys() == 0
 
@@ -1028,18 +1025,18 @@ class TestEvictionQueues:
         with smgr.transaction() as txn:
             smgr.write(txn, "A", 9, "old")
         # a sweep records a horizon at or above that write
-        assert table.evict_cold_versions(limit=10, strict=True) == 1
+        assert table.evict_cold_versions(limit=10) == 1
         assert len(returned) == 1
         with smgr.snapshot() as view:
             assert view.get("A", 9) == "old"
             with smgr.transaction() as txn:
                 smgr.write(txn, "A", 9, "new")
             assert table.mvcc_object(9).last_write_ts > returned[0]
-            assert table.evict_cold_versions(limit=10, strict=True) == 0
+            assert table.evict_cold_versions(limit=10) == 0
             assert len(returned) == 2  # the old horizon was not trusted
             assert table.mvcc_object(9) is not None
             assert view.get("A", 9) == "old"
-        assert table.evict_cold_versions(limit=10, strict=True) == 1
+        assert table.evict_cold_versions(limit=10) == 1
         with smgr.transaction() as txn:
             assert smgr.read(txn, "A", 9) == "new"
         smgr.close()
@@ -1049,19 +1046,19 @@ class TestEvictionQueues:
         table.gc_horizon_hook = lambda: 100
         for i in range(5):
             table.read_live(i)
-        assert table.evict_cold_versions(limit=5, strict=True) == 5  # records 100
+        assert table.evict_cold_versions(limit=5) == 5  # records 100
         commit(table, 7, "w", 50)
         lower: list[int] = []
         table.gc_horizon_hook = lambda: lower.append(2) or 2
         # from the cleared value the sweep asks the new hook, whose
         # horizon is below the write
-        assert table.evict_cold_versions(limit=5, strict=True) == 0
+        assert table.evict_cold_versions(limit=5) == 0
         assert lower == [2]
         assert table.mvcc_object(7) is not None
         # a caller's horizon is used as given and never recorded
-        assert table.evict_cold_versions(limit=5, horizon=60, strict=True) == 1
+        assert table.evict_cold_versions(limit=5, horizon=60) == 1
         commit(table, 8, "w", 55)
-        assert table.evict_cold_versions(limit=5, strict=True) == 0
+        assert table.evict_cold_versions(limit=5) == 0
         assert lower == [2, 2]
 
     def test_queues_hold_each_resident_key_once_under_threads(self):
@@ -1112,8 +1109,54 @@ class TestEvictionQueues:
         unwritten, written = set(table._unwritten), set(table._written)
         assert not unwritten & written
         assert unwritten | written == set(table._index)
-        table.evict_cold_versions(strict=True)
+        table.evict_cold_versions()
         assert table.resident_keys() <= 40
+
+
+class TestBackgroundMaintenance:
+    """A lazy store beside the background maintenance daemon: the daemon
+    flushes and compacts, the faulting reader's backstop is the only
+    thing that evicts, so residency runs exactly as with inline
+    maintenance."""
+
+    ROWS = 600
+    BUDGET = 60
+
+    def run_stream(self, data_dir, maintenance: str) -> tuple[int, int]:
+        smgr = ShardedTransactionManager.open(
+            data_dir,
+            memory_budget=self.BUDGET,
+            storage_maintenance=maintenance,
+            lsm_options=LSMOptions(sync=False, memtable_bytes=512),
+        )
+        assert (smgr.maintenance_daemon is not None) == (maintenance == "background")
+        expected = {i: i * 3 for i in range(self.ROWS)}
+        rng = random.Random(17)
+        for step in range(900):
+            key = rng.randrange(self.ROWS)
+            with smgr.transaction() as txn:
+                value = smgr.read(txn, "A", key)
+                if step % 3 == 0:  # a read-modify-write of a resident key
+                    smgr.write(txn, "A", key, (key, step))
+            assert value == expected[key]
+            if step % 3 == 0:
+                expected[key] = (key, step)
+            assert resident_total(smgr) <= self.BUDGET
+        stats = smgr.stats()
+        flushes = stats.get("maintenance_flushes", 0)
+        smgr.close()
+        if maintenance == "background":
+            assert flushes > 0  # the daemon did work beside the lazy store
+        assert stats["residency_evictions"] > 0
+        return stats["hydrations"], stats["residency_evictions"]
+
+    def test_background_daemon_matches_inline_residency(self, tmp_path):
+        make_lazy(tmp_path / "seed", rows=self.ROWS).close()
+        runs = {}
+        for maintenance in ("background", "inline"):
+            shutil.copytree(tmp_path / "seed", tmp_path / maintenance)
+            runs[maintenance] = self.run_stream(tmp_path / maintenance, maintenance)
+        assert runs["background"] == runs["inline"]
 
 
 class TestSplitSourcePurge:
@@ -1137,7 +1180,7 @@ class TestSplitSourcePurge:
         assert any(key in moved for key in owned[::3])
         assert moved and kept
         assert src.residency_budget is not None
-        evicted = src.evict_cold_versions(limit=src.resident_keys(), strict=True)
+        evicted = src.evict_cold_versions(limit=src.resident_keys())
         for key in moved:
             entry = src.read_version_at(key, pre_flip_ts)
             assert entry is not None and entry.value == key * 3
@@ -1161,13 +1204,11 @@ class TestBootstrapGCPinning:
             # a later commit supersedes it while the snapshot is pinned
             with reopened.transaction() as txn:
                 reopened.write(txn, "A", 5, "new")
-            # neither GC nor a strict eviction sweep may drop the
+            # neither GC nor an eviction sweep may drop the
             # bootstrap version while this snapshot can still resolve it
             reopened.collect_garbage()
             for shard in reopened.shards:
-                shard.table("A").evict_cold_versions(
-                    limit=100, strict=True
-                )
+                shard.table("A").evict_cold_versions(limit=100)
             assert view.get("A", 5) == 15
         # snapshot released: the superseded bootstrap is now collectable
         reopened.collect_garbage()
@@ -1187,7 +1228,7 @@ class TestBootstrapGCPinning:
             # bootstrap array for key 5 sits at bootstrap_cts <= horizon,
             # so eviction MAY drop it — and the re-fault must reproduce
             # it for the still-pinned snapshot.
-            table.evict_cold_versions(limit=100, strict=True)
+            table.evict_cold_versions(limit=100)
             assert view.get("A", 5) == 15
         reopened.close()
 
@@ -1246,8 +1287,8 @@ with smgr.transaction() as txn:
 
 orig = MVCCObject.evictable
 count = [0]
-def crashing(self, horizon, strict=False):
-    ok = orig(self, horizon, strict=strict)
+def crashing(self, horizon):
+    ok = orig(self, horizon)
     if ok:
         count[0] += 1
         if count[0] >= 5:
@@ -1256,7 +1297,7 @@ def crashing(self, horizon, strict=False):
 MVCCObject.evictable = crashing
 
 for shard in smgr.shards:
-    shard.table("A").evict_cold_versions(limit=1000, strict=True)
+    shard.table("A").evict_cold_versions(limit=1000)
 os._exit(9)  # unreachable: the 5th eviction must crash first
 """
 

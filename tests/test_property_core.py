@@ -280,7 +280,6 @@ class TestPendingSetSweep:
                 table.evict_cold_versions(
                     limit=6,
                     horizon=mgr.context.oldest_active_version(),
-                    strict=True,
                 )
             elif op == "fault" and residency == "lazy":
                 with mgr.snapshot() as view:

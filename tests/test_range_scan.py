@@ -156,7 +156,7 @@ class TestSortedKeyCache:
         for i in range(5):
             table.read_live(i)
         assert table.keys() == [0, 1, 2, 3, 4]
-        table.evict_cold_versions(limit=5, horizon=0, strict=True)
+        table.evict_cold_versions(limit=5, horizon=0)
         assert table.keys() == []
 
     def test_load_from_backend_invalidates(self):
@@ -315,7 +315,7 @@ class TestScanDifferential:
             elif kind == "fault":
                 lazy_table.read_live(op[1])
             elif kind == "evict":
-                lazy_table.evict_cold_versions(limit=64, horizon=0, strict=True)
+                lazy_table.evict_cold_versions(limit=64, horizon=0)
             elif kind == "scan":
                 _, low, high, which = op
                 if held and which < len(held):

@@ -8,7 +8,9 @@ live afterwards (no leaked latches, locks or validation sections).
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from helpers import PROTOCOLS
 
 from repro.core import (
     NUM_SLOTS,
+    MVCCObject,
     ShardedTransactionManager,
     SlotFlip,
     SlotMap,
@@ -700,3 +703,43 @@ class TestLifecycle:
         assert stats["gc_arrays_visited"] == 8
         # each key's bulk-loaded version and the first two writes
         assert stats["gc_versions_reclaimed"] == reclaimed == 3 * 8
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"state_residency": "lazy", "memory_budget": 100, "replication_factor": 1},
+        ],
+        ids=["full-rf0", "lazy-rf1"],
+    )
+    def test_close_frees_manager_without_cyclic_collector(self, tmp_path, options):
+        """``close()`` breaks every reference cycle through the manager
+        (shard hooks, the checkpoint daemon, the replication feed and the
+        replicas' floor hooks), so reference counting alone frees it and
+        every version array it held."""
+
+        def tracked_arrays() -> int:
+            return sum(isinstance(obj, MVCCObject) for obj in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            baseline = tracked_arrays()
+            smgr = ShardedTransactionManager(
+                num_shards=2, data_dir=tmp_path / "db", **options
+            )
+            smgr.create_table("A")
+            with smgr.transaction() as txn:
+                for key in range(500):
+                    smgr.write(txn, "A", key, key)
+            with smgr.snapshot() as view:
+                for key in range(0, 500, 3):
+                    view.get("A", key)
+            assert tracked_arrays() > baseline
+            smgr.close()
+            ref = weakref.ref(smgr)
+            del smgr, txn, view
+            assert ref() is None
+            assert tracked_arrays() == baseline
+        finally:
+            gc.enable()

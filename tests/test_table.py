@@ -240,7 +240,6 @@ class TestGC:
             table.evict_cold_versions(
                 limit=100,
                 horizon=mgr.context.oldest_active_version(),
-                strict=True,
             )
             with mgr.snapshot() as view:
                 for key in range(12):
